@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -97,8 +97,14 @@ loadgen:
 # + types + tier-1 tests + the trace schema smoke + the service
 # differential smoke + the columnar bench schema smoke + the live
 # telemetry endpoint smoke + the live-adversary sentinel smoke + the
-# head-to-head arena smoke.
-check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke
+# head-to-head arena smoke + the benchmark's self-tests.
+check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
+
+# CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
+# pinned outcome digests of all three workloads, so a change to child
+# order, BFS order or payment summation order fails here.
+perfbench-smoke:
+	$(PY) -m pytest perfbench/test_perfbench.py -q
 
 # Fast perf baseline: times the scaling workload on both auction engines
 # and refreshes BENCH_RIT.json (the committed perf trajectory).

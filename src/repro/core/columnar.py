@@ -21,10 +21,11 @@ Extract kernel            one stable ``lexsort`` by ``(type, value)``
                           ``argsort`` are both precomputed, so a fresh
                           per-run pool is just a capacity copy and a
                           Fenwick build (:meth:`ColumnarStore.pool`);
-tree arrays               BFS-ordered CSR-style index arrays — node
-                          ids, parent positions, depths, level bounds,
-                          children offsets and subtree-size aggregates
-                          — replacing every dict-keyed tree traversal.
+tree arrays               the tree's cached :class:`~repro.tree.
+                          incentive_tree.BFSView` (node ids, parent
+                          positions, depths, level bounds, uid lookup)
+                          plus the store's own CSR children offsets,
+                          subtree-size aggregates and BFS-ordered types.
 ========================  ============================================
 
 RNG-stream compatibility
@@ -38,11 +39,10 @@ engine (grid offset → one uniform per alive unit → the branch-for-branch
 keep/subsample draws).  Differential goldens and the property sweep in
 ``tests/core`` enforce outcome equality seed by seed.
 
-Payments (:func:`tree_payments_columnar`) replicate the float operation
-sequence of :func:`repro.core.payments._tree_payments_impl` — scalar decay
-powers, level-by-level reverse-BFS ``np.add.at`` accumulation — over the
-precomputed index arrays, so final payments are bitwise equal while the
-per-run cost drops to pure array work.
+Payments (:func:`tree_payments_columnar`) run the single kernel
+:func:`repro.core.payments.payment_kernel` over the store's view and
+BFS-ordered types, so final payments are bitwise equal to
+:func:`~repro.core.payments.tree_payments` by construction.
 
 Ownership
 ---------
@@ -61,12 +61,17 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.engine import SortedTypePool
-from repro.core.exceptions import ModelError, TreeError
+from repro.core.exceptions import ModelError
 from repro.core.extract import UnitAsks
-from repro.core.numeric import PAYMENT_ATOL
+from repro.core.payments import (
+    bfs_auction_payments,
+    bfs_types,
+    nonzero_payments,
+    payment_kernel,
+)
 from repro.core.types import Ask, Job, Population, TaskType
 from repro.obs.tracer import NullTracer
-from repro.tree.incentive_tree import ROOT, IncentiveTree
+from repro.tree.incentive_tree import BFSView, IncentiveTree
 
 __all__ = ["ColumnarStore", "tree_payments_columnar"]
 
@@ -144,18 +149,11 @@ class ColumnarStore:
         "caps",
         "type_supply",
         "_blocks",
-        "bfs_uids",
+        "view",
         "bfs_types",
-        "bfs_parent",
-        "bfs_depth",
-        "level_bounds",
         "child_start",
         "child_index",
         "subtree_sizes",
-        "payment_num_types",
-        "_bfs_order_list",
-        "_uid_order",
-        "_uid_sorted",
     )
 
     def __init__(
@@ -321,57 +319,12 @@ class ColumnarStore:
         # BFS order must come from the tree itself: children order is
         # insertion order *as rewritten by reattach* (withdrawal grafting,
         # sybil rewires), so it cannot be re-derived from attach order.
-        order = tree.bfs_order()
-        n = len(order)
-        self._bfs_order_list = order
-        bfs_uids = np.fromiter(order, dtype=np.int64, count=n)
-        parent_of = tree.to_parent_map()
-        parent_ids = np.fromiter(
-            (parent_of[u] for u in order), dtype=np.int64, count=n
-        )
-        self.bfs_uids = _frozen(bfs_uids)
-        uid_order = np.argsort(bfs_uids, kind="stable")
-        uid_sorted = bfs_uids[uid_order]
-        self._uid_order = _frozen(uid_order)
-        self._uid_sorted = _frozen(uid_sorted)
-
-        if n:
-            is_root = parent_ids == ROOT
-            slot = np.searchsorted(uid_sorted, parent_ids)
-            parent_arr = np.where(
-                is_root, -1, uid_order[np.clip(slot, 0, n - 1)]
-            ).astype(np.int64)
-        else:
-            parent_arr = np.empty(0, dtype=np.int64)
-        # Same level-contiguity guard + bounds recovery as
-        # payments._tree_payments_impl — the kernels below assume both.
-        if n > 1 and bool(np.any(np.diff(parent_arr) < 0)):
-            raise TreeError("bfs order lost level contiguity")  # unreachable
-        level_bounds = [0]
-        while level_bounds[-1] < n:
-            prev_end = level_bounds[-1]
-            last_parent = -1 if prev_end == 0 else prev_end - 1
-            end = int(np.searchsorted(parent_arr, last_parent, side="right"))
-            if end <= prev_end:  # pragma: no cover - valid trees progress
-                raise TreeError("bfs order lost level contiguity")
-            level_bounds.append(end)
-        max_depth = len(level_bounds) - 1
-        depth_arr = np.empty(n, dtype=np.int64)
-        for d in range(1, max_depth + 1):
-            depth_arr[level_bounds[d - 1] : level_bounds[d]] = d
-        self.bfs_parent = _frozen(parent_arr)
-        self.bfs_depth = _frozen(depth_arr)
-        self.level_bounds = level_bounds
-
-        # Profile types gathered into BFS order (payments needs them).
-        if n:
-            prof_order = np.argsort(self.uids, kind="stable")
-            prof_slot = np.searchsorted(self.uids[prof_order], bfs_uids)
-            bfs_types = self.types[prof_order[prof_slot]]
-        else:
-            bfs_types = np.empty(0, dtype=np.int64)
-        self.bfs_types = _frozen(bfs_types)
-        self.payment_num_types = int(bfs_types.max()) + 1 if n else 0
+        view: BFSView = tree.bfs_view()
+        n = len(view)
+        self.view = view
+        # Validation above made the profile and the tree the same id set.
+        self.bfs_types = _frozen(bfs_types(view, self.uids, self.types))
+        parent_arr = view.parent
 
         # CSR children view: positions grouped by parent, offsets per node
         # (root children — parent -1 — excluded from the offsets table).
@@ -389,9 +342,10 @@ class ColumnarStore:
 
         # Subtree-size aggregates via one reverse level sweep (node + all
         # descendants) — the store's structural summary column.
+        bounds = view.level_bounds
         sizes = np.ones(n, dtype=np.int64)
-        for d in range(max_depth, 1, -1):
-            lo, hi = level_bounds[d - 1], level_bounds[d]
+        for d in range(view.max_depth, 1, -1):
+            lo, hi = bounds[d - 1], bounds[d]
             np.add.at(sizes, parent_arr[lo:hi], sizes[lo:hi])
         self.subtree_sizes = _frozen(sizes)
 
@@ -435,11 +389,6 @@ class ColumnarStore:
             owners=np.repeat(block.uids, block.caps),
         )
 
-    def bfs_positions_of(self, uids: np.ndarray) -> np.ndarray:
-        """BFS-array positions of the given user ids (all must be nodes)."""
-        slot = np.searchsorted(self._uid_sorted, uids)
-        return self._uid_order[slot]
-
     @property
     def nbytes(self) -> int:
         """Total bytes held by the store's arrays (the epoch footprint)."""
@@ -449,15 +398,11 @@ class ColumnarStore:
             + self.values.nbytes
             + self.caps.nbytes
             + self.type_supply.nbytes
-            + self.bfs_uids.nbytes
+            + self.view.nbytes
             + self.bfs_types.nbytes
-            + self.bfs_parent.nbytes
-            + self.bfs_depth.nbytes
             + self.child_start.nbytes
             + self.child_index.nbytes
             + self.subtree_sizes.nbytes
-            + self._uid_order.nbytes
-            + self._uid_sorted.nbytes
         )
         for block in self._blocks:
             if block is not None:
@@ -478,73 +423,21 @@ def tree_payments_columnar(
     *,
     tracer: Optional[NullTracer] = None,
 ) -> Tuple[Dict[int, float], int]:
-    """Payment determination over the store's BFS/CSR index arrays.
+    """Payment determination over the store's view and BFS-ordered types.
 
     Returns ``(kept, num_nodes)`` where ``kept`` holds exactly the
-    non-zero final payments (the post-prune dict
-    :meth:`repro.core.rit.RIT.join_shards` would build) and ``num_nodes``
-    is the tree size (for the pruning counters).  The float operation
-    sequence replicates :func:`repro.core.payments._tree_payments_impl`
-    step for step — scalar decay powers, per-level reverse-BFS
-    ``np.add.at`` pushes — so results are bitwise identical to
-    ``tree_payments`` followed by the ``is_zero`` prune.
+    non-zero final payments in BFS order (what
+    :meth:`repro.core.rit.RIT.join_shards` keeps) and ``num_nodes`` is the
+    tree size (for the pruning counters).  Runs the single kernel
+    :func:`repro.core.payments.payment_kernel`, so results are bitwise
+    identical to ``tree_payments`` followed by the ``is_zero`` prune.
     """
-    if tracer is not None and tracer.enabled:
-        with tracer.span(
-            "payments", nodes=store.num_users, decay=decay
-        ):
-            tracer.count("tree_payment_nodes", store.num_users)
-            return _tree_payments_columnar_impl(store, auction_payments, decay)
-    return _tree_payments_columnar_impl(store, auction_payments, decay)
-
-
-def _tree_payments_columnar_impl(
-    store: ColumnarStore,
-    auction_payments: Mapping[int, float],
-    decay: float,
-) -> Tuple[Dict[int, float], int]:
-    if not 0.0 < decay < 1.0:
-        raise TreeError(f"decay must be in (0, 1), got {decay}")
-    n = store.num_users
-    if n == 0:
-        return {}, 0
-
-    pay_arr = np.zeros(n, dtype=np.float64)
-    if auction_payments:
-        m = len(auction_payments)
-        pay_uids = np.fromiter(auction_payments.keys(), dtype=np.int64, count=m)
-        pay_vals = np.fromiter(
-            auction_payments.values(), dtype=np.float64, count=m
-        )
-        pay_arr[store.bfs_positions_of(pay_uids)] = pay_vals
-
-    level_bounds = store.level_bounds
-    max_depth = len(level_bounds) - 1
-    types_arr = store.bfs_types
-    parent_arr = store.bfs_parent
-    decay_pow = np.array(
-        [decay ** d for d in range(max_depth + 1)], dtype=np.float64
+    view = store.view
+    final = payment_kernel(
+        view,
+        store.bfs_types,
+        bfs_auction_payments(view, auction_payments),
+        decay,
+        tracer=tracer,
     )
-    contrib = decay_pow[store.bfs_depth] * pay_arr
-
-    sub = np.zeros((n, store.payment_num_types), dtype=np.float64)
-    for d in range(max_depth, 0, -1):
-        lo, hi = level_bounds[d - 1], level_bounds[d]
-        idx = np.arange(hi - 1, lo - 1, -1)
-        sub[idx, types_arr[idx]] += contrib[idx]
-        parents = parent_arr[idx]
-        push = parents >= 0
-        np.add.at(sub, parents[push], sub[idx[push]])
-
-    rows = np.arange(n)
-    referral = sub.sum(axis=1) - sub[rows, types_arr]
-    final = pay_arr + referral
-
-    # The vectorized ``is_zero`` prune of join_shards: keep |p| > atol,
-    # emitting the dict in BFS order exactly as the object path does.
-    keep = np.flatnonzero(np.abs(final) > PAYMENT_ATOL)
-    order = store._bfs_order_list
-    kept = {
-        order[i]: v for i, v in zip(keep.tolist(), final[keep].tolist())
-    }
-    return kept, n
+    return nonzero_payments(view, final), len(view)

@@ -21,11 +21,15 @@ of this rule matter and are exercised by the test suite:
   ``Σ_j (r_j - 1)(1/2)^{r_j} p^A_j <= Σ_j p^A_j`` (§7-C discussion) since a
   depth-``r`` node has ``r - 1`` non-root ancestors.
 
-The reference implementation is a single bottom-up pass maintaining, for
-each node, the per-type weighted subtree sums — O(N·m) time, O(N·m) space —
-so pathological deep chains stay linear.  A transparent quadratic
-implementation (:func:`tree_payments_naive`) is kept for differential
-testing.
+The production implementation is one array kernel
+(:func:`payment_kernel`) over the tree's cached
+:class:`~repro.tree.incentive_tree.BFSView`: a bottom-up pass, level by
+level, maintaining for each node the per-type weighted subtree sums —
+O(N·m) time, O(N·m) space — so pathological deep chains stay linear.
+:func:`tree_payments`, :meth:`repro.core.rit.RIT.join_shards` and
+:func:`repro.core.columnar.tree_payments_columnar` all run it.  A
+transparent quadratic implementation (:func:`tree_payments_naive`) is kept
+for differential testing.
 """
 
 from __future__ import annotations
@@ -35,11 +39,20 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.exceptions import TreeError
+from repro.core.numeric import PAYMENT_ATOL
 from repro.core.types import TaskType
 from repro.obs.tracer import NullTracer
-from repro.tree.incentive_tree import ROOT, IncentiveTree
+from repro.tree.incentive_tree import BFSView, IncentiveTree
 
-__all__ = ["tree_payments", "tree_payments_naive", "DEFAULT_DECAY"]
+__all__ = [
+    "tree_payments",
+    "tree_payments_naive",
+    "payment_kernel",
+    "bfs_types",
+    "bfs_auction_payments",
+    "nonzero_payments",
+    "DEFAULT_DECAY",
+]
 
 #: The paper's decay base.  Sybil-proofness of the chain attack needs the
 #: base to be at most 1/2 (Lemma 6.4: the split changes the reward by a
@@ -78,101 +91,125 @@ def tree_payments(
     Returns
     -------
     dict
-        ``{user_id: p_j}`` for every node of the tree (zero payments
-        included — callers prune if they wish).
+        ``{user_id: p_j}`` for every node of the tree, in BFS order (zero
+        payments included — callers prune if they wish).
+    """
+    view = tree.bfs_view()
+    m = len(task_types)
+    types = bfs_types(
+        view,
+        np.fromiter(task_types.keys(), dtype=np.int64, count=m),
+        np.fromiter(task_types.values(), dtype=np.int64, count=m),
+    )
+    final = payment_kernel(
+        view,
+        types,
+        bfs_auction_payments(view, auction_payments),
+        decay,
+        tracer=tracer,
+    )
+    return dict(zip(view.uids.tolist(), final.tolist()))
+
+
+def payment_kernel(
+    view: BFSView,
+    types: np.ndarray,
+    auction: np.ndarray,
+    decay: float,
+    *,
+    tracer: Optional[NullTracer] = None,
+) -> np.ndarray:
+    """Final payments in BFS order — the one Alg. 3 l.22–25 implementation.
+
+    ``types`` and ``auction`` hold ``t_j`` and ``p^A_j`` at each node's
+    BFS position (see :func:`bfs_types` / :func:`bfs_auction_payments`).
+    When ``tracer`` is enabled the pass runs under a ``payments`` span and
+    counts ``tree_payment_nodes``.
     """
     if tracer is not None and tracer.enabled:
-        num_nodes = len(tree.bfs_order())
-        with tracer.span("payments", nodes=num_nodes, decay=decay):
-            tracer.count("tree_payment_nodes", num_nodes)
-            return _tree_payments_impl(tree, auction_payments, task_types, decay)
-    return _tree_payments_impl(tree, auction_payments, task_types, decay)
+        with tracer.span("payments", nodes=len(view), decay=decay):
+            tracer.count("tree_payment_nodes", len(view))
+            return _kernel(view, types, auction, decay)
+    return _kernel(view, types, auction, decay)
 
 
-def _tree_payments_impl(
-    tree: IncentiveTree,
-    auction_payments: Mapping[int, float],
-    task_types: Mapping[int, TaskType],
-    decay: float,
-) -> Dict[int, float]:
+def _kernel(
+    view: BFSView, types: np.ndarray, pay: np.ndarray, decay: float
+) -> np.ndarray:
     if not 0.0 < decay < 1.0:
         raise TreeError(f"decay must be in (0, 1), got {decay}")
-    order = tree.bfs_order()
-    if not order:
-        return {}
-
-    # Gather per-node scalars into flat arrays, indexed in BFS order.
-    n = len(order)
-    index = {node: i for i, node in enumerate(order)}
-    parent_of = tree.to_parent_map()
-    types_arr = np.empty(n, dtype=np.int64)
-    pay_arr = np.zeros(n, dtype=np.float64)
-    parent_arr = np.empty(n, dtype=np.int64)
-    for i, node in enumerate(order):
-        try:
-            types_arr[i] = task_types[node]
-        except KeyError:
-            raise TreeError(f"node {node} has no task type") from None
-        pay_arr[i] = auction_payments.get(node, 0.0)
-        parent = parent_of[node]
-        parent_arr[i] = -1 if parent == ROOT else index[parent]
-    num_types = int(types_arr.max()) + 1
-
-    # BFS order lists whole depth levels back to back and parents in BFS
-    # order, so ``parent_arr`` is non-decreasing; level ``d+1`` is exactly
-    # the nodes whose parent index falls inside level ``d``.  That recovers
-    # every node's depth with one ``searchsorted`` per level instead of a
-    # tree walk.
-    if n > 1 and bool(np.any(np.diff(parent_arr) < 0)):
-        raise TreeError("bfs order lost level contiguity")  # unreachable
-    level_bounds = [0]
-    while level_bounds[-1] < n:
-        prev_end = level_bounds[-1]
-        last_parent = -1 if prev_end == 0 else prev_end - 1
-        end = int(np.searchsorted(parent_arr, last_parent, side="right"))
-        if end <= prev_end:  # pragma: no cover - valid trees always progress
-            raise TreeError("bfs order lost level contiguity")
-        level_bounds.append(end)
-    max_depth = len(level_bounds) - 1
-    depth_arr = np.empty(n, dtype=np.int64)
-    for d in range(1, max_depth + 1):
-        depth_arr[level_bounds[d - 1] : level_bounds[d]] = d
+    n = len(view)
+    if n == 0:
+        return np.zeros(0, dtype=np.float64)
+    bounds = view.level_bounds
+    parent = view.parent
 
     # Per-depth decay weights via scalar pow — the exact floats of the
     # per-node ``decay ** depth`` the accumulation below multiplies with.
     decay_pow = np.array(
-        [decay ** d for d in range(max_depth + 1)], dtype=np.float64
+        [decay ** d for d in range(view.max_depth + 1)], dtype=np.float64
     )
-    contrib = decay_pow[depth_arr] * pay_arr
+    contrib = decay_pow[view.depth] * pay
 
-    # sub[i, t] = Σ over the subtree rooted at order[i] (node included) of
-    # (decay ** r_u) * p^A_u restricted to nodes u of type t.
+    # sub[i, t] = Σ over the subtree rooted at BFS position i (node
+    # included) of (decay ** r_u) * p^A_u restricted to nodes u of type t.
     #
-    # BFS order groups nodes by depth, so the bottom-up pass runs level by
-    # level: each level's rows are finalized with the nodes' own
-    # contributions, then pushed onto the parents' rows with an unbuffered
-    # ``np.add.at``.  Iterating each level in reverse BFS order makes the
-    # per-cell addition sequence identical to the node-at-a-time reference
-    # pass, keeping the results bitwise reproducible across both.
-    sub = np.zeros((n, num_types), dtype=np.float64)
-    for d in range(max_depth, 0, -1):
-        lo, hi = level_bounds[d - 1], level_bounds[d]
-        idx = np.arange(hi - 1, lo - 1, -1)
-        sub[idx, types_arr[idx]] += contrib[idx]
-        parents = parent_arr[idx]
+    # The bottom-up pass runs level by level: each level's rows are
+    # finalized with the nodes' own contributions, then pushed onto the
+    # parents' rows with an unbuffered ``np.add.at``.  Iterating each
+    # level in reverse BFS order makes the per-cell addition sequence
+    # identical to a node-at-a-time reverse-BFS pass, which fixes the
+    # float result bit for bit.
+    sub = np.zeros((n, int(types.max()) + 1), dtype=np.float64)
+    for d in range(view.max_depth, 0, -1):
+        idx = np.arange(bounds[d] - 1, bounds[d - 1] - 1, -1)
+        sub[idx, types[idx]] += contrib[idx]
+        parents = parent[idx]
         push = parents >= 0
         np.add.at(sub, parents[push], sub[idx[push]])
 
     # Descendant sum excluding same-type nodes; the node's own term is of
     # its own type, so it is excluded together with them.
-    rows = np.arange(n)
-    referral = sub.sum(axis=1) - sub[rows, types_arr]
-    final = pay_arr + referral
-    return dict(zip(order, final.tolist()))
+    referral = sub.sum(axis=1) - sub[np.arange(n), types]
+    return pay + referral
+
+
+def bfs_types(
+    view: BFSView, uids: np.ndarray, types: np.ndarray
+) -> np.ndarray:
+    """``types[k]`` (the type of ``uids[k]``) placed at BFS positions.
+
+    Ids that are not nodes are ignored; a node without a type raises
+    :class:`~repro.core.exceptions.TreeError`.  Task types are
+    non-negative, so -1 marks a node nobody typed.
+    """
+    out = view.scatter(uids, types, -1)
+    missing = np.flatnonzero(out < 0)
+    if missing.size:
+        raise TreeError(f"node {int(view.uids[missing[0]])} has no task type")
+    return out
+
+
+def bfs_auction_payments(
+    view: BFSView, auction_payments: Mapping[int, float]
+) -> np.ndarray:
+    """``p^A`` at BFS positions (0 for nodes without one; others ignored)."""
+    m = len(auction_payments)
+    return view.scatter(
+        np.fromiter(auction_payments.keys(), dtype=np.int64, count=m),
+        np.fromiter(auction_payments.values(), dtype=np.float64, count=m),
+        0.0,
+    )
+
+
+def nonzero_payments(view: BFSView, final: np.ndarray) -> Dict[int, float]:
+    """``{uid: p_j}`` for every ``|p_j| > PAYMENT_ATOL``, in BFS order."""
+    keep = np.flatnonzero(np.abs(final) > PAYMENT_ATOL)
+    return dict(zip(view.uids[keep].tolist(), final[keep].tolist()))
 
 
 # Differential-test reference, never on the serving path; the production
-# tree_payments carries the span.
+# payment_kernel carries the span.
 def tree_payments_naive(  # rit: noqa[RIT013]
     tree: IncentiveTree,
     auction_payments: Mapping[int, float],

@@ -38,7 +38,7 @@ retrieved with :meth:`RIT.truthful_probability_bound`.
 
 Auction engines
 ---------------
-The multi-round CRA loop has two interchangeable engines (``engine=``):
+The multi-round CRA loop has three interchangeable engines (``engine=``):
 
 * ``"sorted"`` *(default)* — the incremental sorted engine of
   :mod:`repro.core.engine`: each per-type pool is sorted once, remaining
@@ -53,12 +53,15 @@ The multi-round CRA loop has two interchangeable engines (``engine=``):
   arrays, per-type stable sort orders and the BFS/CSR tree arrays, so a
   run is pure array work — pools come from
   :meth:`~repro.core.engine.SortedTypePool.from_presorted` and payments
-  from :func:`repro.core.columnar.tree_payments_columnar`.  Callers that
+  run over the store's BFS-ordered types.  Callers that
   amortize across runs (the epoch service, ``rit bench``) build the store
   once and pass it via ``run(..., columnar_store=...)``.
 
 All engines consume the identical random stream and produce identical
-outcomes for the same seed; differential tests enforce this.
+outcomes for the same seed; differential tests enforce this.  Every engine
+determines payments with the one kernel
+:func:`repro.core.payments.payment_kernel` over the tree's cached
+:class:`~repro.tree.incentive_tree.BFSView`.
 
 Observability
 -------------
@@ -80,7 +83,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.core import bounds
-from repro.core.columnar import ColumnarStore, tree_payments_columnar
+from repro.core.columnar import ColumnarStore
 from repro.core.cra import cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
 from repro.core.exceptions import (
@@ -89,9 +92,14 @@ from repro.core.exceptions import (
     ModelError,
 )
 from repro.core.mechanism import Mechanism
-from repro.core.numeric import is_zero
 from repro.core.outcome import MechanismOutcome, RoundRecord, TypeShardResult
-from repro.core.payments import DEFAULT_DECAY, tree_payments
+from repro.core.payments import (
+    DEFAULT_DECAY,
+    bfs_auction_payments,
+    bfs_types,
+    nonzero_payments,
+    payment_kernel,
+)
 from repro.core.rng import SeedLike, as_generator, spawn_seeds
 from repro.core.types import Ask, Job
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -589,16 +597,28 @@ class RIT(Mechanism):
             store = columnar_store
             if store is None:
                 store = ColumnarStore.build(job, asks, tree)
-            kept, num_nodes = tree_payments_columnar(
-                store, auction_payments, self.decay, tracer=tracer
-            )
+            view, types = store.view, store.bfs_types
         else:
-            types = {uid: ask.task_type for uid, ask in asks.items()}
-            payments = tree_payments(
-                tree, auction_payments, types, decay=self.decay, tracer=tracer
+            view = tree.bfs_view()
+            n = len(asks)
+            types = bfs_types(
+                view,
+                np.fromiter(asks.keys(), dtype=np.int64, count=n),
+                np.fromiter(
+                    (ask.task_type for ask in asks.values()),
+                    dtype=np.int64,
+                    count=n,
+                ),
             )
-            kept = {uid: p for uid, p in payments.items() if not is_zero(p)}
-            num_nodes = len(payments)
+        payments = payment_kernel(
+            view,
+            types,
+            bfs_auction_payments(view, auction_payments),
+            self.decay,
+            tracer=tracer,
+        )
+        kept = nonzero_payments(view, payments)
+        num_nodes = len(view)
         final = outcome.finalize(
             payments=kept, elapsed_total=clock() - started_at
         )
@@ -634,12 +654,6 @@ class RIT(Mechanism):
                     f"user {uid} bids for type {ask.task_type}, but the job "
                     f"has only {num_types} types"
                 )
-
-
-#: Backwards-compatible name for the per-type pool (the sorted engine's
-#: pool is a strict superset of the old ``_TypeGroup``: ``unit_asks`` /
-#: ``consume`` / ``total_remaining`` behave identically).
-_TypeGroup = SortedTypePool
 
 
 # One O(N) flatten per run, timed inside the caller's 'sample' stage.
@@ -682,7 +696,3 @@ def _group_by_type(
     """Split the ask profile into per-type presorted pools."""
     return pools_from_arrays(*profile_arrays(asks))
 
-
-# Historical private aliases (pre-service-PR call sites and tests).
-_profile_arrays = profile_arrays
-_pools_from_arrays = pools_from_arrays

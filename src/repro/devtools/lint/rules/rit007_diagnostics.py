@@ -19,7 +19,9 @@ the fixed boundaries registered in :mod:`repro.obs.metrics`
 and breaks cross-run comparability, so both are flagged here.
 
 The scope is the instrumented set, module by module (not whole packages):
-uninstrumented modules keep the looser RIT005 contract.  Note what is
+uninstrumented modules keep the looser RIT005 contract.  The service
+state machine and the incentive tree are in it because the live path
+runs them on every event and every epoch.  Note what is
 deliberately *outside* the scope: ``repro.service.loadgen`` wraps the
 whole service run with ``time.perf_counter`` (a bench harness, not a
 traced path), ``repro.service.top`` is an interactive terminal client
@@ -84,11 +86,13 @@ class RawDiagnostics(Rule):
         "repro.core.engine",
         "repro.core.cra",
         "repro.core.payments",
+        "repro.tree.incentive_tree",
         "repro.attacks.evaluator",
         "repro.simulation.runner",
         "repro.simulation.parallel",
         "repro.simulation.report",
         "repro.service.frontend",
+        "repro.service.state",
         "repro.service.epochs",
         "repro.service.workers",
         "repro.service.service",

@@ -82,6 +82,8 @@ class OutcomeLedger:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._epochs_path = self.directory / "epochs.jsonl"
         self._meta_path = self.directory / "meta.json"
+        #: Set by :meth:`read_epochs` when it dropped a torn last line.
+        self.torn_tail = False
 
     @property
     def epochs_path(self) -> Path:
@@ -116,13 +118,26 @@ class OutcomeLedger:
         return json.loads(self._meta_path.read_text())
 
     def read_epochs(self) -> List[Dict[str, Any]]:
-        """All epoch records, in append order."""
+        """All epoch records, in append order.
+
+        A crash in the middle of :meth:`append` can leave the last line
+        half written and without its newline.  Such a line is dropped and
+        :attr:`torn_tail` set; any other line that fails to parse raises.
+        """
+        self.torn_tail = False
         if not self._epochs_path.exists():
             return []
         records: List[Dict[str, Any]] = []
         with open(self._epochs_path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if line:
+                if not line.strip():
+                    continue
+                if line.endswith("\n"):
                     records.append(json.loads(line))
+                    continue
+                # Only the file's last line can lack its newline.
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    self.torn_tail = True
         return records

@@ -21,11 +21,21 @@ Admission rules (all refusals are counted upstream, never silent):
 * a withdrawal removes the user's ask and grafts their children (both
   joined subtrees and still-pending referrals) onto the withdrawn user's
   parent, preserving everyone else's solicitation chain.
+
+Costs.  Two indexes sit beside the parent map — parent → joined children
+and referrer → pending children — so a withdrawal costs O(the leaver's
+children and pending referrals), never a scan of every participant.  The
+parent map's insertion order is left exactly as admission made it: it
+fixes the snapshot tree's child order, hence BFS order and the order in
+which payments are summed.  Every parent precedes its children in that
+order (a parent joined first, and a graft only moves a child up to an
+older ancestor), which lets :meth:`ServiceState.snapshot_tree` build the
+tree in one O(N) pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.core.types import Ask, Job
 from repro.service.events import (
@@ -40,7 +50,7 @@ __all__ = ["ServiceState"]
 
 
 class ServiceState:
-    """Mutable cumulative state; snapshots are cheap copies for epoch runs."""
+    """Mutable cumulative state; each snapshot is an O(N) copy for one epoch."""
 
     def __init__(self, job: Job) -> None:
         self.job = job
@@ -52,6 +62,10 @@ class ServiceState:
         self._parents: Dict[int, int] = {}
         #: child → referrer for referred users who have not joined yet.
         self._pending: Dict[int, int] = {}
+        #: Indexes of the two maps above, by non-ROOT parent / referrer
+        #: (ROOT never withdraws); entries exist only while non-empty.
+        self._children: Dict[int, Set[int]] = {}
+        self._referred: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Event application
@@ -73,10 +87,16 @@ class ServiceState:
             return f"user {uid} already submitted an ask"
         self._asks[uid] = event.ask()
         parent = self._pending.pop(uid, ROOT)
-        # The referrer may have withdrawn since the referral was recorded;
-        # withdrawal grafting rewrites pending entries, so a stale parent
-        # here means corruption, not a race — guard anyway.
-        self._parents[uid] = parent if parent == ROOT or parent in self._asks else ROOT
+        if parent != ROOT:
+            _unlink(self._referred, parent, uid)
+            # The referrer may have withdrawn since the referral was
+            # recorded; withdrawal grafting rewrites pending entries, so a
+            # stale parent here means corruption, not a race — guard anyway.
+            if parent in self._asks:
+                _link(self._children, parent, uid)
+            else:
+                parent = ROOT
+        self._parents[uid] = parent
         return None
 
     def _apply_referral(self, event: ReferralEdge) -> Optional[str]:
@@ -88,21 +108,20 @@ class ServiceState:
         if parent != ROOT and parent not in self._asks:
             return f"referrer {parent} has not joined"
         self._pending[child] = parent
+        if parent != ROOT:
+            _link(self._referred, parent, child)
         return None
 
     def _apply_withdrawal(self, event: Withdrawal) -> Optional[str]:
         uid = event.user_id
         if uid not in self._asks:
             return f"user {uid} is not an active participant"
-        grandparent = self._parents[uid]
         del self._asks[uid]
-        del self._parents[uid]
-        for child, parent in self._parents.items():
-            if parent == uid:
-                self._parents[child] = grandparent
-        for child, parent in self._pending.items():
-            if parent == uid:
-                self._pending[child] = grandparent
+        grandparent = self._parents.pop(uid)
+        if grandparent != ROOT:
+            _unlink(self._children, grandparent, uid)
+        _graft(self._parents, self._children, uid, grandparent)
+        _graft(self._pending, self._referred, uid, grandparent)
         return None
 
     # ------------------------------------------------------------------ #
@@ -114,8 +133,8 @@ class ServiceState:
         return dict(self._asks)
 
     def snapshot_tree(self) -> IncentiveTree:
-        """The incentive tree over currently joined users."""
-        return IncentiveTree.from_parent_map(dict(self._parents))
+        """The incentive tree over currently joined users — one O(N) pass."""
+        return IncentiveTree.from_parent_map(self._parents)
 
     @property
     def num_participants(self) -> int:
@@ -124,3 +143,44 @@ class ServiceState:
     @property
     def num_pending_referrals(self) -> int:
         return len(self._pending)
+
+
+def _link(index: Dict[int, Set[int]], parent: int, child: int) -> None:
+    """Add ``child`` to ``index[parent]``."""
+    siblings = index.get(parent)
+    if siblings is None:
+        index[parent] = {child}
+    else:
+        siblings.add(child)
+
+
+def _unlink(index: Dict[int, Set[int]], parent: int, child: int) -> None:
+    """Drop ``child`` from ``index[parent]``, and the entry once empty."""
+    siblings = index[parent]
+    siblings.discard(child)
+    if not siblings:
+        del index[parent]
+
+
+def _graft(
+    parents: Dict[int, int],
+    index: Dict[int, Set[int]],
+    leaver: int,
+    grandparent: int,
+) -> None:
+    """Re-point the leaver's indexed children at ``grandparent``.
+
+    Values change in place, so the map's insertion order is untouched.
+    """
+    moved = index.pop(leaver, None)
+    if moved is None:
+        return
+    for child in moved:
+        parents[child] = grandparent
+    if grandparent == ROOT:
+        return
+    siblings = index.get(grandparent)
+    if siblings is None:
+        index[grandparent] = moved
+    else:
+        siblings.update(moved)

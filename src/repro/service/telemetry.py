@@ -12,7 +12,8 @@ instrumented observations three ways:
 * **last-write-wins gauges** — the per-epoch win-rate surface
   (``win_rate/depth<k>``), referral-depth extremes and participant
   counts, recomputed at every epoch close as a pure function of the
-  outcome and the incentive tree (deterministic, canonical);
+  outcome and the incentive tree's cached BFS view (deterministic,
+  canonical);
 * a **bounded ring of per-epoch frames** — the epoch-over-epoch view
   served by ``GET /epochs`` and rendered by ``rit top``; the ring is
   bounded (``ring_size``) so a long-running service cannot grow without
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Any, Deque, Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.core.outcome import MechanismOutcome
 from repro.obs.metrics import Histogram, describe_metric, new_histogram
@@ -68,24 +71,28 @@ def epoch_gauges(
       :data:`WIN_RATE_DEPTH_CAP`) — the fraction of that depth's
       participants who won at least one task.
     """
-    depths = tree.depths()
+    view = tree.bfs_view()
+    n = len(view)
     gauges: Dict[str, float] = {
-        "epoch_participants": float(len(depths)),
-        "referral_depth_max": float(max(depths.values(), default=0)),
-        "referral_depth_mean": (
-            sum(depths.values()) / len(depths) if depths else 0.0
-        ),
+        "epoch_participants": float(n),
+        "referral_depth_max": float(view.max_depth),
+        "referral_depth_mean": int(view.depth.sum()) / n if n else 0.0,
     }
-    winners = {uid for uid, tasks in outcome.allocation.items() if tasks > 0}
-    at_depth: Dict[int, int] = {}
-    won_at_depth: Dict[int, int] = {}
-    for uid, depth in depths.items():
-        level = min(depth, WIN_RATE_DEPTH_CAP)
-        at_depth[level] = at_depth.get(level, 0) + 1
-        if uid in winners:
-            won_at_depth[level] = won_at_depth.get(level, 0) + 1
-    for level, population in at_depth.items():
-        gauges[f"win_rate/depth{level}"] = won_at_depth.get(level, 0) / population
+    winners = np.fromiter(
+        (uid for uid, tasks in outcome.allocation.items() if tasks > 0),
+        dtype=np.int64,
+    )
+    won = view.positions(winners)
+    levels = np.minimum(view.depth[won[won >= 0]], WIN_RATE_DEPTH_CAP)
+    won_at_depth = np.bincount(levels, minlength=WIN_RATE_DEPTH_CAP + 1)
+    bounds = view.level_bounds
+    for level in range(1, min(view.max_depth, WIN_RATE_DEPTH_CAP) + 1):
+        # The cap level holds every deeper level too.
+        top = level + 1 if level < WIN_RATE_DEPTH_CAP else len(bounds)
+        population = bounds[top - 1] - bounds[level - 1]
+        gauges[f"win_rate/depth{level}"] = (
+            int(won_at_depth[level]) / population
+        )
     return dict(sorted(gauges.items()))
 
 

@@ -9,8 +9,13 @@ payment determination phase of RIT consumes two structural quantities:
 * ``T_j`` — the set of *descendants* of ``P_j``.
 
 The tree is mutable while being grown (nodes are attached one by one during
-the solicitation process) and exposes cheap, cached views once frozen.
-Sybil attacks are *structural rewrites* of the tree; they are implemented in
+the solicitation process).  Every breadth-first quantity — BFS order,
+depths, parent positions, level bounds — comes from one level-by-level
+walk that yields an immutable :class:`BFSView`; the tree caches it until
+the next :meth:`~IncentiveTree.attach`, :meth:`~IncentiveTree.reattach` or
+:meth:`~IncentiveTree.remove_leaf`.  Payments, the columnar store and the
+service's epoch gauges all read that one view.  Sybil attacks are
+*structural rewrites* of the tree; they are implemented in
 :mod:`repro.attacks.sybil` using the primitives here (:meth:`attach`,
 :meth:`reattach_children`).
 """
@@ -18,15 +23,124 @@ Sybil attacks are *structural rewrites* of the tree; they are implemented in
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.exceptions import TreeError
 
-__all__ = ["ROOT", "IncentiveTree"]
+__all__ = ["ROOT", "BFSView", "IncentiveTree"]
 
 #: Sentinel node id for the platform root.  User ids are non-negative, so
 #: ``-1`` can never collide with a real participant.
 ROOT: int = -1
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class BFSView:
+    """Immutable breadth-first array form of one tree state.
+
+    Position ``i`` is the ``i``-th node of the BFS walk from the root, with
+    each node's children in their (insertion) order.  Level ``d`` (depth
+    ``d``, 1-based) occupies positions ``level_bounds[d-1]:level_bounds[d]``
+    and every parent position lies in the level above its child, so the
+    ``parent`` column is non-decreasing.  All arrays are read-only.
+    """
+
+    #: Node ids in BFS order.
+    uids: np.ndarray
+    #: BFS position of each node's parent (-1 for children of the root).
+    parent: np.ndarray
+    #: ``r_j`` of each node (distance to the root, root children = 1).
+    depth: np.ndarray
+    #: ``len(level_bounds) - 1`` levels; ``level_bounds[0] == 0``.
+    level_bounds: Tuple[int, ...]
+    #: ``uids`` sorted ascending and the BFS position of each (the lookup).
+    _sorted_uids: np.ndarray
+    _sorted_positions: np.ndarray
+
+    @classmethod
+    def walk(cls, children: Dict[int, List[int]]) -> "BFSView":
+        """One level-by-level BFS over a ``{node: [children]}`` map.
+
+        Nodes missing from ``children`` are leaves.
+        """
+        level = children.get(ROOT, [])
+        order = list(level)
+        counts: List[int] = []  # children per node, in BFS order
+        bounds = [0]
+        while level:
+            bounds.append(len(order))
+            kid_lists = list(map(children.get, level, repeat(())))
+            counts += map(len, kid_lists)
+            level = list(chain.from_iterable(kid_lists))
+            order += level
+        n = len(order)
+        # Level d+1 lists the children of level d node by node, so the
+        # parent of each non-root-child position is a run-length expansion.
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[n - sum(counts):] = np.repeat(np.arange(n, dtype=np.int64), counts)
+        uids = _frozen(np.array(order, dtype=np.int64))
+        by_uid = np.argsort(uids)
+        return cls(
+            uids=uids,
+            parent=_frozen(parent),
+            depth=_frozen(
+                np.repeat(np.arange(1, len(bounds), dtype=np.int64), np.diff(bounds))
+            ),
+            level_bounds=tuple(bounds),
+            _sorted_uids=_frozen(uids[by_uid]),
+            _sorted_positions=_frozen(by_uid),
+        )
+
+    def __len__(self) -> int:
+        return int(self.uids.shape[0])
+
+    @property
+    def max_depth(self) -> int:
+        """Height of the tree (0 when empty)."""
+        return len(self.level_bounds) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the view's arrays."""
+        return int(
+            self.uids.nbytes
+            + self.parent.nbytes
+            + self.depth.nbytes
+            + self._sorted_uids.nbytes
+            + self._sorted_positions.nbytes
+        )
+
+    def positions(self, uids: np.ndarray) -> np.ndarray:
+        """BFS positions of ``uids``; -1 for ids that are not nodes."""
+        uids = np.asarray(uids, dtype=np.int64)
+        if not len(self):
+            return np.full(uids.shape, -1, dtype=np.int64)
+        slot = np.searchsorted(self._sorted_uids, uids)
+        np.minimum(slot, len(self) - 1, out=slot)
+        found = self._sorted_uids[slot] == uids
+        return np.where(found, self._sorted_positions[slot], -1)
+
+    def scatter(
+        self, uids: np.ndarray, values: np.ndarray, fill: float
+    ) -> np.ndarray:
+        """``values[k]`` at the BFS position of ``uids[k]``, ``fill`` elsewhere.
+
+        Ids that are not nodes are ignored.
+        """
+        pos = self.positions(uids)
+        inside = pos >= 0
+        out = np.full(len(self), fill, dtype=values.dtype)
+        out[pos[inside]] = values[inside]
+        return out
 
 
 class IncentiveTree:
@@ -38,7 +152,12 @@ class IncentiveTree:
 
     def __init__(self) -> None:
         self._parent: Dict[int, int] = {}
-        self._children: Dict[int, List[int]] = {ROOT: []}
+        #: node → its children, in insertion order.  Only nodes that have
+        #: had a child get an entry, so building a large tree allocates no
+        #: list per leaf.
+        self._children: Dict[int, List[int]] = {}
+        #: Cached :meth:`bfs_view`; every structural mutation drops it.
+        self._view: Optional[BFSView] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -58,8 +177,7 @@ class IncentiveTree:
         if parent != ROOT and parent not in self._parent:
             raise TreeError(f"parent {parent} is not in the tree")
         self._parent[node] = parent
-        self._children[node] = []
-        self._children[parent].append(node)
+        self._add_child(parent, node)
 
     def reattach(self, node: int, new_parent: int) -> None:
         """Move ``node`` (with its whole subtree) under ``new_parent``.
@@ -80,7 +198,7 @@ class IncentiveTree:
         old = self._parent[node]
         self._children[old].remove(node)
         self._parent[node] = new_parent
-        self._children[new_parent].append(node)
+        self._add_child(new_parent, node)
 
     def reattach_children(self, node: int, new_parent: int) -> None:
         """Move every current child of ``node`` under ``new_parent``."""
@@ -91,11 +209,20 @@ class IncentiveTree:
         """Remove a node that has no children."""
         if node not in self._parent:
             raise TreeError(f"node {node} is not in the tree")
-        if self._children[node]:
+        if self._children.get(node):
             raise TreeError(f"node {node} is not a leaf")
         parent = self._parent.pop(node)
         self._children[parent].remove(node)
-        del self._children[node]
+        self._children.pop(node, None)
+        self._view = None
+
+    def _add_child(self, parent: int, node: int) -> None:
+        siblings = self._children.get(parent)
+        if siblings is None:
+            self._children[parent] = [node]
+        else:
+            siblings.append(node)
+        self._view = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -119,7 +246,7 @@ class IncentiveTree:
         """Direct solicitees of ``node`` (read-only view)."""
         if node != ROOT and node not in self._parent:
             raise TreeError(f"node {node} is not in the tree")
-        return tuple(self._children[node])
+        return tuple(self._children.get(node, ()))
 
     def nodes(self) -> Iterator[int]:
         """All participant ids, in insertion order."""
@@ -136,14 +263,9 @@ class IncentiveTree:
         return d
 
     def depths(self) -> Dict[int, int]:
-        """All depths in one BFS pass — O(N)."""
-        out: Dict[int, int] = {}
-        queue: deque[Tuple[int, int]] = deque((c, 1) for c in self._children[ROOT])
-        while queue:
-            node, d = queue.popleft()
-            out[node] = d
-            queue.extend((c, d + 1) for c in self._children[node])
-        return out
+        """All depths, in BFS order, from the cached :meth:`bfs_view`."""
+        view = self.bfs_view()
+        return dict(zip(view.uids.tolist(), view.depth.tolist()))
 
     def ancestors(self, node: int) -> Iterator[int]:
         """Proper ancestors of ``node``, nearest first, root excluded."""
@@ -159,7 +281,7 @@ class IncentiveTree:
         while stack:
             cur = stack.pop()
             out.add(cur)
-            stack.extend(self._children[cur])
+            stack.extend(self._children.get(cur, ()))
         return out
 
     def subtree_size(self, node: int) -> int:
@@ -179,20 +301,20 @@ class IncentiveTree:
             cur = self._parent.get(cur)
         return False
 
+    def bfs_view(self) -> BFSView:
+        """The breadth-first array form, built once per tree state — O(N)."""
+        view = self._view
+        if view is None:
+            view = self._view = BFSView.walk(self._children)
+        return view
+
     def bfs_order(self) -> List[int]:
         """Participant ids in breadth-first (top-down) order."""
-        order: List[int] = []
-        queue: deque[int] = deque(self._children[ROOT])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            queue.extend(self._children[node])
-        return order
+        return self.bfs_view().uids.tolist()
 
     def max_depth(self) -> int:
         """Height of the tree (0 when empty)."""
-        depths = self.depths()
-        return max(depths.values()) if depths else 0
+        return self.bfs_view().max_depth
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`TreeError` on damage."""
@@ -204,7 +326,8 @@ class IncentiveTree:
                 seen += 1
         if seen != len(self._parent):
             raise TreeError("parent/children maps disagree on node count")
-        if len(self.bfs_order()) != len(self._parent):
+        # A fresh walk, not the cache: this checks the maps as they are.
+        if len(BFSView.walk(self._children)) != len(self._parent):
             raise TreeError("tree contains unreachable nodes (cycle?)")
 
     # ------------------------------------------------------------------ #
@@ -245,8 +368,28 @@ class IncentiveTree:
 
     @classmethod
     def from_parent_map(cls, parents: Dict[int, int]) -> "IncentiveTree":
-        """Build a tree from a ``{child: parent}`` mapping."""
-        return cls.from_edges((p, c) for c, p in parents.items())
+        """Build a tree from a ``{child: parent}`` mapping.
+
+        Equal to :meth:`from_edges` over the map's items.  When every parent
+        precedes its children in the map (as :class:`~repro.service.state.
+        ServiceState` guarantees) the tree is built in one pass; the first
+        child listed before its parent falls back to :meth:`from_edges`.
+        """
+        tree = cls()
+        known = tree._parent
+        children = tree._children
+        for child, parent in parents.items():
+            if parent != ROOT and parent not in known:
+                return cls.from_edges((p, c) for c, p in parents.items())
+            if child < 0:
+                raise TreeError(f"node ids must be >= 0, got {child}")
+            known[child] = parent
+            siblings = children.get(parent)
+            if siblings is None:
+                children[parent] = [child]
+            else:
+                siblings.append(child)
+        return tree
 
     def copy(self) -> "IncentiveTree":
         """Deep structural copy (children order preserved)."""

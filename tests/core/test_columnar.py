@@ -66,7 +66,7 @@ class TestStoreConstruction:
             store.uids,
             store.values,
             store.caps,
-            store.bfs_parent,
+            store.view.parent,
             store.subtree_sizes,
             store.child_index,
         ):
@@ -77,7 +77,7 @@ class TestStoreConstruction:
         _, _, _, store = store_setup
         floor = (
             store.uids.nbytes
-            + store.bfs_uids.nbytes
+            + store.view.uids.nbytes
             + store.child_index.nbytes
         )
         assert store.nbytes > floor
@@ -183,11 +183,11 @@ class TestTreeArrays:
         tree = scenario.tree
         order = tree.bfs_order()
         np.testing.assert_array_equal(
-            store.bfs_uids, np.asarray(order, dtype=np.int64)
+            store.view.uids, np.asarray(order, dtype=np.int64)
         )
         depths = tree.depths()
         for pos, uid in enumerate(order):
-            assert store.bfs_depth[pos] == depths[uid]
+            assert store.view.depth[pos] == depths[uid]
             assert store.subtree_sizes[pos] == tree.subtree_size(uid)
             lo, hi = store.child_start[pos], store.child_start[pos + 1]
             children = {
@@ -206,9 +206,9 @@ class TestTreeArrays:
         tree.remove_leaf(victim)
         del asks[victim]
         store = ColumnarStore.build(job, asks, tree)
-        assert victim not in store.bfs_uids.tolist()
+        assert victim not in store.view.uids.tolist()
         np.testing.assert_array_equal(
-            store.bfs_uids, np.asarray(tree.bfs_order(), dtype=np.int64)
+            store.view.uids, np.asarray(tree.bfs_order(), dtype=np.int64)
         )
         for pos, uid in enumerate(tree.bfs_order()):
             assert store.subtree_sizes[pos] == tree.subtree_size(uid)
@@ -275,7 +275,7 @@ class TestFromPopulation:
         )
         np.testing.assert_array_equal(via_population.caps, via_asks.caps)
         np.testing.assert_array_equal(
-            via_population.bfs_uids, via_asks.bfs_uids
+            via_population.view.uids, via_asks.view.uids
         )
         assert via_population.nbytes == via_asks.nbytes
 

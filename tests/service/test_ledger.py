@@ -1,5 +1,7 @@
 """Outcome ledger round-trips and the canonical outcome projection."""
 
+import json
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
@@ -71,3 +73,39 @@ class TestOutcomeLedger:
 
     def test_read_epochs_empty(self, tmp_path):
         assert OutcomeLedger(tmp_path, "run-a").read_epochs() == []
+
+
+class TestTornTail:
+    def ledger_with_tail(self, tmp_path, tail):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        outcome = small_outcome()
+        ledger.append(batch(0), outcome)
+        ledger.append(batch(1), outcome)
+        with open(ledger.epochs_path, "a", encoding="utf-8") as handle:
+            handle.write(tail)
+        return ledger
+
+    def test_half_written_last_line_is_dropped_and_flagged(self, tmp_path):
+        ledger = self.ledger_with_tail(tmp_path, '{"batch_events": 1, "epo')
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0, 1]
+        assert ledger.torn_tail
+
+    def test_complete_ledger_is_not_flagged(self, tmp_path):
+        ledger = self.ledger_with_tail(tmp_path, "")
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0, 1]
+        assert not ledger.torn_tail
+
+    def test_complete_record_missing_only_its_newline_is_kept(self, tmp_path):
+        ledger = self.ledger_with_tail(tmp_path, '{"epoch": 2}')
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0, 1, 2]
+        assert not ledger.torn_tail
+
+    def test_malformed_line_followed_by_more_lines_raises(self, tmp_path):
+        ledger = self.ledger_with_tail(tmp_path, '{"epo\n{"epoch": 3}\n')
+        with pytest.raises(json.JSONDecodeError):
+            ledger.read_epochs()
+
+    def test_malformed_terminated_last_line_raises(self, tmp_path):
+        ledger = self.ledger_with_tail(tmp_path, '{"epo\n')
+        with pytest.raises(json.JSONDecodeError):
+            ledger.read_epochs()

@@ -1,9 +1,13 @@
 """The cumulative state machine: admission rules and withdrawal grafting."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.types import Job
 from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
 from repro.service.state import ServiceState
 from repro.tree.incentive_tree import ROOT
+from tests.service.state_oracle import ScanningState
 
 JOB = Job([4, 3, 5])
 
@@ -114,3 +118,81 @@ class TestSnapshots:
         for uid in (5, 2, 9, 0):
             state.apply(ask(uid))
         assert list(state.snapshot_asks()) == [5, 2, 9, 0]
+
+
+#: A small id space, so withdrawn ids rejoin and referrals collide.
+ID_SPACE = range(20)
+IDS = st.sampled_from(ID_SPACE)
+
+
+def random_event(data, oracle, tick):
+    """One event, mostly aimed at the oracle's current state."""
+    joined = list(oracle.asks)
+    unjoined = [uid for uid in ID_SPACE if uid not in oracle.asks]
+    kind = data.draw(
+        st.sampled_from(
+            ("ask", "join-referred", "refer", "chain", "chain", "withdraw")
+        )
+    )
+    if kind == "chain" and joined:
+        # Grow a chain under the newest joiner: refer an unclaimed id, then
+        # let that referral join (it becomes the newest joiner).
+        newest = joined[-1]
+        waiting = [uid for uid, p in oracle.pending.items() if p == newest]
+        if waiting:
+            return ask(waiting[0], tick=tick, task_type=waiting[0] % 3)
+        unclaimed = [uid for uid in unjoined if uid not in oracle.pending]
+        if unclaimed:
+            return ReferralEdge(tick=tick, parent_id=newest, child_id=unclaimed[0])
+    if kind == "join-referred" and oracle.pending:
+        uid = data.draw(st.sampled_from(sorted(oracle.pending)))
+        return ask(uid, tick=tick, task_type=uid % 3)
+    if kind in ("ask", "join-referred", "chain"):
+        uid = data.draw(IDS)
+        return ask(uid, tick=tick, task_type=uid % 3)
+    if kind == "refer":
+        parent = data.draw(st.sampled_from([ROOT] + joined))
+        child = data.draw(st.sampled_from(unjoined) if unjoined else IDS)
+        return ReferralEdge(tick=tick, parent_id=parent, child_id=child)
+    # Withdraw a participant — root children and referrers with pending
+    # referrals among them — or, now and then, a non-participant.
+    uid = data.draw(st.sampled_from(joined) if joined else IDS)
+    return Withdrawal(tick=tick, user_id=uid)
+
+
+class TestIndexedStateMatchesScanningOracle:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_streams(self, data):
+        state, oracle = ServiceState(JOB), ScanningState()
+        for tick in range(data.draw(st.integers(min_value=1, max_value=80))):
+            event = random_event(data, oracle, tick)
+            assert state.apply(event) == oracle.apply(event)
+            # Insertion order too: it fixes child, BFS and summation order.
+            assert list(state._parents.items()) == list(oracle.parents.items())
+            assert list(state._pending.items()) == list(oracle.pending.items())
+            assert list(state.snapshot_asks()) == list(oracle.asks)
+        tree = state.snapshot_tree()
+        assert list(tree.to_parent_map().items()) == list(oracle.parents.items())
+        assert tree.bfs_order() == oracle.snapshot_tree().bfs_order()
+
+    def test_withdrawn_referrer_with_pending_referrals_then_rejoin(self):
+        events = [
+            ask(0),
+            ReferralEdge(tick=1, parent_id=0, child_id=1),
+            ask(1, tick=2),
+            ReferralEdge(tick=3, parent_id=1, child_id=2),
+            ReferralEdge(tick=3, parent_id=1, child_id=3),
+            ask(2, tick=4),
+            Withdrawal(tick=5, user_id=1),  # 2 joined, 3 still pending
+            ask(1, tick=6),  # the withdrawn id rejoins as a fresh root child
+            ask(3, tick=7),
+            Withdrawal(tick=8, user_id=0),
+        ]
+        state, oracle = ServiceState(JOB), ScanningState()
+        for event in events:
+            assert state.apply(event) == oracle.apply(event)
+        assert list(state._parents.items()) == list(oracle.parents.items())
+        assert state.snapshot_tree().to_parent_map() == {
+            2: ROOT, 1: ROOT, 3: ROOT,
+        }

@@ -1,6 +1,8 @@
 """The service telemetry plane (`repro.service.telemetry`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.outcome import MechanismOutcome
 from repro.core.rit import RIT
@@ -89,6 +91,55 @@ class TestEpochGauges:
         assert gauges[f"win_rate/depth{WIN_RATE_DEPTH_CAP}"] == pytest.approx(
             1 / 7
         )
+
+
+def dict_gauges(outcome, tree):
+    """The per-node dict computation ``epoch_gauges`` replaced (oracle)."""
+    depths = tree.depths()
+    gauges = {
+        "epoch_participants": float(len(depths)),
+        "referral_depth_max": float(max(depths.values(), default=0)),
+        "referral_depth_mean": (
+            sum(depths.values()) / len(depths) if depths else 0.0
+        ),
+    }
+    winners = {uid for uid, tasks in outcome.allocation.items() if tasks > 0}
+    at_depth, won_at_depth = {}, {}
+    for uid, depth in depths.items():
+        level = min(depth, WIN_RATE_DEPTH_CAP)
+        at_depth[level] = at_depth.get(level, 0) + 1
+        if uid in winners:
+            won_at_depth[level] = won_at_depth.get(level, 0) + 1
+    for level, population in at_depth.items():
+        gauges[f"win_rate/depth{level}"] = won_at_depth.get(level, 0) / population
+    return dict(sorted(gauges.items()))
+
+
+class TestEpochGaugesMatchDictComputation:
+    @given(
+        parents=st.lists(
+            st.integers(min_value=-1, max_value=40), min_size=0, max_size=40
+        ),
+        chain=st.integers(min_value=0, max_value=3 * WIN_RATE_DEPTH_CAP),
+        tasks=st.lists(st.integers(min_value=0, max_value=2), max_size=90),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees(self, parents, chain, tasks):
+        tree = IncentiveTree()
+        for node, p in enumerate(parents):
+            tree.attach(node, ROOT if p < 0 or p >= node else p)
+        # A chain hanging off the last node reaches past the depth cap.
+        previous = len(parents) - 1 if parents else ROOT
+        for node in range(len(parents), len(parents) + chain):
+            tree.attach(node, previous)
+            previous = node
+        # Allocation over tree nodes plus ids that are not in the tree.
+        outcome = MechanismOutcome(
+            allocation={uid: x for uid, x in enumerate(tasks)}
+        )
+        got = epoch_gauges(outcome, tree)
+        assert got == dict_gauges(outcome, tree)
+        assert list(got) == list(dict_gauges(outcome, tree))
 
 
 class TestServiceTelemetry:

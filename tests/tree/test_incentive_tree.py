@@ -1,5 +1,8 @@
 """Tests for the incentive-tree data structure."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,3 +222,148 @@ class TestHypothesis:
         for node in list(tree.nodes())[:10]:
             for desc in tree.descendants(node):
                 assert node in list(tree.ancestors(desc))
+
+
+def structure(tree):
+    """Everything order-sensitive about a tree, for equality checks."""
+    return (
+        list(tree.to_parent_map().items()),
+        {node: tree.children(node) for node in [ROOT, *tree.nodes()]},
+        tree.bfs_order(),
+    )
+
+
+def assert_view_matches(tree):
+    """The cached view agrees with the tree's pointer-walking queries."""
+    view = tree.bfs_view()
+    uids = view.uids.tolist()
+    pos = {uid: i for i, uid in enumerate(uids)}
+    assert sorted(uids) == sorted(tree.nodes())
+    expected_order = []
+    level = list(tree.children(ROOT))
+    while level:
+        expected_order += level
+        level = [kid for node in level for kid in tree.children(node)]
+    assert uids == expected_order
+    for i, uid in enumerate(uids):
+        assert view.depth[i] == tree.depth(uid)
+        parent = tree.parent(uid)
+        assert view.parent[i] == (-1 if parent == ROOT else pos[parent])
+        d = int(view.depth[i])
+        assert view.level_bounds[d - 1] <= i < view.level_bounds[d]
+    assert view.level_bounds[-1] == len(tree)
+    assert view.max_depth == tree.max_depth()
+    np.testing.assert_array_equal(
+        view.positions(np.array(uids + [10**9, 123456], dtype=np.int64)),
+        list(range(len(uids))) + [-1, -1],
+    )
+
+
+class TestFromParentMap:
+    @given(
+        parents=st.lists(st.integers(min_value=-1, max_value=30), max_size=30),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100)
+    def test_equals_from_edges(self, parents, shuffle):
+        tree = IncentiveTree()
+        for node, p in enumerate(parents):
+            tree.attach(node, ROOT if p < 0 or p >= node else p)
+        parents_first = tree.to_parent_map()
+        items = list(parents_first.items())
+        shuffle.shuffle(items)
+        for mapping in (parents_first, dict(items)):
+            one_pass = IncentiveTree.from_parent_map(mapping)
+            reference = IncentiveTree.from_edges(
+                (p, c) for c, p in mapping.items()
+            )
+            assert structure(one_pass) == structure(reference)
+            one_pass.validate()
+
+    def test_child_listed_before_its_parent(self):
+        mapping = {2: 1, 0: ROOT, 1: 0, 3: 0}
+        tree = IncentiveTree.from_parent_map(mapping)
+        reference = IncentiveTree.from_edges((p, c) for c, p in mapping.items())
+        assert structure(tree) == structure(reference)
+        assert tree.depth(2) == 3
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [{1: 0}, {0: ROOT, 2: 1}, {0: ROOT, 1: 1}, {0: ROOT, 1: -7}],
+    )
+    def test_orphans_rejected(self, mapping):
+        with pytest.raises(TreeError, match="orphaned"):
+            IncentiveTree.from_parent_map(mapping)
+
+    @pytest.mark.parametrize("mapping", [{-5: ROOT}, {0: ROOT, -3: 0}])
+    def test_negative_ids_rejected(self, mapping):
+        with pytest.raises(TreeError, match=">= 0"):
+            IncentiveTree.from_parent_map(mapping)
+
+    def test_caller_map_is_copied(self):
+        mapping = {0: ROOT}
+        tree = IncentiveTree.from_parent_map(mapping)
+        mapping[1] = 0
+        assert 1 not in tree
+
+
+class TestBFSView:
+    def test_view_is_cached_and_matches_the_tree(self):
+        tree = two_level()
+        view = tree.bfs_view()
+        assert tree.bfs_view() is view
+        assert_view_matches(tree)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda t: t.attach(5, 2),
+            lambda t: t.reattach(0, 1),
+            lambda t: t.reattach_children(0, 4),
+            lambda t: t.remove_leaf(3),
+        ],
+        ids=["attach", "reattach", "reattach_children", "remove_leaf"],
+    )
+    def test_mutations_drop_the_cache(self, mutate):
+        tree = two_level()
+        before = tree.bfs_view()
+        mutate(tree)
+        assert tree.bfs_view() is not before
+        assert_view_matches(tree)
+
+    def test_copy_does_not_share_the_view(self):
+        tree = two_level()
+        view = tree.bfs_view()
+        clone = tree.copy()
+        assert clone.bfs_view() is not view
+        clone.attach(9, 4)
+        assert tree.bfs_view() is view
+        assert 9 not in view.uids.tolist()
+        assert_view_matches(clone)
+
+    def test_view_is_read_only(self):
+        view = two_level().bfs_view()
+        for column in (view.uids, view.parent, view.depth):
+            with pytest.raises(ValueError):
+                column[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.uids = np.zeros(5, dtype=np.int64)
+        assert isinstance(view.level_bounds, tuple)
+
+    def test_empty_tree(self):
+        view = IncentiveTree().bfs_view()
+        assert len(view) == 0
+        assert view.max_depth == 0
+        assert view.positions(np.array([0, 3])).tolist() == [-1, -1]
+
+    @given(parents=st.lists(st.integers(min_value=-1, max_value=40), max_size=40))
+    @settings(max_examples=100)
+    def test_random_trees(self, parents):
+        tree = IncentiveTree()
+        for node, p in enumerate(parents):
+            tree.attach(node, ROOT if p < 0 or p >= node else p)
+        assert_view_matches(tree)
+        if len(tree) > 2:
+            node = list(tree.nodes())[-1]
+            tree.reattach(node, ROOT)
+            assert_view_matches(tree)
