@@ -12,9 +12,8 @@ whole scenario as flat numpy arrays:
 
 ========================  ============================================
 profile arrays            ``uids`` / ``types`` / ``values`` / ``caps``
-                          in profile (admission) order — the exact
-                          arrays :func:`repro.core.rit.profile_arrays`
-                          would produce;
+                          in profile (admission) order — the arrays
+                          :func:`profile_arrays` produces;
 Extract kernel            one stable ``lexsort`` by ``(type, value)``
                           plus per-type prefix-sum capacity cutoffs —
                           Algorithm 2's per-user scan and the per-pool
@@ -40,9 +39,10 @@ keep/subsample draws).  Differential goldens and the property sweep in
 ``tests/core`` enforce outcome equality seed by seed.
 
 Payments (:func:`tree_payments_columnar`) run the single kernel
-:func:`repro.core.payments.payment_kernel` over the store's view and
-BFS-ordered types, so final payments are bitwise equal to
-:func:`~repro.core.payments.tree_payments` by construction.
+:func:`repro.core.payments.payment_kernel` over the store's view, reading
+the BFS-ordered type column at the winners' root paths only, so final
+payments are bitwise equal to :func:`~repro.core.payments.tree_payments`
+by construction.
 
 Ownership
 ---------
@@ -63,17 +63,70 @@ import numpy as np
 from repro.core.engine import SortedTypePool
 from repro.core.exceptions import ModelError
 from repro.core.extract import UnitAsks
-from repro.core.payments import (
-    bfs_auction_payments,
-    bfs_types,
-    nonzero_payments,
-    payment_kernel,
-)
+from repro.core.numeric import PAYMENT_ATOL
+from repro.core.payments import bfs_types, payment_kernel
 from repro.core.types import Ask, Job, Population, TaskType
 from repro.obs.tracer import NullTracer
 from repro.tree.incentive_tree import BFSView, IncentiveTree
 
-__all__ = ["ColumnarStore", "tree_payments_columnar"]
+__all__ = [
+    "ColumnarStore",
+    "profile_arrays",
+    "validate_profile",
+    "tree_payments_columnar",
+]
+
+
+# One O(N) flatten per RIT.run or store build, inside the caller's timing
+# (RIT.run's elapsed times, the store build's).
+def profile_arrays(  # rit: noqa[RIT013]
+    asks: Mapping[int, Ask],
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Flatten the ask profile into aligned arrays, in profile order."""
+    n = len(asks)
+    uid_arr = np.fromiter(asks.keys(), dtype=np.int64, count=n)
+    profile = list(asks.values())
+    type_arr = np.fromiter((a.task_type for a in profile), dtype=np.int64, count=n)
+    val_arr = np.fromiter((a.value for a in profile), dtype=np.float64, count=n)
+    cap_arr = np.fromiter((a.capacity for a in profile), dtype=np.int64, count=n)
+    return uid_arr, type_arr, val_arr, cap_arr
+
+
+# Part of the caller's build step (RIT.run, the store's construction),
+# which the caller times.
+def validate_profile(  # rit: noqa[RIT013]
+    job: Job, uid_arr: np.ndarray, type_arr: np.ndarray, view: BFSView
+) -> None:
+    """Check a flattened ask profile against the tree and the job.
+
+    ``uid_arr`` holds distinct ids (a profile's keys).  Raises
+    :class:`~repro.core.exceptions.ModelError`, in this order of
+    precedence: for asks from ids that are not tree nodes, for tree nodes
+    without an ask (each naming the five smallest such ids), and for the
+    first ask, in profile order, that bids for a type the job lacks.  A
+    valid profile costs one sort and two vectorized compares.
+    """
+    if not view.same_nodes(uid_arr):
+        extra = np.setdiff1d(uid_arr, view.uids)
+        if extra.size:
+            raise ModelError(
+                "asks from participants not in the incentive tree: "
+                f"{extra[:5].tolist()}…"
+            )
+        missing = np.setdiff1d(view.uids, uid_arr)
+        raise ModelError(
+            f"tree nodes without asks: {missing[:5].tolist()}… (every user "
+            "submits an ask upon joining)"
+        )
+    num_types = job.num_types
+    bad = np.flatnonzero(type_arr >= num_types)
+    if bad.size:
+        first = int(bad[0])
+        raise ModelError(
+            f"user {int(uid_arr[first])} bids for type "
+            f"{int(type_arr[first])}, but the job has only "
+            f"{num_types} types"
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -134,15 +187,16 @@ class ColumnarStore:
     Construct with :meth:`build` (from an ask profile) or
     :meth:`from_population` (directly from a truthful population — same
     store, no intermediate ``Ask`` objects).  Construction validates the
-    scenario exactly as :meth:`repro.core.rit.RIT._validate` does, then
-    precomputes every per-run quantity the mechanism needs; see the module
-    docstring for the layout.
+    scenario with :func:`validate_profile`, as ``RIT.run`` does for every
+    engine, then precomputes every per-run quantity the mechanism needs;
+    see the module docstring for the layout.
     """
 
     __slots__ = (
         "num_users",
         "num_types",
         "k_max",
+        "type_width",
         "uids",
         "types",
         "values",
@@ -168,12 +222,15 @@ class ColumnarStore:
         n = int(uid_arr.shape[0])
         self.num_users = n
         self.num_types = job.num_types
-        self._validate_profile(job, uid_arr, type_arr, tree)
         self.uids = _frozen(np.ascontiguousarray(uid_arr, dtype=np.int64))
         self.types = _frozen(np.ascontiguousarray(type_arr, dtype=np.int64))
+        view = tree.bfs_view()
+        validate_profile(job, self.uids, self.types, view)
         self.values = _frozen(np.ascontiguousarray(val_arr, dtype=np.float64))
         self.caps = _frozen(np.ascontiguousarray(cap_arr, dtype=np.int64))
         self.k_max = int(self.caps.max()) if n else 0
+        #: Row width of the payment kernel: the highest task type + 1.
+        self.type_width = int(self.types.max(initial=-1)) + 1
 
         # Extract kernel: one stable (type, value) lexsort and per-type
         # prefix-sum capacity cutoffs replace Algorithm 2's per-user scan
@@ -204,7 +261,7 @@ class ColumnarStore:
             supply[tau] = int(block.caps.sum())
         self.type_supply = _frozen(supply)
 
-        self._init_tree_arrays(tree)
+        self._init_tree_arrays(view)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -217,19 +274,7 @@ class ColumnarStore:
         cls, job: Job, asks: Mapping[int, Ask], tree: IncentiveTree
     ) -> "ColumnarStore":
         """Build the store from a sealed ask profile (profile order kept)."""
-        n = len(asks)
-        uid_arr = np.fromiter(asks.keys(), dtype=np.int64, count=n)
-        profile = list(asks.values())
-        type_arr = np.fromiter(
-            (a.task_type for a in profile), dtype=np.int64, count=n
-        )
-        val_arr = np.fromiter(
-            (a.value for a in profile), dtype=np.float64, count=n
-        )
-        cap_arr = np.fromiter(
-            (a.capacity for a in profile), dtype=np.int64, count=n
-        )
-        return cls(job, uid_arr, type_arr, val_arr, cap_arr, tree)
+        return cls(job, *profile_arrays(asks), tree)
 
     # Same accounting as build(): caller-timed, size on columnar_store_bytes.
     @classmethod
@@ -277,49 +322,13 @@ class ColumnarStore:
         )
 
     # ------------------------------------------------------------------ #
-    # Validation (vectorized mirror of RIT._validate)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _validate_profile(
-        job: Job,
-        uid_arr: np.ndarray,
-        type_arr: np.ndarray,
-        tree: IncentiveTree,
-    ) -> None:
-        tree_nodes = np.fromiter(tree.nodes(), dtype=np.int64, count=len(tree))
-        extra = np.setdiff1d(uid_arr, tree_nodes)
-        if extra.size:
-            missing = sorted(int(v) for v in extra[:5])
-            raise ModelError(
-                f"asks from participants not in the incentive tree: {missing}…"
-            )
-        orphaned = np.setdiff1d(tree_nodes, uid_arr)
-        if orphaned.size:
-            missing = sorted(int(v) for v in orphaned[:5])
-            raise ModelError(
-                f"tree nodes without asks: {missing}… (every user submits an "
-                "ask upon joining)"
-            )
-        num_types = job.num_types
-        bad = np.flatnonzero(type_arr >= num_types)
-        if bad.size:
-            first = int(bad[0])
-            raise ModelError(
-                f"user {int(uid_arr[first])} bids for type "
-                f"{int(type_arr[first])}, but the job has only "
-                f"{num_types} types"
-            )
-
-    # ------------------------------------------------------------------ #
     # Tree arrays (BFS order, CSR children, level bounds, aggregates)
     # ------------------------------------------------------------------ #
 
-    def _init_tree_arrays(self, tree: IncentiveTree) -> None:
+    def _init_tree_arrays(self, view: BFSView) -> None:
         # BFS order must come from the tree itself: children order is
         # insertion order *as rewritten by reattach* (withdrawal grafting,
         # sybil rewires), so it cannot be re-derived from attach order.
-        view: BFSView = tree.bfs_view()
         n = len(view)
         self.view = view
         # Validation above made the profile and the tree the same id set.
@@ -433,11 +442,14 @@ def tree_payments_columnar(
     identical to ``tree_payments`` followed by the ``is_zero`` prune.
     """
     view = store.view
-    final = payment_kernel(
+    positions, final = payment_kernel(
         view,
-        store.bfs_types,
-        bfs_auction_payments(view, auction_payments),
+        auction_payments,
+        store.bfs_types.__getitem__,
+        store.type_width,
         decay,
         tracer=tracer,
     )
-    return nonzero_payments(view, final), len(view)
+    keep = np.abs(final) > PAYMENT_ATOL
+    kept = dict(zip(view.uids[positions[keep]].tolist(), final[keep].tolist()))
+    return kept, len(view)

@@ -21,12 +21,17 @@ of this rule matter and are exercised by the test suite:
   ``Σ_j (r_j - 1)(1/2)^{r_j} p^A_j <= Σ_j p^A_j`` (§7-C discussion) since a
   depth-``r`` node has ``r - 1`` non-root ancestors.
 
-The production implementation is one array kernel
-(:func:`payment_kernel`) over the tree's cached
-:class:`~repro.tree.incentive_tree.BFSView`: a bottom-up pass, level by
-level, maintaining for each node the per-type weighted subtree sums —
-O(N·m) time, O(N·m) space — so pathological deep chains stay linear.
-:func:`tree_payments`, :meth:`repro.core.rit.RIT.join_shards` and
+Only winners' root paths carry money: ``p_j`` can be non-zero only when
+``P_j`` or one of its descendants has ``p^A ≠ 0``.  The production
+implementation is one array kernel (:func:`payment_kernel`).  It forms the
+ancestor closure of the nodes with a non-zero auction payment from the
+parent column of the tree's cached
+:class:`~repro.tree.incentive_tree.BFSView`, then runs a bottom-up pass,
+level by level, over the closure's rows only, maintaining for each row the
+per-type weighted subtree sums — O(W·d·m) time and space for W paid nodes
+at depth at most d and m type columns, independent of the tree size N.
+Every node outside the closure is paid exactly 0.  :func:`tree_payments`,
+:meth:`repro.core.rit.RIT.join_shards` and
 :func:`repro.core.columnar.tree_payments_columnar` all run it.  A
 transparent quadratic implementation (:func:`tree_payments_naive`) is kept
 for differential testing.
@@ -34,12 +39,11 @@ for differential testing.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import TreeError
-from repro.core.numeric import PAYMENT_ATOL
 from repro.core.types import TaskType
 from repro.obs.tracer import NullTracer
 from repro.tree.incentive_tree import BFSView, IncentiveTree
@@ -49,8 +53,6 @@ __all__ = [
     "tree_payments_naive",
     "payment_kernel",
     "bfs_types",
-    "bfs_auction_payments",
-    "nonzero_payments",
     "DEFAULT_DECAY",
 ]
 
@@ -101,77 +103,119 @@ def tree_payments(
         np.fromiter(task_types.keys(), dtype=np.int64, count=m),
         np.fromiter(task_types.values(), dtype=np.int64, count=m),
     )
-    final = payment_kernel(
+    positions, paid = payment_kernel(
         view,
-        types,
-        bfs_auction_payments(view, auction_payments),
+        auction_payments,
+        types.__getitem__,
+        int(types.max(initial=-1)) + 1,
         decay,
         tracer=tracer,
     )
+    final = np.zeros(len(view), dtype=np.float64)
+    final[positions] = paid
     return dict(zip(view.uids.tolist(), final.tolist()))
 
 
 def payment_kernel(
     view: BFSView,
-    types: np.ndarray,
-    auction: np.ndarray,
+    auction_payments: Mapping[int, float],
+    types_at: Callable[[np.ndarray], np.ndarray],
+    width: int,
     decay: float,
     *,
     tracer: Optional[NullTracer] = None,
-) -> np.ndarray:
-    """Final payments in BFS order — the one Alg. 3 l.22–25 implementation.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Final payments on winners' root paths — the one Alg. 3 l.22–25 kernel.
 
-    ``types`` and ``auction`` hold ``t_j`` and ``p^A_j`` at each node's
-    BFS position (see :func:`bfs_types` / :func:`bfs_auction_payments`).
-    When ``tracer`` is enabled the pass runs under a ``payments`` span and
-    counts ``tree_payment_nodes``.
+    Returns ``(positions, payments)``: the ascending BFS positions of the
+    ancestor closure of the nodes with ``p^A ≠ 0`` and their final
+    payments.  Every other node's final payment is exactly 0.  Ids of
+    ``auction_payments`` that are not nodes are ignored.
+
+    ``types_at(positions)`` returns ``t_j`` at the given BFS positions;
+    it is called once, with the closure.  ``width`` is the profile's
+    highest task type + 1: the per-type rows keep that width because
+    numpy's pairwise row sum groups its terms by the row length, so the
+    width fixes the float result.  When ``tracer`` is enabled the pass
+    runs under a ``payments`` span and counts ``tree_payment_nodes``.
     """
     if tracer is not None and tracer.enabled:
         with tracer.span("payments", nodes=len(view), decay=decay):
             tracer.count("tree_payment_nodes", len(view))
-            return _kernel(view, types, auction, decay)
-    return _kernel(view, types, auction, decay)
+            return _settle(view, auction_payments, types_at, width, decay)
+    return _settle(view, auction_payments, types_at, width, decay)
 
 
-def _kernel(
-    view: BFSView, types: np.ndarray, pay: np.ndarray, decay: float
-) -> np.ndarray:
+def _settle(
+    view: BFSView,
+    auction_payments: Mapping[int, float],
+    types_at: Callable[[np.ndarray], np.ndarray],
+    width: int,
+    decay: float,
+) -> Tuple[np.ndarray, np.ndarray]:
     if not 0.0 < decay < 1.0:
         raise TreeError(f"decay must be in (0, 1), got {decay}")
-    n = len(view)
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    bounds = view.level_bounds
+    m = len(auction_payments)
+    pos = view.positions(
+        np.fromiter(auction_payments.keys(), dtype=np.int64, count=m)
+    )
+    amount = np.fromiter(auction_payments.values(), dtype=np.float64, count=m)
+    # Exact, not tolerant: any p^A ≠ 0 reaches its ancestors' rows.
+    hit = np.flatnonzero(amount)
+    hit = hit[pos[hit] >= 0]
+    if not hit.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    order = np.argsort(pos[hit])
+    seeds = pos[hit][order]
     parent = view.parent
+    top = int(view.depth[seeds[-1]])  # BFS order is level order
+
+    # Ancestor closure, one level at a time from the deepest paid node up:
+    # level d holds its paid nodes plus the parents of level d + 1.
+    cut = np.searchsorted(seeds, view.level_bounds[: top + 1])
+    levels = []
+    above = np.zeros(0, dtype=np.int64)
+    for d in range(top, 0, -1):
+        level = np.union1d(seeds[cut[d - 1]:cut[d]], above)
+        levels.append(level)
+        above = parent[level]
+    levels.reverse()
+    closure = np.concatenate(levels)
+    starts = np.searchsorted(closure, view.level_bounds[: top + 1])
+    rows = closure.shape[0]
+    own = np.zeros(rows, dtype=np.float64)
+    own[np.searchsorted(closure, seeds)] = amount[hit][order]
+    parent_row = np.searchsorted(closure, parent[closure])
+    types = types_at(closure)
 
     # Per-depth decay weights via scalar pow — the exact floats of the
     # per-node ``decay ** depth`` the accumulation below multiplies with.
-    decay_pow = np.array(
-        [decay ** d for d in range(view.max_depth + 1)], dtype=np.float64
-    )
-    contrib = decay_pow[view.depth] * pay
+    decay_pow = np.array([decay ** d for d in range(top + 1)], dtype=np.float64)
+    contrib = decay_pow[view.depth[closure]] * own
 
-    # sub[i, t] = Σ over the subtree rooted at BFS position i (node
+    # sub[k, t] = Σ over the subtree rooted at closure row k (node
     # included) of (decay ** r_u) * p^A_u restricted to nodes u of type t.
+    # Nodes outside the closure would add all-zero rows, which change no
+    # cell, so they are skipped.
     #
     # The bottom-up pass runs level by level: each level's rows are
     # finalized with the nodes' own contributions, then pushed onto the
     # parents' rows with an unbuffered ``np.add.at``.  Iterating each
     # level in reverse BFS order makes the per-cell addition sequence
-    # identical to a node-at-a-time reverse-BFS pass, which fixes the
-    # float result bit for bit.
-    sub = np.zeros((n, int(types.max()) + 1), dtype=np.float64)
-    for d in range(view.max_depth, 0, -1):
-        idx = np.arange(bounds[d] - 1, bounds[d - 1] - 1, -1)
+    # identical to a node-at-a-time reverse-BFS pass over the whole tree:
+    # children in reverse BFS order, then the node's own term.  That fixes
+    # the float result bit for bit.
+    sub = np.zeros((rows, width), dtype=np.float64)
+    for d in range(top, 0, -1):
+        idx = np.arange(starts[d] - 1, starts[d - 1] - 1, -1)
         sub[idx, types[idx]] += contrib[idx]
-        parents = parent[idx]
-        push = parents >= 0
-        np.add.at(sub, parents[push], sub[idx[push]])
+        if d > 1:  # root children have no parent row
+            np.add.at(sub, parent_row[idx], sub[idx])
 
     # Descendant sum excluding same-type nodes; the node's own term is of
     # its own type, so it is excluded together with them.
-    referral = sub.sum(axis=1) - sub[np.arange(n), types]
-    return pay + referral
+    referral = sub.sum(axis=1) - sub[np.arange(rows), types]
+    return closure, own + referral
 
 
 def bfs_types(
@@ -188,24 +232,6 @@ def bfs_types(
     if missing.size:
         raise TreeError(f"node {int(view.uids[missing[0]])} has no task type")
     return out
-
-
-def bfs_auction_payments(
-    view: BFSView, auction_payments: Mapping[int, float]
-) -> np.ndarray:
-    """``p^A`` at BFS positions (0 for nodes without one; others ignored)."""
-    m = len(auction_payments)
-    return view.scatter(
-        np.fromiter(auction_payments.keys(), dtype=np.int64, count=m),
-        np.fromiter(auction_payments.values(), dtype=np.float64, count=m),
-        0.0,
-    )
-
-
-def nonzero_payments(view: BFSView, final: np.ndarray) -> Dict[int, float]:
-    """``{uid: p_j}`` for every ``|p_j| > PAYMENT_ATOL``, in BFS order."""
-    keep = np.flatnonzero(np.abs(final) > PAYMENT_ATOL)
-    return dict(zip(view.uids[keep].tolist(), final[keep].tolist()))
 
 
 # Differential-test reference, never on the serving path; the production

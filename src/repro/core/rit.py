@@ -14,9 +14,10 @@ probability ``η = H^(1/m)`` and each round is ``K_max``-truthful with
 probability at least the Lemma 6.2 bound.
 
 **Payment determination phase** (lines 22-28).  If every task of the job
-was allocated, final payments are computed by
-:func:`repro.core.payments.tree_payments`; otherwise the outcome is *voided*
-(x = 0, p = 0 for everyone).
+was allocated, :meth:`RIT.join_shards` computes final payments with
+:func:`repro.core.payments.payment_kernel` over the winners' root paths
+(everyone else is paid 0); otherwise the outcome is *voided* (x = 0, p = 0
+for everyone).
 
 Round-budget policies
 ---------------------
@@ -59,9 +60,11 @@ The multi-round CRA loop has three interchangeable engines (``engine=``):
 
 All engines consume the identical random stream and produce identical
 outcomes for the same seed; differential tests enforce this.  Every engine
-determines payments with the one kernel
-:func:`repro.core.payments.payment_kernel` over the tree's cached
-:class:`~repro.tree.incentive_tree.BFSView`.
+reads the ask profile once per run (:func:`profile_arrays`, or the
+caller's prebuilt store), validates it from those arrays with
+:func:`repro.core.columnar.validate_profile`, and determines payments with
+the one kernel :func:`repro.core.payments.payment_kernel` over the tree's
+cached :class:`~repro.tree.incentive_tree.BFSView`.
 
 Observability
 -------------
@@ -77,33 +80,29 @@ stays at benchmark speed.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.core import bounds
-from repro.core.columnar import ColumnarStore
+from repro.core.columnar import ColumnarStore, profile_arrays, validate_profile
 from repro.core.cra import cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
 from repro.core.exceptions import (
     AllocationError,
     ConfigurationError,
-    ModelError,
+    TreeError,
 )
 from repro.core.mechanism import Mechanism
+from repro.core.numeric import PAYMENT_ATOL
 from repro.core.outcome import MechanismOutcome, RoundRecord, TypeShardResult
-from repro.core.payments import (
-    DEFAULT_DECAY,
-    bfs_auction_payments,
-    bfs_types,
-    nonzero_payments,
-    payment_kernel,
-)
+from repro.core.payments import DEFAULT_DECAY, payment_kernel
 from repro.core.rng import SeedLike, as_generator, spawn_seeds
 from repro.core.types import Ask, Job
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.tree.incentive_tree import IncentiveTree
+from repro.tree.incentive_tree import BFSView, IncentiveTree
 
 __all__ = [
     "RIT",
@@ -287,31 +286,37 @@ class RIT(Mechanism):
         columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
         gen = as_generator(rng)
-        store: Optional[ColumnarStore] = None
-        if self.engine == "columnar":
-            # Store construction performs the full profile validation; a
-            # caller-provided store (epoch service, bench) is checked for
-            # basic consistency with this run's profile.
-            store = columnar_store
-            if store is None:
-                if asks:
-                    store = ColumnarStore.build(job, asks, tree)
-                else:
-                    self._validate(job, asks, tree)
-            elif store.num_users != len(asks):
+        tracer = self.tracer
+        tracing = tracer.enabled
+        clock = tracer.clock
+        # The run's elapsed times include the profile pass and any store
+        # build; spans open only once the profile has passed validation.
+        t_start = clock()
+        store = columnar_store
+        type_width: Optional[int] = None
+        if store is not None:
+            # A caller-provided store (epoch service, bench) was validated
+            # when it was built; check it still matches this run's profile.
+            if self.engine != "columnar":
+                raise ConfigurationError(
+                    "columnar_store is only meaningful with engine='columnar'"
+                )
+            if store.num_users != len(asks):
                 raise ConfigurationError(
                     f"columnar store holds {store.num_users} users but the "
                     f"profile has {len(asks)}; rebuild the store per epoch"
                 )
         else:
-            if columnar_store is not None:
-                raise ConfigurationError(
-                    "columnar_store is only meaningful with engine='columnar'"
+            # The run's one pass over the ask profile; validation, pools,
+            # k_max and the payment row width all read these arrays.
+            uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
+            if self.engine == "columnar":
+                store = ColumnarStore(
+                    job, uid_arr, type_arr, val_arr, cap_arr, tree
                 )
-            self._validate(job, asks, tree)
-        tracer = self.tracer
-        tracing = tracer.enabled
-        clock = tracer.clock
+            else:
+                validate_profile(job, uid_arr, type_arr, tree.bfs_view())
+                type_width = int(type_arr.max(initial=-1)) + 1
         owns_run = False
         run_sid = mech_sid = -1
         if tracing:
@@ -331,7 +336,6 @@ class RIT(Mechanism):
                 tracer.count(
                     "columnar_store_bytes", store.nbytes, unit="bytes"
                 )
-        t_start = clock()
 
         timers = (
             StageTimers(clock=clock)
@@ -344,7 +348,6 @@ class RIT(Mechanism):
             if store is not None:
                 k_max = self.k_max_override or store.k_max
             else:
-                uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
                 k_max = self.k_max_override or int(cap_arr.max())
                 by_type = pools_from_arrays(
                     uid_arr, type_arr, val_arr, cap_arr
@@ -384,6 +387,7 @@ class RIT(Mechanism):
             auction_ended_at=t_auction,
             timers=timers,
             columnar_store=store,
+            type_width=type_width,
         )
         if not final.completed and self.raise_on_failure:
             # Algorithm 3 line 27 escalated: unwind spans, then raise.
@@ -545,6 +549,7 @@ class RIT(Mechanism):
         auction_ended_at: Optional[float] = None,
         timers: Optional[StageTimers] = None,
         columnar_store: Optional[ColumnarStore] = None,
+        type_width: Optional[int] = None,
     ) -> MechanismOutcome:
         """Assemble a full :class:`MechanismOutcome` from per-type shards.
 
@@ -556,6 +561,13 @@ class RIT(Mechanism):
         outcome is voided (Algorithm 3 line 27).  The payment
         determination phase (lines 22-25) runs here, so sharded callers
         get tree payments and budget splits identical to :meth:`run`.
+
+        Payments cover the winners' root paths only: task types are read
+        for those nodes alone, from ``columnar_store`` when given, else
+        from ``asks``.  Without a store, ``type_width`` must be the
+        profile's highest task type + 1, taken from the caller's
+        :func:`profile_arrays` pass; it fixes the payment kernel's row
+        width (see :func:`repro.core.payments.payment_kernel`).
 
         This method never raises on incomplete allocation —
         ``raise_on_failure`` is applied by :meth:`run` after spans unwind.
@@ -593,31 +605,28 @@ class RIT(Mechanism):
                 tracer.count("runs_voided")
             return outcome.void(elapsed_total=clock() - started_at)
         # Payment determination phase (lines 22-25).
-        if self.engine == "columnar" and asks:
-            store = columnar_store
-            if store is None:
-                store = ColumnarStore.build(job, asks, tree)
-            view, types = store.view, store.bfs_types
+        types_at: Callable[[np.ndarray], np.ndarray]
+        store = columnar_store
+        if store is not None:
+            view = store.view
+            types_at = store.bfs_types.__getitem__
+            width = store.type_width
+        elif type_width is None:
+            raise ConfigurationError(
+                "join_shards needs type_width (the profile's highest task "
+                "type + 1) when no columnar store is given"
+            )
         else:
             view = tree.bfs_view()
-            n = len(asks)
-            types = bfs_types(
-                view,
-                np.fromiter(asks.keys(), dtype=np.int64, count=n),
-                np.fromiter(
-                    (ask.task_type for ask in asks.values()),
-                    dtype=np.int64,
-                    count=n,
-                ),
-            )
-        payments = payment_kernel(
-            view,
-            types,
-            bfs_auction_payments(view, auction_payments),
-            self.decay,
-            tracer=tracer,
+            types_at = functools.partial(_ask_types, view, asks)
+            width = type_width
+        positions, payments = payment_kernel(
+            view, auction_payments, types_at, width, self.decay, tracer=tracer
         )
-        kept = nonzero_payments(view, payments)
+        keep = np.abs(payments) > PAYMENT_ATOL
+        kept = dict(
+            zip(view.uids[positions[keep]].tolist(), payments[keep].tolist())
+        )
         num_nodes = len(view)
         final = outcome.finalize(
             payments=kept, elapsed_total=clock() - started_at
@@ -628,46 +637,18 @@ class RIT(Mechanism):
             tracer.count("payments_pruned", num_nodes - len(kept))
         return final
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _validate(job: Job, asks: Mapping[int, Ask], tree: IncentiveTree) -> None:
-        tree_nodes = set(tree.nodes())
-        ask_ids = set(asks)
-        if ask_ids - tree_nodes:
-            missing = sorted(ask_ids - tree_nodes)[:5]
-            raise ModelError(
-                f"asks from participants not in the incentive tree: {missing}…"
-            )
-        if tree_nodes - ask_ids:
-            missing = sorted(tree_nodes - ask_ids)[:5]
-            raise ModelError(
-                f"tree nodes without asks: {missing}… (every user submits an "
-                "ask upon joining)"
-            )
-        num_types = job.num_types
-        for uid, ask in asks.items():
-            if ask.task_type >= num_types:
-                raise ModelError(
-                    f"user {uid} bids for type {ask.task_type}, but the job "
-                    f"has only {num_types} types"
-                )
-
-
-# One O(N) flatten per run, timed inside the caller's 'sample' stage.
-def profile_arrays(  # rit: noqa[RIT013]
-    asks: Mapping[int, Ask],
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Flatten the ask profile into aligned arrays, in profile order."""
-    n = len(asks)
-    uid_arr = np.fromiter(asks.keys(), dtype=np.int64, count=n)
-    profile = list(asks.values())
-    type_arr = np.fromiter((a.task_type for a in profile), dtype=np.int64, count=n)
-    val_arr = np.fromiter((a.value for a in profile), dtype=np.float64, count=n)
-    cap_arr = np.fromiter((a.capacity for a in profile), dtype=np.int64, count=n)
-    return uid_arr, type_arr, val_arr, cap_arr
+def _ask_types(
+    view: BFSView, asks: Mapping[int, Ask], positions: np.ndarray
+) -> np.ndarray:
+    """Task types of the nodes at BFS ``positions``, read from their asks."""
+    uids = view.uids[positions].tolist()
+    try:
+        return np.fromiter(
+            (asks[uid].task_type for uid in uids), dtype=np.int64, count=len(uids)
+        )
+    except KeyError as err:
+        raise TreeError(f"node {err.args[0]} has no task type") from None
 
 
 def pools_from_arrays(
@@ -688,11 +669,3 @@ def pools_from_arrays(
         for tau in np.unique(type_arr)
         for sel in (np.flatnonzero(type_arr == tau),)
     }
-
-
-def _group_by_type(
-    asks: Mapping[int, Ask], num_types: int
-) -> Dict[int, SortedTypePool]:
-    """Split the ask profile into per-type presorted pools."""
-    return pools_from_arrays(*profile_arrays(asks))
-

@@ -40,7 +40,7 @@ COUNTER_CATALOG: Dict[str, Tuple[str, str]] = {
     # repro.core.payments — payment determination (Algorithm 3 lines 22-25)
     "payment_recipients": ("count", "users with a non-zero final payment"),
     "payments_pruned": ("count", "zero-valued payments dropped from the outcome"),
-    "tree_payment_nodes": ("count", "tree nodes visited by tree_payments"),
+    "tree_payment_nodes": ("count", "tree nodes the payment pass settles"),
     # repro.attacks.evaluator
     "attack_comparisons": ("count", "paired honest-vs-attack mechanism runs"),
     "sybil_identities_spawned": ("count", "fake identities materialized by sybil attacks"),

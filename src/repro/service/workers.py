@@ -130,6 +130,7 @@ async def run_epoch(
             ]
         ] = []
         store: Optional[ColumnarStore] = None
+        type_width: Optional[int] = None
         if asks:
             if mechanism.engine == "columnar":
                 # The epoch-scoped store is built once (off the event
@@ -149,6 +150,7 @@ async def run_epoch(
             else:
                 uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
                 k_max = mechanism.k_max_override or int(cap_arr.max())
+                type_width = int(type_arr.max()) + 1
                 by_type = pools_from_arrays(
                     uid_arr, type_arr, val_arr, cap_arr
                 )
@@ -229,6 +231,7 @@ async def run_epoch(
                 auction_ended_at=t_auction,
                 timers=merged_timers,
                 columnar_store=store,
+                type_width=type_width,
             )
         finally:
             if tracing:

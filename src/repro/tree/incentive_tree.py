@@ -119,6 +119,16 @@ class BFSView:
             + self._sorted_positions.nbytes
         )
 
+    def same_nodes(self, uids: np.ndarray) -> bool:
+        """True when ``uids`` are exactly the node ids, in any order.
+
+        ``uids`` must hold distinct ids.  One sort and one element-wise
+        compare against the sorted lookup column.
+        """
+        return uids.shape[0] == len(self) and bool(
+            np.array_equal(np.sort(uids), self._sorted_uids)
+        )
+
     def positions(self, uids: np.ndarray) -> np.ndarray:
         """BFS positions of ``uids``; -1 for ids that are not nodes."""
         uids = np.asarray(uids, dtype=np.int64)

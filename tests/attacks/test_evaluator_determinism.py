@@ -54,7 +54,9 @@ def run_sharded(mech, job, asks, tree, seed):
         for tau in job.types()
         if job.tasks_of(tau) > 0
     ]
-    return mech.join_shards(job, asks, tree, shards)
+    return mech.join_shards(
+        job, asks, tree, shards, type_width=int(type_arr.max()) + 1
+    )
 
 
 class TestPerTypeEvaluation:

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import TreeError
-from repro.core.payments import tree_payments, tree_payments_naive
+from repro.core.payments import (
+    payment_kernel,
+    tree_payments,
+    tree_payments_naive,
+)
 from repro.tree.incentive_tree import ROOT, IncentiveTree
+from tests.core.dense_payments import dense_payments
 
 
 def make_tree(edges):
@@ -129,6 +134,160 @@ class TestDifferentialAgainstNaive:
         assert set(fast) == set(naive)
         for node in fast:
             assert fast[node] == pytest.approx(naive[node], rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def kernel_instances(draw):
+    """A tree, typed nodes, sparse auction payments and a decay base.
+
+    Node ids are even, so odd ids in the payment map are not nodes.  The
+    row width is the highest type + 1, as the dense oracle computes it.
+    The types in use may stop well below that width: the top type then
+    sits on one unpaid leaf, as when the job's highest types have no
+    bidder on the winners' root paths.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    shape = draw(st.sampled_from(["random", "chain", "broom"]))
+    handle = draw(st.integers(min_value=1, max_value=n))
+    tree = IncentiveTree()
+    for i in range(n):
+        if i == 0:
+            parent = ROOT
+        elif shape == "chain" or (shape == "broom" and i < handle):
+            parent = 2 * (i - 1)
+        else:
+            parent = draw(st.sampled_from([ROOT] + [2 * j for j in range(i)]))
+        tree.attach(2 * i, parent)
+    width = draw(st.integers(min_value=1, max_value=17))
+    used = draw(st.integers(min_value=1, max_value=width))
+    types = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=used - 1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if used < width or draw(st.booleans()):
+        tree.attach(2 * n, ROOT)
+        types.append(width - 1)
+    else:
+        types[draw(st.integers(min_value=0, max_value=n - 1))] = width - 1
+    if draw(st.booleans()):
+        paid = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    else:
+        paid = set(range(n))
+    amount = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
+    )
+    auction = {2 * i: draw(amount) for i in sorted(paid)}
+    for stray in draw(st.sets(st.integers(min_value=0, max_value=n + 3))):
+        auction[2 * stray + 1] = draw(amount)
+    decay = draw(st.sampled_from([0.3, 1.0 / 3.0, 0.5]))
+    task_types = {2 * i: t for i, t in enumerate(types)}
+    return tree, task_types, auction, width, decay
+
+
+def oracle_payments(tree, task_types, auction, decay):
+    """The dense sweep's final payments at every BFS position."""
+    view = tree.bfs_view()
+    column = view.scatter(
+        np.fromiter(task_types, dtype=np.int64),
+        np.fromiter(task_types.values(), dtype=np.int64),
+        -1,
+    )
+    dense_pay = view.scatter(
+        np.fromiter(auction, dtype=np.int64),
+        np.fromiter(auction.values(), dtype=np.float64),
+        0.0,
+    )
+    return column, dense_payments(view, column, dense_pay, decay)
+
+
+class TestRootPathKernelAgainstDenseOracle:
+    """The root-path kernel is bitwise equal to the dense O(N·m) sweep."""
+
+    @given(instance=kernel_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_dense_sweep(self, instance):
+        tree, task_types, auction, width, decay = instance
+        view = tree.bfs_view()
+        column, expected = oracle_payments(tree, task_types, auction, decay)
+
+        positions, paid = payment_kernel(
+            view, auction, column.__getitem__, width, decay
+        )
+        full = np.zeros(len(view), dtype=np.float64)
+        full[positions] = paid
+        assert full.tobytes() == expected.tobytes()
+
+        # The closure is exactly the root paths of the nodes with p^A ≠ 0.
+        closure = set()
+        for uid, pay in auction.items():
+            node = uid
+            while pay and node in task_types and node not in closure:
+                closure.add(node)
+                node = tree.parent(node)
+        assert sorted(view.uids[positions].tolist()) == sorted(closure)
+        assert np.all(np.diff(positions) > 0)
+
+        adapter = tree_payments(tree, auction, task_types, decay=decay)
+        assert list(adapter) == view.uids.tolist()
+        assert np.array(list(adapter.values())).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_row_width_comes_from_the_profile(self, width):
+        """A node's row holds types 1..7 from paid children; an unpaid
+        node carries the top type, so only the profile sets the width."""
+        gen = np.random.default_rng(width)
+        tree = make_tree([(ROOT, 0), (ROOT, 99)])
+        task_types = {0: 0, 99: width - 1}
+        auction = {}
+        for child in range(1, 8):
+            tree.attach(child, 0)
+            task_types[child] = child % width
+            auction[child] = float(gen.uniform(0.1, 10.0))
+        view = tree.bfs_view()
+        column, expected = oracle_payments(tree, task_types, auction, 1 / 3)
+        positions, paid = payment_kernel(
+            view, auction, column.__getitem__, width, 1 / 3
+        )
+        full = np.zeros(len(view), dtype=np.float64)
+        full[positions] = paid
+        assert full.tobytes() == expected.tobytes()
+        assert 99 not in view.uids[positions].tolist()
+
+    def test_siblings_add_in_reverse_bfs_order(self):
+        """Many same-type paid siblings under one unpaid parent: their
+        terms reach the parent's cell in reverse BFS order."""
+        gen = np.random.default_rng(0)
+        tree = make_tree([(ROOT, 0)])
+        task_types = {0: 0}
+        auction = {}
+        for child in range(1, 40):
+            tree.attach(child, 0 if child < 20 else child - 19)
+            task_types[child] = 1 + child % 2
+            auction[child] = float(gen.uniform(0.1, 10.0))
+        view = tree.bfs_view()
+        column, expected = oracle_payments(tree, task_types, auction, 0.5)
+        positions, paid = payment_kernel(
+            view, auction, column.__getitem__, 3, 0.5
+        )
+        full = np.zeros(len(view), dtype=np.float64)
+        full[positions] = paid
+        assert full.tobytes() == expected.tobytes()
+
+    def test_types_are_read_for_the_closure_only(self):
+        tree = make_tree([(ROOT, 1), (1, 2), (ROOT, 3), (3, 4)])
+        view = tree.bfs_view()
+        asked = []
+
+        def types_at(positions):
+            asked.append(view.uids[positions].tolist())
+            return np.zeros(positions.shape[0], dtype=np.int64)
+
+        payment_kernel(view, {2: 1.0, 3: 0.0}, types_at, 1, 0.5)
+        assert asked == [[1, 2]]
 
 
 class TestSybilMonotonicity:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import AllocationError, ConfigurationError, ModelError
-from repro.core.rit import BUDGET_POLICIES, RIT
+from repro.core.rit import BUDGET_POLICIES, ENGINES, RIT
 from repro.core.types import Ask, Job, Population, User
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
@@ -58,27 +58,72 @@ class TestBudgets:
         assert RIT().budget_for(0, 20, 10) == 0
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 class TestValidation:
+    """Every engine rejects a bad profile with the same message, and the
+    checks run in a fixed order: extra asks, then missing asks, then the
+    first unknown type in profile order."""
+
     def _tree(self, ids):
         tree = IncentiveTree()
         for i in ids:
             tree.attach(i, ROOT)
         return tree
 
-    def test_ask_without_tree_node_rejected(self):
-        mech = RIT()
-        with pytest.raises(ModelError):
-            mech.run(Job([1]), {0: Ask(0, 1, 1.0)}, self._tree([]))
+    def _error(self, engine, job, asks, tree):
+        with pytest.raises(ModelError) as excinfo:
+            RIT(engine=engine).run(job, asks, tree, np.random.default_rng(0))
+        return str(excinfo.value)
 
-    def test_tree_node_without_ask_rejected(self):
-        mech = RIT()
-        with pytest.raises(ModelError):
-            mech.run(Job([1]), {}, self._tree([0]))
+    def test_ask_without_tree_node_rejected(self, engine):
+        message = self._error(
+            engine, Job([1]), {0: Ask(0, 1, 1.0)}, self._tree([])
+        )
+        assert message == (
+            "asks from participants not in the incentive tree: [0]…"
+        )
 
-    def test_ask_for_unknown_type_rejected(self):
-        mech = RIT()
-        with pytest.raises(ModelError):
-            mech.run(Job([1]), {0: Ask(5, 1, 1.0)}, self._tree([0]))
+    def test_tree_node_without_ask_rejected(self, engine):
+        message = self._error(engine, Job([1]), {}, self._tree([0]))
+        assert message == (
+            "tree nodes without asks: [0]… (every user submits an ask "
+            "upon joining)"
+        )
+
+    def test_ask_for_unknown_type_rejected(self, engine):
+        message = self._error(
+            engine, Job([1]), {0: Ask(5, 1, 1.0)}, self._tree([0])
+        )
+        assert message == "user 0 bids for type 5, but the job has only 1 types"
+
+    def test_messages_name_the_five_smallest_ids(self, engine):
+        tree = self._tree(range(10))
+        asks = {uid: Ask(0, 1, 1.0) for uid in (20, 15, 11, 12, 13, 14, 3)}
+        message = self._error(engine, Job([1]), asks, tree)
+        assert message == (
+            "asks from participants not in the incentive tree: "
+            "[11, 12, 13, 14, 15]…"
+        )
+        asks = {uid: Ask(0, 1, 1.0) for uid in (9, 0, 7, 2)}
+        message = self._error(engine, Job([1]), asks, tree)
+        assert message.startswith("tree nodes without asks: [1, 3, 4, 5, 6]…")
+
+    def test_extra_ask_reported_before_missing_ask(self, engine):
+        # Node 1 has no ask, id 9 is not a node, and 0 bids for type 4.
+        asks = {0: Ask(4, 1, 1.0), 9: Ask(0, 1, 1.0), 2: Ask(0, 1, 1.0)}
+        message = self._error(engine, Job([1, 1]), asks, self._tree([0, 1, 2]))
+        assert message.startswith("asks from participants not in")
+        assert "[9]" in message
+
+    def test_missing_ask_reported_before_unknown_type(self, engine):
+        asks = {0: Ask(4, 1, 1.0), 2: Ask(0, 1, 1.0)}
+        message = self._error(engine, Job([1, 1]), asks, self._tree([0, 1, 2]))
+        assert message.startswith("tree nodes without asks: [1]…")
+
+    def test_first_unknown_type_in_profile_order_is_named(self, engine):
+        asks = {3: Ask(7, 1, 1.0), 1: Ask(5, 1, 1.0), 2: Ask(0, 1, 1.0)}
+        message = self._error(engine, Job([1, 1]), asks, self._tree([1, 2, 3]))
+        assert message == "user 3 bids for type 7, but the job has only 2 types"
 
 
 class TestEndToEnd:

@@ -10,6 +10,7 @@ draw order (pinned separately by the golden tests).
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.outcome import TypeShardResult
 from repro.core.rit import (
     RIT,
     RNG_POLICIES,
@@ -86,8 +87,20 @@ class TestShardDecomposition:
             for tau in job.types()
             if job.tasks_of(tau) > 0
         ]
-        merged = mech.join_shards(job, asks, tree, shards)
+        merged = mech.join_shards(
+            job, asks, tree, shards, type_width=int(type_arr.max()) + 1
+        )
         assert canonical_outcome(merged) == canonical_outcome(whole)
+
+    def test_join_without_store_needs_the_type_width(self):
+        job, asks, tree = scenario_inputs(users=40)
+        mech = RIT(rng_policy="per-type")
+        covered = [
+            TypeShardResult(tau, True, {}, {}, ()) for tau in job.types()
+        ]
+        with pytest.raises(ConfigurationError) as excinfo:
+            mech.join_shards(job, asks, tree, covered)
+        assert "type_width" in str(excinfo.value)
 
     def test_join_with_no_shards_voids_nonempty_job(self):
         job, asks, tree = scenario_inputs()

@@ -125,10 +125,10 @@ class TestExtractConsistency:
         """RIT's vectorized per-type pools must agree with the reference
         Algorithm 2 implementation at full capacity."""
         from repro.core.extract import extract
-        from repro.core.rit import _group_by_type
+        from repro.core.rit import pools_from_arrays, profile_arrays
 
         job, asks, tree, _ = instance
-        pools = _group_by_type(asks, job.num_types)
+        pools = pools_from_arrays(*profile_arrays(asks))
         for tau in job.types():
             reference = extract(tau, asks)
             if tau not in pools:
