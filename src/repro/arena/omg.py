@@ -97,8 +97,8 @@ class OMGMechanism(EpochMechanism):
         with self.tracer.span(
             "omg.epoch", epoch=epoch_index, released_budget=released
         ):
-            # ``asks`` preserves admission order (dict insertion order in
-            # ServiceState / EpochSnapshot), which is OMG's arrival order.
+            # ``asks`` preserves admission order (EpochSnapshot builds it
+            # from its columns in row order), which is OMG's arrival order.
             for uid, ask in asks.items():
                 if uid in self._seen:
                     continue

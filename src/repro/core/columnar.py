@@ -20,7 +20,7 @@ Extract kernel            one stable ``lexsort`` by ``(type, value)``
                           ``argsort`` are both precomputed, so a fresh
                           per-run pool is just a capacity copy and a
                           Fenwick build (:meth:`ColumnarStore.pool`);
-tree arrays               the tree's cached :class:`~repro.tree.
+tree arrays               the tree's :class:`~repro.tree.
                           incentive_tree.BFSView` (node ids, parent
                           positions, depths, level bounds, uid lookup)
                           plus the store's own CSR children offsets,
@@ -56,7 +56,7 @@ hands out, one per shard.  ``rit analyze`` (RIT011) recognises this
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from repro.tree.incentive_tree import BFSView, IncentiveTree
 
 __all__ = [
     "ColumnarStore",
+    "ProfileColumns",
     "profile_arrays",
     "validate_profile",
     "tree_payments_columnar",
@@ -129,6 +130,32 @@ def validate_profile(  # rit: noqa[RIT013]
         )
 
 
+class ProfileColumns(Protocol):
+    """An ask profile in array form, as :class:`ColumnarStore` and an
+    epoch's :class:`~repro.service.state.StateSnapshot` both hold it.
+
+    ``uids``, ``types``, ``values`` and ``caps`` are aligned columns in
+    profile order; ``view`` is the incentive tree's BFS form,
+    ``bfs_types`` the task type at each of its positions and
+    ``type_width`` the highest task type + 1.
+    """
+
+    @property
+    def uids(self) -> np.ndarray: ...
+    @property
+    def types(self) -> np.ndarray: ...
+    @property
+    def values(self) -> np.ndarray: ...
+    @property
+    def caps(self) -> np.ndarray: ...
+    @property
+    def view(self) -> BFSView: ...
+    @property
+    def bfs_types(self) -> np.ndarray: ...
+    @property
+    def type_width(self) -> int: ...
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark an epoch-scoped store array read-only (shared across shards)."""
     arr.setflags(write=False)
@@ -184,9 +211,10 @@ class _TypeBlock:
 class ColumnarStore:
     """Frozen struct-of-arrays view of one epoch's asks and incentive tree.
 
-    Construct with :meth:`build` (from an ask profile) or
-    :meth:`from_population` (directly from a truthful population — same
-    store, no intermediate ``Ask`` objects).  Construction validates the
+    Construct with :meth:`build` (from an ask profile with its tree, or
+    from an epoch snapshot's columns and view) or :meth:`from_population`
+    (directly from a truthful population — same store, no intermediate
+    ``Ask`` objects).  Construction validates the
     scenario with :func:`validate_profile`, as ``RIT.run`` does for every
     engine, then precomputes every per-run quantity the mechanism needs;
     see the module docstring for the layout.
@@ -217,14 +245,13 @@ class ColumnarStore:
         type_arr: np.ndarray,
         val_arr: np.ndarray,
         cap_arr: np.ndarray,
-        tree: IncentiveTree,
+        view: BFSView,
     ) -> None:
         n = int(uid_arr.shape[0])
         self.num_users = n
         self.num_types = job.num_types
         self.uids = _frozen(np.ascontiguousarray(uid_arr, dtype=np.int64))
         self.types = _frozen(np.ascontiguousarray(type_arr, dtype=np.int64))
-        view = tree.bfs_view()
         validate_profile(job, self.uids, self.types, view)
         self.values = _frozen(np.ascontiguousarray(val_arr, dtype=np.float64))
         self.caps = _frozen(np.ascontiguousarray(cap_arr, dtype=np.int64))
@@ -271,10 +298,30 @@ class ColumnarStore:
     # the service's epoch executor) and accounted by columnar_store_bytes.
     @classmethod
     def build(  # rit: noqa[RIT013]
-        cls, job: Job, asks: Mapping[int, Ask], tree: IncentiveTree
+        cls,
+        job: Job,
+        profile: "Mapping[int, Ask] | ProfileColumns",
+        tree: Optional[IncentiveTree] = None,
     ) -> "ColumnarStore":
-        """Build the store from a sealed ask profile (profile order kept)."""
-        return cls(job, *profile_arrays(asks), tree)
+        """Build the store from a sealed ask profile (profile order kept).
+
+        ``profile`` is an ask dict, flattened by :func:`profile_arrays`,
+        with its incentive ``tree``; or profile columns that are already
+        flat, with their view and no ``tree`` (an epoch's
+        :class:`~repro.service.state.StateSnapshot`), used as they are.
+        """
+        if isinstance(profile, Mapping):
+            if tree is None:
+                raise ModelError("an ask dict needs its incentive tree")
+            return cls(job, *profile_arrays(profile), tree.bfs_view())
+        return cls(
+            job,
+            profile.uids,
+            profile.types,
+            profile.values,
+            profile.caps,
+            profile.view,
+        )
 
     # Same accounting as build(): caller-timed, size on columnar_store_bytes.
     @classmethod
@@ -318,7 +365,7 @@ class ColumnarStore:
             type_by_id[node_arr],
             cost_by_id[node_arr],
             cap_by_id[node_arr],
-            tree,
+            tree.bfs_view(),
         )
 
     # ------------------------------------------------------------------ #

@@ -55,8 +55,9 @@ The multi-round CRA loop has three interchangeable engines (``engine=``):
   run is pure array work — pools come from
   :meth:`~repro.core.engine.SortedTypePool.from_presorted` and payments
   run over the store's BFS-ordered types.  Callers that
-  amortize across runs (the epoch service, ``rit bench``) build the store
-  once and pass it via ``run(..., columnar_store=...)``.
+  amortize across runs (``rit bench``) build the store once and pass it
+  via ``run(..., columnar_store=...)``; the epoch service builds one per
+  epoch from its snapshot's columns and view.
 
 All engines consume the identical random stream and produce identical
 outcomes for the same seed; differential tests enforce this.  Every engine
@@ -87,7 +88,12 @@ from typing import Callable, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.core import bounds
-from repro.core.columnar import ColumnarStore, profile_arrays, validate_profile
+from repro.core.columnar import (
+    ColumnarStore,
+    ProfileColumns,
+    profile_arrays,
+    validate_profile,
+)
 from repro.core.cra import cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
 from repro.core.exceptions import (
@@ -312,7 +318,7 @@ class RIT(Mechanism):
             uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
             if self.engine == "columnar":
                 store = ColumnarStore(
-                    job, uid_arr, type_arr, val_arr, cap_arr, tree
+                    job, uid_arr, type_arr, val_arr, cap_arr, tree.bfs_view()
                 )
             else:
                 validate_profile(job, uid_arr, type_arr, tree.bfs_view())
@@ -386,7 +392,7 @@ class RIT(Mechanism):
             started_at=t_start,
             auction_ended_at=t_auction,
             timers=timers,
-            columnar_store=store,
+            columns=store,
             type_width=type_width,
         )
         if not final.completed and self.raise_on_failure:
@@ -541,14 +547,14 @@ class RIT(Mechanism):
     def join_shards(
         self,
         job: Job,
-        asks: Mapping[int, Ask],
-        tree: IncentiveTree,
+        asks: Optional[Mapping[int, Ask]],
+        tree: Optional[IncentiveTree],
         shards: "List[TypeShardResult]",
         *,
         started_at: float = 0.0,
         auction_ended_at: Optional[float] = None,
         timers: Optional[StageTimers] = None,
-        columnar_store: Optional[ColumnarStore] = None,
+        columns: Optional[ProfileColumns] = None,
         type_width: Optional[int] = None,
     ) -> MechanismOutcome:
         """Assemble a full :class:`MechanismOutcome` from per-type shards.
@@ -562,10 +568,13 @@ class RIT(Mechanism):
         determination phase (lines 22-25) runs here, so sharded callers
         get tree payments and budget splits identical to :meth:`run`.
 
-        Payments cover the winners' root paths only: task types are read
-        for those nodes alone, from ``columnar_store`` when given, else
-        from ``asks``.  Without a store, ``type_width`` must be the
-        profile's highest task type + 1, taken from the caller's
+        Payments cover the winners' root paths only.  With ``columns`` (a
+        :class:`~repro.core.columnar.ColumnarStore`, or an epoch's
+        :class:`~repro.service.state.StateSnapshot`) they read its view and
+        BFS-ordered types, and ``asks`` and ``tree`` are not used (pass
+        None).  Otherwise they read ``tree``'s view and the types of those
+        nodes alone from ``asks``, and ``type_width`` must be the profile's
+        highest task type + 1, taken from the caller's
         :func:`profile_arrays` pass; it fixes the payment kernel's row
         width (see :func:`repro.core.payments.payment_kernel`).
 
@@ -606,15 +615,14 @@ class RIT(Mechanism):
             return outcome.void(elapsed_total=clock() - started_at)
         # Payment determination phase (lines 22-25).
         types_at: Callable[[np.ndarray], np.ndarray]
-        store = columnar_store
-        if store is not None:
-            view = store.view
-            types_at = store.bfs_types.__getitem__
-            width = store.type_width
-        elif type_width is None:
+        if columns is not None:
+            view = columns.view
+            types_at = columns.bfs_types.__getitem__
+            width = columns.type_width
+        elif type_width is None or asks is None or tree is None:
             raise ConfigurationError(
-                "join_shards needs type_width (the profile's highest task "
-                "type + 1) when no columnar store is given"
+                "join_shards needs asks, tree and type_width (the profile's "
+                "highest task type + 1) when no columns are given"
             )
         else:
             view = tree.bfs_view()

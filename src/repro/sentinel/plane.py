@@ -8,7 +8,8 @@ plane.  It is a *read-only observer* of the served stream by default:
   (withdrawal counting, per-epoch ask-price accumulation, reputation
   penalties);
 * every **epoch close** flows through :meth:`close_epoch` with the
-  outcome, the participants and the deterministic gauge surface — the
+  outcome, the participants' id column and the deterministic gauge
+  surface — the
   detectors fold the signals against their rolling baselines and the
   reputation book folds the winners/losers.
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
+
+import numpy as np
 
 from repro.core.outcome import MechanismOutcome
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -95,10 +98,14 @@ class SentinelPlane:
         *,
         index: int,
         outcome: MechanismOutcome,
-        participants: Mapping[int, Any],
+        participants: np.ndarray,
         gauges: Mapping[str, float],
     ) -> List[Dict[str, Any]]:
-        """Fold one executed epoch; returns the alerts it raised."""
+        """Fold one executed epoch; returns the alerts it raised.
+
+        ``participants`` holds the epoch's joined user ids in admission
+        order (the snapshot's ``uids`` column).
+        """
         tracer = self.tracer
         tracing = tracer.enabled
         sid = -1
@@ -109,7 +116,7 @@ class SentinelPlane:
             winners = [
                 uid for uid, tasks in outcome.allocation.items() if tasks > 0
             ]
-            self.reputation.observe_epoch(participants, winners)
+            self.reputation.observe_epoch(participants.tolist(), winners)
             summary = self.reputation.summary(self.config.reputation_floor)
             self.gauges = {
                 "sentinel/reputation_mean": {

@@ -46,7 +46,7 @@ from repro.service.service import (
     ServiceReport,
 )
 from repro.service.http import MetricsServer, http_get
-from repro.service.state import ServiceState
+from repro.service.state import ServiceState, StateSnapshot
 from repro.service.telemetry import WIN_RATE_DEPTH_CAP, ServiceTelemetry, epoch_gauges
 from repro.service.top import frames_from_trace, render_frames, run_top
 from repro.service.workers import run_epoch
@@ -60,6 +60,7 @@ __all__ = [
     "event_to_dict",
     "event_from_dict",
     "ServiceState",
+    "StateSnapshot",
     "EpochPolicy",
     "EpochBatch",
     "BatchAccumulator",

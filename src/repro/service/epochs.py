@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError
 from repro.core.types import Ask, Job
 from repro.service.events import ServiceEvent
-from repro.service.state import ServiceState
+from repro.service.state import ServiceState, StateSnapshot
 from repro.tree.incentive_tree import IncentiveTree
 
 __all__ = [
@@ -138,30 +138,44 @@ class BatchAccumulator:
 def epoch_seed(root_seed: int, epoch_index: int) -> np.random.SeedSequence:
     """The seed of epoch ``epoch_index`` under service root seed ``root_seed``.
 
-    A *fresh* ``SeedSequence(root_seed)`` is built on every call and the
-    child is selected by spawn position, so the result depends only on the
-    two integers — never on how many times any live SeedSequence object
-    has spawned before.  (``SeedSequence`` children are keyed by
-    ``(entropy, spawn_key)``; spawning from a reused object would advance
-    a hidden counter and silently change later epochs.)
+    The child ``SeedSequence(root_seed).spawn(epoch_index + 1)[epoch_index]``
+    (the same entropy, spawn key and pool size, hence the same draws),
+    built directly from its spawn key in O(1) instead of spawning every
+    earlier sibling.  The result is a pure function of the two integers
+    with no hidden counter: it never depends on how many times any live
+    ``SeedSequence`` object has spawned before.  (``SeedSequence``
+    children are keyed by ``(entropy, spawn_key)``; spawning from a reused
+    object would advance a hidden counter and silently change later
+    epochs.)
     """
     if epoch_index < 0:
         raise ConfigurationError(f"epoch_index must be >= 0, got {epoch_index}")
-    return np.random.SeedSequence(root_seed).spawn(epoch_index + 1)[epoch_index]
+    return np.random.SeedSequence(root_seed, spawn_key=(epoch_index,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochSnapshot:
     """A closed batch plus the cumulative state *at the instant of close*.
 
     The auction for an epoch may run arbitrarily later (or concurrently
     with further ingestion); correctness requires the inputs to be frozen
-    at close time, which is exactly what this snapshot is.
+    at close time, which is exactly what this snapshot is: ``state`` holds
+    read-only copies of the live columns and their BFS view, which the
+    live path reads directly.  :attr:`asks` and :attr:`tree` are the
+    offline forms (a dict and an :class:`~repro.tree.incentive_tree.
+    IncentiveTree`), built from those columns on first use.
     """
 
     batch: EpochBatch
-    asks: Dict[int, Ask]
-    tree: IncentiveTree
+    state: StateSnapshot
+
+    @property
+    def asks(self) -> Dict[int, Ask]:
+        return self.state.asks
+
+    @property
+    def tree(self) -> IncentiveTree:
+        return self.state.tree
 
 
 class EpochPipeline:
@@ -221,8 +235,4 @@ class EpochPipeline:
         }
 
     def _snapshot(self, batch: EpochBatch) -> EpochSnapshot:
-        return EpochSnapshot(
-            batch=batch,
-            asks=self.state.snapshot_asks(),
-            tree=self.state.snapshot_tree(),
-        )
+        return EpochSnapshot(batch=batch, state=self.state.snapshot())

@@ -7,7 +7,11 @@ snapshot with the same ``epoch_seed`` — no queues, no thread pool, no
 event loop.  Because ``rng_policy="per-type"`` makes ``RIT.run`` spawn
 exactly the per-type streams the shard workers use, the sharded online
 outcomes must equal the offline ones **bit for bit**: payments, winners,
-round diagnostics, and the underlying RNG draws.
+round diagnostics, and the underlying RNG draws.  The replay runs over
+each snapshot's dict and tree forms, whose tree walks itself
+(:meth:`~repro.tree.incentive_tree.BFSView.walk`), while the service
+pays from the snapshot's vectorized view — so every replayed epoch also
+checks that view against the walk.
 
 :func:`differential_check` is that assertion as a tool: it compares two
 epoch-outcome sequences via :func:`repro.service.ledger

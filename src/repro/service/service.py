@@ -81,8 +81,10 @@ class EpochResult:
 class ServiceReport:
     """What one :meth:`MechanismService.serve` run did, end to end."""
 
-    epochs: List[EpochResult] = field(default_factory=list)
-    consumed: List[ServiceEvent] = field(default_factory=list)
+    # Left out of the repr, which would otherwise print every event and
+    # outcome (asyncio formats a finished task's result on shutdown).
+    epochs: List[EpochResult] = field(default_factory=list, repr=False)
+    consumed: List[ServiceEvent] = field(default_factory=list, repr=False)
     applied: int = 0
     refused: int = 0
     refusal_reasons: Dict[str, int] = field(default_factory=dict)
@@ -237,13 +239,14 @@ class MechanismService:
                 executor, self.ledger.append, snapshot.batch, outcome
             )
         index = snapshot.batch.index
+        state = snapshot.state
         frame = self.telemetry.close_epoch(
             index=index,
             batch_events=snapshot.batch.num_events,
-            users=len(snapshot.asks),
+            users=len(state),
             latency_seconds=latency,
             outcome=outcome,
-            tree=snapshot.tree,
+            view=state.view,
         )
         if self.tracer.enabled:
             # Mirror the frame into the trace: the measured latencies are
@@ -260,7 +263,7 @@ class MechanismService:
                 "alerts": self.sentinel.close_epoch(
                     index=index,
                     outcome=outcome,
-                    participants=snapshot.asks,
+                    participants=state.uids,
                     gauges=frame["gauges"],
                 ),
                 "status": self.sentinel.status(),
@@ -269,7 +272,7 @@ class MechanismService:
             EpochResult(
                 index=index,
                 batch_events=snapshot.batch.num_events,
-                users=len(snapshot.asks),
+                users=len(state),
                 latency_seconds=latency,
                 outcome=outcome,
             )

@@ -22,20 +22,38 @@ Admission rules (all refusals are counted upstream, never silent):
   joined subtrees and still-pending referrals) onto the withdrawn user's
   parent, preserving everyone else's solicitation chain.
 
-Costs.  Two indexes sit beside the parent map — parent → joined children
-and referrer → pending children — so a withdrawal costs O(the leaver's
-children and pending referrals), never a scan of every participant.  The
-parent map's insertion order is left exactly as admission made it: it
-fixes the snapshot tree's child order, hence BFS order and the order in
-which payments are summed.  Every parent precedes its children in that
-order (a parent joined first, and a graft only moves a child up to an
-older ancestor), which lets :meth:`ServiceState.snapshot_tree` build the
-tree in one O(N) pass.
+Storage.  Admitted asks live in append-only typed columns, one row per
+admission: user id, task type, capacity, value, parent row (-1 under the
+root) and a live flag.  A withdrawal clears the leaver's live flag; a
+rejoin appends a fresh row, so the live rows in row order are exactly the
+admission order a delete-and-reinsert dict would keep.  That order is
+load-bearing: it is the profile order the auction pools inherit and the
+child order of the tree, hence BFS order and the order in which payments
+are summed.  Two indexes sit beside the columns — parent row → joined
+child rows and referrer → pending children — so a withdrawal costs
+O(the leaver's children and pending referrals), never a scan of every
+participant.  A graft only moves a child up to an older ancestor, so every
+parent row precedes its children's rows, which lets a snapshot's tree form
+be built in one pass (:meth:`~repro.tree.incentive_tree.IncentiveTree.
+from_parent_map`).
+
+Snapshots.  :meth:`ServiceState.snapshot` copies the live rows' columns
+into read-only numpy arrays and builds their
+:class:`~repro.tree.incentive_tree.BFSView` with
+:meth:`~repro.tree.incentive_tree.BFSView.from_parents` — O(rows) array
+work, no pass over users in Python.  The ``dict`` of asks and the
+:class:`~repro.tree.incentive_tree.IncentiveTree` that offline callers
+take are built from a snapshot's own columns on first use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Set, Union
+
+import numpy as np
 
 from repro.core.types import Ask, Job
 from repro.service.events import (
@@ -44,26 +62,95 @@ from repro.service.events import (
     ServiceEvent,
     Withdrawal,
 )
-from repro.tree.incentive_tree import ROOT, IncentiveTree
+from repro.tree.incentive_tree import ROOT, BFSView, IncentiveTree
 
-__all__ = ["ServiceState"]
+__all__ = ["ServiceState", "StateSnapshot"]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class StateSnapshot:
+    """The admitted asks and their tree at one instant, as read-only arrays.
+
+    The five columns hold one entry per participant, in admission order;
+    they are copies, never views of the state's growing columns, so shard
+    threads may read them while the state keeps admitting events.
+    """
+
+    uids: np.ndarray
+    types: np.ndarray
+    values: np.ndarray
+    caps: np.ndarray
+    #: Column index of each participant's parent, -1 under the root.
+    parents: np.ndarray
+    #: The tree's breadth-first form, built from ``parents``.
+    view: BFSView
+    #: Task type at each BFS position of ``view``.
+    bfs_types: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.uids.shape[0])
+
+    @property
+    def type_width(self) -> int:
+        """The highest task type + 1 (the payment kernel's row width)."""
+        return int(self.types.max(initial=-1)) + 1
+
+    @cached_property
+    def asks(self) -> Dict[int, Ask]:
+        """The ask profile as a dict in admission order, built on first use."""
+        return {
+            uid: Ask(task_type=task_type, capacity=capacity, value=value)
+            for uid, task_type, capacity, value in zip(
+                self.uids.tolist(),
+                self.types.tolist(),
+                self.caps.tolist(),
+                self.values.tolist(),
+            )
+        }
+
+    @cached_property
+    def tree(self) -> IncentiveTree:
+        """The incentive tree, built on first use from the parent column.
+
+        Its own :meth:`~repro.tree.incentive_tree.IncentiveTree.bfs_view`
+        walks the tree afresh; it never reuses :attr:`view`.
+        """
+        parent_uids = np.where(
+            self.parents >= 0, self.uids[self.parents], ROOT
+        )
+        return IncentiveTree.from_parent_map(
+            dict(zip(self.uids.tolist(), parent_uids.tolist()))
+        )
 
 
 class ServiceState:
-    """Mutable cumulative state; each snapshot is an O(N) copy for one epoch."""
+    """Mutable cumulative state in append-only columns (see module docs).
+
+    :meth:`snapshot` freezes the live rows for one epoch: read-only copies
+    of their columns plus their BFS view, O(rows) array work.
+    """
 
     def __init__(self, job: Job) -> None:
         self.job = job
-        #: Admitted asks in admission order — this ordering is load-bearing:
-        #: ``repro.core.rit.profile_arrays`` flattens it positionally, so the
-        #: online service and the offline replay must agree on it exactly.
-        self._asks: Dict[int, Ask] = {}
-        #: child → parent for every joined user (ROOT for spontaneous joins).
-        self._parents: Dict[int, int] = {}
+        # One row per admitted ask, in admission order.
+        self._uid = array("q")
+        self._type = array("q")
+        self._cap = array("q")
+        self._value = array("d")
+        #: Row of each row's parent (ROOT, i.e. -1, under the root).
+        self._parent = array("q")
+        self._live = bytearray()
+        #: user id → row, for joined users only.
+        self._rows: Dict[int, int] = {}
         #: child → referrer for referred users who have not joined yet.
         self._pending: Dict[int, int] = {}
-        #: Indexes of the two maps above, by non-ROOT parent / referrer
-        #: (ROOT never withdraws); entries exist only while non-empty.
+        #: Indexes by non-ROOT parent row / referrer id (ROOT never
+        #: withdraws); entries exist only while non-empty.
         self._children: Dict[int, Set[int]] = {}
         self._referred: Dict[int, Set[int]] = {}
 
@@ -83,29 +170,36 @@ class ServiceState:
 
     def _apply_ask(self, event: AskSubmitted) -> Optional[str]:
         uid = event.user_id
-        if uid in self._asks:
+        if uid in self._rows:
             return f"user {uid} already submitted an ask"
-        self._asks[uid] = event.ask()
+        ask = event.ask()
+        row = len(self._uid)
         parent = self._pending.pop(uid, ROOT)
+        parent_row = ROOT
         if parent != ROOT:
             _unlink(self._referred, parent, uid)
             # The referrer may have withdrawn since the referral was
             # recorded; withdrawal grafting rewrites pending entries, so a
             # stale parent here means corruption, not a race — guard anyway.
-            if parent in self._asks:
-                _link(self._children, parent, uid)
-            else:
-                parent = ROOT
-        self._parents[uid] = parent
+            parent_row = self._rows.get(parent, ROOT)
+            if parent_row != ROOT:
+                _link(self._children, parent_row, row)
+        self._rows[uid] = row
+        self._uid.append(uid)
+        self._type.append(ask.task_type)
+        self._cap.append(ask.capacity)
+        self._value.append(ask.value)
+        self._parent.append(parent_row)
+        self._live.append(1)
         return None
 
     def _apply_referral(self, event: ReferralEdge) -> Optional[str]:
         child, parent = event.child_id, event.parent_id
-        if child in self._asks:
+        if child in self._rows:
             return f"user {child} already joined; referral must precede the ask"
         if child in self._pending:
             return f"user {child} already has a recorded referrer"
-        if parent != ROOT and parent not in self._asks:
+        if parent != ROOT and parent not in self._rows:
             return f"referrer {parent} has not joined"
         self._pending[child] = parent
         if parent != ROOT:
@@ -114,13 +208,16 @@ class ServiceState:
 
     def _apply_withdrawal(self, event: Withdrawal) -> Optional[str]:
         uid = event.user_id
-        if uid not in self._asks:
+        row = self._rows.pop(uid, None)
+        if row is None:
             return f"user {uid} is not an active participant"
-        del self._asks[uid]
-        grandparent = self._parents.pop(uid)
-        if grandparent != ROOT:
-            _unlink(self._children, grandparent, uid)
-        _graft(self._parents, self._children, uid, grandparent)
+        self._live[row] = 0
+        grandparent_row = self._parent[row]
+        grandparent = ROOT
+        if grandparent_row != ROOT:
+            _unlink(self._children, grandparent_row, row)
+            grandparent = self._uid[grandparent_row]
+        _graft(self._parent, self._children, row, grandparent_row)
         _graft(self._pending, self._referred, uid, grandparent)
         return None
 
@@ -128,17 +225,44 @@ class ServiceState:
     # Snapshots
     # ------------------------------------------------------------------ #
 
+    def snapshot(self) -> StateSnapshot:
+        """The live rows, copied read-only, and their BFS view — O(rows).
+
+        The ``np.frombuffer`` views of the columns live only inside this
+        call: an ``array`` refuses to grow while a view of it is alive.
+        """
+        live = np.frombuffer(self._live, dtype=np.bool_)
+        uids = _frozen(np.frombuffer(self._uid, dtype=np.int64)[live])
+        types = _frozen(np.frombuffer(self._type, dtype=np.int64)[live])
+        parent_rows = np.frombuffer(self._parent, dtype=np.int64)[live]
+        if uids.shape[0] == live.shape[0]:
+            parents = parent_rows
+        else:
+            # Renumber parent rows into positions among the live rows.
+            position = np.cumsum(live, dtype=np.int64) - 1
+            parents = np.where(parent_rows >= 0, position[parent_rows], ROOT)
+        view, order = BFSView.from_parents(uids, parents)
+        return StateSnapshot(
+            uids=uids,
+            types=types,
+            values=_frozen(np.frombuffer(self._value, dtype=np.float64)[live]),
+            caps=_frozen(np.frombuffer(self._cap, dtype=np.int64)[live]),
+            parents=_frozen(parents),
+            view=view,
+            bfs_types=_frozen(types[order]),
+        )
+
     def snapshot_asks(self) -> Dict[int, Ask]:
-        """Copy of the admitted ask profile, in admission order."""
-        return dict(self._asks)
+        """The admitted ask profile as a dict, in admission order."""
+        return self.snapshot().asks
 
     def snapshot_tree(self) -> IncentiveTree:
-        """The incentive tree over currently joined users — one O(N) pass."""
-        return IncentiveTree.from_parent_map(self._parents)
+        """The incentive tree over currently joined users."""
+        return self.snapshot().tree
 
     @property
     def num_participants(self) -> int:
-        return len(self._asks)
+        return len(self._rows)
 
     @property
     def num_pending_referrals(self) -> int:
@@ -163,14 +287,15 @@ def _unlink(index: Dict[int, Set[int]], parent: int, child: int) -> None:
 
 
 def _graft(
-    parents: Dict[int, int],
+    parents: Union[Dict[int, int], "array[int]"],
     index: Dict[int, Set[int]],
     leaver: int,
     grandparent: int,
 ) -> None:
     """Re-point the leaver's indexed children at ``grandparent``.
 
-    Values change in place, so the map's insertion order is untouched.
+    Values change in place: rows keep their order and a dict its
+    insertion order.
     """
     moved = index.pop(leaver, None)
     if moved is None:

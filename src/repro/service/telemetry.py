@@ -12,8 +12,7 @@ instrumented observations three ways:
 * **last-write-wins gauges** — the per-epoch win-rate surface
   (``win_rate/depth<k>``), referral-depth extremes and participant
   counts, recomputed at every epoch close as a pure function of the
-  outcome and the incentive tree's cached BFS view (deterministic,
-  canonical);
+  outcome and the epoch's BFS view (deterministic, canonical);
 * a **bounded ring of per-epoch frames** — the epoch-over-epoch view
   served by ``GET /epochs`` and rendered by ``rit top``; the ring is
   bounded (``ring_size``) so a long-running service cannot grow without
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.core.outcome import MechanismOutcome
 from repro.obs.metrics import Histogram, describe_metric, new_histogram
-from repro.tree.incentive_tree import IncentiveTree
+from repro.tree.incentive_tree import BFSView
 
 __all__ = ["ServiceTelemetry", "WIN_RATE_DEPTH_CAP", "epoch_gauges"]
 
@@ -56,10 +55,8 @@ _SERVICE_HISTOGRAMS = (
 )
 
 
-def epoch_gauges(
-    outcome: MechanismOutcome, tree: IncentiveTree
-) -> Dict[str, float]:
-    """The per-epoch gauge surface: a pure function of outcome + tree.
+def epoch_gauges(outcome: MechanismOutcome, view: BFSView) -> Dict[str, float]:
+    """The per-epoch gauge surface: a pure function of outcome + tree view.
 
     Returns a name-sorted dict so both the telemetry plane and the
     mirrored ``distribution`` events see one deterministic order:
@@ -71,7 +68,6 @@ def epoch_gauges(
       :data:`WIN_RATE_DEPTH_CAP`) — the fraction of that depth's
       participants who won at least one task.
     """
-    view = tree.bfs_view()
     n = len(view)
     gauges: Dict[str, float] = {
         "epoch_participants": float(n),
@@ -147,7 +143,7 @@ class ServiceTelemetry:
         users: int,
         latency_seconds: float,
         outcome: MechanismOutcome,
-        tree: IncentiveTree,
+        view: BFSView,
     ) -> Dict[str, Any]:
         """Fold one executed epoch into the plane; returns its frame.
 
@@ -157,7 +153,7 @@ class ServiceTelemetry:
         """
         self.histograms["epoch_close_to_outcome_seconds"].observe(latency_seconds)
         self.histograms["epoch_batch_events"].observe(batch_events)
-        gauges = epoch_gauges(outcome, tree)
+        gauges = epoch_gauges(outcome, view)
         for name, value in gauges.items():
             spec = describe_metric(name)
             unit = spec.unit if spec is not None else "count"

@@ -32,7 +32,10 @@ import numpy as np
 from repro.core.columnar import ColumnarStore
 from repro.core.engine import SortedTypePool, StageTimers
 from repro.core.outcome import MechanismOutcome, TypeShardResult
-from repro.core.rit import RIT, pools_from_arrays, profile_arrays
+# ``profile_arrays`` stays importable here for perfbench, whose layer
+# timing wraps ``repro.service.workers.profile_arrays``; epochs read their
+# snapshot's columns instead.
+from repro.core.rit import RIT, pools_from_arrays, profile_arrays  # noqa: F401
 from repro.core.rng import as_generator, spawn_seeds
 from repro.core.types import Job
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -75,6 +78,19 @@ def _run_shard(
     return result, shard_tracer.clock() - t_start
 
 
+def _run_whole(
+    mechanism: RIT,
+    job: Job,
+    snapshot: EpochSnapshot,
+    seed: np.random.SeedSequence,
+) -> MechanismOutcome:
+    """Executor body of the sharding-off baseline: one offline ``RIT.run``.
+
+    The snapshot's dict and tree forms are built here, off the event loop.
+    """
+    return mechanism.run(job, snapshot.asks, snapshot.tree, seed)
+
+
 async def run_epoch(
     mechanism: RIT,
     job: Job,
@@ -88,22 +104,24 @@ async def run_epoch(
     """Execute one epoch's auction over a frozen snapshot.
 
     With ``shard_workers=True`` each task type runs concurrently on the
-    executor; otherwise the whole ``RIT.run`` executes as a single
-    executor job (useful as a sharding-off baseline — outcomes are
-    identical either way because ``rng_policy="per-type"`` decouples the
-    per-type streams).
+    executor, and every engine reads the snapshot's read-only columns and
+    BFS view directly; otherwise the whole ``RIT.run`` executes as a
+    single executor job over the snapshot's dict and tree forms (useful
+    as a sharding-off baseline — outcomes are identical either way
+    because ``rng_policy="per-type"`` decouples the per-type streams).
     """
     tracer = mechanism.tracer
     tracing = tracer.enabled
     clock = tracer.clock
     loop = asyncio.get_running_loop()
+    state = snapshot.state
     epoch_sid = -1
     if tracing:
         epoch_sid = tracer.begin(
             "epoch",
             epoch=snapshot.batch.index,
             batch_events=snapshot.batch.num_events,
-            users=len(snapshot.asks),
+            users=len(state),
             first_tick=snapshot.batch.first_tick,
             last_tick=snapshot.batch.last_tick,
         )
@@ -111,15 +129,11 @@ async def run_epoch(
     try:
         if not shard_workers:
             outcome = await loop.run_in_executor(
-                executor,
-                functools.partial(
-                    mechanism.run, job, snapshot.asks, snapshot.tree, seed
-                ),
+                executor, _run_whole, mechanism, job, snapshot, seed
             )
             return outcome
 
         t_start = clock()
-        asks = snapshot.asks
         gen = as_generator(seed)
         pending: List[
             Tuple[
@@ -130,17 +144,13 @@ async def run_epoch(
             ]
         ] = []
         store: Optional[ColumnarStore] = None
-        type_width: Optional[int] = None
-        if asks:
+        if len(state):
             if mechanism.engine == "columnar":
                 # The epoch-scoped store is built once (off the event
                 # loop) and shared read-only across all type shards; each
                 # shard's mutable capacity state lives in its own pool.
                 store = await loop.run_in_executor(
-                    executor,
-                    functools.partial(
-                        ColumnarStore.build, job, asks, snapshot.tree
-                    ),
+                    executor, ColumnarStore.build, job, state
                 )
                 if tracing:
                     tracer.count(
@@ -148,11 +158,9 @@ async def run_epoch(
                     )
                 k_max = mechanism.k_max_override or store.k_max
             else:
-                uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-                k_max = mechanism.k_max_override or int(cap_arr.max())
-                type_width = int(type_arr.max()) + 1
+                k_max = mechanism.k_max_override or int(state.caps.max())
                 by_type = pools_from_arrays(
-                    uid_arr, type_arr, val_arr, cap_arr
+                    state.uids, state.types, state.values, state.caps
                 )
             type_seeds = spawn_seeds(gen, job.num_types)
             for tau in job.types():
@@ -222,16 +230,16 @@ async def run_epoch(
         if tracing:
             join_sid = tracer.begin("join", epoch=snapshot.batch.index, shards=len(shards))
         try:
+            # Payments read the snapshot's view and BFS-ordered types.
             outcome = mechanism.join_shards(
                 job,
-                asks,
-                snapshot.tree,
+                None,
+                None,
                 shards,
                 started_at=t_start,
                 auction_ended_at=t_auction,
                 timers=merged_timers,
-                columnar_store=store,
-                type_width=type_width,
+                columns=state,
             )
         finally:
             if tracing:

@@ -13,9 +13,11 @@ the solicitation process).  Every breadth-first quantity — BFS order,
 depths, parent positions, level bounds — comes from one level-by-level
 walk that yields an immutable :class:`BFSView`; the tree caches it until
 the next :meth:`~IncentiveTree.attach`, :meth:`~IncentiveTree.reattach` or
-:meth:`~IncentiveTree.remove_leaf`.  Payments, the columnar store and the
-service's epoch gauges all read that one view.  Sybil attacks are
-*structural rewrites* of the tree; they are implemented in
+:meth:`~IncentiveTree.remove_leaf`.  :meth:`BFSView.from_parents` builds
+the same view from a parent column with array operations only; the
+epoch service's snapshots use it instead of a tree.  Payments, the
+columnar store and the service's epoch gauges all read a view.  Sybil
+attacks are *structural rewrites* of the tree; they are implemented in
 :mod:`repro.attacks.sybil` using the primitives here (:meth:`attach`,
 :meth:`reattach_children`).
 """
@@ -82,12 +84,63 @@ class BFSView:
             counts += map(len, kid_lists)
             level = list(chain.from_iterable(kid_lists))
             order += level
-        n = len(order)
+        return cls._assemble(np.array(order, dtype=np.int64), counts, bounds)
+
+    @classmethod
+    def from_parents(
+        cls, uids: np.ndarray, parent: np.ndarray
+    ) -> Tuple["BFSView", np.ndarray]:
+        """The same BFS over a parent column, in array operations only.
+
+        ``parent[i]`` is the index of node ``uids[i]``'s parent in these
+        arrays, -1 for a child of the root; each node's children are taken
+        in index order, as :meth:`walk` takes them in list order.  Returns
+        the view and ``order``, the index of the node at each BFS position
+        (``uids[order]`` is the view's ``uids``), which puts any other
+        column of the input in BFS order.  Raises
+        :class:`~repro.core.exceptions.TreeError` when a node cannot be
+        reached from the root (the column has a cycle).
+        """
+        n = int(parent.shape[0])
+        # Children grouped by parent, each group in index order; the root's
+        # group (parent -1) comes first.
+        by_parent = np.argsort(parent, kind="stable")
+        kids = np.bincount(parent + 1, minlength=n + 1)
+        first_kid = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(kids, out=first_kid[1:])
+        level = by_parent[: kids[0]]
+        levels = [level]
+        bounds = [0]
+        while level.size:
+            bounds.append(bounds[-1] + int(level.shape[0]))
+            # Level d+1 is the concatenation of the children groups of
+            # level d's nodes, in level order: gather those index ranges.
+            counts = kids[level + 1]
+            ends = np.cumsum(counts)
+            total = int(ends[-1])
+            starts = first_kid[level + 1] - ends + counts
+            level = by_parent[np.repeat(starts, counts) + np.arange(total)]
+            levels.append(level)
+        order = np.concatenate(levels)
+        if order.shape[0] != n:
+            raise TreeError("parent column has nodes unreachable from the root")
+        view = cls._assemble(uids[order], kids[order + 1], bounds)
+        return view, order
+
+    @classmethod
+    def _assemble(
+        cls, uids: np.ndarray, counts: Sequence[int], bounds: List[int]
+    ) -> "BFSView":
+        """The view of node ids in BFS order, given each one's child count."""
+        n = int(uids.shape[0])
         # Level d+1 lists the children of level d node by node, so the
         # parent of each non-root-child position is a run-length expansion.
         parent = np.full(n, -1, dtype=np.int64)
-        parent[n - sum(counts):] = np.repeat(np.arange(n, dtype=np.int64), counts)
-        uids = _frozen(np.array(order, dtype=np.int64))
+        counts = np.asarray(counts, dtype=np.int64)
+        parent[n - int(counts.sum()):] = np.repeat(
+            np.arange(n, dtype=np.int64), counts
+        )
+        uids = _frozen(uids)
         by_uid = np.argsort(uids)
         return cls(
             uids=uids,

@@ -11,7 +11,9 @@ from repro.service.epochs import (
     EpochPolicy,
     epoch_seed,
 )
-from repro.service.events import AskSubmitted, Withdrawal
+from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
+from repro.tree.incentive_tree import ROOT
+from tests.service.state_oracle import ScanningState
 
 JOB = Job([4, 3, 5])
 
@@ -91,6 +93,30 @@ class TestEpochSeed:
         with pytest.raises(ConfigurationError):
             epoch_seed(7, -1)
 
+    @pytest.mark.parametrize(
+        "root_seed, index",
+        [
+            (0, 0), (0, 1), (3, 10), (7, 31), (11, 62), (2**40 + 5, 127),
+            (123456789, 500), (2**63 - 1, 5000), (42, 777),
+        ],
+    )
+    def test_equals_the_spawned_child(self, root_seed, index):
+        # The spawn form it replaced is the oracle: the index-th of
+        # index + 1 children spawned from a fresh root sequence.
+        child = np.random.SeedSequence(root_seed).spawn(index + 1)[index]
+        seed = epoch_seed(root_seed, index)
+        assert seed.entropy == child.entropy
+        assert seed.spawn_key == child.spawn_key
+        assert seed.pool_size == child.pool_size
+        assert seed.n_children_spawned == child.n_children_spawned == 0
+        np.testing.assert_array_equal(
+            seed.generate_state(8), child.generate_state(8)
+        )
+        np.testing.assert_array_equal(
+            np.random.default_rng(seed).integers(0, 1 << 62, 16),
+            np.random.default_rng(child).integers(0, 1 << 62, 16),
+        )
+
 
 class TestEpochPipeline:
     def test_snapshot_carries_cumulative_state_not_just_batch(self):
@@ -125,3 +151,27 @@ class TestEpochPipeline:
     def test_finish_empty_returns_none(self):
         pipeline = EpochPipeline(JOB, EpochPolicy(max_events=4))
         assert pipeline.finish() is None
+
+    def test_snapshot_forms_match_the_state_at_close(self):
+        pipeline = EpochPipeline(JOB, EpochPolicy(max_events=3))
+        oracle = ScanningState()
+        events = [
+            ask(0, 0),
+            ReferralEdge(tick=1, parent_id=0, child_id=4),
+            ask(4, 2),  # closes epoch 0
+            ask(2, 3),
+            Withdrawal(tick=4, user_id=0),
+            ask(0, 5),  # the rejoin closes epoch 1
+        ]
+        seen = []
+        for event in events:
+            oracle.apply(event)
+            _, snapshots = pipeline.step(event)
+            for snapshot in snapshots:
+                seen.append(snapshot)
+                assert list(snapshot.asks.items()) == list(oracle.asks.items())
+                assert snapshot.tree.to_parent_map() == oracle.parents
+                assert snapshot.asks is snapshot.state.asks
+                assert snapshot.tree is snapshot.state.tree
+        assert [list(s.state.uids) for s in seen] == [[0, 4], [4, 2, 0]]
+        assert seen[1].tree.to_parent_map() == {4: ROOT, 2: ROOT, 0: ROOT}

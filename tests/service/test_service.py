@@ -55,6 +55,20 @@ class TestServeStream:
         assert [e.index for e in report.epochs] == list(range(len(report.epochs)))
         assert report.queue_highwater <= service.config.queue_size
 
+    def test_report_repr_does_not_grow_with_the_stream(self):
+        # asyncio.run formats the finished task's result (the report) on
+        # shutdown, so the repr must not print every event and outcome.
+        lengths = []
+        for users in (40, 160):
+            scenario, events = small_stream(users=users)
+            report = MechanismService(
+                mechanism(), scenario.job, ServiceConfig(epoch_max_events=16)
+            ).serve_stream(events)
+            assert len(report.consumed) == len(events)
+            lengths.append(len(repr(report)))
+        assert len(small_stream(users=160)[1]) > 3 * len(small_stream(users=40)[1])
+        assert lengths[1] - lengths[0] < 40  # only the counters' digits
+
     def test_ledger_records_every_epoch(self, tmp_path):
         scenario, events = small_stream()
         ledger = OutcomeLedger(tmp_path, "svc-test")

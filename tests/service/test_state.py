@@ -1,20 +1,25 @@
 """The cumulative state machine: admission rules and withdrawal grafting."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rit import profile_arrays
 from repro.core.types import Job
 from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
 from repro.service.state import ServiceState
-from repro.tree.incentive_tree import ROOT
+from repro.tree.incentive_tree import ROOT, IncentiveTree
 from tests.service.state_oracle import ScanningState
+from tests.tree.test_incentive_tree import assert_same_view, structure
 
 JOB = Job([4, 3, 5])
 
 
-def ask(uid, tick=0, task_type=0):
+def ask(uid, tick=0, task_type=0, capacity=2, value=1.5):
     return AskSubmitted(
-        tick=tick, user_id=uid, task_type=task_type, capacity=2, value=1.5
+        tick=tick, user_id=uid, task_type=task_type, capacity=capacity,
+        value=value,
     )
 
 
@@ -103,6 +108,9 @@ class TestWithdrawal:
         assert state.snapshot_tree().to_parent_map()[1] == ROOT
 
 
+COLUMNS = ("uids", "types", "values", "caps", "parents", "bfs_types")
+
+
 class TestSnapshots:
     def test_snapshots_are_isolated_from_later_events(self):
         state = ServiceState(JOB)
@@ -112,6 +120,32 @@ class TestSnapshots:
         state.apply(ask(1))
         assert list(asks_before) == [0]
         assert 1 not in tree_before.to_parent_map()
+
+    def test_snapshot_arrays_are_read_only_copies(self):
+        state = ServiceState(JOB)
+        state.apply(ask(0))
+        state.apply(ReferralEdge(tick=1, parent_id=0, child_id=1))
+        state.apply(ask(1, tick=2, task_type=1))
+        state.apply(ask(2, tick=3, task_type=2))
+        snapshot = state.snapshot()
+        arrays = [getattr(snapshot, name) for name in COLUMNS] + [
+            snapshot.view.uids,
+            snapshot.view.parent,
+            snapshot.view.depth,
+        ]
+        before = [arr.copy() for arr in arrays]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        # Growth appends rows; a withdrawal clears a live flag and
+        # re-points the leaver's child; a rejoin appends a fresh row.
+        state.apply(ask(3, tick=4))
+        state.apply(Withdrawal(tick=5, user_id=0))
+        state.apply(ask(0, tick=6, task_type=2))
+        for arr, copy in zip(arrays, before):
+            np.testing.assert_array_equal(arr, copy)
+        assert list(state.snapshot().uids) == [1, 2, 3, 0]
 
     def test_admission_order_is_preserved(self):
         state = ServiceState(JOB)
@@ -123,6 +157,14 @@ class TestSnapshots:
 #: A small id space, so withdrawn ids rejoin and referrals collide.
 ID_SPACE = range(20)
 IDS = st.sampled_from(ID_SPACE)
+
+
+def stream_ask(uid, tick):
+    """An ask whose type, capacity and value all vary with the user."""
+    return ask(
+        uid, tick=tick, task_type=uid % 3, capacity=1 + uid % 4,
+        value=1.0 + uid / 8,
+    )
 
 
 def random_event(data, oracle, tick):
@@ -140,16 +182,16 @@ def random_event(data, oracle, tick):
         newest = joined[-1]
         waiting = [uid for uid, p in oracle.pending.items() if p == newest]
         if waiting:
-            return ask(waiting[0], tick=tick, task_type=waiting[0] % 3)
+            return stream_ask(waiting[0], tick)
         unclaimed = [uid for uid in unjoined if uid not in oracle.pending]
         if unclaimed:
             return ReferralEdge(tick=tick, parent_id=newest, child_id=unclaimed[0])
     if kind == "join-referred" and oracle.pending:
         uid = data.draw(st.sampled_from(sorted(oracle.pending)))
-        return ask(uid, tick=tick, task_type=uid % 3)
+        return stream_ask(uid, tick)
     if kind in ("ask", "join-referred", "chain"):
         uid = data.draw(IDS)
-        return ask(uid, tick=tick, task_type=uid % 3)
+        return stream_ask(uid, tick)
     if kind == "refer":
         parent = data.draw(st.sampled_from([ROOT] + joined))
         child = data.draw(st.sampled_from(unjoined) if unjoined else IDS)
@@ -160,6 +202,28 @@ def random_event(data, oracle, tick):
     return Withdrawal(tick=tick, user_id=uid)
 
 
+def assert_snapshot_matches(snapshot, oracle):
+    """A state snapshot equals the oracle's dict, parent map and walk."""
+    for got, want in zip(
+        (snapshot.uids, snapshot.types, snapshot.values, snapshot.caps),
+        profile_arrays(oracle.asks),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    view = snapshot.view
+    assert_same_view(view, oracle.snapshot_tree().bfs_view())
+    parent_uids = [
+        ROOT if p < 0 else int(snapshot.uids[p]) for p in snapshot.parents
+    ]
+    assert dict(zip(snapshot.uids.tolist(), parent_uids)) == oracle.parents
+    assert snapshot.bfs_types.tolist() == [
+        oracle.asks[uid].task_type for uid in view.uids.tolist()
+    ]
+    assert snapshot.type_width == 1 + max(
+        (a.task_type for a in oracle.asks.values()), default=-1
+    )
+
+
 class TestIndexedStateMatchesScanningOracle:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -168,10 +232,14 @@ class TestIndexedStateMatchesScanningOracle:
         for tick in range(data.draw(st.integers(min_value=1, max_value=80))):
             event = random_event(data, oracle, tick)
             assert state.apply(event) == oracle.apply(event)
-            # Insertion order too: it fixes child, BFS and summation order.
-            assert list(state._parents.items()) == list(oracle.parents.items())
             assert list(state._pending.items()) == list(oracle.pending.items())
-            assert list(state.snapshot_asks()) == list(oracle.asks)
+            snapshot = state.snapshot()
+            assert_snapshot_matches(snapshot, oracle)
+            # Insertion order too: it fixes child, BFS and summation order.
+            assert list(snapshot.tree.to_parent_map().items()) == list(
+                oracle.parents.items()
+            )
+            assert list(snapshot.asks.items()) == list(oracle.asks.items())
         tree = state.snapshot_tree()
         assert list(tree.to_parent_map().items()) == list(oracle.parents.items())
         assert tree.bfs_order() == oracle.snapshot_tree().bfs_order()
@@ -192,7 +260,36 @@ class TestIndexedStateMatchesScanningOracle:
         state, oracle = ServiceState(JOB), ScanningState()
         for event in events:
             assert state.apply(event) == oracle.apply(event)
-        assert list(state._parents.items()) == list(oracle.parents.items())
-        assert state.snapshot_tree().to_parent_map() == {
+        snapshot = state.snapshot()
+        assert_snapshot_matches(snapshot, oracle)
+        assert list(snapshot.tree.to_parent_map().items()) == list(
+            oracle.parents.items()
+        )
+        assert snapshot.tree.to_parent_map() == {
             2: ROOT, 1: ROOT, 3: ROOT,
         }
+
+
+class TestOfflineForms:
+    """The lazily built dict and tree equal the forms snapshots used to copy."""
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_dict_and_tree_equal_the_copied_forms(self, data):
+        state, oracle = ServiceState(JOB), ScanningState()
+        for tick in range(data.draw(st.integers(min_value=1, max_value=60))):
+            event = random_event(data, oracle, tick)
+            state.apply(event)
+            oracle.apply(event)
+        snapshot = state.snapshot()
+        # The old snapshot_asks(): a copy of the asks dict.
+        assert list(snapshot.asks.items()) == list(dict(oracle.asks).items())
+        # The old snapshot_tree(): a one-pass build from the parent map.
+        old_tree = IncentiveTree.from_parent_map(oracle.parents)
+        assert structure(snapshot.tree) == structure(old_tree)
+        snapshot.tree.validate()
+        # The tree walks itself; it never borrows the vectorized view.
+        assert snapshot.tree.bfs_view() is not snapshot.view
+        assert_same_view(snapshot.tree.bfs_view(), snapshot.view)
+        assert snapshot.asks is snapshot.asks  # built once
+        assert snapshot.tree is snapshot.tree

@@ -51,15 +51,15 @@ class TestEpochGauges:
     def test_pure_function_of_outcome_and_tree(self):
         tree = chain_tree()
         outcome = MechanismOutcome(allocation={1: 2, 3: 1, 4: 0})
-        a = epoch_gauges(outcome, tree)
-        b = epoch_gauges(outcome, tree)
+        a = epoch_gauges(outcome, tree.bfs_view())
+        b = epoch_gauges(outcome, tree.bfs_view())
         assert a == b
         assert list(a) == sorted(a)  # deterministic name-sorted order
 
     def test_depth_surface(self):
         tree = chain_tree()  # depths: 1→1, 2→2, 3→2, 4→3
         outcome = MechanismOutcome(allocation={1: 2, 3: 1, 4: 0})
-        gauges = epoch_gauges(outcome, tree)
+        gauges = epoch_gauges(outcome, tree.bfs_view())
         assert gauges["epoch_participants"] == 4.0
         assert gauges["referral_depth_max"] == 3.0
         assert gauges["referral_depth_mean"] == pytest.approx(8 / 4)
@@ -68,7 +68,7 @@ class TestEpochGauges:
         assert gauges["win_rate/depth3"] == 0.0  # zero allocation ≠ win
 
     def test_empty_tree(self):
-        gauges = epoch_gauges(MechanismOutcome(), IncentiveTree())
+        gauges = epoch_gauges(MechanismOutcome(), IncentiveTree().bfs_view())
         assert gauges["epoch_participants"] == 0.0
         assert gauges["referral_depth_max"] == 0.0
         assert gauges["referral_depth_mean"] == 0.0
@@ -80,7 +80,9 @@ class TestEpochGauges:
         for uid in range(1, 15):  # chain far deeper than the cap
             tree.attach(uid, previous)
             previous = uid
-        gauges = epoch_gauges(MechanismOutcome(allocation={14: 1}), tree)
+        gauges = epoch_gauges(
+            MechanismOutcome(allocation={14: 1}), tree.bfs_view()
+        )
         levels = {
             int(name.split("depth")[1])
             for name in gauges
@@ -137,7 +139,7 @@ class TestEpochGaugesMatchDictComputation:
         outcome = MechanismOutcome(
             allocation={uid: x for uid, x in enumerate(tasks)}
         )
-        got = epoch_gauges(outcome, tree)
+        got = epoch_gauges(outcome, tree.bfs_view())
         assert got == dict_gauges(outcome, tree)
         assert list(got) == list(dict_gauges(outcome, tree))
 
@@ -153,7 +155,7 @@ class TestServiceTelemetry:
                 users=4,
                 latency_seconds=0.01,
                 outcome=MechanismOutcome(allocation={1: 1}),
-                tree=tree,
+                view=tree.bfs_view(),
             )
         frames = telemetry.recent_frames()
         assert [f["epoch"] for f in frames] == [3, 4]  # oldest evicted
@@ -173,14 +175,14 @@ class TestServiceTelemetry:
             users=4,
             latency_seconds=0.6,
             outcome=MechanismOutcome(),
-            tree=chain_tree(),
+            view=chain_tree().bfs_view(),
         )
         assert frame["shards"] == 2
         assert frame["shard_seconds"] == pytest.approx(0.5)
         # The accumulator resets per epoch.
         next_frame = telemetry.close_epoch(
             index=1, batch_events=1, users=4, latency_seconds=0.1,
-            outcome=MechanismOutcome(), tree=chain_tree(),
+            outcome=MechanismOutcome(), view=chain_tree().bfs_view(),
         )
         assert next_frame["shards"] == 0
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import TreeError
-from repro.tree.incentive_tree import ROOT, IncentiveTree
+from repro.tree.incentive_tree import ROOT, BFSView, IncentiveTree
 
 
 def chain(n):
@@ -259,6 +259,17 @@ def assert_view_matches(tree):
     )
 
 
+def assert_same_view(got, want):
+    """Two views agree in every field, dtypes included."""
+    for name in ("uids", "parent", "depth", "_sorted_uids", "_sorted_positions"):
+        left, right = getattr(got, name), getattr(want, name)
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+        assert not left.flags.writeable, name
+    assert got.level_bounds == want.level_bounds
+    assert isinstance(got.level_bounds, tuple)
+
+
 class TestFromParentMap:
     @given(
         parents=st.lists(st.integers(min_value=-1, max_value=30), max_size=30),
@@ -367,3 +378,74 @@ class TestBFSView:
             node = list(tree.nodes())[-1]
             tree.reattach(node, ROOT)
             assert_view_matches(tree)
+
+
+def _index_parents(raw, start=()):
+    """Extend ``start`` by parents drawn as ints, each forced to precede
+    its child (out-of-range draws hang the node under the root)."""
+    column = list(start)
+    for p in raw:
+        column.append(p if 0 <= p < len(column) else -1)
+    return column
+
+
+#: Parent columns (index of each node's parent, -1 under the root) where
+#: every parent precedes its children, as the service's rows do.
+PARENT_COLUMNS = st.one_of(
+    st.just([]),
+    st.just([-1]),
+    st.lists(st.integers(min_value=-1, max_value=60), max_size=60).map(
+        _index_parents
+    ),
+    # Chains of 300+ levels, with random subtrees hanging off them.
+    st.tuples(
+        st.integers(min_value=300, max_value=420),
+        st.lists(st.integers(min_value=-1, max_value=420), max_size=30),
+    ).map(
+        lambda spec: _index_parents(
+            spec[1], start=[node - 1 for node in range(spec[0])]
+        )
+    ),
+    # Brooms: a handle of 1-40 nodes, then 0-60 leaves at its end.
+    st.tuples(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=60),
+    ).map(
+        lambda spec: [node - 1 for node in range(spec[0])]
+        + [spec[0] - 1] * spec[1]
+    ),
+)
+
+
+class TestFromParents:
+    @given(parents=PARENT_COLUMNS, shuffle=st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_walk(self, parents, shuffle):
+        ids = shuffle.sample(range(10**6), len(parents))
+        tree = IncentiveTree()
+        for node, p in enumerate(parents):
+            tree.attach(ids[node], ROOT if p < 0 else ids[p])
+        uids = np.array(ids, dtype=np.int64)
+        view, order = BFSView.from_parents(
+            uids, np.array(parents, dtype=np.int64)
+        )
+        assert_same_view(view, tree.bfs_view())
+        np.testing.assert_array_equal(uids[order], view.uids)
+
+    def test_siblings_keep_index_order_under_a_later_parent(self):
+        # Node 3 hangs under 0 although 1 and 2 came first: BFS order is by
+        # level, then by parent position, then by index.
+        view, order = BFSView.from_parents(
+            np.array([10, 11, 12, 13, 14], dtype=np.int64),
+            np.array([-1, -1, 1, 0, 1], dtype=np.int64),
+        )
+        assert view.uids.tolist() == [10, 11, 13, 12, 14]
+        assert order.tolist() == [0, 1, 3, 2, 4]
+        assert view.parent.tolist() == [-1, -1, 0, 1, 1]
+
+    def test_unreachable_nodes_rejected(self):
+        with pytest.raises(TreeError, match="unreachable"):
+            BFSView.from_parents(
+                np.array([5, 6, 7], dtype=np.int64),
+                np.array([-1, 2, 1], dtype=np.int64),
+            )
