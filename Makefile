@@ -136,5 +136,9 @@ report:
 examples:
 	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PY) $$f; echo; done
 
+# Build output, tool caches and benchmark output (all git-ignored); the
+# reports of `make report` / `make paper` stay.
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis \
+		.mypy_cache .ruff_cache .coverage .rit_analysis_cache.json \
+		.benchmarks bench_results.json perfbench/_work

@@ -789,6 +789,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.exceptions import ConfigurationError
     from repro.core.rit import RIT
     from repro.core.rng import spawn_seeds
     from repro.obs import Tracer, config_hash
@@ -852,11 +853,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.probe_metrics and args.metrics_port is None:
         print("rit serve: --probe-metrics requires --metrics-port")
         return 2
-    if args.metrics_port is None:
-        report = service.serve_stream(events)
-        probe_problems: List[str] = []
-    else:
-        report, probe_problems = _serve_with_metrics(service, events, args)
+    probe_problems: List[str] = []
+    try:
+        if args.metrics_port is None:
+            report = service.serve_stream(events)
+        else:
+            report, probe_problems = _serve_with_metrics(service, events, args)
+    except ConfigurationError as err:
+        # E.g. a --ledger directory that already holds this run's epochs.
+        print(f"rit serve: {err}")
+        return 2
 
     print(f"run {run_id}: users={users}  |J|={scenario.job.size}  "
           f"stream={len(events)} events")

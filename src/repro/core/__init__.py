@@ -9,7 +9,7 @@ Submodules
 ``extract``    Algorithm 2 (unit-ask extraction)
 ``cra``        Algorithm 1 (collusion-resistant auction round, reference)
 ``engine``     incremental sorted auction engine (the CRA hot path)
-``fenwick``    Fenwick tree over remaining capacities
+``columnar``   frozen per-epoch struct-of-arrays profile, pools and tree
 ``payments``   Algorithm 3 payment determination phase
 ``numeric``    tolerant float comparison for monetary quantities
 ``rit``        Algorithm 3 (the full RIT mechanism)
@@ -49,7 +49,6 @@ from repro.core.numeric import (
 )
 from repro.core.outcome import MechanismOutcome, RoundRecord
 from repro.core.payments import DEFAULT_DECAY, tree_payments, tree_payments_naive
-from repro.core.fenwick import FenwickTree
 from repro.core.rit import BUDGET_POLICIES, ENGINES, RIT
 from repro.core.types import Ask, Job, Population, TaskType, User
 
@@ -68,7 +67,6 @@ __all__ = [
     "cra_presorted",
     "SortedTypePool",
     "StageTimers",
-    "FenwickTree",
     "RIT",
     "BUDGET_POLICIES",
     "ENGINES",

@@ -9,11 +9,17 @@ restores the paper's ``O(N·|J|)`` shape by doing the expensive work once:
 * each :class:`SortedTypePool` sorts its participants by ask value **once**
   at construction (stable, preserving the user-id tie-break order that
   CRA's correctness depends on — see :mod:`repro.core.cra`);
-* remaining capacities are maintained across rounds in a
-  :class:`~repro.core.fenwick.FenwickTree` over the sorted order, so the
-  supply count ``z_s`` is a ``searchsorted`` plus an ``O(log N)`` prefix
-  sum, and the smallest-``n_s`` selection is a prefix walk of alive sorted
-  units instead of a fresh ``argsort``.
+* the pool keeps the prefix sums of its remaining capacities in that
+  sorted order, recomputed once per round when winners consume capacity,
+  so the supply count ``z_s`` is a ``searchsorted`` plus one lookup, and
+  the smallest-``n_s`` selection cuts the sorted order at one more
+  ``searchsorted`` instead of a fresh ``argsort``.
+
+:func:`pools_from_arrays` splits a flattened ask profile into one pool per
+task type.  ``RIT.run``, the epoch workers and
+:class:`~repro.core.columnar.ColumnarStore` all build their pools with it;
+the store keeps its pools read-only and hands each run a
+:meth:`~SortedTypePool.fork`.
 
 RNG-compatibility contract
 --------------------------
@@ -39,6 +45,7 @@ bench`` turns them into the ``BENCH_RIT.json`` trajectory.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Optional, Tuple
 
@@ -47,12 +54,17 @@ import numpy as np
 from repro.core import consensus
 from repro.core.cra import CRAResult, _empty_result
 from repro.core.exceptions import ConfigurationError, ModelError
-from repro.core.fenwick import FenwickTree
 from repro.core.rng import SeedLike, as_generator
 from repro.obs.timers import STAGE_NAMES, StageTimers
 from repro.obs.tracer import NullTracer
 
-__all__ = ["STAGE_NAMES", "StageTimers", "SortedTypePool", "cra_presorted"]
+__all__ = [
+    "STAGE_NAMES",
+    "StageTimers",
+    "SortedTypePool",
+    "cra_presorted",
+    "pools_from_arrays",
+]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,20 +77,28 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return starts[reps] + (np.arange(total, dtype=np.int64) - offsets[reps])
 
 
+def _prefix_sums(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, …]``: entry ``k`` sums the first ``k`` counts."""
+    sums = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=sums[1:])
+    return sums
+
+
 class SortedTypePool:
     """Per-type ask pool: sorted once, capacity state maintained per round.
 
     Equivalent to re-running :func:`repro.core.extract.extract` with the
     current remaining capacities each round, but the only per-round
-    ``O(N)`` work is a cumulative sum of the per-user remaining counts —
+    ``O(N)`` work is cumulative sums of the per-user remaining counts —
     everything value-ordered is resolved against the construction-time
     sort.
 
     The *unit pool* of a round is the virtual array
     ``np.repeat(values, remaining)`` (original user order); per-round unit
-    indices used by :func:`cra_presorted` and :meth:`unit_owners` index
-    into it.  Consuming a unit shrinks the pool, so unit indices are only
-    meaningful within the round that produced them.
+    indices used by :func:`cra_presorted` index into it (map them to users
+    with :meth:`unit_user_positions`).  Consuming a unit shrinks the pool,
+    so unit indices are only meaningful within the round that produced
+    them.
     """
 
     __slots__ = (
@@ -88,8 +108,7 @@ class SortedTypePool:
         "_index",
         "_sorted_users",
         "_sorted_values",
-        "_rank",
-        "_fenwick",
+        "_prefix",
     )
 
     def __init__(
@@ -110,44 +129,43 @@ class SortedTypePool:
         order = np.argsort(self.values, kind="stable")
         self._sorted_users = order
         self._sorted_values = self.values[order]
-        rank = np.empty(order.shape[0], dtype=np.int64)
-        rank[order] = np.arange(order.shape[0])
-        self._rank = rank
-        self._fenwick = FenwickTree(self.remaining[order])
+        #: ``_prefix[k]``: alive units held by the ``k`` cheapest users.
+        self._prefix = _prefix_sums(self.remaining[order])
 
-    # Covered by the caller's per-stage timers ('sample') and the epoch
-    # store's columnar_store_bytes counter.
-    @classmethod
-    def from_presorted(  # rit: noqa[RIT013]
-        cls,
-        uids: np.ndarray,
-        values: np.ndarray,
-        capacities: np.ndarray,
-        sorted_users: np.ndarray,
-        sorted_values: np.ndarray,
-        rank: np.ndarray,
-    ) -> "SortedTypePool":
-        """Build a pool from a precomputed stable value order.
+    def fork(self) -> "SortedTypePool":
+        """A pool over the same asks and value order, with its own capacities.
 
-        Fast path for :class:`repro.core.columnar.ColumnarStore`, which
-        sorts every type block once per epoch: per-run pool construction
-        then costs one capacity copy plus the Fenwick build — no argsort.
-        ``sorted_users``/``sorted_values``/``rank`` must be exactly what
-        ``__init__`` would derive (``argsort(values, kind="stable")``);
-        the RNG-compatibility contract of :func:`cra_presorted` depends on
-        it.  The shared arrays may be read-only; only ``remaining`` (a
-        private copy) is ever mutated.
+        The fork shares every array but ``remaining``, which it copies.
+        :meth:`consume_positions` replaces the prefix sums instead of
+        writing into them, so consuming the fork never touches this pool.
         """
-        pool = cls.__new__(cls)
-        pool.uids = uids
-        pool.values = values
-        pool.remaining = capacities.copy()
-        pool._index = None
-        pool._sorted_users = sorted_users
-        pool._sorted_values = sorted_values
-        pool._rank = rank
-        pool._fenwick = FenwickTree(pool.remaining[sorted_users])
+        pool = copy.copy(self)
+        pool.remaining = self.remaining.copy()
         return pool
+
+    def freeze(self) -> None:
+        """Mark every array read-only: runs then consume forks of the pool."""
+        for arr in (
+            self.uids,
+            self.values,
+            self.remaining,
+            self._sorted_users,
+            self._sorted_values,
+            self._prefix,
+        ):
+            arr.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the pool's arrays."""
+        return int(
+            self.uids.nbytes
+            + self.values.nbytes
+            + self.remaining.nbytes
+            + self._sorted_users.nbytes
+            + self._sorted_values.nbytes
+            + self._prefix.nbytes
+        )
 
     # ------------------------------------------------------------------ #
     # Capacity state
@@ -155,20 +173,12 @@ class SortedTypePool:
 
     def total_remaining(self) -> int:
         """Alive units across all participants (``O(1)``)."""
-        return self._fenwick.total
+        return int(self._prefix[-1])
 
     def _position_of(self, uid: int) -> int:
         if self._index is None:
             self._index = {int(u): i for i, u in enumerate(self.uids)}
         return self._index[uid]
-
-    def consume(self, uid: int) -> None:
-        """Consume one unit of ``uid``'s capacity (a task was won)."""
-        i = self._position_of(uid)
-        if self.remaining[i] <= 0:  # pragma: no cover - internal invariant
-            raise ModelError(f"user {uid} has no remaining capacity")
-        self.remaining[i] -= 1
-        self._fenwick.add(int(self._rank[i]), -1)
 
     def consume_many(self, uids: np.ndarray) -> None:
         """Consume one unit per entry of ``uids`` (repeats allowed)."""
@@ -182,9 +192,8 @@ class SortedTypePool:
     def consume_positions(self, positions: np.ndarray) -> None:  # rit: noqa[RIT013]
         """Consume one unit per entry of ``positions`` (original-order index).
 
-        Batched equivalent of calling :meth:`consume` per winner: one
-        vectorized decrement plus a single ``O(N)`` Fenwick rebuild,
-        instead of one ``O(log N)`` update per winner.
+        One vectorized decrement, then one ``O(N)`` recomputation of the
+        value-ordered prefix sums for the next round.
         """
         if positions.size == 0:
             return
@@ -194,7 +203,7 @@ class SortedTypePool:
             raise ModelError(
                 "consume would drive a remaining capacity negative"
             )
-        self._fenwick = FenwickTree(self.remaining[self._sorted_users])
+        self._prefix = _prefix_sums(self.remaining[self._sorted_users])
 
     # ------------------------------------------------------------------ #
     # Round views
@@ -219,18 +228,10 @@ class SortedTypePool:
         """Original user positions owning the given per-round unit indices."""
         return np.searchsorted(bounds, unit_indices, side="right")
 
-    def unit_owners(
-        self, unit_indices: np.ndarray, bounds: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """User ids owning the given per-round unit indices."""
-        if bounds is None:
-            bounds = self.round_bounds()
-        return self.uids[self.unit_user_positions(unit_indices, bounds)]
-
     def alive_at_most(self, value: float) -> int:
         """``z_s`` — alive units with ask value at most ``value``."""
-        k = int(np.searchsorted(self._sorted_values, value, side="right"))
-        return self._fenwick.prefix(k)
+        k = np.searchsorted(self._sorted_values, value, side="right")
+        return int(self._prefix[k])
 
     # Covered by the caller's per-stage timers ('select').
     def smallest_units(  # rit: noqa[RIT013]
@@ -245,12 +246,34 @@ class SortedTypePool:
         if count <= 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=np.float64)
-        pos, used = self._fenwick.locate(count)
-        taken = self._sorted_users[: pos + 1]
-        counts = self.remaining[taken].copy()
-        counts[pos] = used
+        # The first ``end`` sorted users hold the ``count`` cheapest units;
+        # the last of them gives only the units up to the cutoff.
+        end = int(np.searchsorted(self._prefix, count))
+        taken = self._sorted_users[:end]
+        counts = self.remaining[taken]
+        counts[-1] -= int(self._prefix[end]) - count
         starts = bounds[taken] - self.remaining[taken]
         return _ranges(starts, counts), np.repeat(self.values[taken], counts)
+
+
+def pools_from_arrays(
+    uid_arr: np.ndarray,
+    type_arr: np.ndarray,
+    val_arr: np.ndarray,
+    cap_arr: np.ndarray,
+) -> Dict[int, SortedTypePool]:
+    """Split flattened ask arrays into per-type presorted pools.
+
+    Selection by ``flatnonzero`` keeps each pool in the profile's order
+    (see :func:`repro.core.extract.extract` for why order is
+    load-bearing)."""
+    return {
+        int(tau): SortedTypePool(
+            uid_arr[sel], val_arr[sel], cap_arr[sel]
+        )
+        for tau in np.unique(type_arr)
+        for sel in (np.flatnonzero(type_arr == tau),)
+    }
 
 
 def cra_presorted(
@@ -269,7 +292,7 @@ def cra_presorted(
     current unit asks: same draws off ``rng`` (see the module docstring's
     RNG-compatibility contract), same :class:`CRAResult` bit for bit.
     Winner indices refer to this round's unit pool; translate them with
-    :meth:`SortedTypePool.unit_owners` *before* consuming capacity.
+    :meth:`SortedTypePool.unit_user_positions` *before* consuming capacity.
 
     ``timers`` accumulates per-stage seconds on its injected clock;
     ``tracer`` (when enabled) receives the sample-stage counters — both
@@ -307,7 +330,7 @@ def cra_presorted(
     s = float(pool.values[pool.unit_user_positions(sample, bounds)].min())
     t1 = clock() if clock is not None else 0.0
 
-    # Consensus stage (line 5): z_s from the Fenwick prefix over the
+    # Consensus stage (line 5): z_s from the prefix sums over the
     # presorted values instead of a linear scan.
     z_s = pool.alive_at_most(s)
     n_s_real = consensus.round_down_to_grid(float(z_s), offset)
@@ -321,7 +344,8 @@ def cra_presorted(
     if n_s <= 0:
         return _empty_result(offset, sample)
 
-    # Select stage (lines 6-19): prefix walk of the alive sorted units.
+    # Select stage (lines 6-19): the cheapest alive units, cut from the
+    # sorted order.
     chosen, chosen_values = pool.smallest_units(n_s, bounds)
     overflow = False
     if n_s > cap:

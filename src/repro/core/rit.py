@@ -42,19 +42,19 @@ Auction engines
 The multi-round CRA loop has three interchangeable engines (``engine=``):
 
 * ``"sorted"`` *(default)* — the incremental sorted engine of
-  :mod:`repro.core.engine`: each per-type pool is sorted once, remaining
-  capacity is tracked in a Fenwick tree across rounds, and every round is
-  resolved by prefix queries instead of a fresh sort.  Per-stage timings
-  are surfaced on :attr:`MechanismOutcome.stage_timings`.
+  :mod:`repro.core.engine`: each per-type pool is sorted once, the prefix
+  sums of its remaining capacities in that order are recomputed once per
+  round, and every round is resolved by ``searchsorted`` lookups instead
+  of a fresh sort.  Per-stage timings are surfaced on
+  :attr:`MechanismOutcome.stage_timings`.
 * ``"reference"`` — re-materialize and re-sort the unit pool every round
   (the direct transcription of Algorithm 1).
-* ``"columnar"`` — the struct-of-arrays core of
-  :mod:`repro.core.columnar`: a frozen per-epoch
-  :class:`~repro.core.columnar.ColumnarStore` precomputes the profile
-  arrays, per-type stable sort orders and the BFS/CSR tree arrays, so a
-  run is pure array work — pools come from
-  :meth:`~repro.core.engine.SortedTypePool.from_presorted` and payments
-  run over the store's BFS-ordered types.  Callers that
+* ``"columnar"`` — the sorted engine over a frozen
+  :class:`~repro.core.columnar.ColumnarStore`, which holds the profile
+  arrays, the tree's BFS view with BFS-ordered types, and the per-type
+  pools built once by :func:`~repro.core.engine.pools_from_arrays`.  A
+  run consumes a :meth:`~repro.core.engine.SortedTypePool.fork` of each
+  pool and pays over the store's BFS-ordered types.  Callers that
   amortize across runs (``rit bench``) build the store once and pass it
   via ``run(..., columnar_store=...)``; the epoch service builds one per
   epoch from its snapshot's columns and view.
@@ -95,7 +95,14 @@ from repro.core.columnar import (
     validate_profile,
 )
 from repro.core.cra import cra
-from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
+# ``RIT.run`` calls ``pools_from_arrays`` through this module's global,
+# which perfbench's layer timing wraps (``repro.core.rit.pools_from_arrays``).
+from repro.core.engine import (
+    SortedTypePool,
+    StageTimers,
+    cra_presorted,
+    pools_from_arrays,
+)
 from repro.core.exceptions import (
     AllocationError,
     ConfigurationError,
@@ -448,7 +455,7 @@ class RIT(Mechanism):
         rounds_log: List[RoundRecord] = []
         budget = self.budget_for(m_i, k_max, num_types)
         # Both presorted engines resolve rounds against the pool's stable
-        # value order; "columnar" merely got the order from the epoch store.
+        # value order; "columnar" merely forked its pool from the store's.
         use_presorted = self.engine in ("sorted", "columnar")
         tracer = self.tracer
         tracing = tracer.enabled
@@ -657,23 +664,3 @@ def _ask_types(
         )
     except KeyError as err:
         raise TreeError(f"node {err.args[0]} has no task type") from None
-
-
-def pools_from_arrays(
-    uid_arr: np.ndarray,
-    type_arr: np.ndarray,
-    val_arr: np.ndarray,
-    cap_arr: np.ndarray,
-) -> Dict[int, SortedTypePool]:
-    """Split flattened ask arrays into per-type presorted pools.
-
-    Selection by ``flatnonzero`` keeps each pool in the profile's order
-    (see :func:`repro.core.extract.extract` for why order is
-    load-bearing)."""
-    return {
-        int(tau): SortedTypePool(
-            uid_arr[sel], val_arr[sel], cap_arr[sel]
-        )
-        for tau in np.unique(type_arr)
-        for sel in (np.flatnonzero(type_arr == tau),)
-    }

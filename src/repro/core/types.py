@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.exceptions import ConfigurationError, ModelError
 
 __all__ = [
@@ -260,25 +258,6 @@ class Population:
     @property
     def ids(self) -> List[int]:
         return [u.user_id for u in self.users]
-
-    def dense_ids(self) -> np.ndarray:
-        """User ids as an int64 array, verified dense ``0 … n-1``.
-
-        The columnar builder
-        (:meth:`repro.core.columnar.ColumnarStore.from_population`) gathers
-        per-user attributes by direct ``array[user_id]`` indexing, which is
-        only sound for the dense id space of an honest population —
-        sybil-extended populations (fresh ids beyond ``n``) must go through
-        the ask-profile constructor instead.
-        """
-        n = len(self.users)
-        ids = np.fromiter((u.user_id for u in self.users), np.int64, count=n)
-        if n and (int(ids.min()) != 0 or int(ids.max()) != n - 1):
-            raise ModelError(
-                "population ids are not dense 0…n-1; build the columnar "
-                "store from the ask profile instead"
-            )
-        return ids
 
     @property
     def k_max(self) -> int:

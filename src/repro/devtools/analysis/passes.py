@@ -70,9 +70,10 @@ _HOT_MIN_STATEMENTS = 8
 CONCURRENT_ROOT_MODULES = ("repro.service.workers",)
 
 #: Specific functions dispatched to worker threads from elsewhere.
-#: The columnar store hands each shard a pool view over its frozen
-#: epoch-scoped arrays, so everything reachable from ``pool()`` runs
-#: concurrently once the shards start.
+#: The columnar store hands each shard a fork of one of its frozen
+#: per-type pools (shared read-only arrays, private capacities), so
+#: everything reachable from ``pool()`` runs concurrently once the shards
+#: start.
 CONCURRENT_ROOT_FUNCTIONS = (
     "repro.core.rit.RIT.run_type_shard",
     "repro.core.columnar.ColumnarStore.pool",
@@ -82,7 +83,7 @@ CONCURRENT_ROOT_FUNCTIONS = (
 #: ``epoch`` is the columnar-store convention: state built once per epoch
 #: before any shard worker can observe it, then treated as immutable for
 #: the epoch's lifetime (the store enforces this with ``writeable=False``
-#: arrays; per-run mutable capacity lives in each shard's private pool).
+#: arrays; per-run mutable capacity lives in each shard's pool fork).
 OWNER_ROLES = ("main-thread", "import-time-only", "epoch")
 
 #: id → (name, rationale) — surfaced by ``rit analyze --list-rules``.

@@ -31,7 +31,8 @@ COUNTER_CATALOG: Dict[str, Tuple[str, str]] = {
     "tasks_allocated": ("count", "tasks assigned (one per winning unit)"),
     "zero_winner_rounds": ("count", "rounds that selected no winner"),
     "overflow_trims": ("count", "rounds that hit the Algorithm 1 line 13-16 trim"),
-    "fenwick_rebuilds": ("count", "Fenwick capacity-state rebuilds (sorted engine)"),
+    # The name predates the prefix sums; the obs golden trace records it.
+    "fenwick_rebuilds": ("count", "per-round capacity prefix-sum rebuilds (sorted engine)"),
     # repro.core.columnar — epoch-scoped struct-of-arrays store
     "columnar_store_bytes": ("bytes", "peak columnar-store footprint built for an epoch"),
     # repro.core.cra / repro.core.engine — sample stage (Algorithm 1 lines 2-4)

@@ -7,6 +7,9 @@ grammar::
     <root>/<run_id>/meta.json      # config, seed, policy — written once
     <root>/<run_id>/epochs.jsonl   # one canonical outcome per line, append
 
+A run never writes into a ledger that already holds epochs
+(:meth:`OutcomeLedger.write_meta` refuses), so one file is one run.
+
 The per-epoch record stores :func:`canonical_outcome` — the
 *reproducible* projection of a :class:`~repro.core.outcome
 .MechanismOutcome`: allocation, auction payments, final payments,
@@ -94,7 +97,19 @@ class OutcomeLedger:
         return self._meta_path
 
     def write_meta(self, meta: Dict[str, Any]) -> None:
-        """Record the run configuration (seed, policy, scenario …) once."""
+        """Record the run configuration (seed, policy, scenario …) once.
+
+        A service writes its meta before its first epoch, so epochs already
+        on file belong to an earlier run with the same id (ids are a pure
+        function of seed and config).  Raises
+        :class:`~repro.core.exceptions.ConfigurationError` then, instead of
+        appending a second copy of the run and overwriting its meta.
+        """
+        if self._epochs_path.exists() and self._epochs_path.stat().st_size:
+            raise ConfigurationError(
+                f"{self._epochs_path} already holds epoch records; a rerun "
+                "would append a second copy of the run"
+            )
         with open(self._meta_path, "w", encoding="utf-8") as handle:
             json.dump(meta, handle, indent=1, sort_keys=True)
             handle.write("\n")

@@ -30,12 +30,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.columnar import ColumnarStore
-from repro.core.engine import SortedTypePool, StageTimers
+from repro.core.engine import SortedTypePool, StageTimers, pools_from_arrays
 from repro.core.outcome import MechanismOutcome, TypeShardResult
 # ``profile_arrays`` stays importable here for perfbench, whose layer
 # timing wraps ``repro.service.workers.profile_arrays``; epochs read their
 # snapshot's columns instead.
-from repro.core.rit import RIT, pools_from_arrays, profile_arrays  # noqa: F401
+from repro.core.rit import RIT, profile_arrays  # noqa: F401
 from repro.core.rng import as_generator, spawn_seeds
 from repro.core.types import Job
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer

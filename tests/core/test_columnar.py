@@ -1,24 +1,17 @@
-"""Unit tests for the columnar struct-of-arrays store and its kernels.
+"""Unit tests for the columnar struct-of-arrays store.
 
 The differential guarantees (columnar == sorted, seed by seed) live in
 ``test_rit_engines.py`` and ``test_columnar_differential.py``; this file
 pins the store's construction contract — array layout, validation
-messages, frozen ownership, kernel-by-kernel equivalence to the object
-path.
+messages, frozen ownership, pools equal to the sorted engine's.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarStore, tree_payments_columnar
-from repro.core.exceptions import (
-    ConfigurationError,
-    ModelError,
-    TreeError,
-)
+from repro.core.columnar import ColumnarStore
+from repro.core.exceptions import ConfigurationError, ModelError
 from repro.core.extract import extract
-from repro.core.numeric import is_zero
-from repro.core.payments import tree_payments
 from repro.core.rit import RIT, profile_arrays, pools_from_arrays
 from repro.core.types import Ask, Job
 from repro.tree.incentive_tree import IncentiveTree
@@ -52,14 +45,6 @@ class TestStoreConstruction:
         assert store.num_users == len(asks)
         assert store.k_max == int(cap_arr.max())
 
-    def test_type_supply_sums_capacities(self, store_setup):
-        job, scenario, asks, store = store_setup
-        for tau in job.types():
-            expected = sum(
-                a.capacity for a in asks.values() if a.task_type == tau
-            )
-            assert store.type_supply[tau] == expected
-
     def test_arrays_are_frozen(self, store_setup):
         _, _, _, store = store_setup
         for arr in (
@@ -67,18 +52,17 @@ class TestStoreConstruction:
             store.values,
             store.caps,
             store.view.parent,
-            store.subtree_sizes,
-            store.child_index,
+            store.bfs_types,
         ):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
     def test_nbytes_counts_profile_tree_and_blocks(self, store_setup):
-        _, _, _, store = store_setup
+        job, _, _, store = store_setup
         floor = (
             store.uids.nbytes
-            + store.view.uids.nbytes
-            + store.child_index.nbytes
+            + store.view.nbytes
+            + sum(store.pool(tau).nbytes for tau in job.types())
         )
         assert store.nbytes > floor
         assert isinstance(store.nbytes, int)
@@ -89,7 +73,6 @@ class TestStoreConstruction:
         assert store.num_users == 0
         assert store.k_max == 0
         assert store.pool(0) is None
-        assert store.extract_units(1).values.size == 0
         assert store.nbytes >= 0
 
 
@@ -138,11 +121,10 @@ class TestExtractKernel:
     def test_unit_asks_equal_algorithm_2(self, store_setup):
         job, scenario, asks, store = store_setup
         for tau in job.types():
-            kernel = store.extract_units(tau)
+            values, owners = store.pool(tau).unit_asks()
             reference = extract(tau, asks)
-            assert kernel.task_type == reference.task_type
-            np.testing.assert_array_equal(kernel.values, reference.values)
-            np.testing.assert_array_equal(kernel.owners, reference.owners)
+            np.testing.assert_array_equal(values, reference.values)
+            np.testing.assert_array_equal(owners, reference.owners)
 
 
 class TestPoolKernel:
@@ -165,7 +147,7 @@ class TestPoolKernel:
             np.testing.assert_array_equal(
                 pool._sorted_values, fresh._sorted_values
             )
-            np.testing.assert_array_equal(pool._rank, fresh._rank)
+            np.testing.assert_array_equal(pool._prefix, fresh._prefix)
 
     def test_pool_capacity_state_is_private_per_pool(self, store_setup):
         _, _, _, store = store_setup
@@ -179,7 +161,7 @@ class TestPoolKernel:
 
 class TestTreeArrays:
     def test_bfs_layout_matches_the_tree(self, store_setup):
-        _, scenario, _, store = store_setup
+        _, scenario, asks, store = store_setup
         tree = scenario.tree
         order = tree.bfs_order()
         np.testing.assert_array_equal(
@@ -188,12 +170,7 @@ class TestTreeArrays:
         depths = tree.depths()
         for pos, uid in enumerate(order):
             assert store.view.depth[pos] == depths[uid]
-            assert store.subtree_sizes[pos] == tree.subtree_size(uid)
-            lo, hi = store.child_start[pos], store.child_start[pos + 1]
-            children = {
-                order[i] for i in store.child_index[lo:hi].tolist()
-            }
-            assert children == set(tree.children(uid))
+            assert store.bfs_types[pos] == asks[uid].task_type
 
     def test_grafted_tree_is_reflected_by_a_fresh_store(self):
         job, scenario = small_scenario(users=40, seed=9)
@@ -210,82 +187,9 @@ class TestTreeArrays:
         np.testing.assert_array_equal(
             store.view.uids, np.asarray(tree.bfs_order(), dtype=np.int64)
         )
+        depths = tree.depths()
         for pos, uid in enumerate(tree.bfs_order()):
-            assert store.subtree_sizes[pos] == tree.subtree_size(uid)
-
-
-class TestPaymentsKernel:
-    def test_bitwise_equal_to_tree_payments_plus_prune(self, store_setup):
-        job, scenario, asks, store = store_setup
-        gen = np.random.default_rng(3)
-        uids = list(asks)
-        winners = gen.choice(
-            uids, size=max(1, len(uids) // 3), replace=False
-        )
-        auction = {
-            int(uid): float(gen.uniform(0.5, 4.0)) for uid in winners
-        }
-        for decay in (0.3, 0.5):
-            kept, num_nodes = tree_payments_columnar(
-                store, auction, decay
-            )
-            task_types = {
-                uid: ask.task_type for uid, ask in asks.items()
-            }
-            reference = tree_payments(
-                scenario.tree, auction, task_types, decay=decay
-            )
-            pruned = {
-                uid: pay
-                for uid, pay in reference.items()
-                if not is_zero(pay)
-            }
-            assert kept == pruned, f"decay {decay}"
-            assert num_nodes == len(scenario.tree)
-            # Bitwise, not approximately: the kernel replicates the
-            # float operation sequence of the object path.
-            for uid, pay in kept.items():
-                assert pay == pruned[uid]
-
-    def test_decay_validation_matches_tree_payments(self, store_setup):
-        _, _, _, store = store_setup
-        with pytest.raises(TreeError) as excinfo:
-            tree_payments_columnar(store, {}, 1.5)
-        assert "decay must be in (0, 1)" in str(excinfo.value)
-
-    def test_empty_store_pays_nobody(self):
-        job = Job.uniform(2, 3)
-        store = ColumnarStore.build(job, {}, IncentiveTree())
-        assert tree_payments_columnar(store, {}, 0.5) == ({}, 0)
-
-
-class TestFromPopulation:
-    def test_equals_build_from_truthful_asks(self):
-        job, scenario = small_scenario(users=80, seed=11)
-        via_asks = ColumnarStore.build(
-            job, scenario.truthful_asks(), scenario.tree
-        )
-        via_population = ColumnarStore.from_population(
-            job, scenario.population, scenario.tree
-        )
-        np.testing.assert_array_equal(via_population.uids, via_asks.uids)
-        np.testing.assert_array_equal(via_population.types, via_asks.types)
-        np.testing.assert_array_equal(
-            via_population.values, via_asks.values
-        )
-        np.testing.assert_array_equal(via_population.caps, via_asks.caps)
-        np.testing.assert_array_equal(
-            via_population.view.uids, via_asks.view.uids
-        )
-        assert via_population.nbytes == via_asks.nbytes
-
-    def test_tree_node_off_population_rejected(self):
-        job, scenario = small_scenario(users=10)
-        tree = scenario.tree.copy()
-        tree.attach(10_000, next(iter(tree.nodes())))
-        with pytest.raises(ModelError) as excinfo:
-            ColumnarStore.from_population(job, scenario.population, tree)
-        assert "tree nodes without asks" in str(excinfo.value)
+            assert store.view.depth[pos] == depths[uid]
 
 
 class TestRunWiring:
@@ -338,3 +242,51 @@ class TestRunWiring:
         assert (
             with_store.auction_payments == without_store.auction_payments
         )
+
+    def test_one_store_serves_many_runs(self):
+        job, scenario = small_scenario(users=90, seed=6)
+        asks = scenario.truthful_asks()
+        store = ColumnarStore.build(job, asks, scenario.tree)
+        mech = RIT(engine="columnar", round_budget="until-complete")
+        for seed in (0, 1, 2, 3):
+            reused = mech.run(
+                job,
+                asks,
+                scenario.tree,
+                np.random.default_rng(seed),
+                columnar_store=store,
+            )
+            fresh = mech.run(
+                job,
+                asks,
+                scenario.tree,
+                np.random.default_rng(seed),
+                columnar_store=ColumnarStore.build(job, asks, scenario.tree),
+            )
+            assert reused.allocation, f"seed {seed} allocated nothing"
+            assert reused.allocation == fresh.allocation, f"seed {seed}"
+            assert reused.auction_payments == fresh.auction_payments
+            assert reused.payments == fresh.payments
+            # repr keeps float bits and reads a voided round's NaN price
+            # as equal to itself.
+            assert repr(reused.rounds) == repr(fresh.rounds)
+
+    def test_shared_pool_arrays_are_read_only(self, store_setup):
+        job, _, _, store = store_setup
+        for tau in job.types():
+            pool = store.pool(tau)
+            for arr in (
+                pool.uids,
+                pool.values,
+                pool._sorted_users,
+                pool._sorted_values,
+                pool._prefix,
+            ):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            # A run consumes its own capacities, never the store's.
+            before = store.pool(tau).remaining.copy()
+            pool.consume_positions(np.flatnonzero(pool.remaining > 0)[:1])
+            np.testing.assert_array_equal(store.pool(tau).remaining, before)
+            assert store.pool(tau).total_remaining() == int(before.sum())

@@ -5,13 +5,16 @@ equivalence with :func:`repro.core.cra.cra` run over the materialized unit
 pool — identical RNG stream, identical :class:`CRAResult` on every field.
 These tests drive both paths with the same seeds across tie-heavy values,
 sample-rate scales, overflow and empty-sample regimes, single- and
-multi-round, and check the pool's capacity bookkeeping down to exhaustion.
+multi-round, and check the pool's capacity bookkeeping and its prefix-sum
+queries down to exhaustion.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cra import cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
@@ -74,12 +77,6 @@ class TestPoolViews:
         assert np.array_equal(values, [3.0, 3.0, 2.0, 2.0, 2.0])
         assert np.array_equal(owners, [100, 100, 102, 102, 102])
 
-    def test_unit_owners_maps_round_indices(self):
-        pool = make_pool([3.0, 1.0, 2.0], [2, 1, 3])
-        # Unit pool: [3, 3, 1, 2, 2, 2] owned by uids 100,100,101,102x3.
-        owners = pool.unit_owners(np.array([0, 2, 5]))
-        assert np.array_equal(owners, [100, 101, 102])
-
     def test_alive_at_most_matches_linear_count(self):
         gen = np.random.default_rng(3)
         pool = make_pool(
@@ -117,8 +114,7 @@ class TestConsume:
     def test_consume_decrements_and_tracks(self):
         pool = make_pool([2.0, 1.0], [2, 1])
         assert pool.total_remaining() == 3
-        pool.consume(100)
-        pool.consume(101)
+        pool.consume_many(np.array([100, 101]))
         assert pool.total_remaining() == 1
         assert np.array_equal(pool.remaining, [1, 0])
         assert pool.alive_at_most(2.0) == 1
@@ -132,7 +128,7 @@ class TestConsume:
     def test_consume_unknown_uid(self):
         pool = make_pool([1.0], [1])
         with pytest.raises(KeyError):
-            pool.consume(999)
+            pool.consume_many(np.array([999]))
 
     def test_consume_positions_overdraw_restores_state(self):
         pool = make_pool([2.0, 1.0], [2, 1])
@@ -162,6 +158,63 @@ class TestConsume:
                     got, np.argsort(units, kind="stable")
                 )
         assert np.array_equal(pool.remaining, np.zeros_like(caps))
+
+
+def check_queries(pool, values, remaining):
+    """Every query of ``pool`` against the materialized unit pool."""
+    units = np.repeat(values, remaining)
+    assert np.array_equal(pool.remaining, remaining)
+    assert pool.total_remaining() == units.size
+    distinct = np.unique(values)
+    probes = [np.inf]
+    if distinct.size:
+        # Below, at and between every distinct value.
+        probes += [distinct[0] - 1.0, *distinct]
+        probes += list((distinct[:-1] + distinct[1:]) / 2.0)
+    for probe in probes:
+        assert pool.alive_at_most(probe) == np.count_nonzero(units <= probe)
+    order = np.argsort(units, kind="stable")
+    bounds = pool.round_bounds()
+    for count in range(1, units.size + 1):
+        got, got_values = pool.smallest_units(count, bounds)
+        assert np.array_equal(got, order[:count]), count
+        assert np.array_equal(got_values, units[order[:count]]), count
+
+
+class TestPrefixSumProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    st.floats(min_value=0.05, max_value=10.0),
+                ),
+                st.integers(min_value=0, max_value=4),
+            ),
+            max_size=16,
+        ),
+        data=st.data(),
+    )
+    def test_queries_track_consumption_to_exhaustion(self, rows, data):
+        values = np.array([v for v, _ in rows], dtype=np.float64)
+        caps = np.array([c for _, c in rows], dtype=np.int64)
+        pool = make_pool(values, caps)
+        shadow = caps.copy()
+        # Consume every unit, in a drawn order, in drawn batch sizes; a
+        # batch may take several units of one user, as a round can.
+        owners = data.draw(
+            st.permutations(np.repeat(np.arange(caps.size), caps).tolist())
+        )
+        check_queries(pool, values, shadow)
+        while owners:
+            size = data.draw(st.integers(min_value=1, max_value=8))
+            batch = np.array(owners[:size], dtype=np.int64)
+            owners = owners[size:]
+            pool.consume_positions(batch)
+            np.subtract.at(shadow, batch, 1)
+            check_queries(pool, values, shadow)
+        assert pool.total_remaining() == 0
 
 
 class TestCRAPresortedValidation:

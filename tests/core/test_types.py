@@ -207,22 +207,6 @@ class TestPopulation:
         sub = self._pop().subset([2, 0])
         assert [u.user_id for u in sub] == [0, 2]
 
-    def test_dense_ids(self):
-        ids = self._pop().dense_ids()
-        assert ids.tolist() == [0, 1, 2]
-        assert ids.dtype.kind == "i"
-
-    def test_dense_ids_empty_population(self):
-        assert Population([]).dense_ids().tolist() == []
-
-    def test_dense_ids_rejects_gaps(self):
-        pop = Population(
-            [User(0, 0, 2, 1.0), User(5, 1, 3, 2.0)]  # 5 breaks density
-        )
-        with pytest.raises(ModelError) as excinfo:
-            pop.dense_ids()
-        assert "not dense" in str(excinfo.value)
-
     def test_extended(self):
         pop = self._pop().extended([User(10, 2, 1, 1.0)])
         assert len(pop) == 4

@@ -59,6 +59,19 @@ class TestServe:
         assert (runs[0] / "epochs.jsonl").exists()
         assert (runs[0] / "meta.json").exists()
 
+    def test_rerun_into_the_same_ledger_is_refused(self, tmp_path, capsys):
+        argv = ["serve", "--smoke", "--ledger", str(tmp_path)]
+        assert main(argv) == 0
+        (run,) = tmp_path.iterdir()
+        epochs = (run / "epochs.jsonl").read_bytes()
+        meta = (run / "meta.json").read_bytes()
+        capsys.readouterr()
+        assert main(argv) != 0
+        out = capsys.readouterr().out
+        assert "rit serve:" in out and str(run / "epochs.jsonl") in out
+        assert (run / "epochs.jsonl").read_bytes() == epochs
+        assert (run / "meta.json").read_bytes() == meta
+
     def test_unsharded_smoke_matches(self, capsys):
         assert main(["serve", "--smoke", "--no-shard"]) == 0
         assert "differential check OK" in capsys.readouterr().out

@@ -74,6 +74,26 @@ class TestOutcomeLedger:
     def test_read_epochs_empty(self, tmp_path):
         assert OutcomeLedger(tmp_path, "run-a").read_epochs() == []
 
+    def test_rerun_into_a_written_ledger_is_refused(self, tmp_path):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        ledger.write_meta({"seed": 3})
+        ledger.append(batch(0), small_outcome())
+        meta = ledger.meta_path.read_bytes()
+        epochs = ledger.epochs_path.read_bytes()
+        with pytest.raises(ConfigurationError) as excinfo:
+            OutcomeLedger(tmp_path, "run-a").write_meta({"seed": 4})
+        assert str(ledger.epochs_path) in str(excinfo.value)
+        assert ledger.meta_path.read_bytes() == meta
+        assert ledger.epochs_path.read_bytes() == epochs
+
+    def test_reopening_a_written_ledger_reads_it(self, tmp_path):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        ledger.write_meta({"seed": 3})
+        ledger.append(batch(0), small_outcome())
+        reopened = OutcomeLedger(tmp_path, "run-a")
+        assert reopened.read_meta() == {"seed": 3}
+        assert [r["epoch"] for r in reopened.read_epochs()] == [0]
+
 
 class TestTornTail:
     def ledger_with_tail(self, tmp_path, tail):
