@@ -9,7 +9,7 @@ Submodules
 ``extract``    Algorithm 2 (unit-ask extraction)
 ``cra``        Algorithm 1 (collusion-resistant auction round, reference)
 ``engine``     incremental sorted auction engine (the CRA hot path)
-``columnar``   frozen per-epoch struct-of-arrays profile, pools and tree
+``columnar``   immutable ask profile (cached pools) and per-epoch tree store
 ``payments``   Algorithm 3 payment determination phase
 ``numeric``    tolerant float comparison for monetary quantities
 ``rit``        Algorithm 3 (the full RIT mechanism)
@@ -26,6 +26,7 @@ from repro.core.bounds import (
     per_type_target,
     rit_truthful_probability,
 )
+from repro.core.columnar import AskProfile
 from repro.core.cra import CRAResult, cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
 from repro.core.exceptions import (
@@ -56,6 +57,7 @@ __all__ = [
     "AuditedMechanism",
     "audit_outcome",
     "Ask",
+    "AskProfile",
     "Job",
     "Population",
     "TaskType",

@@ -109,6 +109,7 @@ class SortedTypePool:
         "_sorted_users",
         "_sorted_values",
         "_prefix",
+        "_bounds",
     )
 
     def __init__(
@@ -131,13 +132,16 @@ class SortedTypePool:
         self._sorted_values = self.values[order]
         #: ``_prefix[k]``: alive units held by the ``k`` cheapest users.
         self._prefix = _prefix_sums(self.remaining[order])
+        #: This round's :meth:`round_bounds`, computed on first use.
+        self._bounds: Optional[np.ndarray] = None
 
     def fork(self) -> "SortedTypePool":
         """A pool over the same asks and value order, with its own capacities.
 
         The fork shares every array but ``remaining``, which it copies.
-        :meth:`consume_positions` replaces the prefix sums instead of
-        writing into them, so consuming the fork never touches this pool.
+        :meth:`consume_positions` replaces the prefix sums and round
+        bounds instead of writing into them, so consuming the fork never
+        touches this pool.
         """
         pool = copy.copy(self)
         pool.remaining = self.remaining.copy()
@@ -193,7 +197,8 @@ class SortedTypePool:
         """Consume one unit per entry of ``positions`` (original-order index).
 
         One vectorized decrement, then one ``O(N)`` recomputation of the
-        value-ordered prefix sums for the next round.
+        value-ordered prefix sums for the next round; the next round's
+        :meth:`round_bounds` are computed when first asked for.
         """
         if positions.size == 0:
             return
@@ -204,6 +209,7 @@ class SortedTypePool:
                 "consume would drive a remaining capacity negative"
             )
         self._prefix = _prefix_sums(self.remaining[self._sorted_users])
+        self._bounds = None
 
     # ------------------------------------------------------------------ #
     # Round views
@@ -218,9 +224,13 @@ class SortedTypePool:
         """Inclusive prefix sums of ``remaining`` in original user order.
 
         ``bounds[i]`` is one past the last unit index owned by user ``i``
-        in this round's unit pool.
+        in this round's unit pool.  Computed once per round: the result is
+        kept until :meth:`consume_positions` changes the capacities.
         """
-        return np.cumsum(self.remaining)
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = np.cumsum(self.remaining)
+        return bounds
 
     def unit_user_positions(
         self, unit_indices: np.ndarray, bounds: np.ndarray

@@ -50,22 +50,25 @@ The multi-round CRA loop has three interchangeable engines (``engine=``):
 * ``"reference"`` — re-materialize and re-sort the unit pool every round
   (the direct transcription of Algorithm 1).
 * ``"columnar"`` — the sorted engine over a frozen
-  :class:`~repro.core.columnar.ColumnarStore`, which holds the profile
-  arrays, the tree's BFS view with BFS-ordered types, and the per-type
-  pools built once by :func:`~repro.core.engine.pools_from_arrays`.  A
-  run consumes a :meth:`~repro.core.engine.SortedTypePool.fork` of each
-  pool and pays over the store's BFS-ordered types.  Callers that
-  amortize across runs (``rit bench``) build the store once and pass it
-  via ``run(..., columnar_store=...)``; the epoch service builds one per
-  epoch from its snapshot's columns and view.
+  :class:`~repro.core.columnar.ColumnarStore`, which adds the tree's BFS
+  view and BFS-ordered types to the profile.  A run pays over the
+  store's BFS-ordered types.  Callers that amortize across runs (``rit
+  bench``) build the store once and pass it via ``run(...,
+  columnar_store=...)``; the epoch service builds one per epoch from its
+  snapshot's columns and view.
 
 All engines consume the identical random stream and produce identical
-outcomes for the same seed; differential tests enforce this.  Every engine
-reads the ask profile once per run (:func:`profile_arrays`, or the
-caller's prebuilt store), validates it from those arrays with
-:func:`repro.core.columnar.validate_profile`, and determines payments with
-the one kernel :func:`repro.core.payments.payment_kernel` over the tree's
-cached :class:`~repro.tree.incentive_tree.BFSView`.
+outcomes for the same seed; differential tests enforce this.  Every run
+reads the ask profile as an :class:`~repro.core.columnar.AskProfile`
+(:meth:`AskProfile.of <repro.core.columnar.AskProfile.of>` passes a
+profile as is and flattens a dict once).  The profile splits and sorts
+its per-type pools once, on first use, and every run consumes a
+:meth:`~repro.core.engine.SortedTypePool.fork` of each; repeated runs
+over one profile do no per-profile work beyond validating it against the
+tree's cached :class:`~repro.tree.incentive_tree.BFSView` (one compare of
+cached sorted ids).  Payments run the one kernel
+:func:`repro.core.payments.payment_kernel` over that view, reading the
+types of the winners' root paths from the profile's columns.
 
 Observability
 -------------
@@ -88,15 +91,17 @@ from typing import Callable, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.core import bounds
+# ``profile_arrays`` and ``pools_from_arrays`` stay importable here for
+# perfbench, whose layer timing wraps ``repro.core.rit.profile_arrays`` and
+# ``repro.core.rit.pools_from_arrays``; runs reach them through
+# ``AskProfile``.
 from repro.core.columnar import (
+    AskProfile,
     ColumnarStore,
     ProfileColumns,
     profile_arrays,
-    validate_profile,
 )
 from repro.core.cra import cra
-# ``RIT.run`` calls ``pools_from_arrays`` through this module's global,
-# which perfbench's layer timing wraps (``repro.core.rit.pools_from_arrays``).
 from repro.core.engine import (
     SortedTypePool,
     StageTimers,
@@ -106,7 +111,6 @@ from repro.core.engine import (
 from repro.core.exceptions import (
     AllocationError,
     ConfigurationError,
-    TreeError,
 )
 from repro.core.mechanism import Mechanism
 from repro.core.numeric import PAYMENT_ATOL
@@ -302,11 +306,10 @@ class RIT(Mechanism):
         tracer = self.tracer
         tracing = tracer.enabled
         clock = tracer.clock
-        # The run's elapsed times include the profile pass and any store
+        # The run's elapsed times include any profile conversion and store
         # build; spans open only once the profile has passed validation.
         t_start = clock()
         store = columnar_store
-        type_width: Optional[int] = None
         if store is not None:
             # A caller-provided store (epoch service, bench) was validated
             # when it was built; check it still matches this run's profile.
@@ -319,17 +322,16 @@ class RIT(Mechanism):
                     f"columnar store holds {store.num_users} users but the "
                     f"profile has {len(asks)}; rebuild the store per epoch"
                 )
+            profile = store.asks
         else:
-            # The run's one pass over the ask profile; validation, pools,
-            # k_max and the payment row width all read these arrays.
-            uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
+            # Validation, pools, k_max and the payment row width all read
+            # the profile's columns and caches.
+            profile = AskProfile.of(asks)
+            view = tree.bfs_view()
             if self.engine == "columnar":
-                store = ColumnarStore(
-                    job, uid_arr, type_arr, val_arr, cap_arr, tree.bfs_view()
-                )
+                store = ColumnarStore(job, profile, view)
             else:
-                validate_profile(job, uid_arr, type_arr, tree.bfs_view())
-                type_width = int(type_arr.max(initial=-1)) + 1
+                profile.validate(job, view)
         owns_run = False
         run_sid = mech_sid = -1
         if tracing:
@@ -340,7 +342,7 @@ class RIT(Mechanism):
                 "mechanism",
                 mechanism=self.name,
                 engine=self.engine,
-                users=len(asks),
+                users=len(profile),
                 tasks=job.size,
                 num_types=job.num_types,
             )
@@ -357,14 +359,8 @@ class RIT(Mechanism):
         )
         shards: List[TypeShardResult] = []
 
-        if asks:
-            if store is not None:
-                k_max = self.k_max_override or store.k_max
-            else:
-                k_max = self.k_max_override or int(cap_arr.max())
-                by_type = pools_from_arrays(
-                    uid_arr, type_arr, val_arr, cap_arr
-                )
+        if len(profile):
+            k_max = self.k_max_override or profile.k_max
             per_type = self.rng_policy == "per-type"
             type_seeds = spawn_seeds(gen, job.num_types) if per_type else None
             for tau in job.types():
@@ -374,14 +370,11 @@ class RIT(Mechanism):
                 shard_gen = (
                     as_generator(type_seeds[tau]) if type_seeds is not None else gen
                 )
-                group = (
-                    store.pool(tau) if store is not None else by_type.get(tau)
-                )
                 shards.append(
                     self.run_type_shard(
                         tau,
                         m_i,
-                        group,
+                        profile.pool(tau),
                         k_max,
                         job.num_types,
                         shard_gen,
@@ -393,14 +386,14 @@ class RIT(Mechanism):
 
         final = self.join_shards(
             job,
-            asks,
+            profile,
             tree,
             shards,
             started_at=t_start,
             auction_ended_at=t_auction,
             timers=timers,
             columns=store,
-            type_width=type_width,
+            type_width=profile.type_width,
         )
         if not final.completed and self.raise_on_failure:
             # Algorithm 3 line 27 escalated: unwind spans, then raise.
@@ -483,10 +476,6 @@ class RIT(Mechanism):
                     tracer=tracer,
                 )
                 t_consume = timers.clock() if timers is not None else 0.0
-                winner_positions = group.unit_user_positions(
-                    result.winners, group.round_bounds()
-                )
-                winner_uids = group.uids[winner_positions]
             else:
                 values, owners = group.unit_asks()
                 result = cra(
@@ -508,13 +497,19 @@ class RIT(Mechanism):
                 )
             )
             if use_presorted:
-                for uid in winner_uids.tolist():
-                    allocation[uid] = allocation.get(uid, 0) + 1
-                    auction_payments[uid] = (
-                        auction_payments.get(uid, 0.0) + result.price
+                if result.num_winners:
+                    # The round's bounds, cached on the pool by the
+                    # sample stage, map unit indices to users.
+                    winner_positions = group.unit_user_positions(
+                        result.winners, group.round_bounds()
                     )
-                group.consume_positions(winner_positions)
-                q -= result.num_winners
+                    for uid in group.uids[winner_positions].tolist():
+                        allocation[uid] = allocation.get(uid, 0) + 1
+                        auction_payments[uid] = (
+                            auction_payments.get(uid, 0.0) + result.price
+                        )
+                    group.consume_positions(winner_positions)
+                    q -= result.num_winners
             else:
                 for uid in winner_uids.tolist():
                     allocation[uid] = allocation.get(uid, 0) + 1
@@ -580,10 +575,12 @@ class RIT(Mechanism):
         :class:`~repro.service.state.StateSnapshot`) they read its view and
         BFS-ordered types, and ``asks`` and ``tree`` are not used (pass
         None).  Otherwise they read ``tree``'s view and the types of those
-        nodes alone from ``asks``, and ``type_width`` must be the profile's
-        highest task type + 1, taken from the caller's
-        :func:`profile_arrays` pass; it fixes the payment kernel's row
-        width (see :func:`repro.core.payments.payment_kernel`).
+        nodes alone from the columns of ``asks`` (taken through
+        :meth:`AskProfile.of <repro.core.columnar.AskProfile.of>`), and
+        ``type_width`` must be the profile's highest task type + 1
+        (:attr:`AskProfile.type_width
+        <repro.core.columnar.AskProfile.type_width>`); it fixes the payment
+        kernel's row width (see :func:`repro.core.payments.payment_kernel`).
 
         This method never raises on incomplete allocation —
         ``raise_on_failure`` is applied by :meth:`run` after spans unwind.
@@ -633,7 +630,7 @@ class RIT(Mechanism):
             )
         else:
             view = tree.bfs_view()
-            types_at = functools.partial(_ask_types, view, asks)
+            types_at = functools.partial(_node_types, view, AskProfile.of(asks))
             width = type_width
         positions, payments = payment_kernel(
             view, auction_payments, types_at, width, self.decay, tracer=tracer
@@ -653,14 +650,8 @@ class RIT(Mechanism):
         return final
 
 
-def _ask_types(
-    view: BFSView, asks: Mapping[int, Ask], positions: np.ndarray
+def _node_types(
+    view: BFSView, profile: AskProfile, positions: np.ndarray
 ) -> np.ndarray:
-    """Task types of the nodes at BFS ``positions``, read from their asks."""
-    uids = view.uids[positions].tolist()
-    try:
-        return np.fromiter(
-            (asks[uid].task_type for uid in uids), dtype=np.int64, count=len(uids)
-        )
-    except KeyError as err:
-        raise TreeError(f"node {err.args[0]} has no task type") from None
+    """Task types of the nodes at BFS ``positions``, read from the columns."""
+    return profile.types_of(view.uids[positions])

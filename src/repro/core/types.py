@@ -17,9 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ModelError
+
+if TYPE_CHECKING:  # repro.core.columnar imports this module
+    from repro.core.columnar import AskProfile
 
 __all__ = [
     "TaskType",
@@ -229,6 +244,8 @@ class Population:
 
     users: Tuple[User, ...]
     _by_id: Mapping[int, User] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
+    #: :meth:`truthful_asks`, built on first use.
+    _asks: Optional["AskProfile"] = field(repr=False, compare=False, default=None)
 
     def __init__(self, users: Iterable[User]):
         users = tuple(users)
@@ -239,6 +256,7 @@ class Population:
             by_id[u.user_id] = u
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_asks", None)
 
     def __len__(self) -> int:
         return len(self.users)
@@ -278,9 +296,26 @@ class Population:
         """All users whose chosen type is ``task_type``."""
         return [u for u in self.users if u.task_type == task_type]
 
-    def truthful_asks(self) -> Dict[int, Ask]:
-        """The honest ask profile ``A = {(t_j, K_j, c_j)}_j``."""
-        return {u.user_id: u.truthful_ask() for u in self.users}
+    def truthful_asks(self) -> "AskProfile":
+        """The honest ask profile ``A = {(t_j, K_j, c_j)}_j``, in user order.
+
+        An immutable :class:`~repro.core.columnar.AskProfile` read from the
+        users' fields in one pass on first use, then kept; no ``Ask`` is
+        built.  Copy it with ``dict(...)`` to edit.
+        """
+        if self._asks is None:
+            from repro.core.columnar import AskProfile
+
+            users = self.users
+            n = len(users)
+            profile = AskProfile(
+                np.fromiter((u.user_id for u in users), np.int64, count=n),
+                np.fromiter((u.task_type for u in users), np.int64, count=n),
+                np.fromiter((u.cost for u in users), np.float64, count=n),
+                np.fromiter((u.capacity for u in users), np.int64, count=n),
+            )
+            object.__setattr__(self, "_asks", profile)
+        return self._asks
 
     def subset(self, user_ids: Iterable[int]) -> "Population":
         """Population restricted to the given ids (order preserved)."""

@@ -70,13 +70,15 @@ _HOT_MIN_STATEMENTS = 8
 CONCURRENT_ROOT_MODULES = ("repro.service.workers",)
 
 #: Specific functions dispatched to worker threads from elsewhere.
-#: The columnar store hands each shard a fork of one of its frozen
-#: per-type pools (shared read-only arrays, private capacities), so
-#: everything reachable from ``pool()`` runs concurrently once the shards
-#: start.
+#: An ask profile (directly, or through the columnar store) hands each
+#: shard a fork of one of its frozen per-type pools (shared read-only
+#: arrays, private capacities), and runs over one profile may execute on
+#: several threads, so everything reachable from ``pool()`` runs
+#: concurrently.
 CONCURRENT_ROOT_FUNCTIONS = (
     "repro.core.rit.RIT.run_type_shard",
     "repro.core.columnar.ColumnarStore.pool",
+    "repro.core.columnar.AskProfile.pool",
 )
 
 #: Recognised single-writer roles for ``# rit: owner=<role>`` markers.

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.types import Ask, Job
+from repro.core.columnar import AskProfile
+from repro.core.types import Job
 from repro.service.events import ServiceEvent
 from repro.service.state import ServiceState, StateSnapshot
 from repro.tree.incentive_tree import IncentiveTree
@@ -162,15 +163,16 @@ class EpochSnapshot:
     at close time, which is exactly what this snapshot is: ``state`` holds
     read-only copies of the live columns and their BFS view, which the
     live path reads directly.  :attr:`asks` and :attr:`tree` are the
-    offline forms (a dict and an :class:`~repro.tree.incentive_tree.
-    IncentiveTree`), built from those columns on first use.
+    offline forms (an :class:`~repro.core.columnar.AskProfile` over those
+    columns and an :class:`~repro.tree.incentive_tree.IncentiveTree`),
+    built on first use.
     """
 
     batch: EpochBatch
     state: StateSnapshot
 
     @property
-    def asks(self) -> Dict[int, Ask]:
+    def asks(self) -> AskProfile:
         return self.state.asks
 
     @property

@@ -41,9 +41,11 @@ Snapshots.  :meth:`ServiceState.snapshot` copies the live rows' columns
 into read-only numpy arrays and builds their
 :class:`~repro.tree.incentive_tree.BFSView` with
 :meth:`~repro.tree.incentive_tree.BFSView.from_parents` — O(rows) array
-work, no pass over users in Python.  The ``dict`` of asks and the
+work, no pass over users in Python.  The
+:class:`~repro.core.columnar.AskProfile` and the
 :class:`~repro.tree.incentive_tree.IncentiveTree` that offline callers
-take are built from a snapshot's own columns on first use.
+take are built from a snapshot's own columns on first use; the profile
+shares those columns without a copy.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from typing import Dict, Optional, Set, Union
 
 import numpy as np
 
-from repro.core.types import Ask, Job
+from repro.core.columnar import AskProfile
+from repro.core.types import Job
 from repro.service.events import (
     AskSubmitted,
     ReferralEdge,
@@ -101,17 +104,14 @@ class StateSnapshot:
         return int(self.types.max(initial=-1)) + 1
 
     @cached_property
-    def asks(self) -> Dict[int, Ask]:
-        """The ask profile as a dict in admission order, built on first use."""
-        return {
-            uid: Ask(task_type=task_type, capacity=capacity, value=value)
-            for uid, task_type, capacity, value in zip(
-                self.uids.tolist(),
-                self.types.tolist(),
-                self.caps.tolist(),
-                self.values.tolist(),
-            )
-        }
+    def asks(self) -> AskProfile:
+        """The ask profile in admission order, built on first use.
+
+        An :class:`~repro.core.columnar.AskProfile` over the snapshot's own
+        read-only columns, shared without a copy; it builds an ``Ask`` only
+        for a caller that reads one.
+        """
+        return AskProfile(self.uids, self.types, self.values, self.caps)
 
     @cached_property
     def tree(self) -> IncentiveTree:
@@ -252,8 +252,8 @@ class ServiceState:
             bfs_types=_frozen(types[order]),
         )
 
-    def snapshot_asks(self) -> Dict[int, Ask]:
-        """The admitted ask profile as a dict, in admission order."""
+    def snapshot_asks(self) -> AskProfile:
+        """The admitted ask profile, in admission order."""
         return self.snapshot().asks
 
     def snapshot_tree(self) -> IncentiveTree:

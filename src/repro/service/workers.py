@@ -86,7 +86,8 @@ def _run_whole(
 ) -> MechanismOutcome:
     """Executor body of the sharding-off baseline: one offline ``RIT.run``.
 
-    The snapshot's dict and tree forms are built here, off the event loop.
+    The snapshot's profile and tree forms are built here, off the event
+    loop.
     """
     return mechanism.run(job, snapshot.asks, snapshot.tree, seed)
 
@@ -106,7 +107,7 @@ async def run_epoch(
     With ``shard_workers=True`` each task type runs concurrently on the
     executor, and every engine reads the snapshot's read-only columns and
     BFS view directly; otherwise the whole ``RIT.run`` executes as a
-    single executor job over the snapshot's dict and tree forms (useful
+    single executor job over the snapshot's profile and tree forms (useful
     as a sharding-off baseline — outcomes are identical either way
     because ``rng_policy="per-type"`` decouples the per-type streams).
     """

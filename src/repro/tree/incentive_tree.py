@@ -172,14 +172,15 @@ class BFSView:
             + self._sorted_positions.nbytes
         )
 
-    def same_nodes(self, uids: np.ndarray) -> bool:
-        """True when ``uids`` are exactly the node ids, in any order.
+    def same_nodes(self, sorted_uids: np.ndarray) -> bool:
+        """True when ``sorted_uids`` are exactly the node ids.
 
-        ``uids`` must hold distinct ids.  One sort and one element-wise
-        compare against the sorted lookup column.
+        ``sorted_uids`` must hold distinct ids in ascending order (a
+        profile caches them so).  One element-wise compare against the
+        sorted lookup column.
         """
-        return uids.shape[0] == len(self) and bool(
-            np.array_equal(np.sort(uids), self._sorted_uids)
+        return sorted_uids.shape[0] == len(self) and bool(
+            np.array_equal(sorted_uids, self._sorted_uids)
         )
 
     def positions(self, uids: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+import numpy as np
 
+from repro.core.columnar import AskProfile
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import SeedLike, as_generator, spawn
-from repro.core.types import Ask, Job, Population
+from repro.core.types import Job, Population
 from repro.socialnet.generators import twitter_like
 from repro.socialnet.graph import SocialGraph
 from repro.tree.builder import build_spanning_forest
@@ -55,13 +57,15 @@ class Scenario:
     tree: IncentiveTree
     graph: Optional[SocialGraph] = None
 
-    def truthful_asks(self) -> Dict[int, Ask]:
-        """The honest ask profile for every user in the tree."""
-        return {
-            uid: self.population[uid].truthful_ask()
-            for uid in self.tree.nodes()
-            if uid in self.population
-        }
+    def truthful_asks(self) -> AskProfile:
+        """The honest ask profile of the tree's users, in tree-node order.
+
+        Tree nodes outside the population have no ask.  The profile is
+        immutable and gathered from the population's columns without
+        building an ``Ask``; copy it with ``dict(...)`` to edit.
+        """
+        nodes = np.fromiter(self.tree.nodes(), np.int64, count=len(self.tree))
+        return self.population.truthful_asks().gather(nodes)
 
     def costs(self) -> Dict[int, float]:
         """``{user_id: c_j}`` for utility accounting."""

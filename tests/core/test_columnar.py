@@ -37,20 +37,20 @@ def store_setup():
 class TestStoreConstruction:
     def test_profile_arrays_match_the_object_path(self, store_setup):
         job, scenario, asks, store = store_setup
-        uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-        np.testing.assert_array_equal(store.uids, uid_arr)
-        np.testing.assert_array_equal(store.types, type_arr)
-        np.testing.assert_array_equal(store.values, val_arr)
-        np.testing.assert_array_equal(store.caps, cap_arr)
+        uid_arr, type_arr, val_arr, cap_arr = profile_arrays(dict(asks))
+        np.testing.assert_array_equal(store.asks.uids, uid_arr)
+        np.testing.assert_array_equal(store.asks.types, type_arr)
+        np.testing.assert_array_equal(store.asks.ask_values, val_arr)
+        np.testing.assert_array_equal(store.asks.caps, cap_arr)
         assert store.num_users == len(asks)
         assert store.k_max == int(cap_arr.max())
 
     def test_arrays_are_frozen(self, store_setup):
         _, _, _, store = store_setup
         for arr in (
-            store.uids,
-            store.values,
-            store.caps,
+            store.asks.uids,
+            store.asks.ask_values,
+            store.asks.caps,
             store.view.parent,
             store.bfs_types,
         ):
@@ -60,7 +60,7 @@ class TestStoreConstruction:
     def test_nbytes_counts_profile_tree_and_blocks(self, store_setup):
         job, _, _, store = store_setup
         floor = (
-            store.uids.nbytes
+            store.asks.uids.nbytes
             + store.view.nbytes
             + sum(store.pool(tau).nbytes for tau in job.types())
         )
@@ -174,7 +174,7 @@ class TestTreeArrays:
 
     def test_grafted_tree_is_reflected_by_a_fresh_store(self):
         job, scenario = small_scenario(users=40, seed=9)
-        asks = scenario.truthful_asks()
+        asks = dict(scenario.truthful_asks())
         tree = scenario.tree
         # Withdraw the first internal node the way the service does:
         # graft its children onto the grandparent, drop the leaf + ask.

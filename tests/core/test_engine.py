@@ -160,6 +160,47 @@ class TestConsume:
         assert np.array_equal(pool.remaining, np.zeros_like(caps))
 
 
+class TestRoundBounds:
+    def test_computed_once_per_capacity_state(self):
+        pool = make_pool([2.0, 1.0, 3.0], [2, 1, 2])
+        first = pool.round_bounds()
+        assert first is pool.round_bounds()
+        assert np.array_equal(first, [2, 3, 5])
+        pool.consume_positions(np.empty(0, dtype=np.int64))
+        assert pool.round_bounds() is first
+        pool.consume_positions(np.array([0, 2]))
+        assert np.array_equal(first, [2, 3, 5])  # replaced, never written
+        assert np.array_equal(pool.round_bounds(), [1, 2, 3])
+        fork = pool.fork()
+        fork.consume_positions(np.array([1]))
+        assert np.array_equal(fork.round_bounds(), [1, 1, 2])
+        assert np.array_equal(pool.round_bounds(), [1, 2, 3])
+
+    def test_a_shard_computes_them_at_most_once_per_round(self):
+        from repro.core.rit import RIT
+
+        computed = []
+
+        class CountingPool(SortedTypePool):
+            __slots__ = ()
+
+            def round_bounds(self):
+                if self._bounds is None:
+                    computed.append(self.total_remaining())
+                return super().round_bounds()
+
+        gen = np.random.default_rng(4)
+        pool = CountingPool(
+            np.arange(300), gen.uniform(0.1, 9.0, 300), gen.integers(1, 5, 300)
+        )
+        shard = RIT(round_budget="until-complete").run_type_shard(
+            0, 40, pool, 5, 1, np.random.default_rng(9)
+        )
+        assert shard.covered
+        assert 0 < len(computed) <= len(shard.rounds)
+        assert len(set(computed)) == len(computed)
+
+
 def check_queries(pool, values, remaining):
     """Every query of ``pool`` against the materialized unit pool."""
     units = np.repeat(values, remaining)
