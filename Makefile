@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -57,9 +57,11 @@ serve-smoke:
 # CI gate (<15s): boot the smoke service with the HTTP telemetry plane on
 # an ephemeral port, self-probe /metrics (must round-trip the OpenMetrics
 # parser), /healthz, /readyz and /epochs over real TCP, then validate the
-# service_slo bench section emitted by a tiny open-loop loadgen run.
+# service_slo bench section emitted by a tiny open-loop loadgen run into
+# a fresh file (a file left by an earlier run would be merged into).
 metrics-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --smoke --metrics-port 0 --probe-metrics
+	rm -f /tmp/rit_metrics_smoke_bench.json
 	PYTHONPATH=src $(PY) -m repro loadgen --users 600 --types 3 \
 		--tasks-per-type 8 --epoch-events 256 --min-events 0 \
 		--bench --out /tmp/rit_metrics_smoke_bench.json
@@ -88,34 +90,23 @@ arena:
 arena-smoke:
 	PYTHONPATH=src $(PY) -m repro arena --smoke
 
-# Open-loop service throughput/latency (merge into BENCH_RIT.json with
-# `rit loadgen --bench`).
+# Open-loop service throughput/latency (`rit loadgen --bench` merges the
+# service sections into BENCH_RIT.json).
 loadgen:
 	PYTHONPATH=src $(PY) -m repro loadgen
 
 # The full gate new PRs must pass: domain lint + whole-program analysis
 # + types + tier-1 tests + the trace schema smoke + the service
-# differential smoke + the columnar bench schema smoke + the live
-# telemetry endpoint smoke + the live-adversary sentinel smoke + the
-# head-to-head arena smoke + the benchmark's self-tests.
-check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
+# differential smoke + the live telemetry endpoint smoke + the
+# live-adversary sentinel smoke + the head-to-head arena smoke + the
+# benchmark's self-tests.
+check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
 
 # CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
 # pinned outcome digests of all three workloads, so a change to child
 # order, BFS order or payment summation order fails here.
 perfbench-smoke:
 	$(PY) -m pytest perfbench/test_perfbench.py -q
-
-# Fast perf baseline: times the scaling workload on both auction engines
-# and refreshes BENCH_RIT.json (the committed perf trajectory).
-bench:
-	PYTHONPATH=src $(PY) -m repro bench --out BENCH_RIT.json
-
-# CI gate (<10s): tiny sorted+columnar workload through `rit bench
-# --smoke`, schema-validated (skipped-engine markers, columnar store
-# fields) without touching the committed BENCH_RIT.json.
-bench-smoke:
-	PYTHONPATH=src $(PY) -m repro bench --smoke --out /tmp/rit_bench_smoke.json
 
 # Full pytest-benchmark sweep over benchmarks/.
 bench-pytest:

@@ -46,14 +46,13 @@ def test_tree_payments_10k(benchmark):
     assert len(payments) == 10_000
 
 
-@pytest.mark.parametrize("engine", ["sorted", "reference"])
-def test_full_rit_run_2k_users(benchmark, engine):
+def test_full_rit_run_2k_users(benchmark):
     job = Job.uniform(10, 100)
     scenario = paper_scenario(
         2_000, job, rng=2, distribution=UserDistribution(num_types=10)
     )
     asks = scenario.truthful_asks()
-    mech = RIT(round_budget="until-complete", engine=engine)
+    mech = RIT(round_budget="until-complete")
     seeds = itertools.count()
 
     def run():

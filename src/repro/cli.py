@@ -10,8 +10,6 @@ Subcommands
 ``rit bounds``            print the Lemma 6.2 bound / round-budget table
                           for a given configuration.
 ``rit demo``              run one end-to-end scenario and print a summary.
-``rit bench``             run the auction-engine scaling benchmark and write
-                          ``BENCH_RIT.json`` (the perf trajectory seed).
 ``rit trace``             run one traced scenario, write the JSONL event log,
                           and print the span tree + metrics snapshot
                           (``--smoke`` validates the trace against the
@@ -22,7 +20,8 @@ Subcommands
                           (``--smoke`` is the tiny CI preset).
 ``rit loadgen``           drive the service open-loop at scale and report
                           throughput / epoch-latency percentiles
-                          (``--bench`` merges the ``service`` section into
+                          (``--bench`` merges the ``service`` and
+                          ``service_slo`` sections into
                           ``BENCH_RIT.json``; ``--graph`` picks the social
                           regime, ``--attack`` injects a seeded adversary
                           burst watched by the sentinel plane).
@@ -168,44 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "regime needs K_j << m_i; see EXPERIMENTS.md)",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the auction engines and write BENCH_RIT.json",
-    )
-    p_bench.add_argument("--users", type=int, default=2000)
-    p_bench.add_argument("--types", type=int, default=10)
-    p_bench.add_argument("--tasks-per-type", type=int, default=100)
-    p_bench.add_argument(
-        "--reps", type=int, default=15, help="timed repetitions per engine"
-    )
-    p_bench.add_argument(
-        "--seed", type=int, default=0, help="base seed for the per-rep runs"
-    )
-    p_bench.add_argument(
-        "--scenario-seed", type=int, default=2,
-        help="workload seed (2 = the test_scaling.py hero workload)",
-    )
-    p_bench.add_argument(
-        "--engine", action="append",
-        choices=["sorted", "reference", "columnar"],
-        help="measure only these engines (repeatable); the rest are "
-        "recorded as skipped",
-    )
-    p_bench.add_argument(
-        "--scenario", action="append", choices=["100k", "1m"],
-        help="also run this scale preset into the 'scenarios' section "
-        "(repeatable)",
-    )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny columnar CI preset: run a small sorted+columnar "
-        "workload and schema-validate the document; nonzero exit on any "
-        "problem",
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_RIT.json", help="output JSON path"
-    )
-
     p_trace = sub.add_parser(
         "trace",
         help="run a traced scenario and write the JSONL event log",
@@ -263,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--withdraw-fraction", type=float, default=0.05,
         help="seeded fraction of joined users that withdraw",
-    )
-    p_serve.add_argument(
-        "--engine", choices=["sorted", "reference", "columnar"],
-        default="sorted",
-    )
-    p_serve.add_argument(
-        "--no-shard", action="store_true",
-        help="run epochs unsharded (single RIT.run per epoch)",
     )
     p_serve.add_argument(
         "--ledger", default=None,
@@ -338,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--queue", type=int, default=4096)
     p_load.add_argument("--withdraw-fraction", type=float, default=0.02)
     p_load.add_argument(
-        "--engine", choices=["sorted", "reference", "columnar"],
-        default="sorted",
-    )
-    p_load.add_argument("--no-shard", action="store_true")
-    p_load.add_argument(
         "--min-events", type=int, default=None,
         help="refuse to measure a stream smaller than this "
         "(default 50000 with --bench, else 0)",
@@ -365,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--bench", action="store_true",
-        help="merge the measured ``service`` section into the bench doc",
+        help="merge the measured ``service`` and ``service_slo`` sections "
+        "into the bench doc",
     )
     p_load.add_argument(
         "--out", default="BENCH_RIT.json",
@@ -643,80 +592,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if not summary.significant else 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import (
-        run_scaling_bench,
-        run_scenario_bench,
-        validate_bench_schema,
-        write_bench,
-    )
-
-    if args.smoke:
-        result = run_scaling_bench(
-            users=300,
-            types=3,
-            tasks_per_type=10,
-            reps=2,
-            seed=args.seed,
-            scenario_seed=args.scenario_seed,
-            engines=("sorted", "columnar"),
-        )
-    else:
-        kwargs = dict(
-            users=args.users,
-            types=args.types,
-            tasks_per_type=args.tasks_per_type,
-            reps=args.reps,
-            seed=args.seed,
-            scenario_seed=args.scenario_seed,
-        )
-        if args.engine:
-            kwargs["engines"] = tuple(dict.fromkeys(args.engine))
-        result = run_scaling_bench(**kwargs)
-    for name in args.scenario or []:
-        print(f"scenario {name}: running …")
-        result.setdefault("scenarios", {})[name] = run_scenario_bench(name)
-    write_bench(result, args.out)
-    for engine, doc in result["engines"].items():
-        if doc.get("skipped"):
-            print(f"{engine:>9}: skipped")
-            continue
-        seconds = doc["seconds"]
-        print(
-            f"{engine:>9}: p50 {seconds['p50'] * 1000:7.2f} ms  "
-            f"p95 {seconds['p95'] * 1000:7.2f} ms  "
-            f"{doc['ops_per_sec']:7.1f} runs/s"
-        )
-    if "speedup_sorted_vs_reference" in result:
-        print(
-            "speedup sorted vs reference: "
-            f"{result['speedup_sorted_vs_reference']:.2f}x"
-        )
-    if "speedup_columnar_vs_sorted" in result:
-        print(
-            "speedup columnar vs sorted: "
-            f"{result['speedup_columnar_vs_sorted']:.2f}x"
-        )
-    if "speedup_vs_pre_pr" in result:
-        print(f"speedup vs pre-engine baseline: {result['speedup_vs_pre_pr']:.2f}x")
-    for name, sub in result.get("scenarios", {}).items():
-        if "speedup_columnar_vs_sorted" in sub:
-            print(
-                f"scenario {name}: columnar vs sorted "
-                f"{sub['speedup_columnar_vs_sorted']:.2f}x"
-            )
-    if args.smoke:
-        problems = validate_bench_schema(result)
-        if problems:
-            print(f"bench smoke FAILED ({len(problems)} problems):")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print("bench smoke OK: columnar document is schema-valid")
-    print(f"written -> {args.out}")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import RIT, Job
     from repro.obs import (
@@ -821,10 +696,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue,
         epoch_max_events=epoch_events,
         epoch_max_ticks=epoch_ticks,
-        shard_workers=not args.no_shard,
     )
     mechanism_params = {
-        "engine": args.engine,
         "rng_policy": "per-type",
         "round_budget": "until-complete",
     }
@@ -987,7 +860,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import merge_bench_sections
     from repro.service.loadgen import run_service_bench
 
     min_events = args.min_events
@@ -1002,8 +875,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         epoch_max_ticks=args.epoch_ticks,
         queue_size=args.queue,
         withdraw_fraction=args.withdraw_fraction,
-        engine=args.engine,
-        shard_workers=not args.no_shard,
         min_events=min_events,
         graph=args.graph,
         attack=args.attack,
@@ -1045,47 +916,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                  f"(+{entry['epochs_to_detect']})")
               + f", {entry['alerts_total']} alert(s)")
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["service"] = section
-        doc["service_slo"] = slo
-        if sentinel_section is not None:
-            doc["sentinel"] = sentinel_section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            # Fresh doc without the scaling-bench envelope: still gate the
-            # sections this command writes.
-            from repro.devtools.bench import (
-                _validate_sentinel_section,
-                _validate_service_section,
-                _validate_service_slo_section,
-            )
-
-            errors = [
-                *_validate_service_section(section),
-                *_validate_service_slo_section(slo),
-            ]
-            if sentinel_section is not None:
-                errors.extend(_validate_sentinel_section(sentinel_section))
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        merged = "service + service_slo" + (
-            " + sentinel" if sentinel_section is not None else ""
+        # The sentinel fragment of an --attack run is printed above, never
+        # merged: the ``sentinel`` section is ``rit sentinel --bench``'s.
+        return merge_bench_sections(
+            args.out, {"service": section, "service_slo": slo}
         )
-        print(f"{merged} sections merged -> {args.out}")
     return 0
 
 
 def _cmd_sentinel(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import merge_bench_sections
     from repro.sentinel.harness import (
         DEFAULT_DETECTION_BUDGET,
         render_sentinel_report,
@@ -1105,25 +945,7 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 1
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["sentinel"] = section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            from repro.devtools.bench import _validate_sentinel_section
-
-            errors = _validate_sentinel_section(section)
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        print(f"sentinel section merged -> {args.out}")
+        return merge_bench_sections(args.out, {"sentinel": section})
     return 0
 
 
@@ -1136,7 +958,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         render_arena_report,
         run_arena_report,
     )
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import merge_bench_sections
 
     config = ARENA_SMOKE_PRESET if args.smoke else ARENA_BENCH_PRESET
     overrides = {
@@ -1166,25 +988,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 1
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["arena"] = section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            from repro.devtools.bench import _validate_arena_section
-
-            errors = _validate_arena_section(section)
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        print(f"arena section merged -> {args.out}")
+        return merge_bench_sections(args.out, {"arena": section})
     return 0
 
 
@@ -1209,7 +1013,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "demo": _cmd_demo,
         "report": _cmd_report,
         "audit": _cmd_audit,
-        "bench": _cmd_bench,
         "trace": _cmd_trace,
         "serve": _cmd_serve,
         "top": _cmd_top,

@@ -7,9 +7,9 @@ Submodules
 ``consensus``  Goldberg–Hartline consensus rounding primitives
 ``bounds``     Lemma 6.2/6.3 probability bounds and round budgets
 ``extract``    Algorithm 2 (unit-ask extraction)
-``cra``        Algorithm 1 (collusion-resistant auction round, reference)
-``engine``     incremental sorted auction engine (the CRA hot path)
-``columnar``   immutable ask profile (cached pools) and per-epoch tree store
+``cra``        Algorithm 1 (collusion-resistant auction round, the oracle)
+``engine``     incremental sorted auction engine (the one production path)
+``columnar``   immutable ask profile (frozen columns, cached pools)
 ``payments``   Algorithm 3 payment determination phase
 ``numeric``    tolerant float comparison for monetary quantities
 ``rit``        Algorithm 3 (the full RIT mechanism)

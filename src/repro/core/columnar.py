@@ -1,4 +1,4 @@
-"""Columnar core: the ask profile and one epoch's tree as frozen arrays.
+"""Columnar core: the ask profile as frozen arrays.
 
 Held as ``Ask`` objects, a profile would cost every mechanism run O(N)
 *Python* work — flattening it, validating it, re-sorting each type pool.
@@ -24,19 +24,15 @@ validation, pools, the auction and payments never build one.
 :meth:`AskProfile.of` is the one conversion point: a profile passes as
 is, any other mapping is flattened once by :func:`profile_arrays`.
 
-:class:`ColumnarStore` adds one tree's arrays to a profile: its
-:class:`~repro.tree.incentive_tree.BFSView` and the task type at each BFS
-position, which payments read at the closure's rows
-(:meth:`repro.core.rit.RIT.join_shards` with ``columns=store``).
-
 RNG-stream compatibility
 ------------------------
-Every engine's CRA rounds run over forks of the pools that
+Every run's CRA rounds run over forks of the pools that
 ``pools_from_arrays`` built from the profile's columns in profile order,
 so every round consumes the bit-identical random stream (grid offset →
 one uniform per alive unit → the branch-for-branch keep/subsample draws).
 Differential goldens and the property sweeps in ``tests/core`` enforce
-outcome equality seed by seed, dict input against profile input.
+outcome equality seed by seed, dict input against profile input and the
+production engine against the reference oracle.
 
 Ownership
 ---------
@@ -47,7 +43,7 @@ never modified.  The pools' arrays are read-only too: per-run mutable
 capacity state lives in the pool forks, one per shard.  A lock per
 profile makes each ``Ask`` and the pools be built once even when runs on
 several threads ask for them at once.  ``rit analyze`` (RIT011)
-recognises this ``epoch`` ownership role for the store's arrays.
+recognises this ``epoch`` ownership role for the profile's arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -84,7 +79,7 @@ __all__ = [
 
 
 # One O(N) flatten per dict handed to AskProfile.of, inside the caller's
-# timing (RIT.run's elapsed times, the store build's).
+# timing (RIT.run's elapsed times).
 def profile_arrays(  # rit: noqa[RIT013]
     asks: Mapping[int, Ask],
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
@@ -345,8 +340,7 @@ class AskProfile(Mapping[int, Ask]):
             object.__setattr__(self, "_type_width", width)
         return self._type_width
 
-    # Part of the caller's build step (RIT.run, the store's construction),
-    # which the caller times.
+    # Part of RIT.run's build step, which the run times.
     def validate(self, job: Job, view: BFSView) -> None:  # rit: noqa[RIT013]
         """Check the profile against the tree's view and the job.
 
@@ -377,8 +371,8 @@ class AskProfile(Mapping[int, Ask]):
                 f"{num_types} types"
             )
 
-    # Built once per profile, inside the first caller's timing (RIT.run's
-    # elapsed times, the store build); later calls return the cache.
+    # Built once per profile, inside the first run's timing (RIT.run's
+    # elapsed times); later calls return the cache.
     def pools(self) -> Dict[int, SortedTypePool]:  # rit: noqa[RIT013]
         """The frozen per-type pools, built on first use (read them only)."""
         pools = self._pools
@@ -437,31 +431,15 @@ class AskProfile(Mapping[int, Ask]):
             )
         )
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the columns, the lookup and any built pools."""
-        return int(
-            self.uids.nbytes
-            + self.types.nbytes
-            + self.ask_values.nbytes
-            + self.caps.nbytes
-            + self._sorted_uids.nbytes
-            + self._sorted_rows.nbytes
-            + sum(pool.nbytes for pool in (self._pools or {}).values())
-        )
-
 
 class ProfileColumns(Protocol):
-    """A profile with one tree's arrays, as :class:`ColumnarStore` and an
-    epoch's :class:`~repro.service.state.StateSnapshot` both hold it.
+    """A profile with one tree's arrays, as an epoch's
+    :class:`~repro.service.state.StateSnapshot` holds it.
 
-    ``asks`` is the :class:`AskProfile`, ``view`` the incentive tree's BFS
-    form, ``bfs_types`` the task type at each of its positions and
-    ``type_width`` the highest task type + 1.
+    ``view`` is the incentive tree's BFS form, ``bfs_types`` the task type
+    at each of its positions and ``type_width`` the highest task type + 1.
     """
 
-    @property
-    def asks(self) -> AskProfile: ...
     @property
     def view(self) -> BFSView: ...
     @property
@@ -473,76 +451,33 @@ class ProfileColumns(Protocol):
 class ColumnarStore:
     """A validated profile with its tree's BFS arrays, frozen.
 
-    Construct with :meth:`build`, from an ask profile with its tree or from
-    an epoch snapshot.  Construction validates the profile against the
-    view with :meth:`AskProfile.validate`, as ``RIT.run`` does for every
-    engine, and builds the profile's pools, so runs over the store do no
-    per-profile work.
+    No run reads one: offline runs read the profile and the tree's view,
+    and epochs read their snapshot.  The class stays while perfbench's
+    layer table names ``ColumnarStore.build``, because perfbench checks
+    that every entry point it lists still resolves.
     """
 
     __slots__ = ("asks", "view", "bfs_types")
 
     def __init__(
-        self,
-        job: Job,
-        asks: AskProfile,
-        view: BFSView,
-        node_types: Optional[np.ndarray] = None,
+        self, asks: AskProfile, view: BFSView, node_types: np.ndarray
     ) -> None:
-        asks.validate(job, view)
-        asks.pools()
         self.asks = asks
         self.view = view
-        #: Task type at each BFS position (``node_types`` when the caller
-        #: already holds it, as an epoch snapshot does).
-        self.bfs_types = (
-            node_types
-            if node_types is not None
-            else _frozen(bfs_types(view, asks.uids, asks.types))
-        )
+        #: Task type at each BFS position of ``view``.
+        self.bfs_types = node_types
 
-    # Construction is timed by the caller (bench's store_build_seconds,
-    # the service's epoch executor) and accounted by columnar_store_bytes.
+    # Construction is timed by its caller.
     @classmethod
     def build(  # rit: noqa[RIT013]
-        cls,
-        job: Job,
-        profile: "Union[Mapping[int, Ask], ProfileColumns]",
-        tree: Optional[IncentiveTree] = None,
+        cls, job: Job, asks: Mapping[int, Ask], tree: IncentiveTree
     ) -> "ColumnarStore":
-        """Build the store from a sealed ask profile (profile order kept).
-
-        ``profile`` is an ask mapping (an :class:`AskProfile` or a dict,
-        which :meth:`AskProfile.of` flattens) with its incentive ``tree``;
-        or profile columns with their view and no ``tree`` (an epoch's
-        :class:`~repro.service.state.StateSnapshot`), used as they are.
-        """
-        if isinstance(profile, Mapping):
-            if tree is None:
-                raise ModelError("an ask dict needs its incentive tree")
-            return cls(job, AskProfile.of(profile), tree.bfs_view())
-        return cls(job, profile.asks, profile.view, profile.bfs_types)
-
-    @property
-    def num_users(self) -> int:
-        return len(self.asks)
-
-    @property
-    def k_max(self) -> int:
-        return self.asks.k_max
-
-    @property
-    def type_width(self) -> int:
-        return self.asks.type_width
-
-    def pool(self, tau: TaskType) -> Optional[SortedTypePool]:
-        """A fresh per-run auction pool for ``tau`` (see :meth:`AskProfile.pool`)."""
-        return self.asks.pool(tau)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the store's arrays (the epoch footprint)."""
-        return int(self.asks.nbytes + self.view.nbytes + self.bfs_types.nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarStore(users={self.num_users}, bytes={self.nbytes})"
+        """Validate ``asks`` against ``tree`` and ``job``, as ``RIT.run``
+        does, and build the profile's pools."""
+        profile = AskProfile.of(asks)
+        view = tree.bfs_view()
+        profile.validate(job, view)
+        profile.pools()
+        return cls(
+            profile, view, _frozen(bfs_types(view, profile.uids, profile.types))
+        )

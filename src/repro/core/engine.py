@@ -16,10 +16,10 @@ restores the paper's ``O(N·|J|)`` shape by doing the expensive work once:
   ``searchsorted`` instead of a fresh ``argsort``.
 
 :func:`pools_from_arrays` splits a flattened ask profile into one pool per
-task type.  ``RIT.run``, the epoch workers and
-:class:`~repro.core.columnar.ColumnarStore` all build their pools with it;
-the store keeps its pools read-only and hands each run a
-:meth:`~SortedTypePool.fork`.
+task type.  An :class:`~repro.core.columnar.AskProfile` builds its pools
+with it once, keeps them read-only and hands each run a
+:meth:`~SortedTypePool.fork`; the epoch workers build theirs from the
+snapshot's columns.
 
 RNG-compatibility contract
 --------------------------
@@ -30,7 +30,8 @@ per alive unit in the original (user-id) order, then — on the same
 branches — the Bernoulli keep draws over the ``n_s`` smallest units and
 the winner subsample.  Differential tests
 (``tests/core/test_engine.py``) assert that every :class:`CRAResult`
-field matches the reference exactly, seed by seed.
+field matches the reference exactly, seed by seed, and the test oracle
+``tests/core/reference_rit.py`` runs whole mechanisms on the reference.
 
 Stage timing
 ------------
@@ -39,8 +40,7 @@ seconds for the ``sample`` / ``consensus`` / ``select`` stages (plus
 ``consume``, which the caller times around capacity updates) — all read
 through the timers' injected clock, never ``time.*`` directly (lint rule
 RIT007).  :class:`repro.core.rit.RIT` surfaces the totals on
-:attr:`repro.core.outcome.MechanismOutcome.stage_timings` and ``rit
-bench`` turns them into the ``BENCH_RIT.json`` trajectory.
+:attr:`repro.core.outcome.MechanismOutcome.stage_timings`.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class SortedTypePool:
         "uids",
         "values",
         "remaining",
-        "_index",
         "_sorted_users",
         "_sorted_values",
         "_prefix",
@@ -124,7 +123,6 @@ class SortedTypePool:
             )
         if self.remaining.size and self.remaining.min() < 0:
             raise ConfigurationError("capacities must be non-negative")
-        self._index: Optional[Dict[int, int]] = None  # built lazily
         # Stable sort by ask value; ties stay in original (user-id) order,
         # matching the stable unit-level argsort of the reference CRA.
         order = np.argsort(self.values, kind="stable")
@@ -159,18 +157,6 @@ class SortedTypePool:
         ):
             arr.setflags(write=False)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the pool's arrays."""
-        return int(
-            self.uids.nbytes
-            + self.values.nbytes
-            + self.remaining.nbytes
-            + self._sorted_users.nbytes
-            + self._sorted_values.nbytes
-            + self._prefix.nbytes
-        )
-
     # ------------------------------------------------------------------ #
     # Capacity state
     # ------------------------------------------------------------------ #
@@ -178,18 +164,6 @@ class SortedTypePool:
     def total_remaining(self) -> int:
         """Alive units across all participants (``O(1)``)."""
         return int(self._prefix[-1])
-
-    def _position_of(self, uid: int) -> int:
-        if self._index is None:
-            self._index = {int(u): i for i, u in enumerate(self.uids)}
-        return self._index[uid]
-
-    def consume_many(self, uids: np.ndarray) -> None:
-        """Consume one unit per entry of ``uids`` (repeats allowed)."""
-        uids = np.asarray(uids, dtype=np.int64)
-        self.consume_positions(
-            np.array([self._position_of(int(u)) for u in uids], dtype=np.int64)
-        )
 
     # Covered by the caller's per-stage timers ('consume'); a span per
     # round-level batch would swamp the event log.
@@ -216,7 +190,8 @@ class SortedTypePool:
     # ------------------------------------------------------------------ #
 
     def unit_asks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialized ``(α, λ)`` — the reference path's per-round pool."""
+        """Materialized ``(α, λ)`` — the round's pool as the reference
+        :func:`repro.core.cra.cra` reads it (test oracles only)."""
         reps = self.remaining
         return np.repeat(self.values, reps), np.repeat(self.uids, reps)
 

@@ -31,9 +31,8 @@ level by level, over the closure's rows only, maintaining for each row the
 per-type weighted subtree sums — O(W·d·m) time and space for W paid nodes
 at depth at most d and m type columns, independent of the tree size N.
 Every node outside the closure is paid exactly 0.  :func:`tree_payments`
-and :meth:`repro.core.rit.RIT.join_shards` (over a tree's view, a
-:class:`~repro.core.columnar.ColumnarStore` or an epoch snapshot) both run
-it.  A transparent quadratic implementation (:func:`tree_payments_naive`)
+and :meth:`repro.core.rit.RIT.join_shards` (over a tree's view or an
+epoch snapshot's) both run it.  A transparent quadratic implementation (:func:`tree_payments_naive`)
 is kept for differential testing.
 """
 

@@ -3,15 +3,15 @@
 RIT runs in two phases:
 
 **Auction phase** (lines 1-21).  For each task type ``τ_i`` with ``m_i``
-requested tasks, RIT repeatedly runs :func:`repro.core.cra.cra` over the
-unit asks extracted from the *remaining* capacities, allocating tasks and
-accumulating per-user auction payments ``p^A_j``, until either all ``m_i``
-tasks are allocated or the per-type round budget ``max`` is exhausted.  The
-budget (line 7, reconstructed in :func:`repro.core.bounds.max_rounds`)
-caps the number of randomized rounds so the whole phase stays
-``(K_max, H)``-truthful: per Lemma 6.3, each type must succeed with
-probability ``η = H^(1/m)`` and each round is ``K_max``-truthful with
-probability at least the Lemma 6.2 bound.
+requested tasks, RIT repeatedly runs CRA (Algorithm 1,
+:mod:`repro.core.cra`) over the unit asks extracted from the *remaining*
+capacities, allocating tasks and accumulating per-user auction payments
+``p^A_j``, until either all ``m_i`` tasks are allocated or the per-type
+round budget ``max`` is exhausted.  The budget (line 7, reconstructed in
+:func:`repro.core.bounds.max_rounds`) caps the number of randomized rounds
+so the whole phase stays ``(K_max, H)``-truthful: per Lemma 6.3, each type
+must succeed with probability ``η = H^(1/m)`` and each round is
+``K_max``-truthful with probability at least the Lemma 6.2 bound.
 
 **Payment determination phase** (lines 22-28).  If every task of the job
 was allocated, :meth:`RIT.join_shards` computes final payments with
@@ -37,32 +37,23 @@ expose the budget as a policy:
 The theoretical guarantee actually achieved under the chosen policy can be
 retrieved with :meth:`RIT.truthful_probability_bound`.
 
-Auction engines
----------------
-The multi-round CRA loop has three interchangeable engines (``engine=``):
+Auction engine
+--------------
+The multi-round CRA loop runs the incremental sorted engine of
+:mod:`repro.core.engine`: each per-type pool is sorted once, the prefix
+sums of its remaining capacities in that order are recomputed once per
+round, and every round is resolved by ``searchsorted`` lookups instead of
+a fresh sort.  Per-stage timings are surfaced on
+:attr:`MechanismOutcome.stage_timings`.  ``engine=`` still accepts
+``"sorted"`` and ``"columnar"``, which name this one path; the direct
+transcription of Algorithm 1 (re-materialize and re-sort the unit pool
+every round) survives only as a test oracle.
 
-* ``"sorted"`` *(default)* — the incremental sorted engine of
-  :mod:`repro.core.engine`: each per-type pool is sorted once, the prefix
-  sums of its remaining capacities in that order are recomputed once per
-  round, and every round is resolved by ``searchsorted`` lookups instead
-  of a fresh sort.  Per-stage timings are surfaced on
-  :attr:`MechanismOutcome.stage_timings`.
-* ``"reference"`` — re-materialize and re-sort the unit pool every round
-  (the direct transcription of Algorithm 1).
-* ``"columnar"`` — the sorted engine over a frozen
-  :class:`~repro.core.columnar.ColumnarStore`, which adds the tree's BFS
-  view and BFS-ordered types to the profile.  A run pays over the
-  store's BFS-ordered types.  Callers that amortize across runs (``rit
-  bench``) build the store once and pass it via ``run(...,
-  columnar_store=...)``; the epoch service builds one per epoch from its
-  snapshot's columns and view.
-
-All engines consume the identical random stream and produce identical
-outcomes for the same seed; differential tests enforce this.  Every run
-reads the ask profile as an :class:`~repro.core.columnar.AskProfile`
-(:meth:`AskProfile.of <repro.core.columnar.AskProfile.of>` passes a
-profile as is and flattens a dict once).  The profile splits and sorts
-its per-type pools once, on first use, and every run consumes a
+Every run reads the ask profile as an
+:class:`~repro.core.columnar.AskProfile` (:meth:`AskProfile.of
+<repro.core.columnar.AskProfile.of>` passes a profile as is and flattens a
+dict once).  The profile splits and sorts its per-type pools once, on
+first use, and every run consumes a
 :meth:`~repro.core.engine.SortedTypePool.fork` of each; repeated runs
 over one profile do no per-profile work beyond validating it against the
 tree's cached :class:`~repro.tree.incentive_tree.BFSView` (one compare of
@@ -97,11 +88,9 @@ from repro.core import bounds
 # ``AskProfile``.
 from repro.core.columnar import (
     AskProfile,
-    ColumnarStore,
     ProfileColumns,
     profile_arrays,
 )
-from repro.core.cra import cra
 from repro.core.engine import (
     SortedTypePool,
     StageTimers,
@@ -132,7 +121,8 @@ __all__ = [
 
 BUDGET_POLICIES = ("lemma", "paper", "until-complete")
 
-ENGINES = ("sorted", "reference", "columnar")
+#: Names ``engine=`` accepts.  Both run the one presorted engine.
+ENGINES = ("sorted", "columnar")
 
 #: How randomness is threaded through the per-type auction loops.
 #:
@@ -180,10 +170,9 @@ class RIT(Mechanism):
         Ablation knob forwarded to every CRA round (see
         :func:`repro.core.cra.cra`); 1.0 is the paper's mechanism.
     engine:
-        One of :data:`ENGINES` — ``"sorted"`` (incremental sorted engine,
-        default), ``"reference"`` (per-round rebuild) or ``"columnar"``
-        (struct-of-arrays epoch store); see the module docstring.
-        Outcomes are seed-for-seed identical across all three.
+        One of :data:`ENGINES`.  Both names run the presorted engine (see
+        the module docstring); the value is recorded on the ``mechanism``
+        span and in the service ledger's meta.
     rng_policy:
         One of :data:`RNG_POLICIES` — ``"stream"`` (one generator shared
         sequentially across types, default) or ``"per-type"`` (independent
@@ -299,39 +288,18 @@ class RIT(Mechanism):
         asks: Mapping[int, Ask],
         tree: IncentiveTree,
         rng: SeedLike = None,
-        *,
-        columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
         gen = as_generator(rng)
         tracer = self.tracer
         tracing = tracer.enabled
         clock = tracer.clock
-        # The run's elapsed times include any profile conversion and store
-        # build; spans open only once the profile has passed validation.
+        # The run's elapsed times include any profile conversion; spans
+        # open only once the profile has passed validation.
         t_start = clock()
-        store = columnar_store
-        if store is not None:
-            # A caller-provided store (epoch service, bench) was validated
-            # when it was built; check it still matches this run's profile.
-            if self.engine != "columnar":
-                raise ConfigurationError(
-                    "columnar_store is only meaningful with engine='columnar'"
-                )
-            if store.num_users != len(asks):
-                raise ConfigurationError(
-                    f"columnar store holds {store.num_users} users but the "
-                    f"profile has {len(asks)}; rebuild the store per epoch"
-                )
-            profile = store.asks
-        else:
-            # Validation, pools, k_max and the payment row width all read
-            # the profile's columns and caches.
-            profile = AskProfile.of(asks)
-            view = tree.bfs_view()
-            if self.engine == "columnar":
-                store = ColumnarStore(job, profile, view)
-            else:
-                profile.validate(job, view)
+        # Validation, pools, k_max and the payment row width all read the
+        # profile's columns and caches.
+        profile = AskProfile.of(asks)
+        profile.validate(job, tree.bfs_view())
         owns_run = False
         run_sid = mech_sid = -1
         if tracing:
@@ -347,16 +315,8 @@ class RIT(Mechanism):
                 num_types=job.num_types,
             )
             tracer.count("mechanism_runs")
-            if store is not None:
-                tracer.count(
-                    "columnar_store_bytes", store.nbytes, unit="bytes"
-                )
 
-        timers = (
-            StageTimers(clock=clock)
-            if self.engine in ("sorted", "columnar")
-            else None
-        )
+        timers = StageTimers(clock=clock)
         shards: List[TypeShardResult] = []
 
         if len(profile):
@@ -392,7 +352,6 @@ class RIT(Mechanism):
             started_at=t_start,
             auction_ended_at=t_auction,
             timers=timers,
-            columns=store,
             type_width=profile.type_width,
         )
         if not final.completed and self.raise_on_failure:
@@ -406,11 +365,10 @@ class RIT(Mechanism):
                 f"round budget (policy={self.round_budget!r})"
             )
         if tracing:
-            if timers is not None:
-                for stage, seconds in timers.as_dict().items():
-                    tracer.count(
-                        "stage_seconds/" + stage, seconds, unit="seconds"
-                    )
+            for stage, seconds in timers.as_dict().items():
+                tracer.count(
+                    "stage_seconds/" + stage, seconds, unit="seconds"
+                )
             tracer.end(mech_sid)
             if owns_run:
                 tracer.end(run_sid)
@@ -447,9 +405,6 @@ class RIT(Mechanism):
         auction_payments: Dict[int, float] = {}
         rounds_log: List[RoundRecord] = []
         budget = self.budget_for(m_i, k_max, num_types)
-        # Both presorted engines resolve rounds against the pool's stable
-        # value order; "columnar" merely forked its pool from the store's.
-        use_presorted = self.engine in ("sorted", "columnar")
         tracer = self.tracer
         tracing = tracer.enabled
         cra_sid = -1
@@ -465,26 +420,16 @@ class RIT(Mechanism):
             round_sid = -1
             if tracing:
                 round_sid = tracer.begin("round", round_index=rounds, q=q)
-            if use_presorted:
-                result = cra_presorted(
-                    group,
-                    q,
-                    m_i,
-                    gen,
-                    sample_rate_scale=self.sample_rate_scale,
-                    timers=timers,
-                    tracer=tracer,
-                )
-                t_consume = timers.clock() if timers is not None else 0.0
-            else:
-                values, owners = group.unit_asks()
-                result = cra(
-                    values, q, m_i, gen,
-                    sample_rate_scale=self.sample_rate_scale,
-                    tracer=tracer,
-                )
-                t_consume = timers.clock() if timers is not None else 0.0
-                winner_uids = owners[result.winners]
+            result = cra_presorted(
+                group,
+                q,
+                m_i,
+                gen,
+                sample_rate_scale=self.sample_rate_scale,
+                timers=timers,
+                tracer=tracer,
+            )
+            t_consume = timers.clock() if timers is not None else 0.0
             rounds_log.append(
                 RoundRecord(
                     task_type=tau,
@@ -496,27 +441,18 @@ class RIT(Mechanism):
                     overflow_trimmed=result.overflow_trimmed,
                 )
             )
-            if use_presorted:
-                if result.num_winners:
-                    # The round's bounds, cached on the pool by the
-                    # sample stage, map unit indices to users.
-                    winner_positions = group.unit_user_positions(
-                        result.winners, group.round_bounds()
-                    )
-                    for uid in group.uids[winner_positions].tolist():
-                        allocation[uid] = allocation.get(uid, 0) + 1
-                        auction_payments[uid] = (
-                            auction_payments.get(uid, 0.0) + result.price
-                        )
-                    group.consume_positions(winner_positions)
-                    q -= result.num_winners
-            else:
-                for uid in winner_uids.tolist():
+            if result.num_winners:
+                # The round's bounds, cached on the pool by the sample
+                # stage, map unit indices to users.
+                winner_positions = group.unit_user_positions(
+                    result.winners, group.round_bounds()
+                )
+                for uid in group.uids[winner_positions].tolist():
                     allocation[uid] = allocation.get(uid, 0) + 1
                     auction_payments[uid] = (
                         auction_payments.get(uid, 0.0) + result.price
                     )
-                group.consume_many(winner_uids)
+                group.consume_positions(winner_positions)
                 q -= result.num_winners
             if timers is not None:
                 timers.consume += timers.clock() - t_consume
@@ -525,8 +461,7 @@ class RIT(Mechanism):
                 if result.num_winners:
                     tracer.count("winners_selected", result.num_winners)
                     tracer.count("tasks_allocated", result.num_winners)
-                    if use_presorted:
-                        tracer.count("fenwick_rebuilds")
+                    tracer.count("fenwick_rebuilds")
                 else:
                     tracer.count("zero_winner_rounds")
                 if result.overflow_trimmed:
@@ -570,12 +505,11 @@ class RIT(Mechanism):
         determination phase (lines 22-25) runs here, so sharded callers
         get tree payments and budget splits identical to :meth:`run`.
 
-        Payments cover the winners' root paths only.  With ``columns`` (a
-        :class:`~repro.core.columnar.ColumnarStore`, or an epoch's
-        :class:`~repro.service.state.StateSnapshot`) they read its view and
-        BFS-ordered types, and ``asks`` and ``tree`` are not used (pass
-        None).  Otherwise they read ``tree``'s view and the types of those
-        nodes alone from the columns of ``asks`` (taken through
+        Payments cover the winners' root paths only.  With ``columns`` (an
+        epoch's :class:`~repro.service.state.StateSnapshot`) they read its
+        view and BFS-ordered types, and ``asks`` and ``tree`` are not used
+        (pass None).  Otherwise they read ``tree``'s view and the types of
+        those nodes alone from the columns of ``asks`` (taken through
         :meth:`AskProfile.of <repro.core.columnar.AskProfile.of>`), and
         ``type_width`` must be the profile's highest task type + 1
         (:attr:`AskProfile.type_width

@@ -70,22 +70,21 @@ _HOT_MIN_STATEMENTS = 8
 CONCURRENT_ROOT_MODULES = ("repro.service.workers",)
 
 #: Specific functions dispatched to worker threads from elsewhere.
-#: An ask profile (directly, or through the columnar store) hands each
-#: shard a fork of one of its frozen per-type pools (shared read-only
-#: arrays, private capacities), and runs over one profile may execute on
-#: several threads, so everything reachable from ``pool()`` runs
-#: concurrently.
+#: An ask profile hands each shard a fork of one of its frozen per-type
+#: pools (shared read-only arrays, private capacities), and runs over one
+#: profile may execute on several threads, so everything reachable from
+#: ``pool()`` runs concurrently.
 CONCURRENT_ROOT_FUNCTIONS = (
     "repro.core.rit.RIT.run_type_shard",
-    "repro.core.columnar.ColumnarStore.pool",
     "repro.core.columnar.AskProfile.pool",
 )
 
 #: Recognised single-writer roles for ``# rit: owner=<role>`` markers.
-#: ``epoch`` is the columnar-store convention: state built once per epoch
-#: before any shard worker can observe it, then treated as immutable for
-#: the epoch's lifetime (the store enforces this with ``writeable=False``
-#: arrays; per-run mutable capacity lives in each shard's pool fork).
+#: ``epoch`` is the frozen-array convention: state built once (per
+#: profile, or per epoch snapshot) before any shard worker can observe
+#: it, then treated as immutable (``AskProfile`` and ``StateSnapshot``
+#: enforce this with ``writeable=False`` arrays; per-run mutable capacity
+#: lives in each shard's pool fork).
 OWNER_ROLES = ("main-thread", "import-time-only", "epoch")
 
 #: id → (name, rationale) — surfaced by ``rit analyze --list-rules``.

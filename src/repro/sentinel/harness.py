@@ -22,8 +22,9 @@ stock stream generator appends all withdrawals as one tail cohort, which
 clean baseline.
 
 The result is the schema-validated ``sentinel`` section of
-``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`),
-also produced per-run by ``rit loadgen --attack … --bench``.
+``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`).
+``rit loadgen --attack …`` reports a one-run fragment of the same shape
+(:func:`sentinel_section_for_run`) without merging it.
 
 Like :mod:`repro.service.loadgen` and :mod:`repro.service.top`, this is
 a bench/CLI harness and deliberately sits outside the RIT007
@@ -180,7 +181,7 @@ def sentinel_section_for_run(
     graph: str = "twitter",
     k: int = DEFAULT_DETECTION_BUDGET,
 ) -> Dict[str, Any]:
-    """The ``sentinel`` bench section for one ``--attack`` loadgen run."""
+    """The ``sentinel`` section shape for one ``--attack`` loadgen run."""
     entry = attack_result_doc(plane, schedule, k=k)
     entry["graph"] = graph
     detected = (

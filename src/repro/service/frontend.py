@@ -77,11 +77,14 @@ class IngestFrontend:
     # ------------------------------------------------------------------ #
 
     def _admit(self, event: ServiceEvent) -> Optional[str]:
+        # A closed frontend refuses before counting: an event it is no
+        # longer offered cannot break offered == accepted + invalid +
+        # rejected + gated.
+        if self._closed:
+            return "closed"
         self.offered += 1
         if self.tracer.enabled:
             self.tracer.count("service_events_offered")
-        if self._closed:
-            return "closed"
         reason = validate_event(event, self.job)
         if reason is not None:
             self.invalid += 1

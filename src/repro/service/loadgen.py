@@ -167,8 +167,6 @@ def run_service_bench(
     epoch_max_ticks: Optional[int] = None,
     queue_size: int = 4096,
     withdraw_fraction: float = 0.02,
-    engine: str = "sorted",
-    shard_workers: bool = True,
     min_events: int = 0,
     graph: str = "twitter",
     attack: Optional[str] = None,
@@ -186,8 +184,9 @@ def run_service_bench(
     (:func:`repro.sentinel.attacks.inject_attack`) at ``attack_epoch``
     and attaches a :class:`~repro.sentinel.plane.SentinelPlane`; the
     result then carries a ``sentinel`` fragment (detection latency,
-    alert counts, the injection schedule) that the CLI merges into
-    ``BENCH_RIT.json``'s ``sentinel`` section.
+    alert counts, the injection schedule) that the CLI prints; it is never
+    merged over ``BENCH_RIT.json``'s ``sentinel`` section, which
+    ``rit sentinel --bench`` owns.
     """
     if users <= 0:
         raise ConfigurationError(f"users must be positive, got {users}")
@@ -224,15 +223,12 @@ def run_service_bench(
     # until-complete so epochs actually cover the job and exercise the
     # payment phase — a voided epoch skips tree_payments entirely and
     # would make the latency numbers flattering.
-    mechanism = RIT(
-        engine=engine, rng_policy="per-type", round_budget="until-complete"
-    )
+    mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     config = ServiceConfig(
         seed=seed,
         queue_size=queue_size,
         epoch_max_events=epoch_max_events,
         epoch_max_ticks=epoch_max_ticks,
-        shard_workers=shard_workers,
     )
     service = MechanismService(
         mechanism,
@@ -259,8 +255,6 @@ def run_service_bench(
             "epoch_max_ticks": epoch_max_ticks,
             "queue_size": queue_size,
             "withdraw_fraction": withdraw_fraction,
-            "engine": engine,
-            "shard_workers": shard_workers,
             "graph": graph,
         },
         "events": {

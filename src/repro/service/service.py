@@ -57,7 +57,6 @@ class ServiceConfig:
     queue_size: int = 1024
     epoch_max_events: int = 256
     epoch_max_ticks: Optional[int] = None
-    shard_workers: bool = True
     max_workers: Optional[int] = None
 
     def policy(self) -> EpochPolicy:
@@ -167,7 +166,6 @@ class MechanismService:
                 epoch_max_events=config.epoch_max_events,
                 epoch_max_ticks=config.epoch_max_ticks,
                 queue_size=config.queue_size,
-                shard_workers=config.shard_workers,
             )
         workers = config.max_workers or max(1, min(self.job.num_types, 8))
         executor = ThreadPoolExecutor(
@@ -230,7 +228,6 @@ class MechanismService:
             snapshot,
             epoch_seed(self.config.seed, snapshot.batch.index),
             executor=executor,
-            shard_workers=self.config.shard_workers,
             telemetry=self.telemetry,
         )
         latency = clock() - t_start
@@ -284,7 +281,6 @@ class MechanismService:
             "queue_size": self.config.queue_size,
             "epoch_max_events": self.config.epoch_max_events,
             "epoch_max_ticks": self.config.epoch_max_ticks,
-            "shard_workers": self.config.shard_workers,
             "engine": self.mechanism.engine,
             "rng_policy": self.mechanism.rng_policy,
             "round_budget": self.mechanism.round_budget,

@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarStore
 from repro.core.engine import SortedTypePool, StageTimers, pools_from_arrays
 from repro.core.outcome import MechanismOutcome, TypeShardResult
 # ``profile_arrays`` stays importable here for perfbench, whose layer
@@ -54,7 +53,7 @@ def _run_shard(
     num_types: int,
     seed: np.random.SeedSequence,
     shard_tracer: NullTracer,
-    timers: Optional[StageTimers],
+    timers: StageTimers,
 ) -> Tuple[TypeShardResult, float]:
     """Thread-pool body: one type's CRA loop against a private sink.
 
@@ -78,20 +77,6 @@ def _run_shard(
     return result, shard_tracer.clock() - t_start
 
 
-def _run_whole(
-    mechanism: RIT,
-    job: Job,
-    snapshot: EpochSnapshot,
-    seed: np.random.SeedSequence,
-) -> MechanismOutcome:
-    """Executor body of the sharding-off baseline: one offline ``RIT.run``.
-
-    The snapshot's profile and tree forms are built here, off the event
-    loop.
-    """
-    return mechanism.run(job, snapshot.asks, snapshot.tree, seed)
-
-
 async def run_epoch(
     mechanism: RIT,
     job: Job,
@@ -99,17 +84,14 @@ async def run_epoch(
     seed: np.random.SeedSequence,
     *,
     executor: ThreadPoolExecutor,
-    shard_workers: bool = True,
     telemetry: Optional[ServiceTelemetry] = None,
 ) -> MechanismOutcome:
     """Execute one epoch's auction over a frozen snapshot.
 
-    With ``shard_workers=True`` each task type runs concurrently on the
-    executor, and every engine reads the snapshot's read-only columns and
-    BFS view directly; otherwise the whole ``RIT.run`` executes as a
-    single executor job over the snapshot's profile and tree forms (useful
-    as a sharding-off baseline — outcomes are identical either way
-    because ``rng_policy="per-type"`` decouples the per-type streams).
+    Each task type runs concurrently on the executor, over a pool built
+    from the snapshot's read-only columns; payments read the snapshot's
+    BFS view.  Outcomes equal one offline ``RIT.run`` over the snapshot,
+    because ``rng_policy="per-type"`` decouples the per-type streams.
     """
     tracer = mechanism.tracer
     tracing = tracer.enabled
@@ -128,41 +110,21 @@ async def run_epoch(
         )
         tracer.count("service_epochs_closed")
     try:
-        if not shard_workers:
-            outcome = await loop.run_in_executor(
-                executor, _run_whole, mechanism, job, snapshot, seed
-            )
-            return outcome
-
         t_start = clock()
         gen = as_generator(seed)
         pending: List[
             Tuple[
                 int,
                 NullTracer,
-                Optional[StageTimers],
+                StageTimers,
                 "asyncio.Future[Tuple[TypeShardResult, float]]",
             ]
         ] = []
-        store: Optional[ColumnarStore] = None
         if len(state):
-            if mechanism.engine == "columnar":
-                # The epoch-scoped store is built once (off the event
-                # loop) and shared read-only across all type shards; each
-                # shard's mutable capacity state lives in its own pool.
-                store = await loop.run_in_executor(
-                    executor, ColumnarStore.build, job, state
-                )
-                if tracing:
-                    tracer.count(
-                        "columnar_store_bytes", store.nbytes, unit="bytes"
-                    )
-                k_max = mechanism.k_max_override or store.k_max
-            else:
-                k_max = mechanism.k_max_override or int(state.caps.max())
-                by_type = pools_from_arrays(
-                    state.uids, state.types, state.values, state.caps
-                )
+            k_max = mechanism.k_max_override or int(state.caps.max())
+            by_type = pools_from_arrays(
+                state.uids, state.types, state.values, state.caps
+            )
             type_seeds = spawn_seeds(gen, job.num_types)
             for tau in job.types():
                 m_i = job.tasks_of(tau)
@@ -173,14 +135,7 @@ async def run_epoch(
                     shard_tracer = Tracer(
                         f"epoch{snapshot.batch.index}-shard{tau}", clock=clock
                     )
-                timers = (
-                    StageTimers(clock=clock)
-                    if mechanism.engine in ("sorted", "columnar")
-                    else None
-                )
-                pool = (
-                    store.pool(tau) if store is not None else by_type.get(tau)
-                )
+                timers = StageTimers(clock=clock)
                 future = loop.run_in_executor(
                     executor,
                     functools.partial(
@@ -188,7 +143,7 @@ async def run_epoch(
                         mechanism,
                         tau,
                         m_i,
-                        pool,
+                        by_type.get(tau),
                         k_max,
                         job.num_types,
                         type_seeds[tau],
@@ -199,11 +154,7 @@ async def run_epoch(
                 pending.append((tau, shard_tracer, timers, future))
 
         shards: List[TypeShardResult] = []
-        merged_timers = (
-            StageTimers(clock=clock)
-            if mechanism.engine in ("sorted", "columnar")
-            else None
-        )
+        merged_timers = StageTimers(clock=clock)
         # Await and absorb in ascending type order: shard *execution* is
         # concurrent, but the merged trace and the shard list are built
         # deterministically regardless of completion order.
@@ -220,11 +171,10 @@ async def run_epoch(
                 tracer.observe(
                     "shard_run_seconds", shard_seconds, epoch=snapshot.batch.index
                 )
-            if merged_timers is not None and timers is not None:
-                merged_timers.sample += timers.sample
-                merged_timers.consensus += timers.consensus
-                merged_timers.select += timers.select
-                merged_timers.consume += timers.consume
+            merged_timers.sample += timers.sample
+            merged_timers.consensus += timers.consensus
+            merged_timers.select += timers.select
+            merged_timers.consume += timers.consume
         t_auction = clock()
 
         join_sid = -1

@@ -15,8 +15,8 @@ walk that yields an immutable :class:`BFSView`; the tree caches it until
 the next :meth:`~IncentiveTree.attach`, :meth:`~IncentiveTree.reattach` or
 :meth:`~IncentiveTree.remove_leaf`.  :meth:`BFSView.from_parents` builds
 the same view from a parent column with array operations only; the
-epoch service's snapshots use it instead of a tree.  Payments, the
-columnar store and the service's epoch gauges all read a view.  Sybil
+epoch service's snapshots use it instead of a tree.  Payments, profile
+validation and the service's epoch gauges all read a view.  Sybil
 attacks are *structural rewrites* of the tree; they are implemented in
 :mod:`repro.attacks.sybil` using the primitives here (:meth:`attach`,
 :meth:`reattach_children`).
@@ -160,17 +160,6 @@ class BFSView:
     def max_depth(self) -> int:
         """Height of the tree (0 when empty)."""
         return len(self.level_bounds) - 1
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the view's arrays."""
-        return int(
-            self.uids.nbytes
-            + self.parent.nbytes
-            + self.depth.nbytes
-            + self._sorted_uids.nbytes
-            + self._sorted_positions.nbytes
-        )
 
     def same_nodes(self, sorted_uids: np.ndarray) -> bool:
         """True when ``sorted_uids`` are exactly the node ids.

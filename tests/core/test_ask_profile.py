@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import AskProfile, ColumnarStore
+from repro.core.columnar import AskProfile
 from repro.core.exceptions import ModelError
-from repro.core.rit import ENGINES, RIT, RNG_POLICIES
+from repro.core.rit import RIT, RNG_POLICIES
 from repro.core.types import Ask, Job, Population, User
 from repro.service.ledger import canonical_outcome
 from repro.tree.incentive_tree import ROOT, IncentiveTree
@@ -32,6 +32,7 @@ from repro.workloads.scenarios import (
     spectrum_sensing,
 )
 from repro.workloads.users import UserDistribution
+from tests.core.reference_rit import MECHANISMS
 
 
 def canonical(outcome):
@@ -126,13 +127,9 @@ class TestDictDifferential:
             np.array([asks[u].value for u in uids]),
             np.array([asks[u].capacity for u in uids], dtype=np.int64),
         )
-        for engine in ENGINES:
+        for engine, build in MECHANISMS.items():
             for policy in RNG_POLICIES:
-                mech = RIT(
-                    engine=engine,
-                    rng_policy=policy,
-                    round_budget="until-complete",
-                )
+                mech = build(rng_policy=policy, round_budget="until-complete")
                 expected = canonical(mech.run(job, asks, tree, seed))
                 # The second run over the profile reads its cached pools.
                 for attempt in range(2):
@@ -170,7 +167,7 @@ class TestCachedRuns:
             np.testing.assert_array_equal(pool.remaining, caps)
             assert pool.total_remaining() == int(caps.sum())
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", MECHANISMS)
     def test_runs_build_no_ask(self, engine, monkeypatch):
         job, profile, tree = scenario_inputs()
         fresh = AskProfile.of(dict(profile))
@@ -182,10 +179,9 @@ class TestCachedRuns:
             original(self)
 
         monkeypatch.setattr(Ask, "__post_init__", counting)
-        mech = RIT(engine=engine, round_budget="until-complete")
+        mech = MECHANISMS[engine](round_budget="until-complete")
         for seed in range(2):
             assert mech.run(job, fresh, tree, seed).completed
-        ColumnarStore.build(job, fresh, tree)
         assert built == []
 
     def test_thread_pool_runs_equal_serial_runs(self):
@@ -338,14 +334,12 @@ class TestOwnership:
         tree = IncentiveTree()
         for uid in (4, 2, 9):
             tree.attach(uid)
-        store = ColumnarStore.build(Job.uniform(2, 1), profile, tree)
+        RIT().run(Job.uniform(2, 1), profile, tree, 0)  # builds the pools
         assert all(arr.flags.writeable for arr in inputs)
         own = (profile.uids, profile.types, profile.ask_values, profile.caps)
         for arr, source in zip(own, inputs):
             assert not arr.flags.writeable
             assert not np.shares_memory(arr, source)
-        for arr in (*(getattr(store.asks, a) for a in ("uids", "caps")), store.bfs_types):
-            assert not arr.flags.writeable
         uids[0] = 77  # the caller's arrays stay the caller's
         assert profile.uids[0] == 4 and 77 not in profile
 

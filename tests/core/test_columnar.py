@@ -1,16 +1,18 @@
-"""Unit tests for the columnar struct-of-arrays store.
+"""Unit tests for the columnar profile's arrays, pools and BFS placement.
 
-The differential guarantees (columnar == sorted, seed by seed) live in
-``test_rit_engines.py`` and ``test_columnar_differential.py``; this file
-pins the store's construction contract — array layout, validation
-messages, frozen ownership, pools equal to the sorted engine's.
+The differential guarantees (production engine == reference oracle, seed
+by seed) live in ``test_rit_engines.py`` and
+``test_columnar_differential.py``; this file pins what
+``ColumnarStore.build`` assembles from a profile and its tree — array
+layout, validation messages, frozen ownership, pools equal to a fresh
+per-run construction.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.columnar import ColumnarStore
-from repro.core.exceptions import ConfigurationError, ModelError
+from repro.core.exceptions import ModelError
 from repro.core.extract import extract
 from repro.core.rit import RIT, profile_arrays, pools_from_arrays
 from repro.core.types import Ask, Job
@@ -42,8 +44,8 @@ class TestStoreConstruction:
         np.testing.assert_array_equal(store.asks.types, type_arr)
         np.testing.assert_array_equal(store.asks.ask_values, val_arr)
         np.testing.assert_array_equal(store.asks.caps, cap_arr)
-        assert store.num_users == len(asks)
-        assert store.k_max == int(cap_arr.max())
+        assert len(store.asks) == len(asks)
+        assert store.asks.k_max == int(cap_arr.max())
 
     def test_arrays_are_frozen(self, store_setup):
         _, _, _, store = store_setup
@@ -57,23 +59,13 @@ class TestStoreConstruction:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_nbytes_counts_profile_tree_and_blocks(self, store_setup):
-        job, _, _, store = store_setup
-        floor = (
-            store.asks.uids.nbytes
-            + store.view.nbytes
-            + sum(store.pool(tau).nbytes for tau in job.types())
-        )
-        assert store.nbytes > floor
-        assert isinstance(store.nbytes, int)
-
     def test_empty_profile_builds_an_empty_store(self):
         job = Job.uniform(2, 3)
         store = ColumnarStore.build(job, {}, IncentiveTree())
-        assert store.num_users == 0
-        assert store.k_max == 0
-        assert store.pool(0) is None
-        assert store.nbytes >= 0
+        assert len(store.asks) == 0 and len(store.view) == 0
+        assert store.asks.k_max == 0
+        assert store.asks.pool(0) is None
+        assert store.bfs_types.shape == (0,)
 
 
 class TestValidation:
@@ -121,7 +113,7 @@ class TestExtractKernel:
     def test_unit_asks_equal_algorithm_2(self, store_setup):
         job, scenario, asks, store = store_setup
         for tau in job.types():
-            values, owners = store.pool(tau).unit_asks()
+            values, owners = store.asks.pool(tau).unit_asks()
             reference = extract(tau, asks)
             np.testing.assert_array_equal(values, reference.values)
             np.testing.assert_array_equal(owners, reference.owners)
@@ -134,7 +126,7 @@ class TestPoolKernel:
         by_type = pools_from_arrays(uid_arr, type_arr, val_arr, cap_arr)
         for tau in job.types():
             fresh = by_type.get(tau)
-            pool = store.pool(tau)
+            pool = store.asks.pool(tau)
             if fresh is None:
                 assert pool is None
                 continue
@@ -152,10 +144,10 @@ class TestPoolKernel:
     def test_pool_capacity_state_is_private_per_pool(self, store_setup):
         _, _, _, store = store_setup
         tau = 0
-        first = store.pool(tau)
+        first = store.asks.pool(tau)
         before = first.remaining.copy()
         first.remaining[:] = 0
-        second = store.pool(tau)
+        second = store.asks.pool(tau)
         np.testing.assert_array_equal(second.remaining, before)
 
 
@@ -193,88 +185,10 @@ class TestTreeArrays:
 
 
 class TestRunWiring:
-    def test_store_only_meaningful_for_columnar_engine(self):
-        job, scenario = small_scenario(users=20)
-        asks = scenario.truthful_asks()
-        store = ColumnarStore.build(job, asks, scenario.tree)
-        with pytest.raises(ConfigurationError):
-            RIT(engine="sorted").run(
-                job,
-                asks,
-                scenario.tree,
-                np.random.default_rng(0),
-                columnar_store=store,
-            )
-
-    def test_stale_store_rejected(self):
-        job, scenario = small_scenario(users=20)
-        asks = scenario.truthful_asks()
-        store = ColumnarStore.build(job, asks, scenario.tree)
-        shrunk = dict(asks)
-        victim = next(u for u in asks if not scenario.tree.children(u))
-        tree = scenario.tree.copy()
-        tree.remove_leaf(victim)
-        del shrunk[victim]
-        with pytest.raises(ConfigurationError) as excinfo:
-            RIT(engine="columnar").run(
-                job, shrunk, tree, np.random.default_rng(0),
-                columnar_store=store,
-            )
-        assert "rebuild the store per epoch" in str(excinfo.value)
-
-    def test_prebuilt_store_changes_nothing(self):
-        job, scenario = small_scenario(users=70, seed=4)
-        asks = scenario.truthful_asks()
-        store = ColumnarStore.build(job, asks, scenario.tree)
-        mech = RIT(engine="columnar")
-        with_store = mech.run(
-            job,
-            asks,
-            scenario.tree,
-            np.random.default_rng(7),
-            columnar_store=store,
-        )
-        without_store = mech.run(
-            job, asks, scenario.tree, np.random.default_rng(7)
-        )
-        assert with_store.allocation == without_store.allocation
-        assert with_store.payments == without_store.payments
-        assert (
-            with_store.auction_payments == without_store.auction_payments
-        )
-
-    def test_one_store_serves_many_runs(self):
-        job, scenario = small_scenario(users=90, seed=6)
-        asks = scenario.truthful_asks()
-        store = ColumnarStore.build(job, asks, scenario.tree)
-        mech = RIT(engine="columnar", round_budget="until-complete")
-        for seed in (0, 1, 2, 3):
-            reused = mech.run(
-                job,
-                asks,
-                scenario.tree,
-                np.random.default_rng(seed),
-                columnar_store=store,
-            )
-            fresh = mech.run(
-                job,
-                asks,
-                scenario.tree,
-                np.random.default_rng(seed),
-                columnar_store=ColumnarStore.build(job, asks, scenario.tree),
-            )
-            assert reused.allocation, f"seed {seed} allocated nothing"
-            assert reused.allocation == fresh.allocation, f"seed {seed}"
-            assert reused.auction_payments == fresh.auction_payments
-            assert reused.payments == fresh.payments
-            # repr keeps float bits and reads a voided round's NaN price
-            # as equal to itself.
-            assert repr(reused.rounds) == repr(fresh.rounds)
-
     def test_shared_pool_arrays_are_read_only(self, store_setup):
         job, _, _, store = store_setup
         for tau in job.types():
-            pool = store.pool(tau)
+            pool = store.asks.pool(tau)
             for arr in (
                 pool.uids,
                 pool.values,
@@ -285,8 +199,8 @@ class TestRunWiring:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0
-            # A run consumes its own capacities, never the store's.
-            before = store.pool(tau).remaining.copy()
+            # A run consumes its own capacities, never the profile's.
+            before = store.asks.pool(tau).remaining.copy()
             pool.consume_positions(np.flatnonzero(pool.remaining > 0)[:1])
-            np.testing.assert_array_equal(store.pool(tau).remaining, before)
-            assert store.pool(tau).total_remaining() == int(before.sum())
+            np.testing.assert_array_equal(store.asks.pool(tau).remaining, before)
+            assert store.asks.pool(tau).total_remaining() == int(before.sum())

@@ -1,12 +1,14 @@
-"""Property-based differential: columnar is bit-identical to sorted.
+"""Property-based differential: the production engine against the oracle.
 
 Hypothesis drives randomized populations — including duplicated ask
 values (stressing the stable-order contract the RNG stream hinges on)
 and withdrawal epochs where users leave and their subtrees are grafted
 onto the grandparent, exactly as the service's state machine rewires the
-referral forest.  For every instance and every seed the columnar engine
-must reproduce the sorted engine's outcome byte for byte: completion,
-allocation, prices, per-round logs, auction and final payments.
+referral forest.  For every instance and every seed the reference oracle
+(:class:`tests.core.reference_rit.ReferenceRIT`) and the production
+engine under its ``"columnar"`` name must reproduce the default engine's
+outcome byte for byte: completion, allocation, prices, per-round logs,
+auction and final payments.
 """
 
 import math
@@ -15,10 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarStore
 from repro.core.rit import RIT
 from repro.core.types import Ask, Job
 from repro.tree.incentive_tree import ROOT, IncentiveTree
+from tests.core.reference_rit import ReferenceRIT
 
 
 @st.composite
@@ -97,23 +99,15 @@ class TestColumnarDifferential:
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_sorted(self, instance):
         job, asks, tree, seed = instance
-        baseline = RIT(round_budget="until-complete", engine="sorted").run(
+        baseline = RIT(round_budget="until-complete").run(
             job, asks, tree, np.random.default_rng(seed)
         )
-        columnar_mech = RIT(
-            round_budget="until-complete", engine="columnar"
-        )
-        store = ColumnarStore.build(job, asks, tree)
-        for run_kwargs in ({}, {"columnar_store": store}):
-            out = columnar_mech.run(
-                job,
-                asks,
-                tree,
-                np.random.default_rng(seed),
-                **run_kwargs,
-            )
-            prebuilt = "columnar_store" in run_kwargs
-            context = f"seed {seed} prebuilt={prebuilt}"
+        for name, mech in (
+            ("oracle", ReferenceRIT(round_budget="until-complete")),
+            ("columnar", RIT(round_budget="until-complete", engine="columnar")),
+        ):
+            out = mech.run(job, asks, tree, np.random.default_rng(seed))
+            context = f"seed {seed} {name}"
             assert out.completed == baseline.completed, context
             assert out.allocation == baseline.allocation, context
             assert (
@@ -127,20 +121,15 @@ class TestColumnarDifferential:
     def test_paper_round_budget_agrees_too(self, instance):
         job, asks, tree, seed = instance
         outcomes = {
-            engine: RIT(round_budget="paper", engine=engine).run(
-                job, asks, tree, np.random.default_rng(seed)
+            name: mech.run(job, asks, tree, np.random.default_rng(seed))
+            for name, mech in (
+                ("sorted", RIT(round_budget="paper")),
+                ("oracle", ReferenceRIT(round_budget="paper")),
             )
-            for engine in ("sorted", "columnar")
         }
-        assert (
-            outcomes["columnar"].completed == outcomes["sorted"].completed
-        )
-        assert (
-            outcomes["columnar"].allocation == outcomes["sorted"].allocation
-        )
-        assert (
-            outcomes["columnar"].payments == outcomes["sorted"].payments
-        )
-        assert run_rounds(outcomes["columnar"]) == run_rounds(
+        assert outcomes["oracle"].completed == outcomes["sorted"].completed
+        assert outcomes["oracle"].allocation == outcomes["sorted"].allocation
+        assert outcomes["oracle"].payments == outcomes["sorted"].payments
+        assert run_rounds(outcomes["oracle"]) == run_rounds(
             outcomes["sorted"]
         )

@@ -114,21 +114,16 @@ class TestConsume:
     def test_consume_decrements_and_tracks(self):
         pool = make_pool([2.0, 1.0], [2, 1])
         assert pool.total_remaining() == 3
-        pool.consume_many(np.array([100, 101]))
+        pool.consume_positions(np.array([0, 1]))
         assert pool.total_remaining() == 1
         assert np.array_equal(pool.remaining, [1, 0])
         assert pool.alive_at_most(2.0) == 1
 
     def test_consume_many_with_repeats(self):
         pool = make_pool([2.0, 1.0, 3.0], [3, 1, 2])
-        pool.consume_many(np.array([100, 100, 102]))
+        pool.consume_positions(np.array([0, 0, 2]))
         assert np.array_equal(pool.remaining, [1, 1, 1])
         assert pool.total_remaining() == 3
-
-    def test_consume_unknown_uid(self):
-        pool = make_pool([1.0], [1])
-        with pytest.raises(KeyError):
-            pool.consume_many(np.array([999]))
 
     def test_consume_positions_overdraw_restores_state(self):
         pool = make_pool([2.0, 1.0], [2, 1])

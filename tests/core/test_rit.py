@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import AllocationError, ConfigurationError, ModelError
-from repro.core.rit import BUDGET_POLICIES, ENGINES, RIT
+from repro.core.rit import BUDGET_POLICIES, RIT
 from repro.core.types import Ask, Job, Population, User
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
+from tests.core.reference_rit import MECHANISMS
 
 
 class TestConfiguration:
@@ -58,11 +59,11 @@ class TestBudgets:
         assert RIT().budget_for(0, 20, 10) == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", MECHANISMS)
 class TestValidation:
-    """Every engine rejects a bad profile with the same message, and the
-    checks run in a fixed order: extra asks, then missing asks, then the
-    first unknown type in profile order."""
+    """Every engine (and the oracle) rejects a bad profile with the same
+    message, and the checks run in a fixed order: extra asks, then missing
+    asks, then the first unknown type in profile order."""
 
     def _tree(self, ids):
         tree = IncentiveTree()
@@ -72,7 +73,9 @@ class TestValidation:
 
     def _error(self, engine, job, asks, tree):
         with pytest.raises(ModelError) as excinfo:
-            RIT(engine=engine).run(job, asks, tree, np.random.default_rng(0))
+            MECHANISMS[engine]().run(
+                job, asks, tree, np.random.default_rng(0)
+            )
         return str(excinfo.value)
 
     def test_ask_without_tree_node_rejected(self, engine):

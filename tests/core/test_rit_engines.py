@@ -2,10 +2,12 @@
 
 ``tests/goldens/rit_engine/pre_pr_outcomes.json`` was captured by running
 the mechanism *before* the sorted engine existed (commit ``1f8922f``),
-over five seeded scenarios.  Both engines must keep reproducing those
-outcomes byte for byte — allocations, prices, payments and per-round logs
-— which is the acceptance criterion that the fast path changed nothing
-observable.
+over five seeded scenarios.  The production engine (under both names
+``engine=`` accepts) and the reference oracle
+(:class:`tests.core.reference_rit.ReferenceRIT`) must keep reproducing
+those outcomes byte for byte — allocations, prices, payments and
+per-round logs — which is the acceptance criterion that the fast path
+changed nothing observable.
 """
 
 import json
@@ -23,6 +25,7 @@ from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 from tests.core.dense_payments import dense_payments
+from tests.core.reference_rit import MECHANISMS, ReferenceRIT
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent
@@ -140,20 +143,23 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             RIT(engine="bogus")
+        # The reference engine is a test oracle, not a production choice.
+        with pytest.raises(ConfigurationError):
+            RIT(engine="reference")
 
     def test_default_engine_is_sorted(self):
         assert RIT().engine == "sorted"
-        assert "sorted" in ENGINES and "reference" in ENGINES
+        assert ENGINES == ("sorted", "columnar")
 
 
 class TestPrePRGoldens:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", MECHANISMS)
     @pytest.mark.parametrize("key", sorted(load_goldens()))
     def test_outcome_identical_to_pre_engine_run(self, key, engine):
         golden = load_goldens()[key]
         config = golden["config"]
         job, scenario = build_scenario(config)
-        mech = RIT(round_budget=config["policy"], engine=engine)
+        mech = MECHANISMS[engine](round_budget=config["policy"])
         outcome = mech.run(
             job,
             scenario.truthful_asks(),
@@ -183,8 +189,8 @@ class TestEngineEquivalence:
         instances += payment_edge_instances(np.random.default_rng(2))
         for trial, (job, asks, tree, run_seed) in enumerate(instances):
             outcomes = {}
-            for engine in ENGINES:
-                mech = RIT(round_budget=policy, engine=engine)
+            for engine, build in MECHANISMS.items():
+                mech = build(round_budget=policy)
                 outcomes[engine] = mech.run(
                     job, asks, tree, np.random.default_rng(run_seed)
                 )
@@ -210,7 +216,7 @@ class TestEngineEquivalence:
             60, job, rng=0, distribution=UserDistribution(num_types=2)
         )
         asks = scenario.truthful_asks()
-        for engine in ("sorted", "columnar"):
+        for engine in ENGINES:
             outcome = RIT(engine=engine).run(
                 job, asks, scenario.tree, np.random.default_rng(0)
             )
@@ -222,7 +228,10 @@ class TestEngineEquivalence:
             }, engine
             assert all(v >= 0.0 for v in outcome.stage_timings.values())
             assert sum(outcome.stage_timings.values()) > 0.0
-        reference_outcome = RIT(engine="reference").run(
+        # The oracle runs none of the presorted stages.
+        reference_outcome = ReferenceRIT().run(
             job, asks, scenario.tree, np.random.default_rng(0)
         )
-        assert reference_outcome.stage_timings == {}
+        assert reference_outcome.stage_timings == dict.fromkeys(
+            ("sample", "consensus", "select", "consume"), 0.0
+        )

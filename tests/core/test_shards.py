@@ -22,6 +22,7 @@ from repro.service.ledger import canonical_outcome
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 from repro.core.types import Job
+from tests.core.reference_rit import ReferenceRIT
 
 
 def scenario_inputs(seed=3, users=90, types=3, tasks_per_type=5):
@@ -51,12 +52,10 @@ class TestRngPolicy:
     def test_engines_agree_under_per_type(self):
         job, asks, tree = scenario_inputs()
         outcomes = [
-            RIT(
-                engine=engine,
-                rng_policy="per-type",
-                round_budget="until-complete",
-            ).run(job, asks, tree, 11)
-            for engine in ("sorted", "reference")
+            build(rng_policy="per-type", round_budget="until-complete").run(
+                job, asks, tree, 11
+            )
+            for build in (RIT, ReferenceRIT)
         ]
         assert canonical_outcome(outcomes[0]) == canonical_outcome(outcomes[1])
 

@@ -35,8 +35,8 @@ class TestFamilyName:
             == "rit_ingest_admit_seconds"
         )
         assert (
-            metric_family_name("columnar_store_bytes", "bytes")
-            == "rit_columnar_store_bytes"
+            metric_family_name("snapshot_bytes", "bytes")
+            == "rit_snapshot_bytes"
         )
 
     def test_non_suffix_units_untouched(self):
@@ -86,7 +86,7 @@ class TestFormat:
         text = format_openmetrics(
             counters={
                 "service_epochs_closed": {"value": 3, "unit": "count"},
-                "columnar_store_bytes": {"value": 4096, "unit": "bytes"},
+                "snapshot_bytes": {"value": 4096, "unit": "bytes"},
             },
             histograms=sample_histograms(),
             gauges={
@@ -97,7 +97,7 @@ class TestFormat:
         families = parse_openmetrics(text)
         assert set(families) == {
             "rit_service_epochs_closed",
-            "rit_columnar_store_bytes",
+            "rit_snapshot_bytes",
             "rit_shard_run_seconds",
             "rit_ingest_queue_depth",
             "rit_referral_depth_max",

@@ -104,15 +104,15 @@ class TestCounters:
         with pytest.raises(ValueError):
             tracer.count("stage_seconds/sample", 1)
 
-    def test_bytes_counters_keep_integer_totals(self):
+    def test_bytes_counters_keep_integer_totals(self, bytes_counter):
         tracer = Tracer("run")
-        tracer.count("columnar_store_bytes", 1_024, unit="bytes")
-        tracer.count("columnar_store_bytes", 2_048, unit="bytes")
-        total = tracer.value("columnar_store_bytes")
+        tracer.count(bytes_counter, 1_024, unit="bytes")
+        tracer.count(bytes_counter, 2_048, unit="bytes")
+        total = tracer.value(bytes_counter)
         assert total == 3_072
         assert isinstance(total, int) and not isinstance(total, bool)
         snap = tracer.snapshot()
-        assert snap["columnar_store_bytes"] == {
+        assert snap[bytes_counter] == {
             "value": 3_072,
             "unit": "bytes",
         }
@@ -142,15 +142,13 @@ class TestCanonicalAndRoundtrip:
         assert "value" not in seconds and "delta" not in seconds
         assert seconds["unit"] == "seconds"
 
-    def test_bytes_counters_survive_canonicalization(self):
-        # Store footprints are deterministic (pure array sizes), so the
+    def test_bytes_counters_survive_canonicalization(self, bytes_counter):
+        # Footprints are deterministic (pure array sizes), so the
         # canonical differential stream keeps them — unlike seconds.
         tracer = Tracer("run")
-        tracer.count("columnar_store_bytes", 4_096, unit="bytes")
+        tracer.count(bytes_counter, 4_096, unit="bytes")
         canon = canonical_events(tracer.events)
-        event = [
-            e for e in canon if e.get("name") == "columnar_store_bytes"
-        ][0]
+        event = [e for e in canon if e.get("name") == bytes_counter][0]
         assert event["value"] == 4_096
         assert event["delta"] == 4_096
         assert event["unit"] == "bytes"
@@ -220,10 +218,6 @@ class TestCatalog:
         for name, (unit, description) in COUNTER_CATALOG.items():
             assert unit in ("count", "seconds", "bytes"), name
             assert description, name
-
-    def test_columnar_store_footprint_is_a_bytes_counter(self):
-        unit, _ = COUNTER_CATALOG["columnar_store_bytes"]
-        assert unit == "bytes"
 
     def test_family_lookup(self):
         assert describe_counter("figure_seconds/fig6a") is not None

@@ -15,6 +15,8 @@ class TestParser:
         assert args.metrics_port is None
         assert args.metrics_host == "127.0.0.1"
         assert args.probe_metrics is False
+        # One engine, one sharded epoch path: nothing left to select.
+        assert not hasattr(args, "engine") and not hasattr(args, "no_shard")
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
@@ -22,6 +24,7 @@ class TestParser:
         assert args.bench is False
         assert args.users == 26000
         assert args.min_events is None
+        assert not hasattr(args, "engine") and not hasattr(args, "no_shard")
 
     def test_top_defaults(self):
         args = build_parser().parse_args(["top"])
@@ -71,10 +74,6 @@ class TestServe:
         assert "rit serve:" in out and str(run / "epochs.jsonl") in out
         assert (run / "epochs.jsonl").read_bytes() == epochs
         assert (run / "meta.json").read_bytes() == meta
-
-    def test_unsharded_smoke_matches(self, capsys):
-        assert main(["serve", "--smoke", "--no-shard"]) == 0
-        assert "differential check OK" in capsys.readouterr().out
 
     def test_smoke_with_metrics_probe(self, capsys):
         code = main(["serve", "--smoke", "--metrics-port", "0",

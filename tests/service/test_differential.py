@@ -5,10 +5,10 @@ service must produce epoch outcomes *bit-identical* to running the plain
 offline ``RIT.run`` (``rng_policy="per-type"``) over the cumulative state
 at each epoch close — identical payments, winners, and round diagnostics
 (which pin the underlying RNG draws).  The seeded scenarios cover
-count-triggered and tick-triggered epochs, every registry engine, and
-withdrawal grafting mid-stream; the columnar service is additionally
-anchored against a *sorted*-engine offline replay, pinning the
-cross-engine RNG-stream contract end to end.
+count-triggered and tick-triggered epochs, both names ``engine=`` accepts,
+the reference oracle served and replayed, and withdrawal grafting
+mid-stream; the ``"columnar"``-named service is additionally anchored
+against a default-engine offline replay.
 """
 
 import pytest
@@ -23,6 +23,7 @@ from repro.service import (
     replay_outcomes,
     scenario_event_stream,
 )
+from tests.core.reference_rit import MECHANISMS
 
 SCENARIOS = [
     # (seed, users, types, tasks_per_type, epoch_events, epoch_ticks,
@@ -53,10 +54,10 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
         seed=seed,
         epoch_max_events=epoch_events,
         epoch_max_ticks=epoch_ticks,
-        shard_workers=True,
     )
+    build = MECHANISMS[engine]
     service = MechanismService(
-        RIT(engine=engine, rng_policy="per-type", round_budget="until-complete"),
+        build(rng_policy="per-type", round_budget="until-complete"),
         scenario.job,
         config,
     )
@@ -66,7 +67,7 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
     replayed = replay_outcomes(
         report.consumed,
         scenario.job,
-        RIT(engine=engine, rng_policy="per-type", round_budget="until-complete"),
+        build(rng_policy="per-type", round_budget="until-complete"),
         seed=seed,
         policy=config.policy(),
     )
@@ -84,18 +85,16 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
 
 
 def test_columnar_service_matches_sorted_offline_replay():
-    """Cross-engine anchor: the columnar epoch pipeline (shared store,
-    per-shard pools) must consume the exact RNG stream the sorted engine
-    would, so a sorted offline replay reproduces it bit for bit."""
+    """Cross-name anchor: a service built with ``engine="columnar"`` runs
+    the one epoch path, so a default-engine offline replay reproduces it
+    bit for bit."""
     seed = 21
     scenario_rng, stream_rng = spawn_seeds(seed, 2)
     scenario = build_scenario(160, 3, 6, scenario_rng)
     events = scenario_event_stream(
         scenario, stream_rng, withdraw_fraction=0.1
     )
-    config = ServiceConfig(
-        seed=seed, epoch_max_events=36, shard_workers=True
-    )
+    config = ServiceConfig(seed=seed, epoch_max_events=36)
     service = MechanismService(
         RIT(
             engine="columnar",

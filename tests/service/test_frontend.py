@@ -68,6 +68,24 @@ class TestOffer:
 
         run(main())
 
+    def test_counters_balance_after_close(self):
+        async def main():
+            frontend = IngestFrontend(JOB, maxsize=4)
+            assert frontend.offer(ask(0)) is None
+            await frontend.close()
+            assert frontend.offer(ask(1)) == "closed"
+            assert await frontend.put(ask(2)) == "closed"
+            counts = (
+                frontend.offered,
+                frontend.accepted,
+                frontend.invalid,
+                frontend.rejected,
+                frontend.gated,
+            )
+            assert counts == (1, 1, 0, 0, 0)
+
+        run(main())
+
 
 class TestPutAndDrain:
     def test_put_waits_for_consumer(self):

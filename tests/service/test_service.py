@@ -1,4 +1,4 @@
-"""End-to-end MechanismService runs: counters, ledger, tracing, sharding."""
+"""End-to-end MechanismService runs: counters, ledger, tracing."""
 
 import pytest
 
@@ -111,46 +111,6 @@ class TestServeStream:
             "service_epochs_closed",
             "service_shards_run",
         } <= counters
-
-    def test_columnar_service_traces_store_footprint_per_epoch(self):
-        scenario, events = small_stream(users=80, tasks_per_type=4)
-        tracer = Tracer("svc-columnar", seed=0)
-        service = MechanismService(
-            mechanism(engine="columnar"),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=32),
-            tracer=tracer,
-        )
-        report = service.serve_stream(events)
-        assert validate_trace_events(tracer.events) == []
-        store_events = [
-            e
-            for e in tracer.events
-            if e["ev"] == "counter" and e["name"] == "columnar_store_bytes"
-        ]
-        # One store build per epoch, each a positive integer footprint.
-        assert len(store_events) == len(report.epochs)
-        assert all(
-            e["unit"] == "bytes" and isinstance(e["delta"], int)
-            and e["delta"] > 0
-            for e in store_events
-        )
-
-    def test_unsharded_epochs_match_sharded(self):
-        scenario, events = small_stream(users=100, tasks_per_type=5)
-        sharded = MechanismService(
-            mechanism(),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=48, shard_workers=True),
-        ).serve_stream(list(events))
-        unsharded = MechanismService(
-            mechanism(),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=48, shard_workers=False),
-        ).serve_stream(list(events))
-        assert len(sharded.epochs) == len(unsharded.epochs) > 0
-        for left, right in zip(sharded.outcomes(), unsharded.outcomes()):
-            assert canonical_outcome(left) == canonical_outcome(right)
 
     def test_open_loop_counts_rejections_instead_of_growing(self):
         scenario, events = small_stream(users=200, tasks_per_type=8)
