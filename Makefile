@@ -10,20 +10,20 @@ install:
 test:
 	PYTHONPATH=src $(PY) -m pytest tests/
 
-# Static analysis: the RIT domain linter always runs; ruff and mypy run
-# where installed (optional dev dependencies) and are skipped otherwise.
+# ruff runs where installed (an optional dev dependency) and is skipped
+# otherwise; the RIT rules run under `make analyze`.
 lint:
-	PYTHONPATH=src $(PY) -m repro.devtools.lint src tests benchmarks examples
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \
 		echo "ruff not installed; skipping (pip install -e .[dev])"; \
 	fi
 
-# Whole-program determinism & concurrency analyzer (RIT009-RIT013),
-# gated strictly against the committed analysis_baseline.json.  Warm runs
-# re-parse only changed files (.rit_analysis_cache.json, git-ignored).
-# `rit analyze --bench` merges the measured section into BENCH_RIT.json.
+# Every RIT rule (file-local RIT001-RIT007, whole-program RIT009-RIT013)
+# over src tests benchmarks examples, gated strictly against the committed
+# analysis_baseline.json.  Warm runs re-parse only changed files
+# (.rit_analysis_cache.json, git-ignored).  `rit analyze --bench` merges
+# the measured section into BENCH_RIT.json.
 analyze:
 	PYTHONPATH=src $(PY) -m repro.devtools.analysis --ci
 
@@ -95,8 +95,8 @@ arena-smoke:
 loadgen:
 	PYTHONPATH=src $(PY) -m repro loadgen
 
-# The full gate new PRs must pass: domain lint + whole-program analysis
-# + types + tier-1 tests + the trace schema smoke + the service
+# The full gate new PRs must pass: ruff + every RIT rule + types +
+# tier-1 tests + the trace schema smoke + the service
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
 # benchmark's self-tests.

@@ -37,10 +37,8 @@ Subcommands
                           the head-to-head scorecard (``--bench`` merges the
                           ``arena`` section into ``BENCH_RIT.json``;
                           ``--smoke`` is the CI preset).
-``rit lint``              run the AST-based domain linter over the tree
-                          (also: ``python -m repro.devtools.lint``).
-``rit analyze``           run the whole-program determinism & concurrency
-                          analyzer (RIT009-RIT013) against the committed
+``rit analyze``           run the static analyzer (file-local RIT001-RIT007,
+                          whole-program RIT009-RIT013) against the committed
                           findings baseline (``--bench`` merges the
                           ``analysis`` section into ``BENCH_RIT.json``;
                           also: ``python -m repro.devtools.analysis``).
@@ -396,18 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench document to merge into (with --bench)",
     )
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the RIT domain linter (RIT001-RIT008 invariants)",
-    )
-    from repro.devtools.lint.cli import add_arguments as _add_lint_arguments
-
-    _add_lint_arguments(p_lint)
-
     p_analyze = sub.add_parser(
         "analyze",
-        help="whole-program determinism & concurrency analyzer "
-        "(RIT009-RIT013, baseline-gated)",
+        help="static analyzer: file-local RIT001-RIT007 and whole-program "
+        "RIT009-RIT013, baseline-gated",
     )
     from repro.devtools.analysis.cli import add_arguments as _add_analyze_arguments
 
@@ -992,12 +982,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint.cli import run as run_lint
-
-    return run_lint(args)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.devtools.analysis.cli import run as run_analyze
 
@@ -1019,7 +1003,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loadgen": _cmd_loadgen,
         "sentinel": _cmd_sentinel,
         "arena": _cmd_arena,
-        "lint": _cmd_lint,
         "analyze": _cmd_analyze,
     }
     return handlers[args.command](args)

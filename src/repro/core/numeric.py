@@ -6,7 +6,7 @@ base, so two mathematically equal quantities (e.g. a payment computed by
 routinely differ in the last few ulps.  Raw ``==`` / ``!=`` on such values
 makes truthfulness and sybil-proofness checks order-dependent and
 platform-dependent; every comparison of monetary quantities must go through
-the helpers below.  The ``rit lint`` rule RIT002 enforces this statically.
+the helpers below.  The ``rit analyze`` rule RIT002 enforces this statically.
 
 The default tolerances are deliberately tight: they forgive accumulation
 error (~1e-9 relative) without masking real mechanism differences, which in

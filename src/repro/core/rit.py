@@ -365,10 +365,10 @@ class RIT(Mechanism):
                 f"round budget (policy={self.round_budget!r})"
             )
         if tracing:
-            for stage, seconds in timers.as_dict().items():
-                tracer.count(
-                    "stage_seconds/" + stage, seconds, unit="seconds"
-                )
+            tracer.count("stage_seconds/sample", timers.sample, unit="seconds")
+            tracer.count("stage_seconds/consensus", timers.consensus, unit="seconds")
+            tracer.count("stage_seconds/select", timers.select, unit="seconds")
+            tracer.count("stage_seconds/consume", timers.consume, unit="seconds")
             tracer.end(mech_sid)
             if owns_run:
                 tracer.end(run_sid)

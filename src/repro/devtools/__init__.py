@@ -1,16 +1,19 @@
 """Developer tooling for the RIT reproduction.
 
 ``repro.devtools`` hosts machinery that checks the *codebase* rather than
-the mechanism: currently the ``rit lint`` static analyzer
-(:mod:`repro.devtools.lint`), which enforces the repository's correctness
+the mechanism: the ``rit analyze`` static analyzer
+(:mod:`repro.devtools.analysis`, with its file-local rules in
+:mod:`repro.devtools.lint`), which enforces the repository's correctness
 invariants — threaded RNG, tolerant monetary comparison, frozen outcomes,
-export hygiene, deterministic core, explicit error handling — on every
-source tree it is pointed at.
+export hygiene, deterministic core, explicit error handling, a
+non-blocking event loop — on every source tree it is pointed at; plus
+the bench-document merge and the trace schema.
 
-Nothing in this package is imported by the mechanism code; it depends only
-on the standard library so it can lint a broken tree.
+Nothing in this package is imported by the mechanism code; the analyzer
+depends only on the standard library so it can check a broken tree.
 """
 
-from repro.devtools.lint import Finding, LintReport, lint_paths
+from repro.devtools.analysis import AnalysisResult, analyze_paths
+from repro.devtools.lint.model import Finding
 
-__all__ = ["Finding", "LintReport", "lint_paths"]
+__all__ = ["AnalysisResult", "Finding", "analyze_paths"]

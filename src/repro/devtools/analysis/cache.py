@@ -1,20 +1,22 @@
-"""Incremental summary cache keyed by file content hash.
+"""Incremental per-file cache keyed by file content hash.
 
-Parsing and extraction dominate analyzer wall time; the interprocedural
-passes over the (small) summaries are cheap.  So the cache stores one
-serialized :class:`ModuleSummary` per file, keyed by the sha256 of the
-file's bytes: a warm run re-parses only files whose content changed and
+Parsing, extraction and the file-local rules dominate analyzer wall time;
+the interprocedural passes over the (small) summaries are cheap.  So the
+cache stores one serialized :class:`FileAnalysis` per file — its module
+summary and its file-local findings — keyed by the sha256 of the file's
+bytes: a warm run re-parses only files whose content changed and
 deserializes the rest.  Linking and the passes always run fresh — a
 summary is per-file truth, reachability is not.
 
 The cache file (default ``.rit_analysis_cache.json``, git-ignored) is a
 single JSON document::
 
-    {"schema": 1, "entries": {"<relpath>": {"sha256": "...", "summary": {...}}}}
+    {"schema": "<tool digest>", "entries": {"<relpath>": {"sha256": "...", ...}}}
 
-A schema mismatch (bumped :data:`SUMMARY_SCHEMA_VERSION`) or any parse
-problem discards the cache wholesale — it is a pure accelerator, never a
-source of truth.
+The schema is :func:`tool_digest`, a hash over the analyzer's and the
+rules' own source: cached findings are only as current as the code that
+produced them, so editing any of it discards the cache wholesale, as does
+any parse problem — it is a pure accelerator, never a source of truth.
 """
 
 from __future__ import annotations
@@ -23,43 +25,52 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.devtools.analysis.summary import (
-    SUMMARY_SCHEMA_VERSION,
-    ModuleSummary,
-    summarize_context,
-)
-from repro.devtools.lint.context import build_context
+from repro.devtools.analysis.summary import FileAnalysis, analyze_file
 
-__all__ = ["CACHE_FILENAME", "SummaryCache", "content_hash"]
+__all__ = ["CACHE_FILENAME", "TOOL_SOURCES", "SummaryCache", "content_hash", "tool_digest"]
 
 CACHE_FILENAME = ".rit_analysis_cache.json"
+
+#: Packages whose source decides what a cached entry holds.
+TOOL_SOURCES = (Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "lint")
 
 
 def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def tool_digest() -> str:
+    """sha256 over every ``*.py`` file (name and bytes) of :data:`TOOL_SOURCES`."""
+    digest = hashlib.sha256()
+    for package in TOOL_SOURCES:
+        for path in sorted(package.rglob("*.py")):
+            digest.update(path.relative_to(package.parent).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class SummaryCache:
-    """Load-once / save-once summary cache with hit accounting."""
+    """Load-once / save-once per-file cache with hit accounting."""
 
     path: Optional[Path] = None
+    schema: str = ""
     entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
     @classmethod
     def load(cls, path: Optional[Path]) -> "SummaryCache":
-        cache = cls(path=path)
+        cache = cls(path=path, schema=tool_digest())
         if path is None or not path.is_file():
             return cache
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return cache
-        if not isinstance(doc, dict) or doc.get("schema") != SUMMARY_SCHEMA_VERSION:
+        if not isinstance(doc, dict) or doc.get("schema") != cache.schema:
             return cache
         entries = doc.get("entries")
         if isinstance(entries, dict):
@@ -69,34 +80,28 @@ class SummaryCache:
     def save(self) -> None:
         if self.path is None:
             return
-        doc = {"schema": SUMMARY_SCHEMA_VERSION, "entries": self.entries}
+        doc = {"schema": self.schema, "entries": self.entries}
         self.path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
-    def summarize(self, path: Path, key: str) -> Tuple[ModuleSummary, bool]:
-        """Summary for ``path`` (cache key ``key``), plus cache-hit flag.
-
-        Raises :class:`SyntaxError` for unparsable files — the caller
-        turns that into an RIT000 finding; nothing is cached for them.
-        """
+    def analyze(self, path: Path, key: str) -> Tuple[FileAnalysis, bool]:
+        """:func:`analyze_file` for ``path`` (cache key ``key``), plus hit flag."""
         data = path.read_bytes()
         digest = content_hash(data)
         entry = self.entries.get(key)
         if entry is not None and entry.get("sha256") == digest:
             try:
-                summary = ModuleSummary.from_dict(entry["summary"])  # type: ignore[arg-type]
+                analysis = FileAnalysis.from_dict(entry)
             except (KeyError, TypeError, ValueError):
                 pass
             else:
                 self.hits += 1
-                return summary, True
-        source = data.decode("utf-8")
-        ctx = build_context(path, source=source)
-        summary = summarize_context(ctx)
-        self.entries[key] = {"sha256": digest, "summary": summary.to_dict()}
+                return analysis, True
+        analysis = analyze_file(path, source=data.decode("utf-8"))
+        self.entries[key] = {"sha256": digest, **analysis.to_dict()}
         self.misses += 1
-        return summary, False
+        return analysis, False
 
-    def prune(self, live_keys) -> None:
+    def prune(self, live_keys: Iterable[str]) -> None:
         """Drop entries for files that no longer exist in the analyzed set."""
         live = set(live_keys)
         for key in list(self.entries):

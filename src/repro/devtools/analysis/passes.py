@@ -1,13 +1,13 @@
-"""Interprocedural dataflow passes RIT009–RIT013.
+"""Interprocedural dataflow passes RIT009–RIT013, and the one rule table.
 
 Each pass consumes a linked :class:`~repro.devtools.analysis.program.Program`
-and yields lint-model :class:`~repro.devtools.lint.model.Finding` objects,
-so the analyzer shares reporters, sorting and suppression semantics with
-``rit lint``.  The division of labour against the file-local rules:
+and yields :class:`~repro.devtools.lint.model.Finding` objects, so every
+rule shares reporters, sorting, baseline and suppression semantics.  The
+division of labour against the file-local rules:
 
 =======  ==================================================================
-RIT009   blocking call in a *sync* function reachable from a service
-         coroutine (depth ≥ 1 — depth 0 and async bodies are RIT008's job)
+RIT009   blocking call in a service coroutine's body or in any function
+         reachable from one
 RIT010   ambient/unseeded RNG in a module *other than* the mechanism entry
          point that reaches it (same-module ambiance is RIT001's job)
 RIT011   module-level mutable state read+written by code reachable from
@@ -22,7 +22,7 @@ RIT013   public hot-path function with no tracer span, neither direct nor
 =======  ==================================================================
 
 Suppression: a ``# rit: noqa[RIT0xx]`` on the reported line works exactly
-as in ``rit lint`` (statement-span expanded at parse time).
+as for the file-local rules (statement-span expanded at parse time).
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from typing import Dict, List, Tuple
 from repro.devtools.analysis.program import Program, Reached
 from repro.devtools.analysis.summary import ModuleSummary
 from repro.devtools.lint.model import Finding, Severity
+from repro.devtools.lint.rules import FILE_RULES, Rule
 from repro.devtools.lint.rules.rit002_float_eq import MONETARY_WORDS
-from repro.devtools.lint.rules.base import Rule
 
 __all__ = [
-    "ANALYSIS_RULES",
+    "RULES",
     "HOT_MODULES",
     "CONCURRENT_ROOT_MODULES",
     "CONCURRENT_ROOT_FUNCTIONS",
@@ -87,12 +87,15 @@ CONCURRENT_ROOT_FUNCTIONS = (
 #: lives in each shard's pool fork).
 OWNER_ROLES = ("main-thread", "import-time-only", "epoch")
 
-#: id → (name, rationale) — surfaced by ``rit analyze --list-rules``.
-ANALYSIS_RULES: Dict[str, Tuple[str, str]] = {
+#: Every rule, id → (name, rationale): what ``--list-rules`` prints,
+#: ``--select``/``--ignore`` accept and the SARIF report declares.
+RULES: Dict[str, Tuple[str, str]] = {
+    **{rule.id: (rule.name, rule.rationale) for rule in FILE_RULES},
     "RIT009": (
         "reachable-blocking",
-        "a blocking call anywhere in a coroutine's call graph stalls the "
-        "service event loop just as surely as one in its body",
+        "a blocking call in a coroutine, or anywhere in its call graph, "
+        "stalls the whole service event loop; blocking work belongs in the "
+        "executor thread pool",
     ),
     "RIT010": (
         "rng-taint",
@@ -151,7 +154,7 @@ def _is_money_name(identifier: str) -> bool:
 
 
 # ---------------------------------------------------------------------- #
-# RIT009 — blocking calls reachable from service coroutines
+# RIT009 — blocking calls in, or reachable from, service coroutines
 # ---------------------------------------------------------------------- #
 
 
@@ -164,12 +167,7 @@ def pass_rit009(program: Program) -> List[Finding]:
     reached = program.reachable(sorted(roots))
     out: List[Finding] = []
     for qualname in sorted(reached):
-        node = reached[qualname]
-        if node.depth == 0:
-            continue  # the coroutine body itself: RIT008's (file-local) job
         info = program.functions[qualname]
-        if info.is_async:
-            continue  # blocking inside another coroutine: also RIT008
         summary = program.summary_for(qualname)
         if summary is None:
             continue

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.devtools.analysis.baseline import BaselineDiff, fingerprint
-from repro.devtools.analysis.passes import ANALYSIS_RULES
+from repro.devtools.analysis.passes import RULES
 from repro.devtools.lint.model import Finding, Severity
 
 __all__ = ["render_text", "render_json", "render_sarif", "findings_by_rule"]
@@ -117,7 +117,7 @@ def render_sarif(findings: Sequence[Finding], *, root: Path) -> str:
             "shortDescription": {"text": name},
             "fullDescription": {"text": rationale},
         }
-        for rule_id, (name, rationale) in sorted(ANALYSIS_RULES.items())
+        for rule_id, (name, rationale) in sorted(RULES.items())
     ]
     results = [
         {

@@ -1,15 +1,16 @@
-"""Orchestration: discover files, (re)summarize, link, run the passes.
+"""Orchestration: discover files, (re)analyze each, link, run the passes.
 
 This is the programmatic entry point the CLI, the self-gate test and the
 benchmark harness all share.  One call to :func:`analyze_paths` is one
 analysis run:
 
-1. discover ``*.py`` files (shared exclusion logic with ``rit lint``);
-2. summarize each file — through the content-hash cache, so a warm run
-   only re-parses files whose bytes changed;
-3. link every summary into a :class:`Program`;
-4. run passes RIT009–RIT013 and collect findings (plus RIT000 parse
-   errors for files that do not parse).
+1. discover ``*.py`` files (:mod:`repro.devtools.discovery`);
+2. analyze each file — its module summary and its file-local findings
+   (RIT001–RIT007, RIT099, RIT000) — through the content-hash cache, so
+   a warm run only re-parses files whose bytes changed;
+3. link the ``repro.*`` summaries into a :class:`Program`; tests,
+   benchmarks and examples get the file-local rules only;
+4. run passes RIT009–RIT013 and collect every finding.
 
 The result carries parse/cache accounting so callers can assert
 incrementality (tests) or report it (bench, CLI summary line).
@@ -27,7 +28,7 @@ from repro.devtools.analysis.passes import run_passes
 from repro.devtools.analysis.program import Program
 from repro.devtools.analysis.summary import ModuleSummary
 from repro.devtools.discovery import iter_python_files
-from repro.devtools.lint.model import PARSE_ERROR_ID, Finding, Severity
+from repro.devtools.lint.model import PARSE_ERROR_ID, Finding
 
 __all__ = ["AnalysisResult", "analyze_paths"]
 
@@ -59,45 +60,32 @@ def analyze_paths(
     root: Optional[Path] = None,
     cache_path: Optional[Path] = None,
 ) -> AnalysisResult:
-    """Run the whole-program analyzer over ``paths``.
+    """Run every rule over ``paths``.
 
     ``root`` anchors cache keys and baseline fingerprints (default: cwd).
     ``cache_path=None`` disables the incremental cache entirely.
     """
     anchor = (root or Path.cwd()).resolve()
     started = time.perf_counter()
-    files = iter_python_files(paths)
     cache = SummaryCache.load(cache_path)
     summaries: List[ModuleSummary] = []
     findings: List[Finding] = []
     result = AnalysisResult()
     keys: List[str] = []
-    for file_path in files:
+    for file_path in iter_python_files(paths):
         key = _cache_key(file_path, anchor)
         keys.append(key)
         result.files_analyzed += 1
-        try:
-            summary, hit = cache.summarize(file_path, key)
-        except SyntaxError as exc:
-            result.files_parsed += 1
-            result.parse_errors += 1
-            findings.append(
-                Finding(
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    column=(exc.offset or 1),
-                    rule_id=PARSE_ERROR_ID,
-                    message=f"file does not parse: {exc.msg}",
-                    severity=Severity.ERROR,
-                )
-            )
-            continue
+        analysis, hit = cache.analyze(file_path, key)
         if not hit:
             result.files_parsed += 1
-        summaries.append(summary)
+        findings.extend(analysis.findings)
+        if analysis.summary is not None:
+            summaries.append(analysis.summary)
     cache.prune(keys)
     cache.save()
     result.cache_hits = cache.hits
+    result.parse_errors = sum(f.rule_id == PARSE_ERROR_ID for f in findings)
     program = Program(summaries)
     findings.extend(run_passes(program))
     result.findings = sorted(findings, key=lambda f: f.sort_key)

@@ -1,18 +1,17 @@
-"""Per-file extraction: one parse → a serializable :class:`ModuleSummary`.
+"""Per-file step: one parse → a module summary plus file-local findings.
 
-The whole-program analyzer never holds more than one AST at a time.  Each
-file is parsed once (through the lint engine's :func:`build_context`, so
-``# rit:`` directives behave identically in both tools) and compressed
+The analyzer never holds more than one AST at a time.  Each file is parsed
+once (:func:`analyze_file`, through :func:`build_context`, so ``# rit:``
+directives mean the same thing to every rule), judged by the file-local
+rules RIT001–RIT007, and, when it is a ``repro.*`` module, compressed
 into a :class:`ModuleSummary` — the functions it defines, the calls they
 make (name-resolved as far as imports allow), and the per-function facts
 the interprocedural passes consume: blocking operations, ambient-RNG
 draws, tracer touches, module-global mutations, monetary comparisons.
 
-Summaries are plain-dict serializable, which is what makes the
+Both halves are plain-dict serializable, which is what makes the
 incremental cache (:mod:`repro.devtools.analysis.cache`) possible: a warm
-run deserializes summaries for unchanged files and re-parses only edits.
-Bump :data:`SUMMARY_SCHEMA_VERSION` whenever the extracted shape changes
-— stale caches are then discarded wholesale.
+run deserializes them for unchanged files and re-parses only edits.
 
 Call-target notation: resolved targets are fully-qualified dotted names
 (``repro.core.cra.cra``); an unresolvable bare call is recorded as
@@ -28,17 +27,16 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.devtools.lint.context import FileContext, build_context
+from repro.devtools.lint.context import FileContext, build_context, module_in
 from repro.devtools.lint.imports import ImportMap
-from repro.devtools.lint.rules.base import Rule
+from repro.devtools.lint.model import DIRECTIVE_ID, PARSE_ERROR_ID, Finding, Severity
+from repro.devtools.lint.rules import FILE_RULES, Rule
 from repro.devtools.lint.rules.rit002_float_eq import MONETARY_WORDS
-from repro.devtools.lint.rules.rit008_async_blocking import (
-    BLOCKING_CALLS,
-    BLOCKING_METHODS,
-)
 
 __all__ = [
-    "SUMMARY_SCHEMA_VERSION",
+    "BLOCKING_CALLS",
+    "BLOCKING_METHODS",
+    "PROGRAM_PACKAGE",
     "CallSite",
     "Op",
     "MoneyCompare",
@@ -46,12 +44,29 @@ __all__ = [
     "FunctionInfo",
     "MutableGlobal",
     "ModuleSummary",
-    "build_module_summary",
+    "FileAnalysis",
+    "analyze_file",
     "summary_from_source",
 ]
 
-#: Bump when the extracted summary shape changes (invalidates caches).
-SUMMARY_SCHEMA_VERSION = 1
+#: The package whose modules are summarized and linked into the program.
+PROGRAM_PACKAGE = "repro"
+
+#: Resolved dotted names (or the bare builtin) that block the thread
+#: (RIT009 reports them in, or reachable from, a service coroutine).
+BLOCKING_CALLS = {
+    "time.sleep": "use 'await asyncio.sleep(...)' instead",
+    "io.open": "run file I/O in the worker pool via loop.run_in_executor",
+    "open": "run file I/O in the worker pool via loop.run_in_executor",
+}
+
+#: Method names that perform synchronous file I/O (Path.read_text etc.).
+BLOCKING_METHODS = {
+    "read_text": "synchronous file read",
+    "write_text": "synchronous file write",
+    "read_bytes": "synchronous file read",
+    "write_bytes": "synchronous file write",
+}
 
 #: ``# rit: owner=<who>`` — ownership marker exempting a module-level
 #: mutable from RIT011 (the named owner is responsible for single-threaded
@@ -777,9 +792,66 @@ def summarize_context(ctx: FileContext) -> ModuleSummary:
     )
 
 
-def build_module_summary(path: Path, source: Optional[str] = None) -> ModuleSummary:
-    """Parse one file and summarize it (raises SyntaxError on bad source)."""
-    return summarize_context(build_context(Path(path), source=source))
+@dataclass
+class FileAnalysis:
+    """What the per-file step knows about one file.
+
+    ``summary`` is ``None`` for a module outside :data:`PROGRAM_PACKAGE`
+    (tests, benchmarks, examples get the file-local rules only) and for a
+    file that does not parse; ``findings`` are the file-local rules' (after
+    noqa), RIT099 for malformed directives, or the single RIT000 of a file
+    that does not parse.
+    """
+
+    summary: Optional[ModuleSummary]
+    findings: List[Finding]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "summary": None if self.summary is None else self.summary.to_dict(),
+            "findings": [f.to_dict() for f in self.findings],
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "FileAnalysis":
+        summary = doc["summary"]
+        return cls(
+            summary=None if summary is None else ModuleSummary.from_dict(summary),
+            findings=[Finding.from_dict(f) for f in doc["findings"]],
+        )
+
+
+def analyze_file(path: Path, source: Optional[str] = None) -> FileAnalysis:
+    """Parse one file once: its summary and its file-local findings."""
+    try:
+        ctx = build_context(Path(path), source=source)
+    except SyntaxError as exc:
+        return FileAnalysis(
+            summary=None,
+            findings=[
+                Finding(
+                    path=str(path),
+                    line=exc.lineno or 1,
+                    column=exc.offset or 1,
+                    rule_id=PARSE_ERROR_ID,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            ],
+        )
+    findings = [
+        Finding(ctx.path, line, 1, DIRECTIVE_ID, message, Severity.WARNING)
+        for line, message in ctx.directive_problems
+    ]
+    for rule in FILE_RULES:
+        if rule.applies(ctx):
+            findings.extend(
+                finding
+                for finding in rule.check(ctx)
+                if not ctx.is_suppressed(finding.line, finding.rule_id)
+            )
+    findings.sort(key=lambda f: f.sort_key)
+    linked = module_in(ctx.module, PROGRAM_PACKAGE)
+    return FileAnalysis(summarize_context(ctx) if linked else None, findings)
 
 
 def summary_from_source(module: str, source: str, path: str = "<memory>") -> ModuleSummary:

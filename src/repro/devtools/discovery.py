@@ -1,13 +1,12 @@
-"""Shared file discovery for the RIT devtools (lint + analysis).
+"""File discovery for ``rit analyze``: the tree walk and ``--changed``.
 
-Both ``rit lint`` and ``rit analyze`` walk the same tree under the same
-exclusion rules, and both need to answer "which files changed relative to
-a git base ref?" — lint for its ``--changed`` mode, the analyzer to keep
-its incremental cache honest.  Centralizing the walk here keeps the two
-tools' notion of "the project's Python files" from drifting apart.
+:func:`iter_python_files` defines "the project's Python files" for every
+rule; :func:`git_changed_files` answers "which files changed relative to
+a git base ref?" for ``--changed``, which narrows the *reported*
+findings (every file is still analyzed, warm ones from the cache).
 
 Directories named in :data:`EXCLUDED_DIR_NAMES` (caches, build output,
-deliberately-broken lint/analysis *fixtures*) are pruned during the walk
+deliberately-broken rule *fixtures*) are pruned during the walk
 — but a file named explicitly is always yielded, which is how fixture
 tests exercise broken snippets.
 """

@@ -1,6 +1,6 @@
-"""``rit lint`` — AST-based domain linter for the RIT reproduction.
+"""The file-local half of ``rit analyze``: parsing, directives and rules.
 
-Six rules encode the invariants the paper's guarantees lean on:
+Seven rules judge one file at a time (``--list-rules`` describes them):
 
 ========  =======================  ==========================================
 RIT001    unseeded-randomness      no global/unseeded RNG in mechanism paths
@@ -10,37 +10,27 @@ RIT003    frozen-instance-         no attribute assignment on frozen core
 RIT004    export-drift             __all__ matches the bound public surface
 RIT005    hidden-inputs            no wall-clock/env reads in repro.core
 RIT006    swallowed-exceptions     no bare/pass-only handlers in core+attacks
+RIT007    untraced-diagnostics     tracer-only clocks and output in the
+                                   instrumented modules
 ========  =======================  ==========================================
 
-Suppress a single finding with ``# rit: noqa[RIT00X]`` on the offending
-line.  See ``docs/static_analysis.md`` for per-rule bad/good examples.
+The analyzer (:mod:`repro.devtools.analysis`) parses each file once, runs
+these rules over its :class:`FileContext` and caches the findings next to
+the file's module summary.  Suppress a single finding with
+``# rit: noqa[RIT00X]`` on the offending line.  See
+``docs/static_analysis.md`` for per-rule bad/good examples.
 """
 
-from repro.devtools.lint.cli import main
 from repro.devtools.lint.context import FileContext, build_context, module_for_path
-from repro.devtools.lint.engine import (
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.devtools.lint.model import Finding, LintReport, Severity
-from repro.devtools.lint.rules import ALL_RULES, RULES_BY_ID, Rule, resolve_rules
+from repro.devtools.lint.model import Finding, Severity
+from repro.devtools.lint.rules import FILE_RULES, Rule
 
 __all__ = [
-    "main",
     "FileContext",
     "build_context",
     "module_for_path",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "Finding",
-    "LintReport",
     "Severity",
-    "ALL_RULES",
-    "RULES_BY_ID",
+    "FILE_RULES",
     "Rule",
-    "resolve_rules",
 ]

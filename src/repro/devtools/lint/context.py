@@ -193,7 +193,7 @@ def _expand_suppressions(
 def build_context(path: Path, source: Optional[str] = None) -> FileContext:
     """Parse a file into a :class:`FileContext`.
 
-    Raises :class:`SyntaxError` when the source does not parse; the engine
+    Raises :class:`SyntaxError` when the source does not parse; the analyzer
     converts that into an ``RIT000`` finding.
     """
     text = path.read_text(encoding="utf-8") if source is None else source

@@ -1,21 +1,19 @@
-"""Findings and reporting model for ``rit lint``.
+"""Findings model shared by every RIT static-analysis rule.
 
-A :class:`Finding` is one rule violation at one source location; a
-:class:`LintReport` is the ordered collection the engine hands back to the
-CLI / tests.  Keeping the model free of any engine or rule imports lets
-rule modules depend on it without cycles.
+A :class:`Finding` is one rule violation at one source location.  Keeping
+the model free of any rule or analyzer imports lets rule modules depend
+on it without cycles.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-__all__ = ["Severity", "Finding", "LintReport", "PARSE_ERROR_ID", "DIRECTIVE_ID"]
+__all__ = ["Severity", "Finding", "PARSE_ERROR_ID", "DIRECTIVE_ID"]
 
-#: Pseudo-rule id attached to findings for files the engine cannot parse.
+#: Pseudo-rule id attached to findings for files the analyzer cannot parse.
 PARSE_ERROR_ID = "RIT000"
 
 #: Pseudo-rule id attached to malformed in-source directives (e.g. a
@@ -26,9 +24,10 @@ DIRECTIVE_ID = "RIT099"
 class Severity(Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings are correctness hazards and fail the run; ``WARNING``
-    findings are reported but (under ``--errors-only``) do not affect the
-    exit code.
+    ``ERROR`` findings are correctness hazards; ``WARNING`` findings
+    (RIT013's missing telemetry, RIT099's malformed directives) are not.
+    Both fail the gate; the severity is carried into the JSON and SARIF
+    reports.
     """
 
     WARNING = "warning"
@@ -67,58 +66,13 @@ class Finding:
             "severity": self.severity.value,
         }
 
-
-@dataclass
-class LintReport:
-    """All findings of one lint run, plus simple accounting."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-
-    def extend(self, findings: Iterable[Finding]) -> None:
-        self.findings.extend(findings)
-
-    def sorted(self) -> List[Finding]:
-        return sorted(self.findings, key=lambda f: f.sort_key)
-
-    def __iter__(self) -> Iterator[Finding]:
-        return iter(self.sorted())
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def __bool__(self) -> bool:
-        return bool(self.findings)
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity is Severity.ERROR)
-
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def format_text(self, *, statistics: bool = False) -> str:
-        lines = [f.format() for f in self.sorted()]
-        if statistics and self.findings:
-            lines.append("")
-            for rule_id, count in self.by_rule().items():
-                lines.append(f"{count:>5}  {rule_id}")
-        summary = (
-            f"{len(self.findings)} finding(s) in {self.files_checked} file(s)"
-            if self.findings
-            else f"clean: {self.files_checked} file(s) checked"
-        )
-        lines.append(summary)
-        return "\n".join(lines)
-
-    def format_json(self) -> str:
-        return json.dumps(
-            {
-                "files_checked": self.files_checked,
-                "findings": [f.to_dict() for f in self.sorted()],
-            },
-            indent=2,
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "Finding":
+        return cls(
+            path=doc["path"],
+            line=doc["line"],
+            column=doc["column"],
+            rule_id=doc["rule"],
+            message=doc["message"],
+            severity=Severity(doc["severity"]),
         )

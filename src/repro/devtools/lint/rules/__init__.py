@@ -1,13 +1,15 @@
-"""Rule registry for ``rit lint``.
+"""Registry of the file-local rules (RIT001–RIT007).
 
 Every rule module registers exactly one :class:`~repro.devtools.lint.rules
-.base.Rule` subclass here.  The registry is the single source of truth for
-``--select`` / ``--ignore`` resolution and ``--list-rules`` output.
+.base.Rule` subclass here.  ``rit analyze`` runs all of them on each file
+it parses (:func:`repro.devtools.analysis.summary.analyze_file`); its one
+rule table, :data:`repro.devtools.analysis.passes.RULES`, lists them next
+to the whole-program rules.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.devtools.lint.rules.base import Rule
 from repro.devtools.lint.rules.rit001_rng import UnseededRandomness
@@ -17,13 +19,10 @@ from repro.devtools.lint.rules.rit004_exports import ExportDrift
 from repro.devtools.lint.rules.rit005_wallclock import HiddenInputs
 from repro.devtools.lint.rules.rit006_exceptions import SwallowedExceptions
 from repro.devtools.lint.rules.rit007_diagnostics import RawDiagnostics
-from repro.devtools.lint.rules.rit008_async_blocking import AsyncBlockingCalls
 
 __all__ = [
     "Rule",
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "resolve_rules",
+    "FILE_RULES",
     "UnseededRandomness",
     "RawFloatEquality",
     "FrozenInstanceMutation",
@@ -31,10 +30,9 @@ __all__ = [
     "HiddenInputs",
     "SwallowedExceptions",
     "RawDiagnostics",
-    "AsyncBlockingCalls",
 ]
 
-ALL_RULES: Tuple[Rule, ...] = (
+FILE_RULES: Tuple[Rule, ...] = (
     UnseededRandomness(),
     RawFloatEquality(),
     FrozenInstanceMutation(),
@@ -42,24 +40,4 @@ ALL_RULES: Tuple[Rule, ...] = (
     HiddenInputs(),
     SwallowedExceptions(),
     RawDiagnostics(),
-    AsyncBlockingCalls(),
 )
-
-RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
-
-
-def resolve_rules(
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-) -> List[Rule]:
-    """The active rule set for a run.
-
-    Raises :class:`KeyError` naming the offending id when a selector does
-    not match any registered rule.
-    """
-    for rule_id in list(select) + list(ignore):
-        if rule_id.upper() not in RULES_BY_ID:
-            raise KeyError(rule_id)
-    selected = {r.upper() for r in select} or set(RULES_BY_ID)
-    selected -= {r.upper() for r in ignore}
-    return [rule for rule in ALL_RULES if rule.id in selected]

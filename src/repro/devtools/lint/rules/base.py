@@ -1,4 +1,4 @@
-"""Rule protocol shared by every ``rit lint`` rule module.
+"""Rule protocol shared by every file-local rule module.
 
 A rule is a small object with identity metadata (id, name, rationale), a
 path scope, and a :meth:`Rule.check` method that yields findings for one
@@ -23,7 +23,7 @@ class Rule:
     Class attributes
     ----------------
     id / name / rationale:
-        Identity and the one-line "why" shown by ``rit lint --list-rules``.
+        Identity and the one-line "why" shown by ``rit analyze --list-rules``.
     scopes:
         Dotted module prefixes the rule applies to.  Empty means every file.
     exempt:

@@ -25,8 +25,8 @@ request per connection) that exposes the live telemetry of a running
     aggregate (``{"enabled": false}`` when no plane is attached).
 
 Everything here runs on the event loop; responses are built from
-in-memory state only (no file or blocking socket I/O — lint rule
-RIT008), and the client helper :func:`http_get` uses asyncio streams so
+in-memory state only (no file or blocking socket I/O — analyzer rule
+RIT009), and the client helper :func:`http_get` uses asyncio streams so
 ``rit serve --probe-metrics`` can self-probe from a coroutine.
 """
 
@@ -214,7 +214,7 @@ async def http_get(
     """Minimal asyncio HTTP client: ``(status, body)`` for one GET.
 
     Used by ``rit serve --probe-metrics`` to self-probe from inside the
-    event loop (urllib would block it — lint rule RIT008) and by tests.
+    event loop (urllib would block it — analyzer rule RIT009) and by tests.
     """
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout

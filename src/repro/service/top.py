@@ -7,7 +7,7 @@ Two sources, one renderer:
   per-epoch frames plus the SLO summary, rendered as a table every
   ``--interval`` seconds (this module is a synchronous CLI, so plain
   ``urllib`` polling is fine here — it is deliberately *outside* the
-  RIT007/RIT008 instrumented-module scopes);
+  RIT007 instrumented-module scope and runs no coroutine for RIT009);
 * ``--trace TRACE.jsonl`` — tail a recorded service trace: the
   ``distribution`` events carry their owning ``epoch`` index, so the
   same frames are reconstructed offline and the latency quantiles are

@@ -1,5 +1,5 @@
 # rit: module=repro.service.fixture_blocking_good
-"""RIT008 fixture (clean): awaited sleeps + executor-dispatched I/O."""
+"""RIT009 fixture (clean): awaited sleeps + executor-dispatched I/O."""
 
 import asyncio
 import functools

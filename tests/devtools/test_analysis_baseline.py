@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as rit_main
-from repro.devtools.analysis import Baseline, analyze_paths
+from repro.devtools.analysis import RULES, Baseline, analyze_paths
 from repro.devtools.analysis.baseline import fingerprint
 from repro.devtools.analysis.cli import main as analyze_main
 
@@ -115,7 +115,7 @@ class TestCliExitCodes:
     def test_list_rules(self, project, capsys):
         assert analyze_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RIT009", "RIT010", "RIT011", "RIT012", "RIT013"):
+        for rule_id in RULES:
             assert rule_id in out
 
     def test_rit_cli_analyze_subcommand_matches(self, project, capsys):
@@ -163,13 +163,7 @@ class TestSarif:
         doc = json.loads(sarif_path.read_text())
         assert doc["version"] == "2.1.0"
         (run,) = doc["runs"]
-        assert {r["id"] for r in run["tool"]["driver"]["rules"]} == {
-            "RIT009",
-            "RIT010",
-            "RIT011",
-            "RIT012",
-            "RIT013",
-        }
+        assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(RULES)
         (result,) = run["results"]
         assert result["ruleId"] == "RIT009"
         location = result["locations"][0]["physicalLocation"]

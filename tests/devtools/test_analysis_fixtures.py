@@ -6,7 +6,10 @@ overrides to pose as mechanism/service modules and import each other by
 those declared paths, so cross-module resolution is exercised without the
 files being importable.  ``# expect: RIT00X`` comments in the fixtures
 mark the lines that must be reported; the tests assert the exact
-(file, line, rule) set, so accidental extra findings fail too.
+(file, line, rule) set, so accidental extra findings fail too.  Each
+project is named after its rule and reports only that rule (the
+file-local rules run on the fixtures too: ``rit010/noise.py`` is also an
+RIT001).
 """
 
 from pathlib import Path
@@ -18,7 +21,8 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 def _findings(project: str):
     result = analyze_paths([FIXTURES / project], cache_path=None)
-    return result.findings
+    rule_id = project[:6].upper()
+    return [f for f in result.findings if f.rule_id == rule_id]
 
 
 def _expected(project: str):
@@ -40,6 +44,10 @@ def _actual(project: str):
 class TestFixturesFireExactly:
     def test_rit009(self):
         assert _actual("rit009") == _expected("rit009")
+
+    def test_rit009_coroutine_bodies(self):
+        """Depth 0: blocking calls written in the coroutine itself."""
+        assert _actual("rit009_coroutines") == _expected("rit009_coroutines")
 
     def test_rit010(self):
         assert _actual("rit010") == _expected("rit010")

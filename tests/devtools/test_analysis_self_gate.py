@@ -1,29 +1,37 @@
-"""The analyzer gates its own repository: live ``src/repro`` must match
-the committed baseline exactly.
+"""The analyzer gates its own repository: the live tree must match the
+committed baseline exactly.
 
-Like the linter's self-gate, this is the tripwire the subsystem exists
-for: a PR that introduces a reachable blocking call, RNG taint, unowned
-shared state, a cross-module money ``==`` or an uninstrumented hot-path
-function fails here — and a PR that *fixes* accepted debt without
-refreshing the baseline fails too (the stale check), so the committed
-file can only shrink honestly.
+This is the tripwire the subsystem exists for: a PR that introduces an
+unseeded RNG, a raw monetary ``==``, a frozen-instance mutation, export
+drift, a wall-clock read in core, a swallowed exception, an untraced
+diagnostic, a blocking call on the event loop, RNG taint, unowned shared
+state, a cross-module money ``==`` or an uninstrumented hot-path function
+fails here with a ``file:line`` pointer — and a PR that *fixes* accepted
+debt without refreshing the baseline fails too (the stale check), so the
+committed file can only shrink honestly.
 """
 
 from pathlib import Path
 
+import pytest
+
 from repro.devtools.analysis import Baseline, analyze_paths
 from repro.devtools.analysis.baseline import BASELINE_FILENAME
+from repro.devtools.analysis.cli import DEFAULT_PATHS
+from repro.devtools.analysis.cli import main as analyze_main
 
 REPO = Path(__file__).resolve().parent.parent.parent
+TREE = [REPO / part for part in DEFAULT_PATHS]
 
 
-def _live_result():
-    return analyze_paths([REPO / "src" / "repro"], root=REPO, cache_path=None)
+@pytest.fixture(scope="module")
+def live_result():
+    return analyze_paths(TREE, root=REPO, cache_path=None)
 
 
-def test_live_tree_matches_committed_baseline_exactly():
-    result = _live_result()
-    assert result.files_analyzed > 100  # the walk really covered the tree
+def test_live_tree_matches_committed_baseline_exactly(live_result):
+    result = live_result
+    assert result.files_analyzed > 200  # the walk really covered the repo
     assert result.parse_errors == 0
     baseline = Baseline.load(REPO / BASELINE_FILENAME)
     diff = baseline.diff(result.findings, REPO)
@@ -35,6 +43,12 @@ def test_live_tree_matches_committed_baseline_exactly():
     )
 
 
+def test_analyze_cli_exits_zero_on_live_tree(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert analyze_main(["--ci", "--no-cache", *map(str, TREE)]) == 0
+    capsys.readouterr()
+
+
 def test_committed_baseline_is_minimal():
     """Accepted debt must stay at zero: fix findings or justify a noqa
     at the site instead of parking them in the baseline."""
@@ -42,10 +56,11 @@ def test_committed_baseline_is_minimal():
     assert baseline.entries == {}
 
 
-def test_call_graph_is_nontrivial():
-    """Linking really resolves cross-module edges on the live tree."""
-    result = _live_result()
-    program = result.program
+def test_call_graph_is_nontrivial(live_result):
+    """Linking really resolves cross-module edges on the live tree, and
+    only ``repro.*`` modules are linked."""
+    program = live_result.program
+    assert all(module.split(".")[0] == "repro" for module in program.modules)
     edges = sum(len(program.edges(q)) for q in program.functions)
     assert edges > 500
     # A known cross-module chain: the service serve loop reaches the

@@ -1,9 +1,11 @@
-"""``rit lint --changed``: lint only what differs from a git base ref.
+"""``rit analyze --changed``: report only what differs from a git base ref.
 
 Builds a throwaway git repository per test so the selection logic
-(committed + working-tree + untracked, intersected with lintable
-discovery) is exercised against real ``git diff`` output rather than
-mocks.  Skipped when git is unavailable in the environment.
+(committed + working-tree + untracked, intersected with discovery) is
+exercised against real ``git diff`` output rather than mocks.  Every file
+is still analyzed, so a whole-program finding in an unchanged file is
+found but not reported.  Skipped when git is unavailable in the
+environment.
 """
 
 import shutil
@@ -11,8 +13,8 @@ import subprocess
 
 import pytest
 
+from repro.devtools.analysis.cli import main as analyze_main
 from repro.devtools.discovery import GitError, git_changed_files
-from repro.devtools.lint.cli import main as lint_main
 
 pytestmark = pytest.mark.skipif(
     shutil.which("git") is None, reason="git not installed"
@@ -24,6 +26,10 @@ DIRTY = (
     "import numpy as np\n"
     "a = np.random.default_rng()\n"
 )
+
+
+def run_cli(argv):
+    return analyze_main(["--no-cache", "--no-baseline", *argv])
 
 
 def _git(repo, *argv):
@@ -87,17 +93,17 @@ class TestGitChangedFiles:
 
 class TestLintChanged:
     def test_no_changes_exits_zero(self, repo, capsys):
-        assert lint_main(["--changed", str(repo)]) == 0
+        assert run_cli(["--changed", str(repo)]) == 0
         assert "0 file(s) changed" in capsys.readouterr().out
 
     def test_changed_clean_file_exits_zero(self, repo, capsys):
         (repo / "base.py").write_text(CLEAN + "OTHER = 2\n")
-        assert lint_main(["--changed", str(repo)]) == 0
-        assert "1 file(s) checked" in capsys.readouterr().out
+        assert run_cli(["--changed", str(repo)]) == 0
+        assert "1 file(s) changed" in capsys.readouterr().out
 
     def test_changed_dirty_file_exits_one(self, repo, capsys):
         (repo / "base.py").write_text(DIRTY)
-        assert lint_main(["--changed", str(repo)]) == 1
+        assert run_cli(["--changed", str(repo)]) == 1
         out = capsys.readouterr().out
         assert "RIT001" in out
 
@@ -107,8 +113,8 @@ class TestLintChanged:
         (repo / "other.py").write_text(DIRTY)
         _git(repo, "add", ".")
         _git(repo, "commit", "-q", "-m", "dirty on main")
-        assert lint_main(["--changed", str(repo)]) == 0
-        assert lint_main([str(repo)]) == 1
+        assert run_cli(["--changed", str(repo)]) == 0
+        assert run_cli([str(repo)]) == 1
         capsys.readouterr()
 
     def test_base_ref_is_configurable(self, repo, capsys):
@@ -116,10 +122,36 @@ class TestLintChanged:
         (repo / "base.py").write_text(DIRTY)
         _git(repo, "add", ".")
         _git(repo, "commit", "-q", "-m", "dirty on feature")
-        assert lint_main(["--changed", "--base-ref", "feature", str(repo)]) == 0
-        assert lint_main(["--changed", "--base-ref", "main", str(repo)]) == 1
+        assert run_cli(["--changed", "--base-ref", "feature", str(repo)]) == 0
+        assert run_cli(["--changed", "--base-ref", "main", str(repo)]) == 1
         capsys.readouterr()
 
     def test_bad_base_ref_exits_two(self, repo, capsys):
-        assert lint_main(["--changed", "--base-ref", "nope", str(repo)]) == 2
+        assert run_cli(["--changed", "--base-ref", "nope", str(repo)]) == 2
         assert "--changed failed" in capsys.readouterr().err
+
+    def test_whole_program_finding_in_unchanged_file_is_hidden(self, repo, capsys):
+        (repo / "svc.py").write_text(
+            "# rit: module=repro.service.chsvc\n"
+            "from repro.chutil import flush\n"
+            "async def serve():\n"
+            "    flush()\n"
+        )
+        (repo / "util.py").write_text(
+            "# rit: module=repro.chutil\n"
+            "import time\n"
+            "def flush():\n"
+            "    time.sleep(0.01)\n"
+        )
+        _git(repo, "add", ".")
+        _git(repo, "commit", "-q", "-m", "blocking helper on main")
+        (repo / "svc.py").write_text(
+            (repo / "svc.py").read_text()
+            + "import numpy as np\nRNG = np.random.default_rng()\n"
+        )
+        assert run_cli(["--changed", str(repo)]) == 1
+        out = capsys.readouterr().out
+        assert "svc.py:6:" in out and "RIT001" in out
+        assert "RIT009" not in out
+        assert run_cli([str(repo)]) == 1
+        assert "RIT009" in capsys.readouterr().out

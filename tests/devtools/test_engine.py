@@ -1,20 +1,15 @@
-"""Engine behavior: discovery, module resolution, directives, parse errors."""
+"""Per-file step and reporting: discovery, module resolution, directives,
+parse errors, the text/JSON reports."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import (
-    Finding,
-    LintReport,
-    Severity,
-    build_context,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-    module_for_path,
-)
+from repro.devtools.analysis import AnalysisResult, analyze_file, analyze_paths
+from repro.devtools.analysis.report import findings_by_rule, render_json, render_text
+from repro.devtools.discovery import iter_python_files
+from repro.devtools.lint import Finding, Severity, build_context, module_for_path
 from repro.devtools.lint.context import module_in
 from repro.devtools.lint.model import PARSE_ERROR_ID
 
@@ -69,54 +64,77 @@ class TestParseErrors:
     def test_syntax_error_becomes_rit000(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def oops(:\n")
-        findings = lint_file(bad)
+        analysis = analyze_file(bad)
+        assert analysis.summary is None
+        findings = analysis.findings
         assert len(findings) == 1
         assert findings[0].rule_id == PARSE_ERROR_ID
         assert findings[0].severity is Severity.ERROR
         assert findings[0].line == 1
 
 
+def _text(result: AnalysisResult, **kwargs) -> str:
+    return render_text(
+        result.findings,
+        files_analyzed=result.files_analyzed,
+        files_parsed=result.files_parsed,
+        cache_hits=result.cache_hits,
+        **kwargs,
+    )
+
+
 class TestReport:
     def test_counts_and_sorting(self):
-        report = lint_paths([FIXTURES / "rit001_bad.py", FIXTURES / "rit002_bad.py"])
-        assert report.files_checked == 2
-        assert len(report) == report.error_count > 0
-        ordered = report.sorted()
-        assert ordered == sorted(ordered, key=lambda f: f.sort_key)
-        assert set(report.by_rule()) == {"RIT001", "RIT002"}
+        result = analyze_paths(
+            [FIXTURES / "rit001_bad.py", FIXTURES / "rit002_bad.py"], cache_path=None
+        )
+        assert result.files_analyzed == 2
+        findings = result.findings
+        assert findings and all(f.severity is Severity.ERROR for f in findings)
+        assert findings == sorted(findings, key=lambda f: f.sort_key)
+        assert set(findings_by_rule(findings)) == {"RIT001", "RIT002"}
 
     def test_format_text_lists_file_line(self):
-        report = lint_paths([FIXTURES / "rit006_bad.py"])
-        text = report.format_text(statistics=True)
+        result = analyze_paths([FIXTURES / "rit006_bad.py"], cache_path=None)
+        text = _text(result, statistics=True)
         assert "rit006_bad.py:8:" in text
         assert "RIT006" in text
 
     def test_clean_report_is_falsy(self, tmp_path):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        report = lint_paths([clean])
-        assert not report
-        assert "clean" in report.format_text()
+        result = analyze_paths([clean], cache_path=None)
+        assert not result.findings
+        assert _text(result).endswith("0 finding(s)")
 
     def test_json_round_trip(self):
-        import json
-
-        report = lint_paths([FIXTURES / "rit005_bad.py"])
-        payload = json.loads(report.format_json())
-        assert payload["files_checked"] == 1
+        result = analyze_paths([FIXTURES / "rit005_bad.py"], cache_path=None)
+        payload = json.loads(
+            render_json(
+                result.findings,
+                files_analyzed=result.files_analyzed,
+                files_parsed=result.files_parsed,
+                cache_hits=result.cache_hits,
+                root=Path.cwd(),
+            )
+        )
+        assert payload["files_analyzed"] == 1
+        assert payload["findings"]
         assert all(f["rule"] == "RIT005" for f in payload["findings"])
 
 
 class TestLintSource:
     def test_scoped_rule_needs_module_directive(self):
         snippet = "import time\nt = time.time()\n"
-        assert lint_source(snippet) == []  # module '<string>': out of scope
+        # module '<string>': outside RIT005's scope
+        assert analyze_file(Path("<string>"), source=snippet).findings == []
         scoped = "# rit: module=repro.core.x\n" + snippet
-        assert [f.rule_id for f in lint_source(scoped)] == ["RIT005"]
+        findings = analyze_file(Path("<string>"), source=scoped).findings
+        assert [f.rule_id for f in findings] == ["RIT005"]
 
     def test_finding_format_is_clickable(self):
         finding = Finding("src/x.py", 3, 7, "RIT001", "boom")
         assert finding.format() == "src/x.py:3:7: RIT001 boom"
 
     def test_report_type_reexported(self):
-        assert isinstance(lint_paths([]), LintReport)
+        assert isinstance(analyze_paths([], cache_path=None), AnalysisResult)

@@ -1,17 +1,30 @@
-"""Suppression semantics and CLI exit codes (satellite acceptance tests).
+"""Suppression semantics and CLI exit codes.
 
 * ``# rit: noqa[RIT00X]`` silences exactly that rule on exactly that line;
 * a clean tree exits 0, findings exit 1, usage errors exit 2;
-* the ``rit lint`` subcommand and ``python -m repro.devtools.lint`` agree.
+* ``--select``/``--ignore`` narrow the report across file-local and
+  whole-program rules alike.
 """
 
+import json
 from pathlib import Path
 
-from repro.cli import main as rit_main
-from repro.devtools.lint import lint_file, lint_source
-from repro.devtools.lint.cli import main as lint_main
+import pytest
+
+from repro.devtools.analysis import analyze_file
+from repro.devtools.analysis.cli import main as analyze_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def run_cli(argv):
+    """The analyzer CLI, reporting every finding and writing no cache."""
+    return analyze_main(["--no-cache", "--no-baseline", *argv])
+
+
+def file_findings(source: str):
+    return analyze_file(Path("<string>"), source=source).findings
+
 
 #: Mechanism-scoped snippet with two *different* violations on one line:
 #: an unseeded default_rng (RIT001) feeding a monetary comparison (RIT002).
@@ -24,7 +37,7 @@ TWO_RULES_ONE_LINE = (
 
 
 def _rules(source: str):
-    return sorted(f.rule_id for f in lint_source(source))
+    return sorted(f.rule_id for f in file_findings(source))
 
 
 class TestNoqa:
@@ -55,7 +68,7 @@ class TestNoqa:
             "a = np.random.default_rng()  # rit: noqa[RIT001]\n"
             "b = np.random.default_rng()\n"
         )
-        findings = lint_file(target)
+        findings = analyze_file(target).findings
         assert [(f.line, f.rule_id) for f in findings] == [(4, "RIT001")]
 
 
@@ -72,7 +85,7 @@ class TestNoqaStatementSpan:
 
     def test_finding_on_continuation_line_is_reported_without_noqa(self):
         source = self.MULTILINE.format(noqa_first="", noqa_mid="")
-        assert [f.line for f in lint_source(source)] == [4]
+        assert [f.line for f in file_findings(source)] == [4]
 
     def test_noqa_on_first_line_covers_the_continuation(self):
         source = self.MULTILINE.format(
@@ -106,7 +119,7 @@ class TestEmptyNoqaWarns:
     )
 
     def test_empty_rule_list_suppresses_nothing_and_warns(self):
-        findings = lint_source(self.EMPTY)
+        findings = file_findings(self.EMPTY)
         assert sorted(f.rule_id for f in findings) == ["RIT001", "RIT099"]
         rit099 = next(f for f in findings if f.rule_id == "RIT099")
         assert rit099.line == 3
@@ -117,11 +130,11 @@ class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n")
-        assert lint_main([str(clean)]) == 0
-        assert "clean" in capsys.readouterr().out
+        assert run_cli([str(clean)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        code = lint_main([str(FIXTURES / "rit001_bad.py")])
+        code = run_cli([str(FIXTURES / "rit001_bad.py")])
         assert code == 1
         out = capsys.readouterr().out
         assert "RIT001" in out
@@ -129,31 +142,71 @@ class TestExitCodes:
     def test_unknown_rule_id_exits_two(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n")
-        assert lint_main([str(clean), "--select", "RIT999"]) == 2
+        assert run_cli([str(clean), "--select", "RIT999"]) == 2
+        assert "unknown rule" in capsys.readouterr().err
+        assert run_cli([str(clean), "--ignore", "RIT008"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, capsys):
-        assert lint_main(["definitely/not/here"]) == 2
+        assert run_cli(["definitely/not/here"]) == 2
         capsys.readouterr()
 
     def test_select_restricts_rules(self, capsys):
         path = str(FIXTURES / "rit002_bad.py")
-        assert lint_main([path, "--select", "RIT001"]) == 0
-        assert lint_main([path, "--select", "RIT002"]) == 1
+        assert run_cli([path, "--select", "RIT001"]) == 0
+        assert run_cli([path, "--select", "RIT002"]) == 1
         capsys.readouterr()
 
     def test_ignore_excludes_rules(self, capsys):
         path = str(FIXTURES / "rit006_bad.py")
-        assert lint_main([path, "--ignore", "RIT006"]) == 0
+        assert run_cli([path, "--ignore", "RIT006"]) == 0
         capsys.readouterr()
 
-    def test_rit_cli_lint_subcommand_matches(self, capsys):
-        assert rit_main(["lint", str(FIXTURES / "rit003_bad.py")]) == 1
-        out = capsys.readouterr().out
-        assert "RIT003" in out
-
     def test_list_rules_exits_zero(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert run_cli(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RIT001", "RIT002", "RIT003", "RIT004", "RIT005", "RIT006"):
-            assert rule_id in out
+        for number in (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13):
+            assert f"RIT{number:03d}" in out
+        assert "RIT008" not in out
+
+
+class TestSelectAcrossRuleKinds:
+    """One project with a file-local and a whole-program finding."""
+
+    @pytest.fixture
+    def project(self, tmp_path):
+        (tmp_path / "svc.py").write_text(
+            "# rit: module=repro.service.selsvc\n"
+            "import numpy as np\n"
+            "from repro.selutil import flush\n"
+            "RNG = np.random.default_rng()\n"
+            "async def serve():\n"
+            "    flush()\n"
+        )
+        (tmp_path / "util.py").write_text(
+            "# rit: module=repro.selutil\n"
+            "import time\n"
+            "def flush():\n"
+            "    time.sleep(0.01)\n"
+        )
+        return tmp_path
+
+    def _reported(self, capsys, argv):
+        code = run_cli(["--format", "json", *argv])
+        rules = [f["rule"] for f in json.loads(capsys.readouterr().out)["findings"]]
+        return code, rules
+
+    def test_unfiltered_run_reports_both_kinds(self, project, capsys):
+        assert self._reported(capsys, [str(project)]) == (1, ["RIT001", "RIT009"])
+
+    def test_select_file_local_rule(self, project, capsys):
+        argv = [str(project), "--select", "RIT001"]
+        assert self._reported(capsys, argv) == (1, ["RIT001"])
+
+    def test_select_whole_program_rule(self, project, capsys):
+        argv = [str(project), "--select", "rit009"]
+        assert self._reported(capsys, argv) == (1, ["RIT009"])
+
+    def test_ignore_both_kinds_is_clean(self, project, capsys):
+        argv = [str(project), "--ignore", "RIT001,RIT009"]
+        assert self._reported(capsys, argv) == (0, [])

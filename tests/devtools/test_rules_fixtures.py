@@ -2,9 +2,12 @@
 
 Every fixture under ``tests/devtools/fixtures/`` marks its deliberate
 violations with a trailing ``# expect: RIT00X`` comment (comma-separated
-ids for multiple rules on one line).  The test lints each fixture and
-demands the finding set equals the marker set *exactly* — missing
-detections and extra false positives both fail, with line numbers.
+ids for multiple rules on one line).  The test runs the analyzer on each
+fixture alone and demands the finding set equals the marker set
+*exactly* — missing detections and extra false positives both fail, with
+line numbers.  The coroutine-body fixtures of RIT009 (the rule that
+absorbed RIT008) sit in their ``analysis_fixtures/`` mini-project and are
+checked here too.
 """
 
 import re
@@ -12,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import RULES_BY_ID, lint_file
+from repro.devtools.analysis import analyze_file, analyze_paths
+from repro.devtools.lint import FILE_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+COROUTINE_FIXTURES = Path(__file__).parent / "analysis_fixtures" / "rit009_coroutines"
 
 _EXPECT_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
 
@@ -37,25 +42,34 @@ def expected_markers(path: Path):
     return expected
 
 
+def _fixture_id(path: Path) -> str:
+    root = COROUTINE_FIXTURES if path.parent == COROUTINE_FIXTURES else FIXTURES
+    return str(path.relative_to(root))
+
+
 @pytest.mark.parametrize(
-    "path", fixture_files(), ids=lambda p: str(p.relative_to(FIXTURES))
+    "path",
+    fixture_files() + sorted(COROUTINE_FIXTURES.glob("*.py")),
+    ids=_fixture_id,
 )
 def test_fixture_findings_match_markers(path):
     expected = expected_markers(path)
-    actual = {(f.line, f.rule_id) for f in lint_file(path)}
+    result = analyze_paths([path], cache_path=None)
+    actual = {(f.line, f.rule_id) for f in result.findings}
     missing = expected - actual
     extra = actual - expected
-    assert not missing, f"linter missed declared violations: {sorted(missing)}"
-    assert not extra, f"linter reported unexpected findings: {sorted(extra)}"
+    assert not missing, f"analyzer missed declared violations: {sorted(missing)}"
+    assert not extra, f"analyzer reported unexpected findings: {sorted(extra)}"
 
 
 def test_every_rule_has_bad_fixture_coverage():
-    """Acceptance: fixtures trigger every one of RIT001-RIT006."""
+    """Acceptance: fixtures trigger every file-local rule (RIT001-RIT007)."""
+    rule_ids = {rule.id for rule in FILE_RULES}
     covered = set()
     for path in fixture_files():
         covered |= {rule_id for _, rule_id in expected_markers(path)}
-    assert covered == set(RULES_BY_ID), (
-        f"rules without fixture coverage: {sorted(set(RULES_BY_ID) - covered)}"
+    assert covered == rule_ids, (
+        f"rules without fixture coverage: {sorted(rule_ids - covered)}"
     )
 
 
@@ -63,13 +77,13 @@ def test_good_fixtures_are_clean():
     for path in fixture_files():
         if "_good" in path.stem:
             assert not expected_markers(path)
-            assert lint_file(path) == []
+            assert analyze_file(path).findings == []
 
 
 def test_findings_report_real_locations():
     """file:line output points at the offending statement, not line 1."""
     path = FIXTURES / "rit001_bad.py"
-    findings = lint_file(path)
+    findings = analyze_file(path).findings
     assert findings
     for finding in findings:
         assert finding.path == str(path)
