@@ -180,12 +180,10 @@ def replay_stream(
     on the tracer's injected clock).
     """
     runner = mechanism.with_tracer(tracer).fresh()
-    pipeline = EpochPipeline(job, policy)
     results: List[Tuple[int, MechanismOutcome]] = []
     with tracer.span("arena.replay", mechanism=mechanism.mechanism_id):
         tracer.count("arena_replays")
-
-        def execute(snapshot) -> None:
+        for snapshot in EpochPipeline(job, policy).snapshots(events):
             t0 = tracer.clock()
             outcome = runner.run_epoch(
                 job,
@@ -198,14 +196,6 @@ def replay_stream(
                 latency.observe(tracer.clock() - t0)
             tracer.count("arena_epochs_run")
             results.append((snapshot.batch.index, outcome))
-
-        for event in events:
-            _, snapshots = pipeline.step(event)
-            for snapshot in snapshots:
-                execute(snapshot)
-        tail = pipeline.finish()
-        if tail is not None:
-            execute(tail)
     return results
 
 

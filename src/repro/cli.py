@@ -889,9 +889,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
           f"p95 {latency['p95'] * 1000:.1f} ms")
     print(f"queue: highwater {section['queue']['highwater']}"
           f"/{section['queue']['capacity']}")
-    for label, key in (("ingest", "ingest"), ("epoch", "epoch"),
-                       ("shard", "shard")):
-        block = slo[key]
+    for label in ("ingest", "epoch"):
+        block = slo[label]
         print(f"slo {label}: p50 {block['p50'] * 1000:.2f} ms  "
               f"p95 {block['p95'] * 1000:.2f} ms  "
               f"p99 {block['p99'] * 1000:.2f} ms  "

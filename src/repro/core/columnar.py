@@ -57,7 +57,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
 )
@@ -73,7 +72,6 @@ from repro.tree.incentive_tree import BFSView, IncentiveTree
 __all__ = [
     "AskProfile",
     "ColumnarStore",
-    "ProfileColumns",
     "profile_arrays",
 ]
 
@@ -204,7 +202,10 @@ class AskProfile(Mapping[int, Ask]):
                 raise ModelError(
                     f"user {int(uid_col[row])}: {what}, got {col[row].item()}"
                 )
-        order = np.argsort(uid_col, kind="stable")
+        # Ids are checked distinct below, so any sort gives the one
+        # permutation; numpy's default is several times faster than a
+        # stable sort here.
+        order = np.argsort(uid_col)
         sorted_uids = uid_col[order]
         dup = np.flatnonzero(sorted_uids[1:] == sorted_uids[:-1])
         if dup.size:
@@ -430,22 +431,6 @@ class AskProfile(Mapping[int, Ask]):
                 for col in (self.uids, self.types, self.ask_values, self.caps)
             )
         )
-
-
-class ProfileColumns(Protocol):
-    """A profile with one tree's arrays, as an epoch's
-    :class:`~repro.service.state.StateSnapshot` holds it.
-
-    ``view`` is the incentive tree's BFS form, ``bfs_types`` the task type
-    at each of its positions and ``type_width`` the highest task type + 1.
-    """
-
-    @property
-    def view(self) -> BFSView: ...
-    @property
-    def bfs_types(self) -> np.ndarray: ...
-    @property
-    def type_width(self) -> int: ...
 
 
 class ColumnarStore:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from repro.core.outcome import MechanismOutcome
 from repro.core.rng import SeedLike
@@ -20,6 +20,8 @@ from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.tree.incentive_tree import IncentiveTree
 
 __all__ = ["Mechanism"]
+
+_M = TypeVar("_M", bound="Mechanism")
 
 
 class Mechanism(abc.ABC):
@@ -39,7 +41,7 @@ class Mechanism(abc.ABC):
     #: run with :meth:`with_tracer`.
     tracer: NullTracer = NULL_TRACER
 
-    def with_tracer(self, tracer: NullTracer) -> "Mechanism":
+    def with_tracer(self: _M, tracer: NullTracer) -> _M:
         """A shallow copy of this mechanism emitting into ``tracer``.
 
         Mechanisms are stateless across runs, so a shallow copy sharing

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -88,7 +88,6 @@ from repro.core import bounds
 # ``AskProfile``.
 from repro.core.columnar import (
     AskProfile,
-    ProfileColumns,
     profile_arrays,
 )
 from repro.core.engine import (
@@ -131,9 +130,11 @@ ENGINES = ("sorted", "columnar")
 #: * ``"per-type"`` — the run seed spawns one child :class:`SeedSequence`
 #:   per task type (keyed by type index), and each type's CRA loop draws
 #:   from its own generator.  Type auctions then consume *independent*
-#:   streams, so they can execute concurrently on different workers and
-#:   still reproduce the offline result bit-for-bit — this is the
-#:   determinism contract of :mod:`repro.service`.
+#:   streams: a type's rounds never depend on how many draws another
+#:   type took.
+#:
+#: The service runs each epoch as one :meth:`RIT.run`, so it serves either
+#: policy and equals the offline run under both.
 RNG_POLICIES = ("stream", "per-type")
 
 #: Safety cap multiplier for the "until-complete" policy: the number of
@@ -176,8 +177,7 @@ class RIT(Mechanism):
     rng_policy:
         One of :data:`RNG_POLICIES` — ``"stream"`` (one generator shared
         sequentially across types, default) or ``"per-type"`` (independent
-        spawned stream per task type; required for sharded execution to
-        match the offline run).
+        spawned stream per task type).
     tracer:
         Observability sink (see :mod:`repro.obs`); defaults to the shared
         no-op tracer.  Can also be injected after construction with
@@ -286,9 +286,15 @@ class RIT(Mechanism):
         self,
         job: Job,
         asks: Mapping[int, Ask],
-        tree: IncentiveTree,
+        tree: "IncentiveTree | BFSView",
         rng: SeedLike = None,
     ) -> MechanismOutcome:
+        """One run of Algorithm 3 over ``asks`` and ``tree``.
+
+        ``tree`` may also be the tree's :class:`~repro.tree.incentive_tree
+        .BFSView`, as an epoch snapshot holds it; the run then reads that
+        view in place of ``tree.bfs_view()``.
+        """
         gen = as_generator(rng)
         tracer = self.tracer
         tracing = tracer.enabled
@@ -299,7 +305,8 @@ class RIT(Mechanism):
         # Validation, pools, k_max and the payment row width all read the
         # profile's columns and caches.
         profile = AskProfile.of(asks)
-        profile.validate(job, tree.bfs_view())
+        view = tree if isinstance(tree, BFSView) else tree.bfs_view()
+        profile.validate(job, view)
         owns_run = False
         run_sid = mech_sid = -1
         if tracing:
@@ -347,12 +354,11 @@ class RIT(Mechanism):
         final = self.join_shards(
             job,
             profile,
-            tree,
+            view,
             shards,
             started_at=t_start,
             auction_ended_at=t_auction,
             timers=timers,
-            type_width=profile.type_width,
         )
         if not final.completed and self.raise_on_failure:
             # Algorithm 3 line 27 escalated: unwind spans, then raise.
@@ -484,15 +490,13 @@ class RIT(Mechanism):
     def join_shards(
         self,
         job: Job,
-        asks: Optional[Mapping[int, Ask]],
-        tree: Optional[IncentiveTree],
+        asks: Mapping[int, Ask],
+        view: BFSView,
         shards: "List[TypeShardResult]",
         *,
         started_at: float = 0.0,
         auction_ended_at: Optional[float] = None,
         timers: Optional[StageTimers] = None,
-        columns: Optional[ProfileColumns] = None,
-        type_width: Optional[int] = None,
     ) -> MechanismOutcome:
         """Assemble a full :class:`MechanismOutcome` from per-type shards.
 
@@ -505,16 +509,13 @@ class RIT(Mechanism):
         determination phase (lines 22-25) runs here, so sharded callers
         get tree payments and budget splits identical to :meth:`run`.
 
-        Payments cover the winners' root paths only.  With ``columns`` (an
-        epoch's :class:`~repro.service.state.StateSnapshot`) they read its
-        view and BFS-ordered types, and ``asks`` and ``tree`` are not used
-        (pass None).  Otherwise they read ``tree``'s view and the types of
-        those nodes alone from the columns of ``asks`` (taken through
-        :meth:`AskProfile.of <repro.core.columnar.AskProfile.of>`), and
-        ``type_width`` must be the profile's highest task type + 1
-        (:attr:`AskProfile.type_width
-        <repro.core.columnar.AskProfile.type_width>`); it fixes the payment
-        kernel's row width (see :func:`repro.core.payments.payment_kernel`).
+        Payments cover the winners' root paths only.  They read ``view``,
+        the incentive tree's BFS form, and the types of those nodes alone
+        from the columns of ``asks`` (taken through :meth:`AskProfile.of
+        <repro.core.columnar.AskProfile.of>`), whose
+        :attr:`~repro.core.columnar.AskProfile.type_width` fixes the
+        payment kernel's row width (see
+        :func:`repro.core.payments.payment_kernel`).
 
         This method never raises on incomplete allocation —
         ``raise_on_failure`` is applied by :meth:`run` after spans unwind.
@@ -552,22 +553,14 @@ class RIT(Mechanism):
                 tracer.count("runs_voided")
             return outcome.void(elapsed_total=clock() - started_at)
         # Payment determination phase (lines 22-25).
-        types_at: Callable[[np.ndarray], np.ndarray]
-        if columns is not None:
-            view = columns.view
-            types_at = columns.bfs_types.__getitem__
-            width = columns.type_width
-        elif type_width is None or asks is None or tree is None:
-            raise ConfigurationError(
-                "join_shards needs asks, tree and type_width (the profile's "
-                "highest task type + 1) when no columns are given"
-            )
-        else:
-            view = tree.bfs_view()
-            types_at = functools.partial(_node_types, view, AskProfile.of(asks))
-            width = type_width
+        profile = AskProfile.of(asks)
         positions, payments = payment_kernel(
-            view, auction_payments, types_at, width, self.decay, tracer=tracer
+            view,
+            auction_payments,
+            functools.partial(_node_types, view, profile),
+            profile.type_width,
+            self.decay,
+            tracer=tracer,
         )
         keep = np.abs(payments) > PAYMENT_ATOL
         kept = dict(

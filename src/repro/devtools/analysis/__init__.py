@@ -9,7 +9,7 @@ interprocedural dataflow passes:
 ========  ============================================================
 RIT009    blocking call in, or reachable from, a service coroutine
 RIT010    ambient RNG taint flowing into mechanism entry points
-RIT011    shared mutable module state reachable from shard workers
+RIT011    shared mutable module state reachable from worker threads
 RIT012    monetary results compared exactly across module boundaries
 RIT013    uninstrumented public hot-path functions
 ========  ============================================================

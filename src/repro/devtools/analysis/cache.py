@@ -96,7 +96,7 @@ class SummaryCache:
             else:
                 self.hits += 1
                 return analysis, True
-        analysis = analyze_file(path, source=data.decode("utf-8"))
+        analysis = analyze_file(path, source=data)
         self.entries[key] = {"sha256": digest, **analysis.to_dict()}
         self.misses += 1
         return analysis, False

@@ -11,7 +11,7 @@ RIT009   blocking call in a service coroutine's body or in any function
 RIT010   ambient/unseeded RNG in a module *other than* the mechanism entry
          point that reaches it (same-module ambiance is RIT001's job)
 RIT011   module-level mutable state read+written by code reachable from
-         concurrent shard workers, without a ``# rit: owner=`` marker;
+         concurrent worker threads, without a ``# rit: owner=`` marker;
          also validates that declared owners name a known role from
          :data:`OWNER_ROLES` (a typo'd role would silently disable the
          race check)
@@ -66,22 +66,24 @@ HOT_MODULES = (
 #: Minimum body size before RIT013 demands instrumentation.
 _HOT_MIN_STATEMENTS = 8
 
-#: Every function in these modules runs on shard-worker threads (RIT011).
+#: Every function in these modules runs on worker threads (RIT011).
 CONCURRENT_ROOT_MODULES = ("repro.service.workers",)
 
-#: Specific functions dispatched to worker threads from elsewhere.
-#: An ask profile hands each shard a fork of one of its frozen per-type
-#: pools (shared read-only arrays, private capacities), and runs over one
-#: profile may execute on several threads, so everything reachable from
-#: ``pool()`` runs concurrently.
+#: Specific functions dispatched to worker threads from elsewhere.  The
+#: service runs each epoch's ``RIT.run`` on a worker while the loop keeps
+#: admitting events.  An ask profile hands each shard a fork of one of
+#: its frozen per-type pools (shared read-only arrays, private
+#: capacities), and runs over one profile may execute on several
+#: threads, so everything reachable from ``pool()`` runs concurrently.
 CONCURRENT_ROOT_FUNCTIONS = (
+    "repro.core.rit.RIT.run",
     "repro.core.rit.RIT.run_type_shard",
     "repro.core.columnar.AskProfile.pool",
 )
 
 #: Recognised single-writer roles for ``# rit: owner=<role>`` markers.
 #: ``epoch`` is the frozen-array convention: state built once (per
-#: profile, or per epoch snapshot) before any shard worker can observe
+#: profile, or per epoch snapshot) before any worker thread can observe
 #: it, then treated as immutable (``AskProfile`` and ``StateSnapshot``
 #: enforce this with ``writeable=False`` arrays; per-run mutable capacity
 #: lives in each shard's pool fork).
@@ -104,7 +106,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     ),
     "RIT011": (
         "shared-mutable-state",
-        "module-level mutable state touched from shard workers races "
+        "module-level mutable state touched from worker threads races "
         "unless a single owner is declared",
     ),
     "RIT012": (
@@ -230,7 +232,7 @@ def pass_rit010(program: Program) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------- #
-# RIT011 — shared mutable module state reachable from shard workers
+# RIT011 — shared mutable module state reachable from worker threads
 # ---------------------------------------------------------------------- #
 
 
@@ -291,7 +293,7 @@ def pass_rit011(program: Program) -> List[Finding]:
                         write.line,
                         write.col,
                         f"module-level mutable '{name}' is read and written "
-                        "by code reachable from concurrent shard workers "
+                        "by code reachable from concurrent worker threads "
                         f"(via {_chain_text(reached, info.qualname)}); "
                         "add a lock, pass state explicitly, or declare a "
                         "single owner with '# rit: owner=<who>' on its "

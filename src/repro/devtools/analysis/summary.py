@@ -22,6 +22,7 @@ still try a unique-method fallback.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -821,22 +822,30 @@ class FileAnalysis:
         )
 
 
-def analyze_file(path: Path, source: Optional[str] = None) -> FileAnalysis:
-    """Parse one file once: its summary and its file-local findings."""
+def analyze_file(
+    path: Path, source: "str | bytes | None" = None
+) -> FileAnalysis:
+    """Parse one file once: its summary and its file-local findings.
+
+    ``source`` is the file's text or its raw bytes; by default the file
+    is read.  Bytes are decoded as Python decodes a source file (UTF-8
+    unless a coding declaration names another encoding).  A file that
+    does not decode or does not parse yields its single RIT000 finding.
+    """
     try:
+        if source is None:
+            source = Path(path).read_bytes()
+        if isinstance(source, bytes):
+            source = importlib.util.decode_source(source)
         ctx = build_context(Path(path), source=source)
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        return _unparsed(
+            path, line, 1, f"file does not decode as {exc.encoding}: {exc.reason}"
+        )
     except SyntaxError as exc:
-        return FileAnalysis(
-            summary=None,
-            findings=[
-                Finding(
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    column=exc.offset or 1,
-                    rule_id=PARSE_ERROR_ID,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ],
+        return _unparsed(
+            path, exc.lineno or 1, exc.offset or 1, f"file does not parse: {exc.msg}"
         )
     findings = [
         Finding(ctx.path, line, 1, DIRECTIVE_ID, message, Severity.WARNING)
@@ -852,6 +861,14 @@ def analyze_file(path: Path, source: Optional[str] = None) -> FileAnalysis:
     findings.sort(key=lambda f: f.sort_key)
     linked = module_in(ctx.module, PROGRAM_PACKAGE)
     return FileAnalysis(summarize_context(ctx) if linked else None, findings)
+
+
+def _unparsed(path: Path, line: int, column: int, message: str) -> FileAnalysis:
+    """The analysis of a file no rule can read: one RIT000 finding."""
+    return FileAnalysis(
+        summary=None,
+        findings=[Finding(str(path), line, column, PARSE_ERROR_ID, message)],
+    )
 
 
 def summary_from_source(module: str, source: str, path: str = "<memory>") -> ModuleSummary:

@@ -204,11 +204,10 @@ def _validate_service_slo_section(section: Any) -> List[str]:
     errors: List[str] = []
     if not isinstance(section, dict):
         return ["service_slo is not an object"]
-    for key in ("epochs_closed", "shards_run"):
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            errors.append(f"service_slo.{key} must be a non-negative int")
-    for block_name in ("ingest", "epoch", "shard", "queue_depth", "batch_events"):
+    value = section.get("epochs_closed")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        errors.append("service_slo.epochs_closed must be a non-negative int")
+    for block_name in ("ingest", "epoch", "queue_depth", "batch_events"):
         block = section.get(block_name)
         where = f"service_slo.{block_name}"
         if not isinstance(block, dict):

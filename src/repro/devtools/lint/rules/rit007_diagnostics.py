@@ -11,7 +11,7 @@ diffed.  Both must go through the tracer.
 
 Instrumented modules also must not invent histogram bucket boundaries.
 The telemetry plane's determinism contract (bit-identical snapshots,
-mergeable across shard workers) holds only because every histogram uses
+mergeable across runs and workers) holds only because every histogram uses
 the fixed boundaries registered in :mod:`repro.obs.metrics`
 (``BUCKET_FAMILIES`` / ``bucket_boundaries``).  A locally computed grid
 (``np.logspace`` / ``np.geomspace``) or a literal list assigned to a

@@ -58,7 +58,6 @@ COUNTER_CATALOG: Dict[str, Tuple[str, str]] = {
     "service_events_refused": ("count", "events refused by stateful admission checks"),
     "service_events_gated": ("count", "events refused by the sentinel admission gate at the frontend"),
     "service_epochs_closed": ("count", "epoch batches closed and executed"),
-    "service_shards_run": ("count", "per-type auction shards executed by workers"),
     # repro.sentinel — streaming attack detectors
     "sentinel_alerts": ("count", "anomaly alerts raised by the sentinel detector plane"),
     # repro.arena — head-to-head mechanism arena

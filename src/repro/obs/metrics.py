@@ -9,7 +9,7 @@ fixed bucket boundaries
     Every histogram's buckets come from a named family in
     :data:`BUCKET_FAMILIES` — precomputed log-scale boundaries built from
     exact powers of two (or exact 1/16 steps for ratios), never computed
-    at a call site.  Two runs, or two shard workers, that observe the
+    at a call site.  Two runs, or two workers, that observe the
     same values therefore produce bit-identical bucket counts, and any
     two histograms of the same family merge by integer addition.  Lint
     rule RIT007 bans instrumented modules from constructing ad-hoc
@@ -111,12 +111,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     ),
     "epoch_close_to_outcome_seconds": MetricSpec(
         "histogram", "seconds", "latency_seconds", True,
-        "epoch close to MechanismOutcome latency (auction + join + ledger "
-        "dispatch)",
-    ),
-    "shard_run_seconds": MetricSpec(
-        "histogram", "seconds", "latency_seconds", True,
-        "one per-type auction shard's wall time on its worker",
+        "epoch close to MechanismOutcome latency (pool build + RIT.run)",
     ),
     "arena_epoch_seconds": MetricSpec(
         "histogram", "seconds", "latency_seconds", True,
@@ -241,7 +236,7 @@ class Histogram:
         """Fold another histogram of the same metric into this one.
 
         Bucket counts add exactly (integers over identical boundaries),
-        so merge order never changes the result — shard workers can be
+        so merge order never changes the result — workers can be
         absorbed in any grouping.
         """
         if other.family != self.family or other.unit != self.unit:

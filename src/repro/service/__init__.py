@@ -2,14 +2,14 @@
 
 The subsystem turns the batch mechanism into a service::
 
-    events ──▶ IngestFrontend ──▶ EpochPipeline ──▶ shard workers ──▶ ledger
-               bounded queue,     admission +       one CRA loop       JSONL,
-               backpressure       epoch cutting     per task type      replayable
+    events ──▶ IngestFrontend ──▶ EpochPipeline ──▶ epoch worker ──▶ ledger
+               bounded queue,     admission +       one RIT.run       JSONL,
+               backpressure       epoch cutting     per epoch         replayable
 
 Determinism contract: for a fixed root seed and admitted event stream,
 the sequence of epoch outcomes is bit-identical to running the offline
-``RIT.run`` (with ``rng_policy="per-type"``) over the cumulative state at
-each epoch close — regardless of queue timing, thread scheduling, or
+``RIT.run`` over the cumulative state at each epoch close, under either
+RNG policy — regardless of queue timing, thread scheduling, or
 event-loop interleaving.  :mod:`repro.service.replay` checks exactly
 this.  See ``docs/service.md`` for the architecture write-up.
 """

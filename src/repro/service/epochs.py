@@ -23,7 +23,7 @@ seed they draw (see ``docs/service.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,11 +161,11 @@ class EpochSnapshot:
     The auction for an epoch may run arbitrarily later (or concurrently
     with further ingestion); correctness requires the inputs to be frozen
     at close time, which is exactly what this snapshot is: ``state`` holds
-    read-only copies of the live columns and their BFS view, which the
-    live path reads directly.  :attr:`asks` and :attr:`tree` are the
-    offline forms (an :class:`~repro.core.columnar.AskProfile` over those
-    columns and an :class:`~repro.tree.incentive_tree.IncentiveTree`),
-    built on first use.
+    read-only copies of the live columns and their BFS view.  :attr:`asks`
+    (an :class:`~repro.core.columnar.AskProfile` over those columns, which
+    every run reads) and :attr:`tree` (an
+    :class:`~repro.tree.incentive_tree.IncentiveTree`, which offline
+    callers walk) are built on first use.
     """
 
     batch: EpochBatch
@@ -183,11 +183,12 @@ class EpochSnapshot:
 class EpochPipeline:
     """The shared per-event admission/batching step.
 
-    Both the online service and the offline replayer feed events through
-    one instance of this class; epoch *execution* differs between them
-    (sharded workers vs. a single offline ``RIT.run``), but admission,
-    batching and state snapshots are literally the same code path — the
-    differential test then checks only the auction arithmetic.
+    The online service, the offline replayer and the arena feed events
+    through one instance of this class, so admission, batching and state
+    snapshots are literally the same code path.  Every epoch then runs as
+    one ``RIT.run``: the service's over the snapshot's vectorized view,
+    the replay's over its walked tree — the differential test checks the
+    one against the other.
 
     Note the order inside :meth:`step`: the tick trigger is evaluated
     against the arriving event *before* the event touches the state, so a
@@ -219,6 +220,21 @@ class EpochPipeline:
             if closed is not None:
                 snapshots.append(self._snapshot(closed))
         return refused, snapshots
+
+    def snapshots(
+        self, events: Iterable[ServiceEvent]
+    ) -> Iterator[EpochSnapshot]:
+        """Step every event; yield each epoch as it closes, the trailing
+        partial batch last.
+
+        Refusals are not reported: the offline callers re-derive them, and
+        the service, which counts them, calls :meth:`step` itself.
+        """
+        for event in events:
+            yield from self.step(event)[1]
+        tail = self.finish()
+        if tail is not None:
+            yield tail
 
     def finish(self) -> Optional[EpochSnapshot]:
         """Flush the trailing partial batch at end of stream."""

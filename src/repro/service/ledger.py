@@ -42,8 +42,8 @@ def canonical_outcome(outcome: MechanismOutcome) -> Dict[str, Any]:
     """The reproducible projection of an outcome, JSON-ready.
 
     Dict keys become strings (JSON object keys always are); ordering
-    follows the outcome's own insertion order, which both the sharded
-    service and the offline replay derive from the same admission order.
+    follows the outcome's own insertion order, which both the service
+    and the offline replay derive from the same admission order.
     """
     return {
         "completed": outcome.completed,

@@ -9,7 +9,7 @@ epoch scheduler's Δ-tick trigger is exercised deterministically.
 
 ``run_service_bench`` is the ``rit loadgen --bench`` engine: it drives
 the stream open-loop through a full :class:`~repro.service.service
-.MechanismService` (bounded queue, sharded workers, ledger off) and
+.MechanismService` (bounded queue, epoch worker, ledger off) and
 reports throughput and epoch-latency percentiles as the ``service``
 section of ``BENCH_RIT.json`` (see
 :func:`repro.devtools.bench.validate_bench_schema`).

@@ -2,16 +2,15 @@
 
 :func:`replay_outcomes` re-executes an admitted event stream *offline*:
 the same :class:`~repro.service.epochs.EpochPipeline` cuts the same
-epochs, but each epoch is one plain ``RIT.run`` over the cumulative
+epochs, and each epoch is one plain ``RIT.run`` over the cumulative
 snapshot with the same ``epoch_seed`` — no queues, no thread pool, no
-event loop.  Because ``rng_policy="per-type"`` makes ``RIT.run`` spawn
-exactly the per-type streams the shard workers use, the sharded online
-outcomes must equal the offline ones **bit for bit**: payments, winners,
-round diagnostics, and the underlying RNG draws.  The replay runs over
-each snapshot's dict and tree forms, whose tree walks itself
-(:meth:`~repro.tree.incentive_tree.BFSView.walk`), while the service
-pays from the snapshot's vectorized view — so every replayed epoch also
-checks that view against the walk.
+event loop.  The service runs each epoch as the same ``RIT.run``, so the
+online outcomes must equal the offline ones **bit for bit** under either
+RNG policy: payments, winners, round diagnostics, and the underlying RNG
+draws.  The replay runs over each snapshot's profile and tree forms,
+whose tree walks itself (:meth:`~repro.tree.incentive_tree.BFSView.walk`),
+while the service runs over the snapshot's vectorized view — so every
+replayed epoch also checks that view against the walk.
 
 :func:`differential_check` is that assertion as a tool: it compares two
 epoch-outcome sequences via :func:`repro.service.ledger
@@ -46,40 +45,26 @@ def replay_outcomes(
 
     ``events`` must be the stream the service actually *consumed* (post
     backpressure, pre state-admission — refusals are re-derived here by
-    the shared state machine).  The mechanism must use
-    ``rng_policy="per-type"`` and must not raise on voided epochs, since
-    early epochs legitimately void while supply builds up.
+    the shared state machine).  The mechanism must not raise on voided
+    epochs, since early epochs legitimately void while supply builds up.
     """
-    if mechanism.rng_policy != "per-type":
-        raise ConfigurationError(
-            "offline replay requires rng_policy='per-type' to match the "
-            f"sharded service (got {mechanism.rng_policy!r})"
-        )
     if mechanism.raise_on_failure:
         raise ConfigurationError(
             "offline replay requires raise_on_failure=False: epochs before "
             "supply builds up void legitimately"
         )
-    pipeline = EpochPipeline(job, policy)
-    results: List[Tuple[EpochBatch, MechanismOutcome]] = []
-
-    def execute(snapshot) -> None:
-        outcome = mechanism.run(
-            job,
-            snapshot.asks,
-            snapshot.tree,
-            epoch_seed(seed, snapshot.batch.index),
+    return [
+        (
+            snapshot.batch,
+            mechanism.run(
+                job,
+                snapshot.asks,
+                snapshot.tree,
+                epoch_seed(seed, snapshot.batch.index),
+            ),
         )
-        results.append((snapshot.batch, outcome))
-
-    for event in events:
-        _, snapshots = pipeline.step(event)
-        for snapshot in snapshots:
-            execute(snapshot)
-    tail = pipeline.finish()
-    if tail is not None:
-        execute(tail)
-    return results
+        for snapshot in EpochPipeline(job, policy).snapshots(events)
+    ]
 
 
 def differential_check(

@@ -3,20 +3,20 @@
 Wires the pieces together::
 
     producer → IngestFrontend → EpochPipeline → run_epoch → OutcomeLedger
-               (bounded queue)   (admission +    (sharded     (JSONL)
-                                  batching)       workers)
+               (bounded queue)   (admission +    (one RIT.run  (JSONL)
+                                  batching)       per epoch)
 
 :class:`MechanismService` owns the consumer loop: it drains the frontend
 queue, feeds every event through the shared
 :class:`~repro.service.epochs.EpochPipeline`, and executes each closed
-epoch on the shard worker pool.  Epoch ``i`` always draws
+epoch as one ``RIT.run`` on the worker pool.  Epoch ``i`` always draws
 ``epoch_seed(config.seed, i)`` — a pure function of two integers — so a
 fixed admitted stream yields a fixed sequence of outcomes no matter how
-producers, the event loop, or the thread pool interleave.
-
-The mechanism must be configured with ``rng_policy="per-type"``:
-that policy is what makes the sharded epoch equal the offline
-``RIT.run`` anchor (see :mod:`repro.service.replay`).
+producers, the event loop, or the thread pool interleave.  Online equals
+the offline replay (:mod:`repro.service.replay`) under either RNG
+policy.  The mechanism must not raise on a voided epoch
+(``raise_on_failure=False``): epochs before supply builds up void
+legitimately.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ class ServiceConfig:
     queue_size: int = 1024
     epoch_max_events: int = 256
     epoch_max_ticks: Optional[int] = None
+    #: Threads of the worker pool.  Epochs and ledger writes run there one
+    #: at a time, so the default is one.
     max_workers: Optional[int] = None
 
     def policy(self) -> EpochPolicy:
@@ -113,11 +115,10 @@ class MechanismService:
         sentinel: Optional["SentinelPlane"] = None,
         meta_extra: Optional[Mapping[str, object]] = None,
     ) -> None:
-        if mechanism.rng_policy != "per-type":
+        if mechanism.raise_on_failure:
             raise ConfigurationError(
-                "MechanismService requires rng_policy='per-type' (got "
-                f"{mechanism.rng_policy!r}); the per-type streams are what "
-                "make sharded epochs match the offline run"
+                "MechanismService requires raise_on_failure=False: epochs "
+                "before supply builds up void legitimately"
             )
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -167,9 +168,8 @@ class MechanismService:
                 epoch_max_ticks=config.epoch_max_ticks,
                 queue_size=config.queue_size,
             )
-        workers = config.max_workers or max(1, min(self.job.num_types, 8))
         executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="rit-shard"
+            max_workers=config.max_workers or 1, thread_name_prefix="rit-epoch"
         )
         try:
             if self.ledger is not None:
@@ -228,7 +228,6 @@ class MechanismService:
             snapshot,
             epoch_seed(self.config.seed, snapshot.batch.index),
             executor=executor,
-            telemetry=self.telemetry,
         )
         latency = clock() - t_start
         if self.ledger is not None:

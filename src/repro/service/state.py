@@ -42,10 +42,10 @@ into read-only numpy arrays and builds their
 :class:`~repro.tree.incentive_tree.BFSView` with
 :meth:`~repro.tree.incentive_tree.BFSView.from_parents` — O(rows) array
 work, no pass over users in Python.  The
-:class:`~repro.core.columnar.AskProfile` and the
-:class:`~repro.tree.incentive_tree.IncentiveTree` that offline callers
-take are built from a snapshot's own columns on first use; the profile
-shares those columns without a copy.
+:class:`~repro.core.columnar.AskProfile` that every epoch's run reads and
+the :class:`~repro.tree.incentive_tree.IncentiveTree` that offline
+callers take are built from a snapshot's own columns on first use; the
+profile shares those columns without a copy.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class StateSnapshot:
     """The admitted asks and their tree at one instant, as read-only arrays.
 
     The five columns hold one entry per participant, in admission order;
-    they are copies, never views of the state's growing columns, so shard
-    threads may read them while the state keeps admitting events.
+    they are copies, never views of the state's growing columns, so an
+    epoch's worker thread may read them while the state keeps admitting
+    events.
     """
 
     uids: np.ndarray
@@ -92,16 +93,9 @@ class StateSnapshot:
     parents: np.ndarray
     #: The tree's breadth-first form, built from ``parents``.
     view: BFSView
-    #: Task type at each BFS position of ``view``.
-    bfs_types: np.ndarray
 
     def __len__(self) -> int:
         return int(self.uids.shape[0])
-
-    @property
-    def type_width(self) -> int:
-        """The highest task type + 1 (the payment kernel's row width)."""
-        return int(self.types.max(initial=-1)) + 1
 
     @cached_property
     def asks(self) -> AskProfile:
@@ -241,7 +235,7 @@ class ServiceState:
             # Renumber parent rows into positions among the live rows.
             position = np.cumsum(live, dtype=np.int64) - 1
             parents = np.where(parent_rows >= 0, position[parent_rows], ROOT)
-        view, order = BFSView.from_parents(uids, parents)
+        view = BFSView.from_parents(uids, parents)
         return StateSnapshot(
             uids=uids,
             types=types,
@@ -249,7 +243,6 @@ class ServiceState:
             caps=_frozen(np.frombuffer(self._cap, dtype=np.int64)[live]),
             parents=_frozen(parents),
             view=view,
-            bfs_types=_frozen(types[order]),
         )
 
     def snapshot_asks(self) -> AskProfile:

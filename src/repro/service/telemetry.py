@@ -5,10 +5,9 @@ One :class:`ServiceTelemetry` instance rides along a
 instrumented observations three ways:
 
 * **cumulative histograms** (ingest admission latency, epoch
-  close-to-outcome latency, per-shard auction duration, queue depth,
-  batch sizes) — :class:`repro.obs.metrics.Histogram` instances over the
-  registry's fixed bucket boundaries, so two service runs (or two shard
-  workers) merge bit-identically;
+  close-to-outcome latency, queue depth, batch sizes) —
+  :class:`repro.obs.metrics.Histogram` instances over the registry's
+  fixed bucket boundaries, so two service runs merge bit-identically;
 * **last-write-wins gauges** — the per-epoch win-rate surface
   (``win_rate/depth<k>``), referral-depth extremes and participant
   counts, recomputed at every epoch close as a pure function of the
@@ -23,8 +22,7 @@ on untraced runs (``rit loadgen --bench`` builds its ``service_slo``
 section from :meth:`ServiceTelemetry.slo_summary`), and when a recording
 tracer *is* attached the service mirrors every observation into
 ``distribution`` events so traces stay the single replayable record.
-All mutation happens on the event-loop thread (single-writer — shard
-durations are measured in the worker but observed after the await).
+All mutation happens on the event-loop thread (single-writer).
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ WIN_RATE_DEPTH_CAP = 8
 _SERVICE_HISTOGRAMS = (
     "ingest_admit_seconds",
     "epoch_close_to_outcome_seconds",
-    "shard_run_seconds",
     "ingest_queue_depth",
     "epoch_batch_events",
 )
@@ -106,15 +103,10 @@ class ServiceTelemetry:
         #: Bounded per-epoch frame ring, oldest first.
         self.frames: Deque[Dict[str, Any]] = deque(maxlen=ring_size)
         self.epochs_closed = 0
-        self.shards_run = 0
         self.events_applied = 0
         self.events_refused = 0
         #: ``idle`` → ``serving`` → ``drained`` (drives ``/readyz``).
         self.phase = "idle"
-        # Shard durations observed since the last epoch close, folded
-        # into that epoch's frame.
-        self._epoch_shard_seconds = 0.0
-        self._epoch_shards = 0
 
     # ------------------------------------------------------------------ #
     # Observation points (called from the instrumented service modules)
@@ -127,13 +119,6 @@ class ServiceTelemetry:
     def observe_queue_depth(self, depth: int) -> None:
         """Ingestion-queue occupancy sampled at a successful enqueue."""
         self.histograms["ingest_queue_depth"].observe(depth)
-
-    def observe_shard(self, seconds: float) -> None:
-        """One per-type auction shard finished on its worker."""
-        self.histograms["shard_run_seconds"].observe(seconds)
-        self.shards_run += 1
-        self._epoch_shard_seconds += seconds
-        self._epoch_shards += 1
 
     def close_epoch(
         self,
@@ -163,13 +148,9 @@ class ServiceTelemetry:
             "batch_events": batch_events,
             "users": users,
             "latency_seconds": latency_seconds,
-            "shard_seconds": self._epoch_shard_seconds,
-            "shards": self._epoch_shards,
             "completed": bool(outcome.completed),
             "gauges": gauges,
         }
-        self._epoch_shard_seconds = 0.0
-        self._epoch_shards = 0
         self.frames.append(frame)
         self.epochs_closed += 1
         return frame
@@ -191,7 +172,6 @@ class ServiceTelemetry:
             "service_events_applied": self.events_applied,
             "service_events_refused": self.events_refused,
             "service_epochs_closed": self.epochs_closed,
-            "service_shards_run": self.shards_run,
         }
         for name, value in (extra or {}).items():
             totals[name] = int(value)
@@ -209,10 +189,8 @@ class ServiceTelemetry:
         """
         return {
             "epochs_closed": self.epochs_closed,
-            "shards_run": self.shards_run,
             "ingest": self.histograms["ingest_admit_seconds"].summary(),
             "epoch": self.histograms["epoch_close_to_outcome_seconds"].summary(),
-            "shard": self.histograms["shard_run_seconds"].summary(),
             "queue_depth": self.histograms["ingest_queue_depth"].summary(),
             "batch_events": self.histograms["epoch_batch_events"].summary(),
         }

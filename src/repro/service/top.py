@@ -30,8 +30,7 @@ from repro.obs.metrics import new_histogram
 __all__ = ["frames_from_trace", "render_frames", "run_top"]
 
 #: The latency histograms re-derived when tailing a trace.
-_TRACE_HISTOGRAMS = ("ingest_admit_seconds", "epoch_close_to_outcome_seconds",
-                     "shard_run_seconds")
+_TRACE_HISTOGRAMS = ("ingest_admit_seconds", "epoch_close_to_outcome_seconds")
 
 
 def frames_from_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -57,16 +56,12 @@ def frames_from_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         frame = frames.setdefault(
             int(epoch),
             {"epoch": int(epoch), "batch_events": 0, "users": 0,
-             "latency_seconds": 0.0, "shard_seconds": 0.0, "shards": 0,
-             "gauges": {}},
+             "latency_seconds": 0.0, "gauges": {}},
         )
         if name == "epoch_batch_events":
             frame["batch_events"] = int(value)
         elif name == "epoch_close_to_outcome_seconds":
             frame["latency_seconds"] = float(value)
-        elif name == "shard_run_seconds":
-            frame["shard_seconds"] += float(value)
-            frame["shards"] += 1
         elif name == "epoch_participants":
             frame["users"] = int(value)
             frame["gauges"][name] = float(value)
@@ -75,7 +70,6 @@ def frames_from_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     slo = {
         "ingest": histograms["ingest_admit_seconds"].summary(),
         "epoch": histograms["epoch_close_to_outcome_seconds"].summary(),
-        "shard": histograms["shard_run_seconds"].summary(),
         "epochs_closed": len(frames),
     }
     ordered = [frames[index] for index in sorted(frames)]
@@ -91,7 +85,7 @@ def render_frames(payload: Mapping[str, Any]) -> str:
     frames: List[Mapping[str, Any]] = list(payload.get("frames", []))
     lines = [
         f"{'epoch':>5}  {'events':>6}  {'users':>6}  {'latency':>9}  "
-        f"{'shards':>6}  {'shard ms':>8}  {'win@d1':>6}  {'depth':>11}"
+        f"{'win@d1':>6}  {'depth':>11}"
     ]
     for frame in frames:
         gauges = frame.get("gauges", {})
@@ -101,8 +95,6 @@ def render_frames(payload: Mapping[str, Any]) -> str:
         lines.append(
             f"{frame['epoch']:>5}  {frame['batch_events']:>6}  "
             f"{frame['users']:>6}  {_ms(frame['latency_seconds']):>7}ms  "
-            f"{frame.get('shards', 0):>6}  "
-            f"{_ms(frame.get('shard_seconds', 0.0)):>8}  "
             f"{('-' if win1 is None else f'{win1:.2f}'):>6}  "
             f"{depth_max:>4.0f}/{depth_mean:>5.2f}"
         )
@@ -115,8 +107,7 @@ def render_frames(payload: Mapping[str, Any]) -> str:
             f"{'SLO':>5}  {'count':>6}  {'p50 ms':>8}  {'p95 ms':>8}  "
             f"{'p99 ms':>8}  {'max ms':>8}"
         )
-        for label, key in (("inges", "ingest"), ("epoch", "epoch"),
-                           ("shard", "shard")):
+        for label, key in (("inges", "ingest"), ("epoch", "epoch")):
             summary = slo.get(key)
             if not summary:
                 continue

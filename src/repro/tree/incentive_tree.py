@@ -87,17 +87,12 @@ class BFSView:
         return cls._assemble(np.array(order, dtype=np.int64), counts, bounds)
 
     @classmethod
-    def from_parents(
-        cls, uids: np.ndarray, parent: np.ndarray
-    ) -> Tuple["BFSView", np.ndarray]:
+    def from_parents(cls, uids: np.ndarray, parent: np.ndarray) -> "BFSView":
         """The same BFS over a parent column, in array operations only.
 
         ``parent[i]`` is the index of node ``uids[i]``'s parent in these
         arrays, -1 for a child of the root; each node's children are taken
-        in index order, as :meth:`walk` takes them in list order.  Returns
-        the view and ``order``, the index of the node at each BFS position
-        (``uids[order]`` is the view's ``uids``), which puts any other
-        column of the input in BFS order.  Raises
+        in index order, as :meth:`walk` takes them in list order.  Raises
         :class:`~repro.core.exceptions.TreeError` when a node cannot be
         reached from the root (the column has a cycle).
         """
@@ -124,8 +119,7 @@ class BFSView:
         order = np.concatenate(levels)
         if order.shape[0] != n:
             raise TreeError("parent column has nodes unreachable from the root")
-        view = cls._assemble(uids[order], kids[order + 1], bounds)
-        return view, order
+        return cls._assemble(uids[order], kids[order + 1], bounds)
 
     @classmethod
     def _assemble(

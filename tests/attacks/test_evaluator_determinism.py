@@ -1,8 +1,8 @@
 """Evaluator determinism under ``rng_policy="per-type"``.
 
 The attack evaluator's verdicts must not depend on how the mechanism is
-executed: a sharded per-type run (the service path: ``run_type_shard``
-per type + ``join_shards``) must reproduce the monolithic ``run``
+executed: a sharded per-type run (``run_type_shard`` per type +
+``join_shards``) must reproduce the monolithic ``run``
 utilities sample-for-sample for both the honest and the attacked
 profile, and the profitability verdict must agree with the default
 stream policy.
@@ -54,9 +54,7 @@ def run_sharded(mech, job, asks, tree, seed):
         for tau in job.types()
         if job.tasks_of(tau) > 0
     ]
-    return mech.join_shards(
-        job, asks, tree, shards, type_width=int(type_arr.max()) + 1
-    )
+    return mech.join_shards(job, asks, tree.bfs_view(), shards)
 
 
 class TestPerTypeEvaluation:

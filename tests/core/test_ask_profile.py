@@ -315,6 +315,26 @@ class TestMappingContract:
             AskProfile(*columns)
         assert message in str(excinfo.value)
 
+    def test_sorted_lookup_equals_a_stable_sort_over_shuffled_ids(self):
+        # Ids are distinct, so the default sort's permutation is the
+        # stable sort's.
+        uids = np.random.default_rng(5).permutation(
+            np.arange(0, 30_000, 3, dtype=np.int64)
+        )
+        n = uids.shape[0]
+        types = np.arange(n, dtype=np.int64) % 4
+        profile = AskProfile(uids, types, np.ones(n), np.ones(n, dtype=np.int64))
+        stable = np.argsort(uids, kind="stable")
+        np.testing.assert_array_equal(profile._sorted_rows, stable)
+        np.testing.assert_array_equal(profile._sorted_uids, uids[stable])
+        np.testing.assert_array_equal(profile.types_of(uids[::-1]), types[::-1])
+
+    def test_duplicate_ids_name_the_smallest_duplicate(self):
+        uids = [90, 41, 7, 41, 90, 3, 7]
+        n = len(uids)
+        with pytest.raises(ModelError, match="duplicate user id 7$"):
+            AskProfile(uids, [0] * n, [1.0] * n, [1] * n)
+
     def test_empty_profile(self):
         profile = AskProfile.of({})
         assert len(profile) == 0 and list(profile) == [] and profile == {}

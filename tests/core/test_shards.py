@@ -1,16 +1,18 @@
-"""RNG policies and the shard/join decomposition of ``RIT.run``.
+"""RNG policies, the shard/join decomposition of ``RIT.run``, and runs
+over a tree's ``BFSView``.
 
-The sharded service path (``run_type_shard`` per type + ``join_shards``)
-must be an exact refactoring of the monolithic ``run`` under
-``rng_policy="per-type"`` — same winners, payments, and round records.
-The default ``"stream"`` policy keeps the historical single-generator
-draw order (pinned separately by the golden tests).
+Driving the shard/join API by hand (``run_type_shard`` per type +
+``join_shards``) must be an exact refactoring of the monolithic ``run``
+under ``rng_policy="per-type"`` — same winners, payments, and round
+records.  The default ``"stream"`` policy keeps the historical
+single-generator draw order (pinned separately by the golden tests).
+A run over the tree's view, as the service makes it, equals the run over
+the tree under either policy.
 """
 
 import pytest
 
-from repro.core.exceptions import ConfigurationError
-from repro.core.outcome import TypeShardResult
+from repro.core.exceptions import ConfigurationError, ModelError
 from repro.core.rit import (
     RIT,
     RNG_POLICIES,
@@ -22,6 +24,7 @@ from repro.service.ledger import canonical_outcome
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 from repro.core.types import Job
+from repro.tree.incentive_tree import IncentiveTree
 from tests.core.reference_rit import ReferenceRIT
 
 
@@ -86,25 +89,13 @@ class TestShardDecomposition:
             for tau in job.types()
             if job.tasks_of(tau) > 0
         ]
-        merged = mech.join_shards(
-            job, asks, tree, shards, type_width=int(type_arr.max()) + 1
-        )
+        merged = mech.join_shards(job, asks, tree.bfs_view(), shards)
         assert canonical_outcome(merged) == canonical_outcome(whole)
-
-    def test_join_without_store_needs_the_type_width(self):
-        job, asks, tree = scenario_inputs(users=40)
-        mech = RIT(rng_policy="per-type")
-        covered = [
-            TypeShardResult(tau, True, {}, {}, ()) for tau in job.types()
-        ]
-        with pytest.raises(ConfigurationError) as excinfo:
-            mech.join_shards(job, asks, tree, covered)
-        assert "type_width" in str(excinfo.value)
 
     def test_join_with_no_shards_voids_nonempty_job(self):
         job, asks, tree = scenario_inputs()
         mech = RIT(rng_policy="per-type")
-        outcome = mech.join_shards(job, {}, tree, [])
+        outcome = mech.join_shards(job, {}, tree.bfs_view(), [])
         assert not outcome.completed
         assert outcome.payments == {}
 
@@ -120,3 +111,31 @@ class TestShardDecomposition:
         )
         with pytest.raises(Exception):
             shard.covered = False
+
+
+class TestRunOverAView:
+    """``RIT.run`` takes a tree's ``BFSView`` in place of the tree."""
+
+    @pytest.mark.parametrize("policy", RNG_POLICIES)
+    def test_view_and_tree_give_the_same_outcome(self, policy):
+        job, asks, tree = scenario_inputs()
+        mech = RIT(rng_policy=policy, round_budget="until-complete")
+        over_tree = mech.run(job, asks, tree, 11)
+        over_view = mech.run(job, asks, tree.bfs_view(), 11)
+        assert over_tree.completed
+        assert canonical_outcome(over_view) == canonical_outcome(over_tree)
+
+    def test_a_view_missing_a_node_is_refused(self):
+        job, asks, tree = scenario_inputs(users=40)
+        leaf = max(
+            uid for uid in tree.nodes() if not tree.children(uid)
+        )
+        smaller = IncentiveTree.from_parent_map(
+            {
+                uid: parent
+                for uid, parent in tree.to_parent_map().items()
+                if uid != leaf
+            }
+        )
+        with pytest.raises(ModelError, match="asks from participants"):
+            RIT().run(job, asks, smaller.bfs_view(), 0)

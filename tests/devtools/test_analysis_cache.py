@@ -129,3 +129,23 @@ def test_corrupt_cache_is_ignored(tmp_path):
     result = analyze_paths([tmp_path], root=tmp_path, cache_path=cache)
     assert result.files_parsed == 2
     assert [f.rule_id for f in result.findings] == ["RIT009"]
+
+
+def test_a_non_utf8_file_is_one_parse_finding_and_the_run_goes_on(tmp_path):
+    _write_project(tmp_path)
+    (tmp_path / "latin.py").write_bytes(b"x = 1\n# caf\xe9\n")
+    # Declared latin-1, as Python itself reads it: no finding.
+    (tmp_path / "declared.py").write_bytes(
+        b"# -*- coding: latin-1 -*-\nx = 'caf\xe9'\n"
+    )
+    cache = tmp_path / "cache.json"
+    cold = analyze_paths([tmp_path], root=tmp_path, cache_path=cache)
+    warm = analyze_paths([tmp_path], root=tmp_path, cache_path=cache)
+    assert cold.files_analyzed == warm.files_analyzed == 4
+    assert warm.files_parsed == 0
+    for result in (cold, warm):
+        assert sorted(
+            (Path(f.path).name, f.line, f.rule_id) for f in result.findings
+        ) == [("latin.py", 2, "RIT000"), ("util.py", 4, "RIT009")]
+        (parse_error,) = [f for f in result.findings if f.rule_id == "RIT000"]
+        assert "does not decode as utf-8" in parse_error.message

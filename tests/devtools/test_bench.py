@@ -97,10 +97,8 @@ def valid_service_slo_section():
     }
     return {
         "epochs_closed": 3,
-        "shards_run": 6,
         "ingest": dict(block),
         "epoch": dict(block),
-        "shard": dict(block),
         "queue_depth": dict(block),
         "batch_events": dict(block),
     }
@@ -141,8 +139,8 @@ class TestValidateServiceSloSection:
 
     def test_missing_quantile_flagged(self):
         doc = self.base_doc()
-        del doc["service_slo"]["shard"]["p99"]
-        assert any("shard.p99" in e for e in validate_bench_schema(doc))
+        del doc["service_slo"]["epoch"]["p99"]
+        assert any("epoch.p99" in e for e in validate_bench_schema(doc))
 
     def test_unordered_quantiles_flagged(self):
         doc = self.base_doc()

@@ -23,9 +23,9 @@ def worker_sink(slot, *, jitter):
         seed=slot,
         clock=lambda: (next(ticks) + jitter) * 0.001,
     )
-    with tracer.span("shard", task_type=slot):
-        tracer.count("service_shards_run")
-        tracer.observe("shard_run_seconds", 0.25 + slot, epoch=0)
+    with tracer.span("run"):
+        tracer.count("mechanism_runs")
+        tracer.observe("epoch_close_to_outcome_seconds", 0.25 + slot, epoch=0)
         tracer.observe("epoch_batch_events", 64 * (slot + 1), epoch=0)
         tracer.count("winners_selected", 3 + slot)
         tracer.observe("win_rate/depth1", slot / 4.0, epoch=0)
@@ -77,9 +77,9 @@ class TestAbsorbDistributions:
             e["name"]: e for e in canonical if e.get("ev") == "distribution"
         }
         # Measured wall time: value/bucket stripped, vol flag kept.
-        assert "value" not in by_name["shard_run_seconds"]
-        assert "bucket" not in by_name["shard_run_seconds"]
-        assert by_name["shard_run_seconds"]["vol"] is True
+        assert "value" not in by_name["epoch_close_to_outcome_seconds"]
+        assert "bucket" not in by_name["epoch_close_to_outcome_seconds"]
+        assert by_name["epoch_close_to_outcome_seconds"]["vol"] is True
         # Deterministic batch size and win-rate surface: kept verbatim.
         assert by_name["epoch_batch_events"]["value"] == 64
         assert "bucket" in by_name["epoch_batch_events"]
@@ -87,5 +87,5 @@ class TestAbsorbDistributions:
 
     def test_counter_totals_fold_across_workers(self):
         parent = merge([worker_sink(0, jitter=0), worker_sink(1, jitter=0)])
-        assert parent.value("service_shards_run") == 2
+        assert parent.value("mechanism_runs") == 2
         assert parent.value("winners_selected") == 3 + 4

@@ -97,7 +97,7 @@ class TestHistogram:
             new_histogram("referral_depth_max")
 
     def test_observe_tracks_exact_extremes(self):
-        hist = new_histogram("shard_run_seconds")
+        hist = new_histogram("epoch_close_to_outcome_seconds")
         for value in (0.25, 0.003, 1.7, 0.003):
             hist.observe(value)
         assert hist.count == 4
@@ -126,7 +126,7 @@ class TestHistogram:
     def test_merge_rejects_incompatible(self):
         with pytest.raises(ValueError, match="cannot merge"):
             new_histogram("ingest_queue_depth").merge(
-                new_histogram("shard_run_seconds")
+                new_histogram("epoch_close_to_outcome_seconds")
             )
 
     def test_quantile_extremes_are_exact_observations(self):
@@ -152,13 +152,13 @@ class TestHistogram:
         assert qs == sorted(qs)
 
     def test_quantile_validates_range_and_empty(self):
-        hist = new_histogram("shard_run_seconds")
+        hist = new_histogram("epoch_close_to_outcome_seconds")
         with pytest.raises(ValueError):
             hist.quantile(1.5)
         assert hist.quantile(0.5) == 0.0  # empty histogram: schema-stable
 
     def test_summary_shape(self):
-        hist = new_histogram("shard_run_seconds")
+        hist = new_histogram("epoch_close_to_outcome_seconds")
         hist.observe(0.5)
         doc = hist.summary()
         assert set(doc) == {"count", "sum", "min", "max", "p50", "p95", "p99"}

@@ -12,13 +12,13 @@ from repro.obs.openmetrics import (
 
 
 def sample_histograms():
-    latency = new_histogram("shard_run_seconds")
+    latency = new_histogram("epoch_close_to_outcome_seconds")
     for v in (0.001, 0.01, 0.01, 0.3, 70.0):  # 70 s lands in +Inf
         latency.observe(v)
     depth = new_histogram("ingest_queue_depth")
     for v in (1, 2, 2, 900):
         depth.observe(v)
-    return {"shard_run_seconds": latency, "ingest_queue_depth": depth}
+    return {"epoch_close_to_outcome_seconds": latency, "ingest_queue_depth": depth}
 
 
 class TestFamilyName:
@@ -64,7 +64,7 @@ class TestFormat:
     def test_histogram_buckets_are_cumulative_with_inf(self):
         text = format_openmetrics(histograms=sample_histograms())
         families = parse_openmetrics(text)
-        family = families["rit_shard_run_seconds"]
+        family = families["rit_epoch_close_to_outcome_seconds"]
         assert family.type == "histogram"
         assert family.unit == "seconds"
         buckets = [s for s in family.samples if s.name.endswith("_bucket")]
@@ -98,7 +98,7 @@ class TestFormat:
         assert set(families) == {
             "rit_service_epochs_closed",
             "rit_snapshot_bytes",
-            "rit_shard_run_seconds",
+            "rit_epoch_close_to_outcome_seconds",
             "rit_ingest_queue_depth",
             "rit_referral_depth_max",
             "rit_referral_depth_mean",

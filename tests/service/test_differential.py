@@ -1,14 +1,15 @@
 """The service's correctness anchor: online == offline, bit for bit.
 
-For a fixed root seed and admitted event stream, the concurrent sharded
-service must produce epoch outcomes *bit-identical* to running the plain
-offline ``RIT.run`` (``rng_policy="per-type"``) over the cumulative state
-at each epoch close — identical payments, winners, and round diagnostics
-(which pin the underlying RNG draws).  The seeded scenarios cover
-count-triggered and tick-triggered epochs, both names ``engine=`` accepts,
-the reference oracle served and replayed, and withdrawal grafting
-mid-stream; the ``"columnar"``-named service is additionally anchored
-against a default-engine offline replay.
+For a fixed root seed and admitted event stream, the service must produce
+epoch outcomes *bit-identical* to running the plain offline ``RIT.run``
+over the cumulative state at each epoch close — identical payments,
+winners, and round diagnostics (which pin the underlying RNG draws).  The
+service runs each epoch's ``RIT.run`` over the snapshot's vectorized view
+on a worker thread; the replay runs it over the walked tree.  The seeded
+scenarios cover count-triggered and tick-triggered epochs, both names
+``engine=`` accepts, the reference oracle served and replayed, withdrawal
+grafting mid-stream, and both RNG policies; the ``"columnar"``-named
+service is additionally anchored against a default-engine offline replay.
 """
 
 import pytest
@@ -27,23 +28,24 @@ from tests.core.reference_rit import MECHANISMS
 
 SCENARIOS = [
     # (seed, users, types, tasks_per_type, epoch_events, epoch_ticks,
-    #  withdraw_fraction, engine)
-    pytest.param(5, 120, 3, 6, 32, None, 0.0, "sorted", id="seed5-count-sorted"),
-    pytest.param(9, 200, 4, 8, 24, 40, 0.05, "sorted", id="seed9-ticks-sorted"),
-    pytest.param(13, 150, 2, 10, 48, 25, 0.1, "reference", id="seed13-ticks-reference"),
-    pytest.param(17, 180, 3, 7, 28, None, 0.08, "columnar", id="seed17-count-columnar"),
-    pytest.param(23, 140, 4, 6, 30, 35, 0.12, "columnar", id="seed23-ticks-columnar"),
+    #  withdraw_fraction, engine, rng_policy)
+    pytest.param(5, 120, 3, 6, 32, None, 0.0, "sorted", "per-type", id="seed5-count-sorted"),
+    pytest.param(9, 200, 4, 8, 24, 40, 0.05, "sorted", "per-type", id="seed9-ticks-sorted"),
+    pytest.param(13, 150, 2, 10, 48, 25, 0.1, "reference", "per-type", id="seed13-ticks-reference"),
+    pytest.param(17, 180, 3, 7, 28, None, 0.08, "columnar", "per-type", id="seed17-count-columnar"),
+    pytest.param(23, 140, 4, 6, 30, 35, 0.12, "columnar", "per-type", id="seed23-ticks-columnar"),
+    pytest.param(29, 170, 3, 7, 30, 30, 0.1, "sorted", "stream", id="seed29-ticks-stream"),
 ]
 
 
 @pytest.mark.parametrize(
     "seed,users,types,tasks_per_type,epoch_events,epoch_ticks,"
-    "withdraw_fraction,engine",
+    "withdraw_fraction,engine,rng_policy",
     SCENARIOS,
 )
 def test_sharded_service_is_bit_identical_to_offline_replay(
     seed, users, types, tasks_per_type, epoch_events, epoch_ticks,
-    withdraw_fraction, engine,
+    withdraw_fraction, engine, rng_policy,
 ):
     scenario_rng, stream_rng = spawn_seeds(seed, 2)
     scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
@@ -57,17 +59,18 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
     )
     build = MECHANISMS[engine]
     service = MechanismService(
-        build(rng_policy="per-type", round_budget="until-complete"),
+        build(rng_policy=rng_policy, round_budget="until-complete"),
         scenario.job,
         config,
     )
     report = service.serve_stream(events)
     assert len(report.epochs) >= 3  # a meaningful multi-epoch run
+    assert any(epoch.outcome.completed for epoch in report.epochs)
 
     replayed = replay_outcomes(
         report.consumed,
         scenario.job,
-        build(rng_policy="per-type", round_budget="until-complete"),
+        build(rng_policy=rng_policy, round_budget="until-complete"),
         seed=seed,
         policy=config.policy(),
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.rit import RIT
 from repro.core.rng import spawn_seeds
-from repro.devtools.trace_schema import validate_trace_events
+from repro.devtools.trace_schema import check_coverage
 from repro.obs import Tracer
 from repro.service import (
     MechanismService,
@@ -33,10 +33,12 @@ def small_stream(seed=0, users=120, types=3, tasks_per_type=6, withdraw=0.05):
 
 
 class TestConstruction:
-    def test_stream_policy_rejected(self):
+    def test_raise_on_failure_rejected(self):
+        # Early epochs void while supply builds up; a mechanism that
+        # raises on a voided outcome would end the service there.
         scenario, _ = small_stream()
-        with pytest.raises(ConfigurationError):
-            MechanismService(RIT(rng_policy="stream"), scenario.job)
+        with pytest.raises(ConfigurationError, match="raise_on_failure"):
+            MechanismService(mechanism(raise_on_failure=True), scenario.job)
 
 
 class TestServeStream:
@@ -98,9 +100,13 @@ class TestServeStream:
             tracer=tracer,
         )
         service.serve_stream(events)
-        assert validate_trace_events(tracer.events) == []
-        names = {e.get("name") for e in tracer.events}
-        assert {"service", "epoch", "shard", "join"} <= names
+        # Valid, with every span level of a run: each epoch's RIT.run
+        # nests run/mechanism/cra/round under the epoch span.
+        assert check_coverage(tracer.events) == []
+        spans = {e["id"]: e for e in tracer.events if e["ev"] == "span_start"}
+        runs = [span for span in spans.values() if span["name"] == "run"]
+        assert runs
+        assert all(spans[run["parent"]]["name"] == "epoch" for run in runs)
         counters = {
             e["name"] for e in tracer.events if e["ev"] == "counter"
         }
@@ -109,7 +115,7 @@ class TestServeStream:
             "service_events_accepted",
             "service_events_applied",
             "service_epochs_closed",
-            "service_shards_run",
+            "mechanism_runs",
         } <= counters
 
     def test_open_loop_counts_rejections_instead_of_growing(self):

@@ -108,7 +108,7 @@ class TestWithdrawal:
         assert state.snapshot_tree().to_parent_map()[1] == ROOT
 
 
-COLUMNS = ("uids", "types", "values", "caps", "parents", "bfs_types")
+COLUMNS = ("uids", "types", "values", "caps", "parents")
 
 
 class TestSnapshots:
@@ -216,12 +216,10 @@ def assert_snapshot_matches(snapshot, oracle):
         ROOT if p < 0 else int(snapshot.uids[p]) for p in snapshot.parents
     ]
     assert dict(zip(snapshot.uids.tolist(), parent_uids)) == oracle.parents
-    assert snapshot.bfs_types.tolist() == [
+    # The payment phase reads the types of view nodes from the profile.
+    assert snapshot.asks.types_of(view.uids).tolist() == [
         oracle.asks[uid].task_type for uid in view.uids.tolist()
     ]
-    assert snapshot.type_width == 1 + max(
-        (a.task_type for a in oracle.asks.values()), default=-1
-    )
 
 
 class TestIndexedStateMatchesScanningOracle:

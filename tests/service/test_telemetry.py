@@ -165,33 +165,11 @@ class TestServiceTelemetry:
         with pytest.raises(ValueError):
             ServiceTelemetry(ring_size=0)
 
-    def test_shard_observations_fold_into_next_frame(self):
-        telemetry = ServiceTelemetry()
-        telemetry.observe_shard(0.2)
-        telemetry.observe_shard(0.3)
-        frame = telemetry.close_epoch(
-            index=0,
-            batch_events=5,
-            users=4,
-            latency_seconds=0.6,
-            outcome=MechanismOutcome(),
-            view=chain_tree().bfs_view(),
-        )
-        assert frame["shards"] == 2
-        assert frame["shard_seconds"] == pytest.approx(0.5)
-        # The accumulator resets per epoch.
-        next_frame = telemetry.close_epoch(
-            index=1, batch_events=1, users=4, latency_seconds=0.1,
-            outcome=MechanismOutcome(), view=chain_tree().bfs_view(),
-        )
-        assert next_frame["shards"] == 0
-
     def test_slo_summary_shape(self):
         service, report = small_run()
         slo = service.telemetry.slo_summary()
         assert slo["epochs_closed"] == len(report.epochs)
-        assert slo["shards_run"] == service.telemetry.shards_run > 0
-        for key in ("ingest", "epoch", "shard", "queue_depth", "batch_events"):
+        for key in ("ingest", "epoch", "queue_depth", "batch_events"):
             summary = slo[key]
             assert set(summary) == {
                 "count", "sum", "min", "max", "p50", "p95", "p99",

@@ -41,7 +41,6 @@ class TestFramesFromTrace:
             assert rebuilt["epoch"] == frame["epoch"]
             assert rebuilt["batch_events"] == frame["batch_events"]
             assert rebuilt["users"] == frame["users"]
-            assert rebuilt["shards"] == frame["shards"]
             # The deterministic gauge surface survives the round trip.
             assert rebuilt["gauges"] == frame["gauges"]
 
@@ -49,7 +48,7 @@ class TestFramesFromTrace:
         tracer, service, _ = traced_run()
         payload = frames_from_trace(tracer.events)
         live = service.telemetry.slo_summary()
-        for key in ("ingest", "epoch", "shard"):
+        for key in ("ingest", "epoch"):
             assert payload["slo"][key] == live[key]
 
     def test_empty_trace(self):
