@@ -64,6 +64,7 @@ __all__ = [
     "SortedTypePool",
     "cra_presorted",
     "pools_from_arrays",
+    "sorted_unique",
 ]
 
 
@@ -241,6 +242,18 @@ class SortedTypePool:
         return _ranges(starts, counts), np.repeat(self.values[taken], counts)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending (``np.unique``'s result).
+
+    A sort and a neighbour mask: ``np.unique`` (and ``np.union1d``) import
+    ``numpy.ma`` on their first call in a process, about 15 ms.
+    """
+    ordered = np.sort(values)
+    keep = np.ones(ordered.shape, dtype=np.bool_)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def pools_from_arrays(
     uid_arr: np.ndarray,
     type_arr: np.ndarray,
@@ -256,7 +269,7 @@ def pools_from_arrays(
         int(tau): SortedTypePool(
             uid_arr[sel], val_arr[sel], cap_arr[sel]
         )
-        for tau in np.unique(type_arr)
+        for tau in sorted_unique(type_arr)
         for sel in (np.flatnonzero(type_arr == tau),)
     }
 

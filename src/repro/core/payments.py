@@ -42,6 +42,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.engine import sorted_unique
 from repro.core.exceptions import TreeError
 from repro.core.types import TaskType
 from repro.obs.tracer import NullTracer
@@ -175,7 +176,7 @@ def _settle(
     levels = []
     above = np.zeros(0, dtype=np.int64)
     for d in range(top, 0, -1):
-        level = np.union1d(seeds[cut[d - 1]:cut[d]], above)
+        level = sorted_unique(np.concatenate((seeds[cut[d - 1]:cut[d]], above)))
         levels.append(level)
         above = parent[level]
     levels.reverse()

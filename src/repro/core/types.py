@@ -40,6 +40,7 @@ __all__ = [
     "TaskType",
     "Job",
     "Ask",
+    "validate_ask",
     "User",
     "Population",
 ]
@@ -140,6 +141,24 @@ class Job:
         return out
 
 
+def validate_ask(task_type: TaskType, capacity: int, value: float) -> Optional[str]:
+    """Why ``(task_type, capacity, value)`` is not a valid ask, or None.
+
+    The one ask rule: :class:`Ask` raises :class:`ModelError` with this
+    reason, and the service checks it without building an ``Ask``.  The
+    type must be non-negative, the capacity a positive integer (an
+    integral float such as ``3.0`` passes) and the value finite and
+    positive; NaN and infinities fail both numeric checks.
+    """
+    if task_type < 0:
+        return f"task_type must be >= 0, got {task_type}"
+    if not capacity > 0 or capacity % 1:
+        return f"capacity must be a positive integer, got {capacity}"
+    if not 0 < value < math.inf:
+        return f"ask value must be finite and > 0, got {value}"
+    return None
+
+
 @dataclass(frozen=True)
 class Ask:
     """A sealed ask ``(t, k, a)`` submitted by one (possibly fake) identity.
@@ -160,12 +179,9 @@ class Ask:
     value: float
 
     def __post_init__(self) -> None:
-        if self.task_type < 0:
-            raise ModelError(f"task_type must be >= 0, got {self.task_type}")
-        if int(self.capacity) != self.capacity or self.capacity <= 0:
-            raise ModelError(f"capacity must be a positive integer, got {self.capacity}")
-        if not (self.value > 0) or not math.isfinite(self.value):
-            raise ModelError(f"ask value must be finite and > 0, got {self.value}")
+        reason = validate_ask(self.task_type, self.capacity, self.value)
+        if reason is not None:
+            raise ModelError(reason)
         object.__setattr__(self, "capacity", int(self.capacity))
         object.__setattr__(self, "value", float(self.value))
 

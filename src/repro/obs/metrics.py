@@ -41,6 +41,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -199,9 +202,10 @@ def bucket_index(boundaries: Sequence[float], value: float) -> int:
 class Histogram:
     """Fixed-boundary histogram with exact streaming count/sum/min/max.
 
-    All mutation happens through :meth:`observe` and :meth:`merge`; the
-    bucket layout is frozen at construction from a registered family, so
-    histograms of the same metric are always structurally compatible.
+    All mutation happens through :meth:`observe`, :meth:`observe_many`
+    and :meth:`merge`; the bucket layout is frozen at construction from a
+    registered family, so histograms of the same metric are always
+    structurally compatible.
     """
 
     __slots__ = (
@@ -231,6 +235,27 @@ class Histogram:
         if self.vmax is None or value > self.vmax:
             self.vmax = value
         return index
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record ``values`` in order: the state of one :meth:`observe` each.
+
+        Bucket counts and ``count`` add up; ``sum`` adds the values left
+        to right onto the running total, the float sequential ``+=``
+        gives; ``min``/``max`` compare as :meth:`observe` does and so keep
+        the first extreme object (an ``int`` stays an ``int``).
+        """
+        if not values:
+            return
+        counts, boundaries = self.counts, self.boundaries
+        for value in values:
+            counts[bisect_left(boundaries, value)] += 1
+        self.count += len(values)
+        self.total = reduce(add, values, self.total)
+        if self.vmin is None:
+            self.vmin, self.vmax = min(values), max(values)
+        else:
+            self.vmin = min(chain((self.vmin,), values))
+            self.vmax = max(chain((self.vmax,), values))
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram of the same metric into this one.

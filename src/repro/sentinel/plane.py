@@ -116,7 +116,7 @@ class SentinelPlane:
             winners = [
                 uid for uid, tasks in outcome.allocation.items() if tasks > 0
             ]
-            self.reputation.observe_epoch(participants.tolist(), winners)
+            self.reputation.observe_epoch(participants, winners)
             summary = self.reputation.summary(self.config.reputation_floor)
             self.gauges = {
                 "sentinel/reputation_mean": {

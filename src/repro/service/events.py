@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.exceptions import ModelError
-from repro.core.types import Ask, Job
+from repro.core.types import Job, validate_ask
 from repro.tree.incentive_tree import ROOT
 
 __all__ = [
@@ -45,10 +45,6 @@ class AskSubmitted:
     task_type: int
     capacity: int
     value: float
-
-    def ask(self) -> Ask:
-        """The core :class:`~repro.core.types.Ask` (validates on build)."""
-        return Ask(task_type=self.task_type, capacity=self.capacity, value=self.value)
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,10 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
     """Structural-validity reason string, or None when the event is valid.
 
     Checks only what can be decided without the cumulative state: the
-    tick is non-negative, ids are in range, and an ask parses into
-    :class:`repro.core.types.Ask` for a type the job actually requests.
+    tick is non-negative, ids are in range, and an ask passes
+    :func:`repro.core.types.validate_ask` (the rule
+    :class:`~repro.core.types.Ask` enforces) for a type the job actually
+    requests.  No ``Ask`` is built.
     """
     if event.tick < 0:
         return f"tick must be >= 0, got {event.tick}"
@@ -95,11 +93,7 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
                 f"task_type {event.task_type} out of range for a job with "
                 f"{job.num_types} types"
             )
-        try:
-            event.ask()
-        except ModelError as err:
-            return str(err)
-        return None
+        return validate_ask(event.task_type, event.capacity, event.value)
     if isinstance(event, ReferralEdge):
         if event.child_id < 0:
             return f"child_id must be >= 0, got {event.child_id}"

@@ -17,16 +17,22 @@ at the frontend, before an event can occupy queue space; stateful
 admission happens downstream in :class:`repro.service.state.ServiceState`.
 
 When a :class:`~repro.service.telemetry.ServiceTelemetry` plane is
-attached, every successful admission records its latency
-(``ingest_admit_seconds``, measured on the tracer's clock) and samples
-the queue occupancy (``ingest_queue_depth``); a recording tracer mirrors
-both as volatile ``distribution`` events.
+attached, every successful admission appends its latency (the
+``ingest_admit_seconds`` sample, measured on the tracer's clock) and the
+queue occupancy (the ``ingest_queue_depth`` sample) to the plane's two
+buffers, which :meth:`~repro.service.telemetry.ServiceTelemetry.
+fold_ingest` folds into the histograms in bulk; a recording tracer
+mirrors both samples as volatile ``distribution`` events at admission.
+
+The consumer takes events with :meth:`IngestFrontend.get`, which waits
+for one, and :meth:`IngestFrontend.get_nowait`, which does not; both
+return None once the close sentinel has been taken.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import AsyncIterator, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.types import Job
@@ -71,6 +77,8 @@ class IngestFrontend:
         self.gated = 0
         self.highwater = 0
         self._closed = False
+        #: The close sentinel has been taken off the queue.
+        self._ended = False
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -83,53 +91,54 @@ class IngestFrontend:
         if self._closed:
             return "closed"
         self.offered += 1
-        if self.tracer.enabled:
+        tracing = self.tracer.enabled
+        if tracing:
             self.tracer.count("service_events_offered")
         reason = validate_event(event, self.job)
         if reason is not None:
             self.invalid += 1
-            if self.tracer.enabled:
+            if tracing:
                 self.tracer.count("service_events_invalid")
             return f"invalid: {reason}"
         if self.gatekeeper is not None:
             reason = self.gatekeeper(event)
             if reason is not None:
                 self.gated += 1
-                if self.tracer.enabled:
+                if tracing:
                     self.tracer.count("service_events_gated")
                 return f"gated: {reason}"
         return None
 
-    def _note_enqueued(self) -> None:
+    def _note_enqueued(self, t_start: float) -> None:
+        """Count one admission and record its queue depth and latency.
+
+        ``t_start`` is the tracer-clock reading taken when the admission
+        began.
+        """
         self.accepted += 1
         depth = self._queue.qsize()
+        tracer = self.tracer
+        tracing = tracer.enabled
         if depth > self.highwater:
-            if self.tracer.enabled:
-                self.tracer.count("service_queue_highwater", depth - self.highwater)
+            if tracing:
+                tracer.count("service_queue_highwater", depth - self.highwater)
             self.highwater = depth
-        if self.tracer.enabled:
-            self.tracer.count("service_events_accepted")
-        if self.telemetry is not None:
-            self.telemetry.observe_queue_depth(depth)
-        if self.tracer.enabled:
-            self.tracer.observe("ingest_queue_depth", depth)
-
-    def _observe_admit(self, t_start: float) -> None:
-        """Record one completed admission (validate + enqueue) latency."""
-        seconds = self.tracer.clock() - t_start
-        if self.telemetry is not None:
-            self.telemetry.observe_admit(seconds)
-        if self.tracer.enabled:
-            self.tracer.observe("ingest_admit_seconds", seconds)
-
-    @property
-    def _observing(self) -> bool:
-        return self.telemetry is not None or self.tracer.enabled
+        if tracing:
+            tracer.count("service_events_accepted")
+            tracer.observe("ingest_queue_depth", depth)
+        telemetry = self.telemetry
+        if telemetry is None and not tracing:
+            return
+        seconds = tracer.clock() - t_start
+        if telemetry is not None:
+            telemetry.queue_depths.append(depth)
+            telemetry.admit_seconds.append(seconds)
+        if tracing:
+            tracer.observe("ingest_admit_seconds", seconds)
 
     def offer(self, event: ServiceEvent) -> Optional[str]:
         """Non-blocking admission; returns None or a refusal reason."""
-        observing = self._observing
-        t_start = self.tracer.clock() if observing else 0.0
+        t_start = self.tracer.clock()
         reason = self._admit(event)
         if reason is not None:
             return reason
@@ -140,9 +149,7 @@ class IngestFrontend:
             if self.tracer.enabled:
                 self.tracer.count("service_events_rejected")
             return "backpressure"
-        self._note_enqueued()
-        if observing:
-            self._observe_admit(t_start)
+        self._note_enqueued(t_start)
         return None
 
     async def put(self, event: ServiceEvent) -> Optional[str]:
@@ -153,15 +160,12 @@ class IngestFrontend:
         includes the backpressure wait — that *is* the closed-loop
         producer's experienced latency.
         """
-        observing = self._observing
-        t_start = self.tracer.clock() if observing else 0.0
+        t_start = self.tracer.clock()
         reason = self._admit(event)
         if reason is not None:
             return reason
         await self._queue.put(event)
-        self._note_enqueued()
-        if observing:
-            self._observe_admit(t_start)
+        self._note_enqueued(t_start)
         return None
 
     async def close(self) -> None:
@@ -178,10 +182,22 @@ class IngestFrontend:
         """Current queue occupancy (events awaiting the scheduler)."""
         return self._queue.qsize()
 
-    async def events(self) -> AsyncIterator[ServiceEvent]:
-        """Drain the queue until the close sentinel."""
-        while True:
-            item = await self._queue.get()
-            if item is _CLOSE:
-                return
-            yield item
+    async def get(self) -> Optional[ServiceEvent]:
+        """The next event, waiting for one; None at end of stream."""
+        if self._ended:
+            return None
+        event = await self._queue.get()
+        if event is _CLOSE:
+            self._ended = True
+        return event
+
+    def get_nowait(self) -> Optional[ServiceEvent]:
+        """The next queued event, or None when the queue is empty or the
+        stream has ended (:meth:`get` tells the two apart)."""
+        try:
+            event = self._queue.get_nowait()
+        except asyncio.QueueEmpty:
+            return None
+        if event is _CLOSE:
+            self._ended = True
+        return event

@@ -7,14 +7,15 @@ Wires the pieces together::
                                   batching)       per epoch)
 
 :class:`MechanismService` owns the consumer loop: it drains the frontend
-queue, feeds every event through the shared
-:class:`~repro.service.epochs.EpochPipeline`, and executes each closed
-epoch as one ``RIT.run`` on the worker pool.  Epoch ``i`` always draws
-``epoch_seed(config.seed, i)`` — a pure function of two integers — so a
-fixed admitted stream yields a fixed sequence of outcomes no matter how
-producers, the event loop, or the thread pool interleave.  Online equals
-the offline replay (:mod:`repro.service.replay`) under either RNG
-policy.  The mechanism must not raise on a voided epoch
+queue (one awaited ``get``, then ``get_nowait`` until the queue is
+empty), feeds every event through the shared
+:class:`~repro.service.epochs.EpochPipeline` as it is taken, and
+executes each closed epoch as one ``RIT.run`` on the worker pool.  Epoch
+``i`` always draws ``epoch_seed(config.seed, i)`` — a pure function of
+two integers — so a fixed admitted stream yields a fixed sequence of
+outcomes no matter how producers, the event loop, or the thread pool
+interleave.  Online equals the offline replay (:mod:`repro.service.replay`)
+under either RNG policy.  The mechanism must not raise on a voided epoch
 (``raise_on_failure=False``): epochs before supply builds up void
 legitimately.
 """
@@ -178,31 +179,43 @@ class MechanismService:
                 await asyncio.get_running_loop().run_in_executor(
                     executor, self.ledger.write_meta, self._meta()
                 )
-            async for event in self.frontend.events():
-                report.consumed.append(event)
-                refused, snapshots = pipeline.step(event)
-                if refused is None:
-                    report.applied += 1
-                    telemetry.events_applied += 1
-                    if self.sentinel is not None:
-                        self.sentinel.observe_applied(event)
-                    if tracing:
-                        tracer.count("service_events_applied")
-                else:
-                    report.refused += 1
-                    telemetry.events_refused += 1
-                    report.refusal_reasons[refused] = (
-                        report.refusal_reasons.get(refused, 0) + 1
-                    )
-                    if tracing:
-                        tracer.count("service_events_refused")
-                for snapshot in snapshots:
-                    await self._execute(snapshot, report, executor, clock)
+            frontend = self.frontend
+            consumed = report.consumed
+            sentinel = self.sentinel
+            # Wait for one event, then take events without waiting until
+            # the queue runs dry; each is applied as it is taken, so an
+            # epoch that runs mid-drain leaves the rest queued.
+            event = await frontend.get()
+            while event is not None:
+                while event is not None:
+                    consumed.append(event)
+                    refused, snapshots = pipeline.step(event)
+                    if refused is None:
+                        report.applied += 1
+                        telemetry.events_applied += 1
+                        if sentinel is not None:
+                            sentinel.observe_applied(event)
+                        if tracing:
+                            tracer.count("service_events_applied")
+                    else:
+                        report.refused += 1
+                        telemetry.events_refused += 1
+                        report.refusal_reasons[refused] = (
+                            report.refusal_reasons.get(refused, 0) + 1
+                        )
+                        if tracing:
+                            tracer.count("service_events_refused")
+                    for snapshot in snapshots:
+                        await self._execute(snapshot, report, executor, clock)
+                    event = frontend.get_nowait()
+                telemetry.fold_ingest()
+                event = await frontend.get()
             tail = pipeline.finish()
             if tail is not None:
                 await self._execute(tail, report, executor, clock)
         finally:
             executor.shutdown(wait=True)
+            telemetry.fold_ingest()
             telemetry.phase = "drained"
             if tracing:
                 tracer.end(service_sid)

@@ -12,7 +12,11 @@ meaningful — there is no second implementation to drift.
 Admission rules (all refusals are counted upstream, never silent):
 
 * an ask is admitted once per user id; duplicate submissions are refused
-  (sealed-bid semantics — no revisions inside a solicitation);
+  (sealed-bid semantics — no revisions inside a solicitation); an ask
+  that breaks :func:`~repro.core.types.validate_ask` raises
+  :class:`~repro.core.exceptions.ModelError`, since the frontend refuses
+  it before the queue and only a stream that skipped the frontend can
+  carry one;
 * a referral is recorded only when the referrer has already joined (or is
   the platform ROOT) and the child has neither joined nor been referred —
   the incentive tree assigns at most one solicitor per user (§4);
@@ -58,7 +62,8 @@ from typing import Dict, Optional, Set, Union
 import numpy as np
 
 from repro.core.columnar import AskProfile
-from repro.core.types import Job
+from repro.core.exceptions import ModelError
+from repro.core.types import Job, validate_ask
 from repro.service.events import (
     AskSubmitted,
     ReferralEdge,
@@ -166,7 +171,11 @@ class ServiceState:
         uid = event.user_id
         if uid in self._rows:
             return f"user {uid} already submitted an ask"
-        ask = event.ask()
+        # The frontend admitted this ask under the same rule; a replay of
+        # a stream that was never admitted must still fail loudly.
+        reason = validate_ask(event.task_type, event.capacity, event.value)
+        if reason is not None:
+            raise ModelError(reason)
         row = len(self._uid)
         parent = self._pending.pop(uid, ROOT)
         parent_row = ROOT
@@ -180,9 +189,9 @@ class ServiceState:
                 _link(self._children, parent_row, row)
         self._rows[uid] = row
         self._uid.append(uid)
-        self._type.append(ask.task_type)
-        self._cap.append(ask.capacity)
-        self._value.append(ask.value)
+        self._type.append(event.task_type)
+        self._cap.append(int(event.capacity))
+        self._value.append(float(event.value))
         self._parent.append(parent_row)
         self._live.append(1)
         return None

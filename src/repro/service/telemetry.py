@@ -7,7 +7,10 @@ instrumented observations three ways:
 * **cumulative histograms** (ingest admission latency, epoch
   close-to-outcome latency, queue depth, batch sizes) —
   :class:`repro.obs.metrics.Histogram` instances over the registry's
-  fixed bucket boundaries, so two service runs merge bit-identically;
+  fixed bucket boundaries, so two service runs merge bit-identically.
+  The two ingest histograms fold buffered per-admission samples in bulk
+  (:meth:`ServiceTelemetry.fold_ingest`), so between folds they lag the
+  frontend by at most one epoch plus one queue of samples;
 * **last-write-wins gauges** — the per-epoch win-rate surface
   (``win_rate/depth<k>``), referral-depth extremes and participant
   counts, recomputed at every epoch close as a pure function of the
@@ -28,7 +31,7 @@ All mutation happens on the event-loop thread (single-writer).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -102,6 +105,11 @@ class ServiceTelemetry:
         self.gauges: Dict[str, Dict[str, Any]] = {}
         #: Bounded per-epoch frame ring, oldest first.
         self.frames: Deque[Dict[str, Any]] = deque(maxlen=ring_size)
+        #: Admission samples not yet folded, in arrival order (see
+        #: :meth:`fold_ingest`); cleared in place, never rebound, because
+        #: the frontend holds these lists.
+        self.admit_seconds: List[float] = []
+        self.queue_depths: List[int] = []
         self.epochs_closed = 0
         self.events_applied = 0
         self.events_refused = 0
@@ -112,13 +120,21 @@ class ServiceTelemetry:
     # Observation points (called from the instrumented service modules)
     # ------------------------------------------------------------------ #
 
-    def observe_admit(self, seconds: float) -> None:
-        """One frontend admission (validate + enqueue) completed."""
-        self.histograms["ingest_admit_seconds"].observe(seconds)
+    def fold_ingest(self) -> None:
+        """Fold the buffered admission samples into their histograms.
 
-    def observe_queue_depth(self, depth: int) -> None:
-        """Ingestion-queue occupancy sampled at a successful enqueue."""
-        self.histograms["ingest_queue_depth"].observe(depth)
+        The frontend appends one admission latency and one queue depth
+        per admitted event to :attr:`admit_seconds` and
+        :attr:`queue_depths`; this folds both in arrival order through
+        :meth:`~repro.obs.metrics.Histogram.observe_many` (the same state
+        as one ``observe`` per sample) and empties them.  The service
+        calls it at every epoch close (:meth:`close_epoch`), whenever its
+        consumer finds the queue empty, and when ``serve`` ends.
+        """
+        self.histograms["ingest_admit_seconds"].observe_many(self.admit_seconds)
+        self.admit_seconds.clear()
+        self.histograms["ingest_queue_depth"].observe_many(self.queue_depths)
+        self.queue_depths.clear()
 
     def close_epoch(
         self,
@@ -134,8 +150,10 @@ class ServiceTelemetry:
 
         The frame carries the measured latencies plus the deterministic
         gauge surface (:func:`epoch_gauges`); the same gauge dict is
-        stored last-write-wins for the ``/metrics`` exposition.
+        stored last-write-wins for the ``/metrics`` exposition.  Buffered
+        admission samples are folded first (:meth:`fold_ingest`).
         """
+        self.fold_ingest()
         self.histograms["epoch_close_to_outcome_seconds"].observe(latency_seconds)
         self.histograms["epoch_batch_events"].observe(batch_events)
         gauges = epoch_gauges(outcome, view)

@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cra import cra
-from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
+from repro.core.engine import (
+    SortedTypePool,
+    StageTimers,
+    cra_presorted,
+    sorted_unique,
+)
 from repro.core.exceptions import ConfigurationError, ModelError
 
 
@@ -56,6 +61,21 @@ def random_instance(gen, *, tie_heavy):
     q = int(gen.integers(1, 12))
     m_i = int(gen.integers(1, 12))
     return values, capacities, q, m_i
+
+
+class TestSortedUnique:
+    @given(values=st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, values):
+        values = np.array(values, dtype=np.int64)
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3, 1, 3, 2], dtype=np.int64)
+        np.testing.assert_array_equal(sorted_unique(values), [1, 2, 3])
+        np.testing.assert_array_equal(values, [3, 1, 3, 2])
 
 
 class TestPoolValidation:

@@ -191,3 +191,80 @@ class TestHistogram:
             b.observe(v)
         assert a.counts == b.counts
         assert a.to_dict() == b.to_dict()
+
+
+def histogram_state(hist):
+    """Everything observe touches, with the extremes' Python types."""
+    return (
+        list(hist.counts),
+        hist.count,
+        hist.total.hex(),
+        (type(hist.vmin), hist.vmin),
+        (type(hist.vmax), hist.vmax),
+    )
+
+
+class TestObserveMany:
+    """The bulk fold equals one ``observe`` per value, bit for bit."""
+
+    @staticmethod
+    def folded(name, batches):
+        per_sample, bulk = new_histogram(name), new_histogram(name)
+        for batch in batches:
+            for value in batch:
+                per_sample.observe(value)
+            bulk.observe_many(batch)
+        assert histogram_state(bulk) == histogram_state(per_sample)
+        return bulk
+
+    def test_floats_on_boundaries_and_in_overflow(self):
+        boundaries = bucket_boundaries("latency_seconds")
+        on = list(boundaries)
+        around = [b * (1 + 2**-40) for b in boundaries] + [b * 0.75 for b in boundaries]
+        overflow = [65.0, 1e9, float("inf")]
+        hist = self.folded(
+            "ingest_admit_seconds", [on, around, overflow, [0.0, -1e-9]]
+        )
+        assert hist.counts[-1] == len(overflow) + 1  # 64·(1+2⁻⁴⁰) overflows too
+
+    def test_ints_keep_int_extremes(self):
+        hist = self.folded("ingest_queue_depth", [[3, 1, 1024, 0], [2**20, 2**20 + 1, 7]])
+        assert type(hist.vmin) is int and hist.vmin == 0
+        assert type(hist.vmax) is int and hist.vmax == 2**20 + 1
+
+    def test_mixed_ints_and_floats_keep_the_first_extreme(self):
+        # 2 and 2.0 tie: observe keeps whichever came first.
+        self.folded("ingest_queue_depth", [[2, 2.0, 5.0, 5], [2.0, 5, 1.5, 1]])
+        self.folded("ingest_queue_depth", [[2.0, 2, 5, 5.0]])
+
+    def test_nan_compares_as_observe_does(self):
+        nan = float("nan")
+        self.folded("ingest_admit_seconds", [[1.0, nan, 0.5], [nan, 3.0, 0.25]])
+        self.folded("ingest_admit_seconds", [[nan, 2.0], [1.0]])
+
+    def test_sum_is_the_sequential_float_sum(self):
+        # Values whose float sum depends on the order of additions.
+        values = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3] * 5
+        self.folded("epoch_close_to_outcome_seconds", [values[:9], values[9:]])
+
+    def test_seeded_batches(self):
+        import random
+
+        rng = random.Random(11)
+        batches = [
+            [rng.expovariate(1e5) for _ in range(rng.randrange(0, 300))]
+            for _ in range(20)
+        ]
+        self.folded("ingest_admit_seconds", batches)
+        depths = [
+            [rng.randrange(0, 2**21) for _ in range(rng.randrange(0, 300))]
+            for _ in range(20)
+        ]
+        self.folded("ingest_queue_depth", depths)
+
+    def test_empty_batch_changes_nothing(self):
+        hist = new_histogram("ingest_queue_depth")
+        hist.observe_many([])
+        assert histogram_state(hist) == histogram_state(
+            new_histogram("ingest_queue_depth")
+        )

@@ -34,7 +34,11 @@ class ScanningState:
             uid = event.user_id
             if uid in self.asks:
                 return f"user {uid} already submitted an ask"
-            self.asks[uid] = event.ask()
+            self.asks[uid] = Ask(
+                task_type=event.task_type,
+                capacity=event.capacity,
+                value=event.value,
+            )
             parent = self.pending.pop(uid, ROOT)
             self.parents[uid] = (
                 parent if parent == ROOT or parent in self.asks else ROOT

@@ -1,9 +1,11 @@
 """Structural validation and serialization of service events."""
 
+import math
+
 import pytest
 
 from repro.core.exceptions import ModelError
-from repro.core.types import Job
+from repro.core.types import Ask, Job
 from repro.service.events import (
     AskSubmitted,
     ReferralEdge,
@@ -58,6 +60,35 @@ class TestValidateEvent:
 
     def test_withdrawal_negative_user(self):
         assert validate_event(Withdrawal(tick=3, user_id=-1), JOB) is not None
+
+
+#: (task_type, capacity, value) asks that break the one ask rule.
+INVALID_ASKS = [
+    (-1, 1, 1.0),
+    (0, 0, 1.0),
+    (0, 2.5, 1.0),
+    (0, 1, 0.0),
+    (0, 1, -1.0),
+    (0, 1, math.nan),
+    (0, 1, math.inf),
+]
+
+
+class TestOneAskRule:
+    @pytest.mark.parametrize("task_type, capacity, value", INVALID_ASKS)
+    def test_reason_is_the_ask_error_message(self, task_type, capacity, value):
+        with pytest.raises(ModelError) as err:
+            Ask(task_type=task_type, capacity=capacity, value=value)
+        event = AskSubmitted(
+            tick=0, user_id=0, task_type=task_type, capacity=capacity,
+            value=value,
+        )
+        assert validate_event(event, JOB) == str(err.value)
+
+    def test_integral_float_capacity_is_valid(self):
+        event = AskSubmitted(tick=0, user_id=0, task_type=0, capacity=3.0, value=1.0)
+        assert validate_event(event, JOB) is None
+        assert Ask(task_type=0, capacity=3.0, value=1.0).capacity == 3
 
 
 class TestSerialization:

@@ -22,6 +22,18 @@ def run(coro):
     return asyncio.run(coro)
 
 
+async def drain(frontend):
+    """Take every event the way ``MechanismService.serve`` does."""
+    seen = []
+    event = await frontend.get()
+    while event is not None:
+        while event is not None:
+            seen.append(event.user_id)
+            event = frontend.get_nowait()
+        event = await frontend.get()
+    return seen
+
+
 class TestOffer:
     def test_rejects_non_positive_maxsize(self):
         with pytest.raises(ConfigurationError):
@@ -98,7 +110,7 @@ class TestPutAndDrain:
                 await frontend.close()
 
             task = asyncio.ensure_future(producer())
-            seen = [event.user_id async for event in frontend.events()]
+            seen = await drain(frontend)
             await task
             assert seen == [0, 1, 2]
             assert frontend.accepted == 3
@@ -119,7 +131,23 @@ class TestPutAndDrain:
             frontend = IngestFrontend(JOB, maxsize=4)
             frontend.offer(ask(0))
             await frontend.close()
-            seen = [event.user_id async for event in frontend.events()]
-            assert seen == [0]
+            assert await drain(frontend) == [0]
+            # The sentinel is taken once; the stream stays ended.
+            assert await frontend.get() is None
+            assert frontend.get_nowait() is None
+
+        run(main())
+
+    def test_get_nowait_on_an_empty_queue_does_not_end_the_stream(self):
+        async def main():
+            frontend = IngestFrontend(JOB, maxsize=4)
+            assert frontend.get_nowait() is None
+            frontend.offer(ask(0))
+            assert frontend.get_nowait().user_id == 0
+            assert frontend.get_nowait() is None
+            frontend.offer(ask(1))
+            await frontend.close()
+            assert (await frontend.get()).user_id == 1
+            assert await frontend.get() is None
 
         run(main())

@@ -5,8 +5,10 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.rit import RIT
 from repro.core.rng import spawn_seeds
+from repro.core.types import Ask
 from repro.devtools.trace_schema import check_coverage
 from repro.obs import Tracer
+from repro.sentinel.plane import SentinelPlane
 from repro.service import (
     MechanismService,
     OutcomeLedger,
@@ -128,3 +130,58 @@ class TestServeStream:
         report = service.serve_stream(events, open_loop=True)
         assert report.queue_highwater <= 16
         assert report.offered == report.accepted + report.invalid + report.rejected
+
+    def test_serving_builds_no_ask(self, monkeypatch):
+        # Asks are checked by validate_ask and stored as columns; no layer
+        # of the live path (frontend, state, epochs, sentinel) builds one.
+        scenario, events = small_stream()
+        service = MechanismService(
+            mechanism(),
+            scenario.job,
+            ServiceConfig(seed=0, epoch_max_events=32),
+            sentinel=SentinelPlane(),
+        )
+        built = []
+        init = Ask.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ask, "__init__", counting_init)
+        report = service.serve_stream(events)
+        assert report.applied and len(report.epochs) > 1
+        assert built == []
+        Ask(task_type=0, capacity=1, value=1.0)
+        assert len(built) == 1
+
+    def test_events_behind_a_closed_epoch_stay_queued(self, monkeypatch):
+        # The consumer applies each event as it takes it, so while an
+        # epoch runs every admitted event not yet applied is still in the
+        # queue: a drain into a list would hide them from the producer's
+        # backpressure.
+        import repro.service.service as service_module
+
+        scenario, events = small_stream(users=200, tasks_per_type=8)
+        service = MechanismService(
+            mechanism(),
+            scenario.job,
+            ServiceConfig(seed=0, epoch_max_events=8, queue_size=32),
+        )
+        backlog = []
+        run_epoch = service_module.run_epoch
+
+        async def checked_run_epoch(*args, **kwargs):
+            telemetry, frontend = service.telemetry, service.frontend
+            unapplied = frontend.accepted - (
+                telemetry.events_applied + telemetry.events_refused
+            )
+            # The queue may also hold the close marker.
+            assert unapplied <= frontend.depth <= unapplied + 1
+            backlog.append(unapplied)
+            return await run_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "run_epoch", checked_run_epoch)
+        report = service.serve_stream(events)
+        assert len(backlog) == len(report.epochs)
+        assert max(backlog) > 8  # epochs did run with events queued behind

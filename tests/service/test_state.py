@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exceptions import ModelError
 from repro.core.rit import profile_arrays
-from repro.core.types import Job
+from repro.core.types import Ask, Job
 from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
 from repro.service.state import ServiceState
 from repro.tree.incentive_tree import ROOT, IncentiveTree
@@ -41,6 +42,33 @@ class TestAskAdmission:
         assert state.apply(ReferralEdge(tick=1, parent_id=0, child_id=1)) is None
         assert state.apply(ask(1, tick=2)) is None
         assert state.snapshot_tree().to_parent_map()[1] == 0
+
+
+    @pytest.mark.parametrize(
+        "task_type, capacity, value",
+        [(-1, 1, 1.0), (0, 2.5, 1.0), (0, 1, 0.0), (0, 1, float("nan"))],
+    )
+    def test_invalid_ask_that_skipped_the_frontend_raises(
+        self, task_type, capacity, value
+    ):
+        # A replayed stream was never admitted: the state checks the same
+        # rule as the frontend and raises the Ask's own error.
+        with pytest.raises(ModelError) as want:
+            Ask(task_type=task_type, capacity=capacity, value=value)
+        state = ServiceState(JOB)
+        with pytest.raises(ModelError) as got:
+            state.apply(ask(0, task_type=task_type, capacity=capacity, value=value))
+        assert str(got.value) == str(want.value)
+        assert state.num_participants == 0
+
+    def test_integral_float_capacity_is_stored_as_an_int(self):
+        state = ServiceState(JOB)
+        assert state.apply(ask(0, capacity=3.0, value=2)) is None
+        snapshot = state.snapshot()
+        assert snapshot.caps.tolist() == [3]
+        stored = snapshot.asks[0]
+        assert type(stored.capacity) is int and stored.capacity == 3
+        assert type(stored.value) is float and stored.value == 2.0
 
 
 class TestReferralAdmission:

@@ -1,5 +1,7 @@
 """The service telemetry plane (`repro.service.telemetry`)."""
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.core.outcome import MechanismOutcome
 from repro.core.rit import RIT
 from repro.core.rng import spawn_seeds
 from repro.obs import Tracer, canonical_events
+from repro.obs.metrics import new_histogram
 from repro.service import (
     WIN_RATE_DEPTH_CAP,
     MechanismService,
@@ -227,3 +230,99 @@ class TestDifferentialWithTelemetry:
         last = frames[-1]
         for name, value in last["gauges"].items():
             assert service.telemetry.gauges[name]["value"] == value
+
+
+class TestIngestSamplesFoldedInBulk:
+    """Admission samples reach the histograms at every epoch close and
+    when ``serve`` returns; in between they wait in the plane's buffers."""
+
+    @pytest.mark.parametrize("open_loop", [False, True])
+    def test_counts_equal_accepted_at_every_close_and_at_the_end(self, open_loop):
+        folded = []
+
+        class CheckedTelemetry(ServiceTelemetry):
+            def close_epoch(self, **kwargs):
+                frame = super().close_epoch(**kwargs)
+                folded.append(
+                    (
+                        self.histograms["ingest_admit_seconds"].count,
+                        self.histograms["ingest_queue_depth"].count,
+                        service.frontend.accepted,
+                    )
+                )
+                return frame
+
+        scenario_rng, stream_rng = spawn_seeds(5, 2)
+        scenario = build_scenario(150, 3, 5, scenario_rng)
+        events = scenario_event_stream(scenario, stream_rng, withdraw_fraction=0.1)
+        service = MechanismService(
+            RIT(rng_policy="per-type", round_budget="until-complete"),
+            scenario.job,
+            ServiceConfig(seed=5, epoch_max_events=16, queue_size=48),
+            telemetry=CheckedTelemetry(),
+        )
+        report = service.serve_stream(events, open_loop=open_loop)
+        assert len(folded) == len(report.epochs) > 2
+        for admit_count, depth_count, accepted in folded:
+            assert admit_count == depth_count == accepted
+        telemetry = service.telemetry
+        assert telemetry.admit_seconds == [] and telemetry.queue_depths == []
+        slo = telemetry.slo_summary()
+        assert slo["ingest"]["count"] == slo["queue_depth"]["count"]
+        assert slo["ingest"]["count"] == service.frontend.accepted == report.accepted
+
+    def test_samples_are_folded_when_the_queue_runs_dry(self):
+        scenario_rng, stream_rng = spawn_seeds(6, 2)
+        scenario = build_scenario(60, 3, 5, scenario_rng)
+        events = scenario_event_stream(scenario, stream_rng)[:10]
+        service = MechanismService(
+            RIT(rng_policy="per-type", round_budget="until-complete"),
+            scenario.job,
+            ServiceConfig(seed=6, epoch_max_events=1000),
+        )
+
+        async def main():
+            serving = asyncio.ensure_future(service.serve())
+            for event in events:
+                assert await service.frontend.put(event) is None
+            for _ in range(3):  # the consumer drains the queue and waits
+                await asyncio.sleep(0)
+            histograms = service.telemetry.histograms
+            assert service.telemetry.epochs_closed == 0
+            assert histograms["ingest_admit_seconds"].count == len(events)
+            assert histograms["ingest_queue_depth"].count == len(events)
+            await service.frontend.close()
+            await serving
+
+        asyncio.run(main())
+
+    def test_samples_are_folded_when_serve_fails(self, monkeypatch):
+        async def failing_epoch(*args, **kwargs):
+            raise RuntimeError("epoch failed")
+
+        monkeypatch.setattr("repro.service.service.run_epoch", failing_epoch)
+        scenario_rng, stream_rng = spawn_seeds(6, 2)
+        scenario = build_scenario(60, 3, 5, scenario_rng)
+        service = MechanismService(
+            RIT(rng_policy="per-type", round_budget="until-complete"),
+            scenario.job,
+            ServiceConfig(seed=6, epoch_max_events=16, queue_size=64),
+        )
+        with pytest.raises(RuntimeError, match="epoch failed"):
+            service.serve_stream(scenario_event_stream(scenario, stream_rng))
+        telemetry = service.telemetry
+        assert telemetry.phase == "drained"
+        assert telemetry.admit_seconds == [] and telemetry.queue_depths == []
+        assert telemetry.histograms["ingest_admit_seconds"].count == (
+            service.frontend.accepted
+        ) > 16
+
+    def test_folded_histograms_equal_per_sample_observation(self):
+        tracer = Tracer("ingest-fold", seed=2)
+        service, _ = small_run(seed=2, tracer=tracer)
+        for name in ("ingest_admit_seconds", "ingest_queue_depth"):
+            mirror = new_histogram(name)
+            for event in tracer.events:
+                if event.get("ev") == "distribution" and event["name"] == name:
+                    mirror.observe(event["value"])
+            assert service.telemetry.histograms[name].to_dict() == mirror.to_dict()
