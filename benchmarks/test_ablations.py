@@ -10,7 +10,9 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
 * **log base in the Lemma 6.2 bound** — budget tables under log10 (the
   paper's numerics) vs log2 (classical consensus accounting).
 * **CRA microbenchmark** — the per-round cost on large unit-ask vectors,
-  the quantity behind Fig. 8's linear scaling.
+  the quantity behind Fig. 8's linear scaling: the reference ``cra``
+  re-sorts every unit, the production ``cra_presorted`` round reads only
+  the cheapest users' sample uniforms.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import pytest
 
 from repro.analysis.theory import budget_table
 from repro.core.cra import cra
+from repro.core.engine import SortedTypePool, cra_presorted
 from repro.core.payments import tree_payments
 from repro.core.rit import RIT
 from repro.core.types import Job
@@ -170,6 +173,34 @@ class TestCRAMicrobench:
 
         result = benchmark(round_once)
         assert result.num_winners <= 500
+
+    @pytest.mark.parametrize("units", [10_000, 100_000, 1_000_000])
+    def test_presorted_round_cost(self, benchmark, units):
+        """The production round at ``q + m_i = 100``, each on a fresh fork.
+
+        Above the jump-ahead crossover (an expected sample of 200 units;
+        10k units expect 100 and draw every uniform) the sample stage
+        reads only the cheapest users' uniforms, so it costs the same at
+        every size; what still grows is the round's one cumulative sum
+        over the users (about a tenth as many as units here) for its unit
+        bounds.
+        """
+        gen = np.random.default_rng(0)
+        users = units // 10  # capacities 1..19, ten units on average
+        pool = SortedTypePool(
+            np.arange(users),
+            gen.uniform(0.1, 10.0, size=users),
+            gen.integers(1, 20, size=users),
+        )
+        seeds = itertools.count()
+
+        def fresh_round():
+            return (pool.fork(), 50, 50, np.random.default_rng(next(seeds))), {}
+
+        result = benchmark.pedantic(
+            cra_presorted, setup=fresh_round, rounds=200, iterations=1
+        )
+        assert 0 < result.num_winners <= 50
 
 
 class TestSampleRateAblation:

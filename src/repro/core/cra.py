@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,7 +52,11 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.rng import SeedLike, as_generator
 from repro.obs.tracer import NullTracer
 
-__all__ = ["CRAResult", "cra"]
+__all__ = ["CRAResult", "SampleSource", "cra"]
+
+#: A round's price sample: its unit indices, or a zero-argument callable
+#: that draws them (see :attr:`CRAResult.sample`).
+SampleSource = Union[np.ndarray, Callable[[], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,12 @@ class CRAResult:
     price:
         The uniform per-task payment ``s`` for every winner; ``nan`` when
         there are no winners.
-    sample_indices:
-        Indices sampled into ``S`` (diagnostics; empty sample → no winners).
+    sample:
+        Where :attr:`sample_indices` comes from: the indices themselves,
+        or a zero-argument callable that draws them.  The presorted
+        engine's jump-ahead probe reads only the uniforms that decide the
+        price, so its rounds defer the sample (see
+        :meth:`repro.core.engine.SortedTypePool.sample_price`).
     n_s:
         The consensus-rounded supply estimate (0 when the sample was empty
         or no ask was at most the sampled price).
@@ -80,12 +89,24 @@ class CRAResult:
 
     winners: np.ndarray
     price: float
-    sample_indices: np.ndarray = field(
+    sample: SampleSource = field(
         repr=False, default_factory=lambda: np.empty(0, dtype=np.int64)
     )
     n_s: int = 0
     offset: float = 0.0
     overflow_trimmed: bool = False
+
+    @cached_property
+    def sample_indices(self) -> np.ndarray:
+        """Indices sampled into ``S`` (diagnostics; empty sample → no winners).
+
+        A deferred :attr:`sample` is drawn on the first read and kept in
+        the instance, so later reads are plain attribute lookups.  No run
+        reads it: the differential tests and the traced
+        ``sample_units_drawn`` counter do.
+        """
+        sample = self.sample
+        return sample if isinstance(sample, np.ndarray) else sample()
 
     @property
     def num_winners(self) -> int:
@@ -96,11 +117,11 @@ class CRAResult:
         return 0.0 if self.num_winners == 0 else self.price * self.num_winners
 
 
-def _empty_result(offset: float, sample: np.ndarray) -> CRAResult:
+def _empty_result(offset: float, sample: SampleSource) -> CRAResult:
     return CRAResult(
         winners=np.empty(0, dtype=np.int64),
         price=math.nan,
-        sample_indices=sample,
+        sample=sample,
         n_s=0,
         offset=offset,
     )
@@ -217,7 +238,7 @@ def cra(
     return CRAResult(
         winners=winners,
         price=s,
-        sample_indices=sample,
+        sample=sample,
         n_s=n_s,
         offset=offset,
         overflow_trimmed=overflow,

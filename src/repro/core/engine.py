@@ -28,10 +28,19 @@ reference :func:`repro.core.cra.cra` run over
 ``np.repeat(values, remaining)``: the grid offset first, then one uniform
 per alive unit in the original (user-id) order, then — on the same
 branches — the Bernoulli keep draws over the ``n_s`` smallest units and
-the winner subsample.  Differential tests
-(``tests/core/test_engine.py``) assert that every :class:`CRAResult`
-field matches the reference exactly, seed by seed, and the test oracle
-``tests/core/reference_rit.py`` runs whole mechanisms on the reference.
+the winner subsample.  The stream is the reference's; the engine only
+evaluates fewer of its uniforms.  Lines 2–3 need just the smallest
+sampled value and whether the sample is empty, so on a ``PCG64`` stream
+and a large pool :meth:`SortedTypePool.sample_price` jumps the bit
+generator (``advance``) to the cheapest users' units and draws theirs
+alone, then leaves the generator where the per-unit draw leaves it — its
+buffered 32-bit half included.  The sample itself is drawn again from the
+saved state only when :attr:`CRAResult.sample_indices` is read.
+Differential tests (``tests/core/test_engine.py``) assert that every
+:class:`CRAResult` field and the generator's full state after each round
+match the reference exactly, seed by seed, on both paths, and the test
+oracle ``tests/core/reference_rit.py`` runs whole mechanisms on the
+reference.
 
 Stage timing
 ------------
@@ -46,13 +55,14 @@ RIT007).  :class:`repro.core.rit.RIT` surfaces the totals on
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core import consensus
-from repro.core.cra import CRAResult, _empty_result
+from repro.core.cra import CRAResult, SampleSource, _empty_result
 from repro.core.exceptions import ConfigurationError, ModelError
 from repro.core.rng import SeedLike, as_generator
 from repro.obs.timers import STAGE_NAMES, StageTimers
@@ -66,6 +76,40 @@ __all__ = [
     "pools_from_arrays",
     "sorted_unique",
 ]
+
+
+#: Expected sample size (alive units × sample rate) from which
+#: :meth:`SortedTypePool.sample_price` probes instead of drawing one
+#: uniform per alive unit.  The per-unit draw costs about 6 ns per unit,
+#: while the probe's cost follows the ``1/rate`` units it reads, not the
+#: pool, so the two cross at a fixed expected sample.  Measured on a
+#: 2-vCPU VM, 600 interleaved rounds per size, capacities uniform on
+#: 1..20 as in the paper's population: at rate 1/100 the probe averaged
+#: 62–96 µs from 6k to 100k units (199 µs at 1M), the per-unit draw
+#: 69 µs at 12.1k units, 96 µs at 17.5k, 132 µs at 20.7k and 514 µs at
+#: 100k; at rate 1/200 the probe averaged 117–204 µs, the per-unit draw
+#: 125 µs at 23.6k units and 175 µs at 29.9k.  The means cross at an
+#: expected sample of about 130–170.  Whole runs cross a little higher.
+#: ``RIT.run`` on ``paper_scenario`` at 4 types × 50 tasks, 500
+#: interleaved runs per size: probing from an expected sample of 150 made
+#: runs 1–2% slower at 6k users, whose first rounds expect 157 sampled
+#: units, and 11% faster at 8k users (210).  From 200, the 6k runs stayed
+#: within 1.5% of the per-unit draw and the 8k runs kept the gain.
+_PROBE_MIN_SAMPLE = 200
+
+
+def _unit_sample(gen: np.random.Generator, units: int, rate: float) -> np.ndarray:
+    """Lines 2–3 unit by unit: one uniform per alive unit, in unit-pool
+    order; the indices of the units drawn below ``rate``."""
+    return np.flatnonzero(gen.random(units) < rate)
+
+
+def _redrawn_sample(state: dict, units: int, rate: float) -> np.ndarray:
+    """:func:`_unit_sample` from a saved ``PCG64`` state, on a private
+    generator: the deferred sample of a probed round."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = state
+    return _unit_sample(gen, units, rate)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -219,6 +263,99 @@ class SortedTypePool:
         k = np.searchsorted(self._sorted_values, value, side="right")
         return int(self._prefix[k])
 
+    def sample_price(
+        self, gen: np.random.Generator, rate: float
+    ) -> Tuple[float, SampleSource]:
+        """Algorithm 1 lines 2–3 on this round's pool: ``(s, sample)``.
+
+        Every alive unit enters the sample when its uniform — the next one
+        off ``gen``, in unit-pool order — falls below ``rate``; ``s`` is
+        the smallest sampled value, ``nan`` when the sample is empty.
+        ``gen`` ends exactly where drawing every unit's uniform leaves it.
+
+        A pool whose expected sample is below :data:`_PROBE_MIN_SAMPLE`
+        (one compare, made before ``gen.bit_generator`` is read), or a bit
+        generator other than ``PCG64``, draws every uniform.  Otherwise
+        :meth:`_probe_price` reads only the cheapest users' uniforms, and
+        the sample is deferred.
+        """
+        units = self.total_remaining()
+        if units * rate >= _PROBE_MIN_SAMPLE:
+            bits = gen.bit_generator
+            if type(bits) is np.random.PCG64:
+                return self._probe_price(gen, bits, units, rate)
+        return self._drawn_price(_unit_sample(gen, units, rate))
+
+    def _drawn_price(self, sample: np.ndarray) -> Tuple[float, SampleSource]:
+        """``(s, sample)`` of a sample drawn unit by unit."""
+        if sample.size == 0:
+            return math.nan, sample
+        owners = self.unit_user_positions(sample, self.round_bounds())
+        return float(self.values[owners].min()), sample
+
+    def _probe_price(
+        self,
+        gen: np.random.Generator,
+        bits: np.random.PCG64,
+        units: int,
+        rate: float,
+    ) -> Tuple[float, SampleSource]:
+        """:meth:`sample_price` by jumping ahead to the cheapest users' units.
+
+        Users are visited in value order, in batches: the first holds
+        about ``1/rate`` alive units (one expected hit), each later batch
+        twice as many.  A batch's unit blocks are read in position order,
+        jumping the generator over the units between them.  The first
+        batch with a hit decides ``s``: every batch ends a prefix of the
+        value order, so no unvisited unit is cheaper.  Once a quarter of
+        the units has been read without a hit, every unit is drawn from
+        the saved state instead; only there can the sample be empty.
+        """
+        saved = bits.state
+        bounds = self.round_bounds()
+        prefix = self._prefix
+        last = self._sorted_users.shape[0]
+        visited = 0  # users read so far, a prefix of the value order
+        pos = 0  # draws past ``saved`` that ``gen`` stands at
+        batch = math.ceil(1.0 / rate)
+        while 4 * int(prefix[visited]) < units:
+            end = min(
+                int(np.searchsorted(prefix, int(prefix[visited]) + batch)),
+                last,
+            )
+            users = np.sort(self._sorted_users[visited:end])
+            users = users[self.remaining[users] > 0]
+            counts = self.remaining[users]
+            draws = np.empty(int(prefix[end] - prefix[visited]))
+            at = 0
+            for start, count in zip(
+                (bounds[users] - counts).tolist(), counts.tolist()
+            ):
+                if start != pos:
+                    bits.advance(start - pos)  # negative deltas wrap back
+                gen.random(out=draws[at:at + count])
+                at += count
+                pos = start + count
+            hit = np.logical_or.reduceat(
+                draws < rate, np.cumsum(counts) - counts
+            )
+            if hit.any():
+                # Where the per-unit draw ends.  ``advance`` clears PCG64's
+                # buffered 32-bit half (``Generator.choice`` leaves one,
+                # or a spent one behind); put it back.
+                bits.advance(units - pos)
+                if saved["has_uint32"] or saved["uinteger"]:
+                    state = bits.state
+                    state["has_uint32"] = saved["has_uint32"]
+                    state["uinteger"] = saved["uinteger"]
+                    bits.state = state
+                sample = functools.partial(_redrawn_sample, saved, units, rate)
+                return float(self.values[users[hit]].min()), sample
+            visited = end
+            batch *= 2
+        bits.state = saved
+        return self._drawn_price(_unit_sample(gen, units, rate))
+
     # Covered by the caller's per-stage timers ('select').
     def smallest_units(  # rit: noqa[RIT013]
         self, count: int, bounds: np.ndarray
@@ -294,7 +431,10 @@ def cra_presorted(
 
     ``timers`` accumulates per-stage seconds on its injected clock;
     ``tracer`` (when enabled) receives the sample-stage counters — both
-    are optional and add no per-unit work when omitted.
+    are optional and add no per-unit work when omitted.  The counters read
+    :attr:`CRAResult.sample_indices` after every stage timer has stopped,
+    so a traced round pays for its deferred sample outside the stages and
+    never draws from ``rng`` for it.
     """
     if q <= 0:
         raise ConfigurationError(f"q must be >= 1, got {q}")
@@ -304,28 +444,38 @@ def cra_presorted(
         raise ConfigurationError(
             f"sample_rate_scale must be > 0, got {sample_rate_scale}"
         )
-    gen = as_generator(rng)
+    result = _cra_round(
+        pool, q, m_i, as_generator(rng), sample_rate_scale, timers
+    )
+    if tracer is not None and tracer.enabled:
+        sampled = int(result.sample_indices.size)
+        tracer.count("sample_units_drawn", sampled)
+        if sampled == 0:
+            tracer.count("empty_samples")
+    return result
+
+
+def _cra_round(
+    pool: SortedTypePool,
+    q: int,
+    m_i: int,
+    gen: np.random.Generator,
+    sample_rate_scale: float,
+    timers: Optional[StageTimers],
+) -> CRAResult:
+    """:func:`cra_presorted` past its argument checks, stage by stage."""
     cap = q + m_i
     clock = timers.clock if timers is not None else None
-    tracing = tracer is not None and tracer.enabled
 
-    # Sample stage (lines 2-4): offset plus one uniform per alive unit, in
-    # original unit-pool order — the draws the reference makes.
+    # Sample stage (lines 2-4): the offset, then the smallest sampled value
+    # off the reference's one-uniform-per-alive-unit stream.
     t0 = clock() if clock is not None else 0.0
     offset = float(gen.uniform(0.0, 1.0))
-    rate = min(1.0, sample_rate_scale / cap)
-    mask = gen.random(pool.total_remaining()) < rate
-    sample = np.flatnonzero(mask)
-    if tracing:
-        tracer.count("sample_units_drawn", int(sample.size))
-    if sample.size == 0:
+    s, sample = pool.sample_price(gen, min(1.0, sample_rate_scale / cap))
+    if math.isnan(s):
         if clock is not None:
             timers.sample += clock() - t0
-        if tracing:
-            tracer.count("empty_samples")
         return _empty_result(offset, sample)
-    bounds = pool.round_bounds()
-    s = float(pool.values[pool.unit_user_positions(sample, bounds)].min())
     t1 = clock() if clock is not None else 0.0
 
     # Consensus stage (line 5): z_s from the prefix sums over the
@@ -344,7 +494,7 @@ def cra_presorted(
 
     # Select stage (lines 6-19): the cheapest alive units, cut from the
     # sorted order.
-    chosen, chosen_values = pool.smallest_units(n_s, bounds)
+    chosen, chosen_values = pool.smallest_units(n_s, pool.round_bounds())
     overflow = False
     if n_s > cap:
         keep = gen.random(chosen.shape[0]) < (cap / (2.0 * n_s))
@@ -368,7 +518,7 @@ def cra_presorted(
     return CRAResult(
         winners=winners,
         price=s,
-        sample_indices=sample,
+        sample=sample,
         n_s=n_s,
         offset=offset,
         overflow_trimmed=overflow,

@@ -16,6 +16,7 @@ keeps honest/attacked scenario pairs trivially comparable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -37,6 +38,7 @@ if TYPE_CHECKING:  # repro.core.columnar imports this module
     from repro.core.columnar import AskProfile
 
 __all__ = [
+    "INT64_MAX",
     "TaskType",
     "Job",
     "Ask",
@@ -49,6 +51,11 @@ __all__ = [
 # Task types are plain integers (0-based indices).  A tiny NewType-like alias
 # keeps signatures self-documenting without the runtime cost of a wrapper.
 TaskType = int
+
+#: The largest user id, task type or capacity the profile's int64
+#: columns can hold.
+INT64_MAX = 2**63 - 1
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -146,15 +153,21 @@ def validate_ask(task_type: TaskType, capacity: int, value: float) -> Optional[s
 
     The one ask rule: :class:`Ask` raises :class:`ModelError` with this
     reason, and the service checks it without building an ``Ask``.  The
-    type must be non-negative, the capacity a positive integer (an
-    integral float such as ``3.0`` passes) and the value finite and
-    positive; NaN and infinities fail both numeric checks.
+    type must be non-negative and the capacity a positive integer (an
+    integral float such as ``3.0`` passes), both at most
+    :data:`INT64_MAX` (the profile keeps them in int64 columns); the value
+    must be positive and a finite float (an int past the largest float
+    fails too).  NaN and infinities fail every numeric check.
     """
     if task_type < 0:
         return f"task_type must be >= 0, got {task_type}"
+    if task_type > INT64_MAX:
+        return f"task_type must be <= {INT64_MAX}, got {task_type}"
     if not capacity > 0 or capacity % 1:
         return f"capacity must be a positive integer, got {capacity}"
-    if not 0 < value < math.inf:
+    if capacity > INT64_MAX:
+        return f"capacity must be <= {INT64_MAX}, got {capacity}"
+    if not 0 < value <= _FLOAT_MAX:
         return f"ask value must be finite and > 0, got {value}"
     return None
 

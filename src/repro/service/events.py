@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.exceptions import ModelError
-from repro.core.types import Job, validate_ask
+from repro.core.types import INT64_MAX, Job, validate_ask
 from repro.tree.incentive_tree import ROOT
 
 __all__ = [
@@ -78,16 +78,17 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
     """Structural-validity reason string, or None when the event is valid.
 
     Checks only what can be decided without the cumulative state: the
-    tick is non-negative, ids are in range, and an ask passes
-    :func:`repro.core.types.validate_ask` (the rule
+    tick is non-negative, ids are in range (the state keeps them in int64
+    columns, so at most :data:`~repro.core.types.INT64_MAX`), and an ask
+    passes :func:`repro.core.types.validate_ask` (the rule
     :class:`~repro.core.types.Ask` enforces) for a type the job actually
     requests.  No ``Ask`` is built.
     """
     if event.tick < 0:
         return f"tick must be >= 0, got {event.tick}"
     if isinstance(event, AskSubmitted):
-        if event.user_id < 0:
-            return f"user_id must be >= 0, got {event.user_id}"
+        if event.user_id < 0 or event.user_id > INT64_MAX:  # inline: per ask
+            return _id_out_of_range("user_id", event.user_id)
         if event.task_type >= job.num_types:
             return (
                 f"task_type {event.task_type} out of range for a job with "
@@ -95,18 +96,28 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
             )
         return validate_ask(event.task_type, event.capacity, event.value)
     if isinstance(event, ReferralEdge):
-        if event.child_id < 0:
-            return f"child_id must be >= 0, got {event.child_id}"
+        reason = _id_out_of_range("child_id", event.child_id)
+        if reason is not None:
+            return reason
         if event.parent_id < ROOT:
             return f"parent_id must be >= {ROOT} (ROOT), got {event.parent_id}"
+        if event.parent_id > INT64_MAX:
+            return f"parent_id must be <= {INT64_MAX}, got {event.parent_id}"
         if event.parent_id == event.child_id:
             return f"self-referral: {event.child_id}"
         return None
     if isinstance(event, Withdrawal):
-        if event.user_id < 0:
-            return f"user_id must be >= 0, got {event.user_id}"
-        return None
+        return _id_out_of_range("user_id", event.user_id)
     return f"unknown event type {type(event).__name__}"
+
+
+def _id_out_of_range(name: str, uid: int) -> Optional[str]:
+    """Why ``uid`` cannot be a user id (outside ``[0, INT64_MAX]``), or None."""
+    if uid < 0:
+        return f"{name} must be >= 0, got {uid}"
+    if uid > INT64_MAX:
+        return f"{name} must be <= {INT64_MAX}, got {uid}"
+    return None
 
 
 def event_to_dict(event: ServiceEvent) -> Dict[str, Any]:

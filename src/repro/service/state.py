@@ -13,7 +13,8 @@ Admission rules (all refusals are counted upstream, never silent):
 
 * an ask is admitted once per user id; duplicate submissions are refused
   (sealed-bid semantics — no revisions inside a solicitation); an ask
-  that breaks :func:`~repro.core.types.validate_ask` raises
+  whose user id is outside int64 or that breaks
+  :func:`~repro.core.types.validate_ask` raises
   :class:`~repro.core.exceptions.ModelError`, since the frontend refuses
   it before the queue and only a stream that skipped the frontend can
   carry one;
@@ -63,12 +64,13 @@ import numpy as np
 
 from repro.core.columnar import AskProfile
 from repro.core.exceptions import ModelError
-from repro.core.types import Job, validate_ask
+from repro.core.types import INT64_MAX, Job, validate_ask
 from repro.service.events import (
     AskSubmitted,
     ReferralEdge,
     ServiceEvent,
     Withdrawal,
+    validate_event,
 )
 from repro.tree.incentive_tree import ROOT, BFSView, IncentiveTree
 
@@ -172,8 +174,14 @@ class ServiceState:
         if uid in self._rows:
             return f"user {uid} already submitted an ask"
         # The frontend admitted this ask under the same rule; a replay of
-        # a stream that was never admitted must still fail loudly.
-        reason = validate_ask(event.task_type, event.capacity, event.value)
+        # a stream that was never admitted must still fail loudly, before
+        # an out-of-range id, type or capacity reaches the int64 columns.
+        # The id compares are inline (this runs once per ask); the
+        # frontend's rule says what is wrong with an id outside them.
+        if uid < 0 or uid > INT64_MAX:
+            reason = validate_event(event, self.job)
+        else:
+            reason = validate_ask(event.task_type, event.capacity, event.value)
         if reason is not None:
             raise ModelError(reason)
         row = len(self._uid)

@@ -6,9 +6,12 @@ pool — identical RNG stream, identical :class:`CRAResult` on every field.
 These tests drive both paths with the same seeds across tie-heavy values,
 sample-rate scales, overflow and empty-sample regimes, single- and
 multi-round, and check the pool's capacity bookkeeping and its prefix-sum
-queries down to exhaustion.
+queries down to exhaustion.  Pools above the jump-ahead probe's crossover
+(:class:`TestJumpAheadProbe`) also check the generator's full state,
+buffered 32-bit half included, after every round.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine
 from repro.core.cra import cra
 from repro.core.engine import (
     SortedTypePool,
@@ -24,6 +28,11 @@ from repro.core.engine import (
     sorted_unique,
 )
 from repro.core.exceptions import ConfigurationError, ModelError
+from repro.core.rit import RIT
+from repro.core.types import Ask, Job
+from repro.obs import Tracer
+from repro.tree.incentive_tree import ROOT, IncentiveTree
+from tests.core.reference_rit import ReferenceRIT
 
 
 def make_pool(values, capacities, uids=None):
@@ -353,3 +362,225 @@ class TestDifferential:
         assert totals["sample"] > 0.0
         # consume is timed by the caller (RIT), not by cra_presorted.
         assert totals["consume"] == 0.0
+
+
+def probe_sized_asks(gen, users, *, tie_heavy=False):
+    """``users`` asks averaging four units each, some with capacity zero."""
+    if tie_heavy:
+        values = gen.choice([0.5, 1.0, 2.0], size=users)
+    else:
+        values = gen.uniform(0.05, 10.0, size=users)
+    return values, gen.integers(0, 9, size=users)
+
+
+def full_state(gen):
+    """The bit generator's whole state, buffered 32-bit half included, in
+    a form ``==`` compares (MT19937 keeps an array)."""
+    return json.dumps(
+        gen.bit_generator.state, sort_keys=True, default=lambda a: a.tolist()
+    )
+
+
+def rounds_against_reference(
+    values, caps, m_i, fast_gen, ref_gen, *, scale=1.0, rounds=8
+):
+    """Clear up to ``rounds`` rounds on the engine and on the reference.
+
+    After each round the two generators' full states must agree (checked
+    before any sample is read), then every :class:`CRAResult` field.
+    Returns the engine's results.
+    """
+    pool = make_pool(values, caps)
+    shadow = np.asarray(caps, dtype=np.int64).copy()
+    q = m_i
+    results = []
+    for round_index in range(rounds):
+        if q <= 0 or pool.total_remaining() == 0:
+            break
+        fast = cra_presorted(pool, q, m_i, fast_gen, sample_rate_scale=scale)
+        ref = cra(
+            np.repeat(values, shadow), q, m_i, ref_gen, sample_rate_scale=scale
+        )
+        context = f"round {round_index}"
+        assert full_state(fast_gen) == full_state(ref_gen), context
+        assert_results_equal(fast, ref, context)
+        positions = np.repeat(np.arange(shadow.size), shadow)[ref.winners]
+        pool.consume_positions(positions)
+        np.subtract.at(shadow, positions, 1)
+        q -= ref.num_winners
+        results.append(fast)
+    return results
+
+
+def probed(result):
+    """Whether the round took the jump-ahead probe (its sample is deferred)."""
+    return callable(result.sample)
+
+
+class TestJumpAheadProbe:
+    """Pools above the probe's crossover, against the reference ``cra``.
+
+    Pools hold 3,000–5,000 users of about four units each and
+    ``q + m_i <= 40``, so every expected sample stays above
+    :data:`repro.core.engine._PROBE_MIN_SAMPLE` (200), at
+    ``sample_rate_scale`` 0.5 too.
+    """
+
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 4.0])
+    def test_rounds_match_the_reference(self, tie_heavy, scale):
+        gen = np.random.default_rng(int(scale * 8) + tie_heavy)
+        results = []
+        for _ in range(5):
+            values, caps = probe_sized_asks(gen, 5000, tie_heavy=tie_heavy)
+            m_i = int(gen.integers(5, 21))
+            seed = int(gen.integers(0, 2**31))
+            results += rounds_against_reference(
+                values,
+                caps,
+                m_i,
+                np.random.default_rng(seed),
+                np.random.default_rng(seed),
+                scale=scale,
+            )
+        assert len(results) > 5  # some pool needed several rounds
+        assert all(map(probed, results))
+        # The deferred sample is drawn once, then kept.
+        assert results[0].sample_indices is results[0].sample_indices
+
+    def test_zero_capacity_users_among_the_cheapest(self):
+        gen = np.random.default_rng(5)
+        values, caps = probe_sized_asks(gen, 3000)
+        caps[np.argsort(values)[:300]] = 0  # the cheapest tenth hold nothing
+        caps[::7] = 0
+        results = rounds_against_reference(
+            values, caps, 12, np.random.default_rng(6), np.random.default_rng(6)
+        )
+        assert results and all(map(probed, results))
+
+    def test_a_buffered_half_survives_the_jump(self):
+        # One generator across types, as under rng_policy="stream": a
+        # round's winner subsample (Generator.choice) can leave PCG64's
+        # 32-bit half buffered, and the next type's probe jumps the
+        # generator, which drops it.
+        gen = np.random.default_rng(8)
+        fast_gen, ref_gen = np.random.default_rng(9), np.random.default_rng(9)
+        buffered = 0
+        for _ in range(6):
+            values, caps = probe_sized_asks(gen, 3000)
+            buffered += fast_gen.bit_generator.state["has_uint32"]
+            results = rounds_against_reference(
+                values, caps, int(gen.integers(5, 21)), fast_gen, ref_gen
+            )
+            assert probed(results[0])
+        assert buffered >= 2
+
+    def test_empty_sample_through_the_fallback(self, monkeypatch):
+        # Above the crossover an empty sample has probability below
+        # e^-200.  With the crossover at one expected sampled unit, the
+        # probe reads half the pool in its first batch and falls back to
+        # the per-unit draw about a third of the time.
+        monkeypatch.setattr(engine, "_PROBE_MIN_SAMPLE", 1)
+        gen = np.random.default_rng(10)
+        values, caps = probe_sized_asks(gen, 30)
+        units = int(caps.sum())
+        m_i = units // 4  # about two expected sampled units
+        outcomes = []
+        for seed in range(40):
+            (fast,) = rounds_against_reference(
+                values,
+                caps,
+                m_i,
+                np.random.default_rng(seed),
+                np.random.default_rng(seed),
+                rounds=1,
+            )
+            outcomes.append(
+                "probe" if probed(fast)
+                else "empty" if fast.sample_indices.size == 0
+                else "fallback"
+            )
+        assert {"probe", "empty", "fallback"} <= set(outcomes)
+
+    def test_bit_generators_without_advance_draw_every_unit(self):
+        gen = np.random.default_rng(11)
+        values, caps = probe_sized_asks(gen, 3000)
+        results = rounds_against_reference(
+            values,
+            caps,
+            12,
+            np.random.Generator(np.random.MT19937(12)),
+            np.random.Generator(np.random.MT19937(12)),
+        )
+        assert results and not any(map(probed, results))
+
+    def test_tracing_counts_the_sample_off_the_run(self, monkeypatch):
+        # The traced counter reads the deferred sample: a redraw on a
+        # private generator, after every stage timer has stopped.  A
+        # redraw that jumps the stage clock by 1000 shows where it ran.
+        ticks = [0.0]
+
+        def clock():
+            ticks[0] += 1.0
+            return ticks[0]
+
+        redraw = engine._redrawn_sample
+
+        def slow_redraw(*args):
+            ticks[0] += 1000.0
+            return redraw(*args)
+
+        monkeypatch.setattr(engine, "_redrawn_sample", slow_redraw)
+        values, caps = probe_sized_asks(np.random.default_rng(14), 3000)
+        pool = make_pool(values, caps)
+        fast_gen, ref_gen = np.random.default_rng(15), np.random.default_rng(15)
+        fast_tracer, ref_tracer = Tracer("engine"), Tracer("reference")
+        timers = StageTimers(clock=clock)
+        fast = cra_presorted(
+            pool, 12, 12, fast_gen, timers=timers, tracer=fast_tracer
+        )
+        ref = cra(reference_pool(pool), 12, 12, ref_gen, tracer=ref_tracer)
+        assert probed(fast)
+        assert ticks[0] > 1000.0  # the counter drew the sample
+        assert max(timers.as_dict().values()) < 1000.0
+        assert full_state(fast_gen) == full_state(ref_gen)
+        drawn = fast_tracer.value("sample_units_drawn")
+        assert drawn == ref_tracer.value("sample_units_drawn") > 0
+        assert drawn == ref.sample_indices.size
+
+    def test_stream_run_matches_the_oracle(self, monkeypatch):
+        entered = []
+        probe = SortedTypePool._probe_price
+
+        def spy(pool, gen, bits, units, rate):
+            entered.append(bits.state["has_uint32"])
+            return probe(pool, gen, bits, units, rate)
+
+        monkeypatch.setattr(SortedTypePool, "_probe_price", spy)
+        gen = np.random.default_rng(13)
+        job = Job([12, 9, 15, 10])
+        tree = IncentiveTree()
+        asks = {}
+        for uid in range(6000):
+            tree.attach(uid, ROOT if uid < 50 else int(gen.integers(0, uid)))
+            asks[uid] = Ask(
+                task_type=int(gen.integers(0, 4)),
+                capacity=int(gen.integers(1, 9)),
+                value=float(gen.uniform(0.05, 10.0)),
+            )
+        for seed in range(3):
+            runs = {}
+            for name, mech in (
+                ("engine", RIT(rng_policy="stream", round_budget="until-complete")),
+                ("oracle", ReferenceRIT(rng_policy="stream", round_budget="until-complete")),
+            ):
+                run_gen = np.random.default_rng(seed)
+                runs[name] = (mech.run(job, asks, tree, run_gen), run_gen)
+            (fast, fast_gen), (ref, ref_gen) = runs["engine"], runs["oracle"]
+            assert full_state(fast_gen) == full_state(ref_gen)
+            assert fast.completed and ref.completed
+            assert fast.allocation == ref.allocation
+            assert fast.auction_payments == ref.auction_payments
+            assert fast.payments == ref.payments
+            assert [r.price for r in fast.rounds] == [r.price for r in ref.rounds]
+        assert 0 in entered and 1 in entered

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.core.exceptions import ModelError
-from repro.core.types import Ask, Job
+from repro.core.rit import RIT
+from repro.core.types import INT64_MAX, Ask, Job
+from repro.service import MechanismService, ServiceConfig
 from repro.service.events import (
     AskSubmitted,
     ReferralEdge,
@@ -62,6 +64,15 @@ class TestValidateEvent:
         assert validate_event(Withdrawal(tick=3, user_id=-1), JOB) is not None
 
 
+#: Asks past what the state's columns hold: capacities past int64 (1e300
+#: is an integral float) and an int value past the largest float.
+OUT_OF_RANGE_ASKS = [(0, 2**63, 1.0), (0, 1e300, 1.0), (0, 1, 10**400)]
+
+
+def short_id(value):
+    """``10**400`` as a test id; None leaves every other value to pytest."""
+    return "10**400" if value == 10**400 else None
+
 #: (task_type, capacity, value) asks that break the one ask rule.
 INVALID_ASKS = [
     (-1, 1, 1.0),
@@ -71,11 +82,20 @@ INVALID_ASKS = [
     (0, 1, -1.0),
     (0, 1, math.nan),
     (0, 1, math.inf),
+    *OUT_OF_RANGE_ASKS,
+]
+
+#: Events whose ids the int64 state columns cannot hold.
+OUT_OF_RANGE_IDS = [
+    AskSubmitted(tick=0, user_id=2**63, task_type=0, capacity=1, value=1.0),
+    ReferralEdge(tick=0, parent_id=ROOT, child_id=2**64),
+    ReferralEdge(tick=0, parent_id=2**63, child_id=1),
+    Withdrawal(tick=0, user_id=2**63),
 ]
 
 
 class TestOneAskRule:
-    @pytest.mark.parametrize("task_type, capacity, value", INVALID_ASKS)
+    @pytest.mark.parametrize("task_type, capacity, value", INVALID_ASKS, ids=short_id)
     def test_reason_is_the_ask_error_message(self, task_type, capacity, value):
         with pytest.raises(ModelError) as err:
             Ask(task_type=task_type, capacity=capacity, value=value)
@@ -89,6 +109,46 @@ class TestOneAskRule:
         event = AskSubmitted(tick=0, user_id=0, task_type=0, capacity=3.0, value=1.0)
         assert validate_event(event, JOB) is None
         assert Ask(task_type=0, capacity=3.0, value=1.0).capacity == 3
+
+    def test_int64_bounds_are_valid(self):
+        event = AskSubmitted(
+            tick=0, user_id=INT64_MAX, task_type=0, capacity=INT64_MAX,
+            value=1.0,
+        )
+        assert validate_event(event, JOB) is None
+        assert Ask(task_type=0, capacity=INT64_MAX, value=1.0).capacity == INT64_MAX
+        referral = ReferralEdge(tick=0, parent_id=INT64_MAX, child_id=INT64_MAX - 1)
+        assert validate_event(referral, JOB) is None
+
+    @pytest.mark.parametrize("event", OUT_OF_RANGE_IDS)
+    def test_ids_past_int64_are_invalid(self, event):
+        assert "must be <=" in validate_event(event, JOB)
+
+    def test_serve_counts_out_of_range_events_invalid(self):
+        # Each of these once crashed the consumer loop with an
+        # OverflowError from the state's columns.
+        bad = [
+            *OUT_OF_RANGE_IDS,
+            AskSubmitted(tick=0, user_id=2**64, task_type=0, capacity=1, value=1.0),
+            *(
+                AskSubmitted(
+                    tick=0, user_id=1, task_type=task_type, capacity=capacity,
+                    value=value,
+                )
+                for task_type, capacity, value in OUT_OF_RANGE_ASKS
+            ),
+        ]
+        good = [
+            AskSubmitted(tick=1, user_id=uid, task_type=tau, capacity=6, value=1.0)
+            for uid, tau in ((1, 0), (2, 1), (3, 2))
+        ]
+        service = MechanismService(
+            RIT(round_budget="until-complete"), JOB, ServiceConfig(seed=0)
+        )
+        report = service.serve_stream(bad + good)
+        assert report.invalid == len(bad)
+        assert report.applied == len(good)
+        assert report.epochs and report.epochs[-1].outcome.completed
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
 from repro.service.state import ServiceState
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from tests.service.state_oracle import ScanningState
+from tests.service.test_events import short_id
 from tests.tree.test_incentive_tree import assert_same_view, structure
 
 JOB = Job([4, 3, 5])
@@ -46,7 +47,16 @@ class TestAskAdmission:
 
     @pytest.mark.parametrize(
         "task_type, capacity, value",
-        [(-1, 1, 1.0), (0, 2.5, 1.0), (0, 1, 0.0), (0, 1, float("nan"))],
+        [
+            (-1, 1, 1.0),
+            (0, 2.5, 1.0),
+            (2**63, 1, 1.0),
+            (0, 2**63, 1.0),
+            (0, 1, 0.0),
+            (0, 1, float("nan")),
+            (0, 1, 10**400),
+        ],
+        ids=short_id,
     )
     def test_invalid_ask_that_skipped_the_frontend_raises(
         self, task_type, capacity, value
@@ -59,6 +69,15 @@ class TestAskAdmission:
         with pytest.raises(ModelError) as got:
             state.apply(ask(0, task_type=task_type, capacity=capacity, value=value))
         assert str(got.value) == str(want.value)
+        assert state.num_participants == 0
+
+    @pytest.mark.parametrize("user_id", [2**63, 2**64, -1])
+    def test_unadmitted_id_outside_int64_raises_model_error(self, user_id):
+        # A replayed stream skips the frontend: the int64 uid column must
+        # not turn an out-of-range id into an OverflowError.
+        state = ServiceState(JOB)
+        with pytest.raises(ModelError, match="user_id"):
+            state.apply(ask(user_id))
         assert state.num_participants == 0
 
     def test_integral_float_capacity_is_stored_as_an_int(self):
