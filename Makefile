@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -49,22 +49,17 @@ trace-smoke:
 serve:
 	PYTHONPATH=src $(PY) -m repro serve
 
-# CI gate (<10s): tiny seeded loadgen -> epoch-batched serve with sharded
-# workers -> bit-identity differential vs the offline replay.
+# CI gate (<10s): tiny seeded stream -> epoch-batched serve (one RIT.run
+# per epoch on a worker thread) -> bit-identity differential vs the
+# offline replay.
 serve-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --smoke
 
 # CI gate (<15s): boot the smoke service with the HTTP telemetry plane on
-# an ephemeral port, self-probe /metrics (must round-trip the OpenMetrics
-# parser), /healthz, /readyz and /epochs over real TCP, then validate the
-# service_slo bench section emitted by a tiny open-loop loadgen run into
-# a fresh file (a file left by an earlier run would be merged into).
+# an ephemeral port and self-probe /metrics (must round-trip the
+# OpenMetrics parser), /healthz, /readyz and /epochs over real TCP.
 metrics-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --smoke --metrics-port 0 --probe-metrics
-	rm -f /tmp/rit_metrics_smoke_bench.json
-	PYTHONPATH=src $(PY) -m repro loadgen --users 600 --types 3 \
-		--tasks-per-type 8 --epoch-events 256 --min-events 0 \
-		--bench --out /tmp/rit_metrics_smoke_bench.json
 
 # Live-adversary gate (docs/sentinel.md): three clean pinned scenarios
 # must stay alert-free, each seeded sybil/collusion/churn injection must
@@ -89,11 +84,6 @@ arena:
 # stream, same gates.
 arena-smoke:
 	PYTHONPATH=src $(PY) -m repro arena --smoke
-
-# Open-loop service throughput/latency (`rit loadgen --bench` merges the
-# service sections into BENCH_RIT.json).
-loadgen:
-	PYTHONPATH=src $(PY) -m repro loadgen
 
 # The full gate new PRs must pass: ruff + every RIT rule + types +
 # tier-1 tests + the trace schema smoke + the service

@@ -134,7 +134,7 @@ def build_streams(
     """``(job, clean stream, attacked stream, attack schedule)``.
 
     Pure function of the config: the scenario and stream RNGs are
-    spawned from ``config.seed`` exactly as ``rit loadgen`` does, and
+    spawned from ``config.seed`` exactly as ``rit serve`` does, and
     the attack splice is seeded by ``config.attack_seed``, so every
     caller — every mechanism's replay, every rerun — reconstructs
     byte-identical streams.

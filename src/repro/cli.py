@@ -17,14 +17,10 @@ Subcommands
 ``rit serve``             run the online epoch-batched mechanism service over
                           a seeded event stream and differential-check every
                           epoch against the offline ``RIT.run`` anchor
-                          (``--smoke`` is the tiny CI preset).
-``rit loadgen``           drive the service open-loop at scale and report
-                          throughput / epoch-latency percentiles
-                          (``--bench`` merges the ``service`` and
-                          ``service_slo`` sections into
-                          ``BENCH_RIT.json``; ``--graph`` picks the social
-                          regime, ``--attack`` injects a seeded adversary
-                          burst watched by the sentinel plane).
+                          (``--graph`` picks the social regime, ``--attack``
+                          injects a seeded adversary burst watched by the
+                          sentinel plane; ``--smoke`` is the tiny CI
+                          preset).
 ``rit sentinel``          run the live-adversary gate: clean pinned scenarios
                           must stay alert-free, seeded sybil/collusion/churn
                           injections must be flagged within K epochs, and the
@@ -49,7 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simulation import experiments as exp
 from repro.simulation.reporting import format_comparison_row, format_result
@@ -224,6 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded fraction of joined users that withdraw",
     )
     p_serve.add_argument(
+        "--graph", choices=sorted(_GRAPH_REGIME_NAMES), default="twitter",
+        help="social-graph regime the solicitation forest grows over",
+    )
+    p_serve.add_argument(
+        "--attack", choices=["sybil", "collusion", "churn"], default=None,
+        help="inject a seeded adversary burst and attach the sentinel plane",
+    )
+    p_serve.add_argument(
+        "--attack-epoch", type=int, default=4,
+        help="epoch index the injected burst lands at (with --attack)",
+    )
+    p_serve.add_argument(
+        "--attack-seed", type=int, default=None,
+        help="attack RNG seed (defaults to --seed)",
+    )
+    p_serve.add_argument(
         "--ledger", default=None,
         help="directory for the persistent JSONL outcome ledger",
     )
@@ -274,49 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--once", action="store_true", help="render a single table and exit"
-    )
-
-    p_load = sub.add_parser(
-        "loadgen",
-        help="drive the service open-loop and report throughput/latency",
-    )
-    p_load.add_argument("--users", type=int, default=26000)
-    p_load.add_argument("--types", type=int, default=4)
-    p_load.add_argument("--tasks-per-type", type=int, default=50)
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--epoch-events", type=int, default=8192)
-    p_load.add_argument("--epoch-ticks", type=int, default=None)
-    p_load.add_argument("--queue", type=int, default=4096)
-    p_load.add_argument("--withdraw-fraction", type=float, default=0.02)
-    p_load.add_argument(
-        "--min-events", type=int, default=None,
-        help="refuse to measure a stream smaller than this "
-        "(default 50000 with --bench, else 0)",
-    )
-    p_load.add_argument(
-        "--graph", choices=sorted(_GRAPH_REGIME_NAMES), default="twitter",
-        help="social-graph regime the solicitation forest grows over",
-    )
-    p_load.add_argument(
-        "--attack", choices=["sybil", "collusion", "churn"], default=None,
-        help="inject a seeded adversary burst and attach the sentinel plane",
-    )
-    p_load.add_argument(
-        "--attack-epoch", type=int, default=4,
-        help="epoch index the injected burst lands at (with --attack)",
-    )
-    p_load.add_argument(
-        "--attack-seed", type=int, default=None,
-        help="attack RNG seed (defaults to --seed)",
-    )
-    p_load.add_argument(
-        "--bench", action="store_true",
-        help="merge the measured ``service`` and ``service_slo`` sections "
-        "into the bench doc",
-    )
-    p_load.add_argument(
-        "--out", default="BENCH_RIT.json",
-        help="bench document to merge into (with --bench)",
     )
 
     p_sentinel = sub.add_parser(
@@ -588,7 +557,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         Tracer,
         config_hash,
         format_metrics_json,
-        format_prometheus,
+        format_openmetrics,
         render_span_tree,
     )
     from repro.workloads import paper_scenario
@@ -626,16 +595,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     snapshot = tracer.snapshot()
     if args.metrics == "prometheus":
-        metrics_text = format_prometheus(snapshot)
+        metrics_text = format_openmetrics(counters=snapshot)
     else:
-        metrics_text = json.dumps(format_metrics_json(snapshot), indent=2)
+        metrics_text = json.dumps(format_metrics_json(snapshot), indent=2) + "\n"
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(metrics_text + "\n")
+            handle.write(metrics_text)
         print(f"metrics -> {args.metrics_out}")
     else:
         print()
-        print(metrics_text)
+        print(metrics_text, end="")
 
     if args.smoke:
         from repro.obs.events import read_jsonl
@@ -654,7 +623,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ConfigurationError
+    from repro.core.exceptions import AttackError, ConfigurationError
     from repro.core.rit import RIT
     from repro.core.rng import spawn_seeds
     from repro.obs import Tracer, config_hash
@@ -677,10 +646,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         epoch_events, epoch_ticks = args.epoch_events, args.epoch_ticks
     seed = int(args.seed)
     scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
+    scenario = build_scenario(
+        users, types, tasks_per_type, scenario_rng, graph=args.graph
+    )
     events = scenario_event_stream(
         scenario, stream_rng, withdraw_fraction=args.withdraw_fraction
     )
+    schedule: Optional[Dict[str, Any]] = None
+    sentinel = None
+    if args.attack is not None:
+        from repro.sentinel import SentinelPlane, inject_attack
+
+        attack_seed = seed if args.attack_seed is None else args.attack_seed
+        try:
+            events, schedule = inject_attack(
+                events,
+                scenario.job,
+                kind=args.attack,
+                onset_epoch=args.attack_epoch,
+                epoch_max_events=epoch_events,
+                seed=attack_seed,
+            )
+        except (AttackError, ConfigurationError) as err:
+            # E.g. a negative --attack-epoch, or no join before the onset.
+            print(f"rit serve: {err}")
+            return 2
+        schedule["seed"] = attack_seed
+        sentinel = SentinelPlane()
     config = ServiceConfig(
         seed=seed,
         queue_size=args.queue,
@@ -697,6 +689,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "tasks_per_type": tasks_per_type,
         "epoch_max_events": epoch_events,
         "epoch_max_ticks": epoch_ticks,
+        "graph": args.graph,
+        "attack": schedule,
         **mechanism_params,
     }
     run_id = f"rit-serve-{seed}-{config_hash(run_config)}"
@@ -712,6 +706,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config,
         tracer=tracer,
         ledger=ledger,
+        sentinel=sentinel,
+        meta_extra={"attack": schedule} if schedule is not None else None,
     )
     if args.probe_metrics and args.metrics_port is None:
         print("rit serve: --probe-metrics requires --metrics-port")
@@ -742,6 +738,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{epoch.outcome.total_payment:>12,.2f}  "
             f"{epoch.latency_seconds * 1000:>7.1f}ms"
         )
+    if sentinel is not None and schedule is not None:
+        from repro.sentinel.harness import attack_result_doc
+
+        entry = attack_result_doc(sentinel, schedule)
+        detected = entry["detected_epoch"]
+        print(f"sentinel: {entry['kind']} injected at epoch "
+              f"{entry['onset_epoch']}, "
+              + ("NOT detected" if detected is None else
+                 f"detected at epoch {detected} "
+                 f"(+{entry['epochs_to_detect']})")
+              + f", {entry['alerts_total']} alert(s)")
     if ledger is not None:
         print(f"ledger -> {ledger.epochs_path}")
     if tracer is not None:
@@ -780,7 +787,9 @@ def _serve_with_metrics(service, events, args) -> Tuple[Any, List[str]]:
 
     The endpoint stays bound after the drain so ``--probe-metrics`` (and
     any watching ``rit top``) reads the final state over real TCP before
-    shutdown; by then ``/readyz`` must report the drained phase.
+    shutdown; by then ``/readyz`` must report the drained phase, and
+    ``/alerts`` must be enabled exactly when a sentinel plane is attached
+    (``--attack``).
     """
     import asyncio
     import json as _json
@@ -830,6 +839,11 @@ def _serve_with_metrics(service, events, args) -> Tuple[Any, List[str]]:
                         f"/epochs answered {status} with {len(frames)} frames, "
                         f"want {len(report.epochs)}"
                     )
+                status, text = await http_get(server.host, server.port, "/alerts")
+                if status != 200 or _json.loads(text).get("enabled") != (
+                    service.sentinel is not None
+                ):
+                    problems.append(f"/alerts answered {status}: {text}")
         finally:
             await server.stop()
         return report, problems
@@ -847,70 +861,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         once=args.once,
     )
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import merge_bench_sections
-    from repro.service.loadgen import run_service_bench
-
-    min_events = args.min_events
-    if min_events is None:
-        min_events = 50_000 if args.bench else 0
-    section = run_service_bench(
-        users=args.users,
-        types=args.types,
-        tasks_per_type=args.tasks_per_type,
-        seed=args.seed,
-        epoch_max_events=args.epoch_events,
-        epoch_max_ticks=args.epoch_ticks,
-        queue_size=args.queue,
-        withdraw_fraction=args.withdraw_fraction,
-        min_events=min_events,
-        graph=args.graph,
-        attack=args.attack,
-        attack_epoch=args.attack_epoch,
-        attack_seed=args.attack_seed,
-    )
-    slo = section.pop("slo")
-    sentinel_section = section.pop("sentinel", None)
-    events = section["events"]
-    latency = section["epoch_latency_seconds"]
-    print(f"stream: {events['generated']} events generated, "
-          f"{events['offered']} offered "
-          f"({events['accepted']} accepted / {events['invalid']} invalid / "
-          f"{events['rejected']} rejected / {events['gated']} gated)")
-    print(f"state:  {events['applied']} applied, {events['refused']} refused")
-    print(f"epochs: {section['epochs']['count']} "
-          f"({section['epochs']['completed']} completed, "
-          f"{section['epochs']['voided']} voided)")
-    print(f"throughput: {section['events_per_sec']:,.0f} events/s "
-          f"over {section['elapsed_seconds']:.2f}s")
-    print(f"epoch latency: p50 {latency['p50'] * 1000:.1f} ms  "
-          f"p95 {latency['p95'] * 1000:.1f} ms")
-    print(f"queue: highwater {section['queue']['highwater']}"
-          f"/{section['queue']['capacity']}")
-    for label in ("ingest", "epoch"):
-        block = slo[label]
-        print(f"slo {label}: p50 {block['p50'] * 1000:.2f} ms  "
-              f"p95 {block['p95'] * 1000:.2f} ms  "
-              f"p99 {block['p99'] * 1000:.2f} ms  "
-              f"(n={block['count']})")
-    if sentinel_section is not None:
-        entry = sentinel_section["attacks"][0]
-        detected = entry["detected_epoch"]
-        print(f"sentinel: {entry['kind']} injected at epoch "
-              f"{entry['onset_epoch']}, "
-              + ("NOT detected" if detected is None else
-                 f"detected at epoch {detected} "
-                 f"(+{entry['epochs_to_detect']})")
-              + f", {entry['alerts_total']} alert(s)")
-    if args.bench:
-        # The sentinel fragment of an --attack run is printed above, never
-        # merged: the ``sentinel`` section is ``rit sentinel --bench``'s.
-        return merge_bench_sections(
-            args.out, {"service": section, "service_slo": slo}
-        )
-    return 0
 
 
 def _cmd_sentinel(args: argparse.Namespace) -> int:
@@ -999,7 +949,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "serve": _cmd_serve,
         "top": _cmd_top,
-        "loadgen": _cmd_loadgen,
         "sentinel": _cmd_sentinel,
         "arena": _cmd_arena,
         "analyze": _cmd_analyze,

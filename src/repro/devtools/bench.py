@@ -5,24 +5,21 @@ The document is a set of sections, each written by one command's
 
 * ``analysis`` — ``rit analyze --bench`` (the analyzer's size and its
   cold/warm-cache cost);
-* ``service`` and ``service_slo`` — ``rit loadgen --bench`` (serving
-  throughput, epoch latency and the telemetry plane's histograms);
 * ``sentinel`` — ``rit sentinel --bench`` (the live-adversary record);
 * ``arena`` — ``rit arena --bench`` (the head-to-head scorecard).
 
 :func:`merge_bench_sections` is the one load/merge/validate/write path
-all four use.  Engine timing is not recorded here: ``perfbench/`` (see
-``BENCHMARK.json``) is the benchmark of record.
+all three use.  Neither engine timing nor serving throughput is recorded
+here: ``perfbench/`` (see ``BENCHMARK.json``) is the benchmark of record.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, List, Mapping
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "latency_summary",
     "merge_bench_sections",
     "validate_bench_schema",
     "write_bench",
@@ -30,30 +27,6 @@ __all__ = [
 
 #: Bump when the JSON layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
-
-
-def _percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of non-empty ``samples`` (``fraction`` in [0, 1])."""
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return float(ordered[rank])
-
-
-def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/mean/min of a latency sample set (nearest-rank percentiles).
-
-    Used by the serving-path bench (``rit loadgen --bench``); an empty
-    sample set (a run with zero epochs) summarizes to all-zero rather than
-    erroring, so bench documents stay schema-valid on degenerate configs.
-    """
-    if not samples:
-        return {"p50": 0.0, "p95": 0.0, "mean": 0.0, "min": 0.0}
-    return {
-        "p50": _percentile(samples, 0.50),
-        "p95": _percentile(samples, 0.95),
-        "mean": float(sum(samples) / len(samples)),
-        "min": float(min(samples)),
-    }
 
 
 def write_bench(result: Mapping[str, Any], path: str) -> None:
@@ -112,124 +85,6 @@ def validate_bench_schema(doc: Any) -> List[str]:
     for key, validate in _SECTION_VALIDATORS.items():
         if key in doc:
             errors.extend(validate(doc[key]))
-    return errors
-
-
-def _validate_service_section(section: Any) -> List[str]:
-    """Schema of the optional ``service`` section (``rit loadgen --bench``)."""
-    errors: List[str] = []
-    if not isinstance(section, dict):
-        return ["service is not an object"]
-    events = section.get("events")
-    if not isinstance(events, dict):
-        errors.append("service.events is not an object")
-    else:
-        for key in (
-            "generated",
-            "offered",
-            "accepted",
-            "invalid",
-            "rejected",
-            "applied",
-            "refused",
-        ):
-            value = events.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                errors.append(f"service.events.{key} must be a non-negative int")
-        # ``gated`` (sentinel admission-policy refusals) is optional so
-        # documents written before the sentinel plane stay valid.
-        gated = events.get("gated", 0)
-        if not isinstance(gated, int) or isinstance(gated, bool) or gated < 0:
-            errors.append("service.events.gated must be a non-negative int")
-        elif not errors and events["offered"] != (
-            events["accepted"] + events["invalid"] + events["rejected"] + gated
-        ):
-            errors.append(
-                "service.events must balance: offered == accepted + invalid "
-                "+ rejected + gated (refusals are counted, never silently "
-                "dropped)"
-            )
-    throughput = section.get("events_per_sec")
-    if not isinstance(throughput, float) or throughput <= 0.0:
-        errors.append("service.events_per_sec must be a positive float")
-    epochs = section.get("epochs")
-    if not isinstance(epochs, dict):
-        errors.append("service.epochs is not an object")
-    else:
-        for key in ("count", "completed", "voided"):
-            value = epochs.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                errors.append(f"service.epochs.{key} must be a non-negative int")
-    latency = section.get("epoch_latency_seconds")
-    if not isinstance(latency, dict):
-        errors.append("service.epoch_latency_seconds is not an object")
-    else:
-        for stat in ("p50", "p95", "mean", "min"):
-            value = latency.get(stat)
-            if not isinstance(value, float) or value < 0.0:
-                errors.append(
-                    f"service.epoch_latency_seconds.{stat} must be a "
-                    "non-negative float"
-                )
-    queue = section.get("queue")
-    if not isinstance(queue, dict):
-        errors.append("service.queue is not an object")
-    else:
-        capacity = queue.get("capacity")
-        highwater = queue.get("highwater")
-        if not isinstance(capacity, int) or capacity <= 0:
-            errors.append("service.queue.capacity must be a positive int")
-        if not isinstance(highwater, int) or highwater < 0:
-            errors.append("service.queue.highwater must be a non-negative int")
-        elif isinstance(capacity, int) and highwater > capacity:
-            errors.append(
-                "service.queue.highwater exceeds capacity — queue growth "
-                "was unbounded"
-            )
-    if not isinstance(section.get("config"), dict):
-        errors.append("service.config is not an object")
-    return errors
-
-
-def _validate_service_slo_section(section: Any) -> List[str]:
-    """Schema of the ``service_slo`` section (``rit loadgen --bench``).
-
-    The section is the telemetry plane's histogram summaries
-    (:meth:`repro.service.telemetry.ServiceTelemetry.slo_summary`): one
-    ``{count, sum, min, max, p50, p95, p99}`` block per instrumented
-    distribution.  Quantiles must be ordered and bounded by the exact
-    extremes — a violation means the histogram arithmetic regressed, not
-    that the service got slow.
-    """
-    errors: List[str] = []
-    if not isinstance(section, dict):
-        return ["service_slo is not an object"]
-    value = section.get("epochs_closed")
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        errors.append("service_slo.epochs_closed must be a non-negative int")
-    for block_name in ("ingest", "epoch", "queue_depth", "batch_events"):
-        block = section.get(block_name)
-        where = f"service_slo.{block_name}"
-        if not isinstance(block, dict):
-            errors.append(f"{where} is not an object")
-            continue
-        count = block.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            errors.append(f"{where}.count must be a non-negative int")
-            continue
-        bad_stat = False
-        for stat in ("sum", "min", "max", "p50", "p95", "p99"):
-            value = block.get(stat)
-            if not isinstance(value, float) or value < 0.0:
-                errors.append(f"{where}.{stat} must be a non-negative float")
-                bad_stat = True
-        if bad_stat or count == 0:
-            continue
-        if not block["min"] <= block["p50"] <= block["p95"] <= block["p99"] <= block["max"]:
-            errors.append(
-                f"{where} quantiles must be ordered: "
-                "min <= p50 <= p95 <= p99 <= max"
-            )
     return errors
 
 
@@ -510,8 +365,6 @@ def _validate_arena_section(section: Any) -> List[str]:
 
 
 _SECTION_VALIDATORS = {
-    "service": _validate_service_section,
-    "service_slo": _validate_service_slo_section,
     "analysis": _validate_analysis_section,
     "sentinel": _validate_sentinel_section,
     "arena": _validate_arena_section,

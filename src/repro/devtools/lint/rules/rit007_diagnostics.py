@@ -21,12 +21,12 @@ and breaks cross-run comparability, so both are flagged here.
 The scope is the instrumented set, module by module (not whole packages):
 uninstrumented modules keep the looser RIT005 contract.  The service
 state machine and the incentive tree are in it because the live path
-runs them on every event and every epoch.  Note what is
-deliberately *outside* the scope: ``repro.service.loadgen`` wraps the
-whole service run with ``time.perf_counter`` (a bench harness, not a
-traced path), ``repro.service.top`` is an interactive terminal client
-that legitimately sleeps between polls, and ``repro.sentinel.harness``
-is the bench/CLI driver for the live-adversary gate.  The arena's
+runs them on every event and every epoch, and ``repro.service.loadgen``
+because every live stream (``rit serve``, the harnesses, the benchmark)
+is built there.  Note what is deliberately *outside* the scope:
+``repro.service.top`` is an interactive terminal client that
+legitimately sleeps between polls, and ``repro.sentinel.harness`` is the
+bench/CLI driver for the live-adversary gate.  The arena's
 mechanism and replay modules (``repro.arena.protocol`` / ``omg`` /
 ``glt`` / ``harness``) are *in* scope — scorecard latency is measured on
 the tracer clock so reruns stay comparable — while
@@ -97,6 +97,7 @@ class RawDiagnostics(Rule):
         "repro.service.workers",
         "repro.service.service",
         "repro.service.telemetry",
+        "repro.service.loadgen",
         "repro.sentinel.attacks",
         "repro.sentinel.detectors",
         "repro.sentinel.plane",

@@ -58,7 +58,7 @@ from repro.obs.openmetrics import (
     metric_family_name,
     parse_openmetrics,
 )
-from repro.obs.render import format_metrics_json, format_prometheus, render_span_tree
+from repro.obs.render import format_metrics_json, render_span_tree
 from repro.obs.timers import STAGE_NAMES, Clock, StageTimers
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -95,6 +95,5 @@ __all__ = [
     "metric_family_name",
     "parse_openmetrics",
     "render_span_tree",
-    "format_prometheus",
     "format_metrics_json",
 ]

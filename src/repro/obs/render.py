@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.obs.catalog import describe_counter
-
-__all__ = ["render_span_tree", "format_prometheus", "format_metrics_json"]
+__all__ = ["render_span_tree", "format_metrics_json"]
 
 
 def _span_index(
@@ -88,43 +86,6 @@ def render_span_tree(
 
     walk(None, 0)
     return "\n".join(lines)
-
-
-def _prometheus_name(name: str, unit: str) -> str:
-    """``rit_``-prefixed, cleaned, unit-suffixed metric family name.
-
-    The ``_seconds`` / ``_bytes`` suffix comes from the counter catalog's
-    unit, never from the caller — and is skipped when the catalog name
-    already bakes it in (``stage_seconds/…`` ends mid-name, so those do
-    gain a trailing ``_seconds`` per the Prometheus naming convention).
-    """
-    cleaned = "".join(c if c.isalnum() else "_" for c in name)
-    metric = f"rit_{cleaned}"
-    if unit in ("seconds", "bytes") and not metric.endswith(f"_{unit}"):
-        metric = f"{metric}_{unit}"
-    return metric
-
-
-def format_prometheus(snapshot: Mapping[str, Mapping[str, Any]]) -> str:
-    """Prometheus text exposition of a counter snapshot.
-
-    Every metric gets ``# HELP`` (description from the counter catalog)
-    and ``# TYPE`` lines.  ``"count"`` and ``"bytes"`` counters export as
-    monotonic ``counter`` metrics (with the ``_total`` sample suffix),
-    ``"seconds"`` counters as ``gauge`` (they reset per run).
-    """
-    lines: List[str] = []
-    for name, entry in snapshot.items():
-        unit = str(entry["unit"])
-        metric = _prometheus_name(name, unit)
-        spec = describe_counter(name)
-        help_text = spec[1] if spec is not None else name
-        kind = "counter" if unit in ("count", "bytes") else "gauge"
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} {kind}")
-        sample = f"{metric}_total" if kind == "counter" else metric
-        lines.append(f"{sample} {entry['value']}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def format_metrics_json(

@@ -35,7 +35,6 @@ from repro.sentinel.harness import (
     attack_result_doc,
     render_sentinel_report,
     run_sentinel_report,
-    sentinel_section_for_run,
 )
 from repro.sentinel.plane import SentinelPlane
 from repro.sentinel.reputation import ReputationBook
@@ -58,5 +57,4 @@ __all__ = [
     "inject_attack",
     "render_sentinel_report",
     "run_sentinel_report",
-    "sentinel_section_for_run",
 ]

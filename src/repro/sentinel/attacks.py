@@ -47,7 +47,7 @@ from repro.service.events import (
 
 __all__ = ["ATTACK_KINDS", "StreamPrefix", "inject_attack"]
 
-#: The attack kinds ``rit loadgen --attack`` understands.
+#: The attack kinds ``rit serve --attack`` understands.
 ATTACK_KINDS = ("sybil", "collusion", "churn")
 
 
@@ -249,7 +249,7 @@ def inject_attack(
 
     Returns ``(rewritten_events, schedule)``; the schedule is a JSON-able
     replay record (kind, seed, onset, injected ids/values) that the
-    service persists in its ledger meta and ``rit loadgen --bench``
+    service persists in its ledger meta and ``rit sentinel --bench``
     records in the ``sentinel`` section.
     """
     if kind not in ATTACK_KINDS:

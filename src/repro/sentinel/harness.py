@@ -23,12 +23,11 @@ clean baseline.
 
 The result is the schema-validated ``sentinel`` section of
 ``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`).
-``rit loadgen --attack …`` reports a one-run fragment of the same shape
-(:func:`sentinel_section_for_run`) without merging it.
+``rit serve --attack …`` prints one run's :func:`attack_result_doc` as
+its detection line.
 
-Like :mod:`repro.service.loadgen` and :mod:`repro.service.top`, this is
-a bench/CLI harness and deliberately sits outside the RIT007
-instrumented-module scopes.
+Like :mod:`repro.service.top`, this is a bench/CLI driver and
+deliberately sits outside the RIT007 instrumented-module scopes.
 """
 
 from __future__ import annotations
@@ -50,13 +49,12 @@ __all__ = [
     "CLEAN_SCENARIOS",
     "ATTACK_SCENARIOS",
     "attack_result_doc",
-    "sentinel_section_for_run",
     "run_sentinel_report",
     "render_sentinel_report",
 ]
 
 #: Epoch budget an injected attack must be detected within (the ``K`` of
-#: the acceptance gate); shared by the harness and ``--attack --bench``.
+#: the acceptance gate); shared by the harness and ``rit serve --attack``.
 DEFAULT_DETECTION_BUDGET = 3
 
 #: The three clean pinned scenarios (one per graph regime).  No
@@ -171,30 +169,6 @@ def attack_result_doc(
         "alerts_before_onset": before_onset,
         "detectors": dict(plane.alert_counts),
         "schedule": dict(schedule),
-    }
-
-
-def sentinel_section_for_run(
-    plane: SentinelPlane,
-    schedule: Dict[str, Any],
-    *,
-    graph: str = "twitter",
-    k: int = DEFAULT_DETECTION_BUDGET,
-) -> Dict[str, Any]:
-    """The ``sentinel`` section shape for one ``--attack`` loadgen run."""
-    entry = attack_result_doc(plane, schedule, k=k)
-    entry["graph"] = graph
-    detected = (
-        entry["epochs_to_detect"] is not None
-        and entry["epochs_to_detect"] <= k
-    )
-    return {
-        "config": asdict(plane.config),
-        "k": k,
-        "clean": [],
-        "attacks": [entry],
-        "detection_within_k": bool(detected),
-        "zero_false_positives": entry["alerts_before_onset"] == 0,
     }
 
 

@@ -33,11 +33,7 @@ from repro.service.events import (
 )
 from repro.service.frontend import IngestFrontend
 from repro.service.ledger import OutcomeLedger, canonical_outcome
-from repro.service.loadgen import (
-    build_scenario,
-    run_service_bench,
-    scenario_event_stream,
-)
+from repro.service.loadgen import build_scenario, scenario_event_stream
 from repro.service.replay import differential_check, replay_outcomes
 from repro.service.service import (
     EpochResult,
@@ -87,5 +83,4 @@ __all__ = [
     "differential_check",
     "scenario_event_stream",
     "build_scenario",
-    "run_service_bench",
 ]

@@ -1,4 +1,4 @@
-"""Seeded open-loop load generator for the mechanism service.
+"""Seeded §7-A ingestion streams for the mechanism service.
 
 Turns a :class:`repro.workloads.scenarios.Scenario` into an ordered
 ingestion stream: referral edges and ask submissions in solicitation
@@ -7,25 +7,18 @@ the incentive tree grows in §4 — followed by an optional seeded cohort of
 withdrawals.  Virtual-time ticks advance by seeded integer gaps, so the
 epoch scheduler's Δ-tick trigger is exercised deterministically.
 
-``run_service_bench`` is the ``rit loadgen --bench`` engine: it drives
-the stream open-loop through a full :class:`~repro.service.service
-.MechanismService` (bounded queue, epoch worker, ledger off) and
-reports throughput and epoch-latency percentiles as the ``service``
-section of ``BENCH_RIT.json`` (see
-:func:`repro.devtools.bench.validate_bench_schema`).
+``rit serve``, the sentinel and arena harnesses and perfbench's live
+workloads all build their streams here.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.rit import RIT
-from repro.core.rng import SeedLike, as_generator, spawn_seeds
+from repro.core.rng import SeedLike, as_generator
 from repro.core.types import Job
 from repro.service.events import AskSubmitted, ReferralEdge, ServiceEvent, Withdrawal
-from repro.service.service import MechanismService, ServiceConfig
 from repro.socialnet.generators import forest_fire, twitter_like, watts_strogatz
 from repro.socialnet.graph import SocialGraph
 from repro.tree.incentive_tree import ROOT
@@ -36,7 +29,6 @@ __all__ = [
     "GRAPH_REGIMES",
     "scenario_event_stream",
     "build_scenario",
-    "run_service_bench",
 ]
 
 
@@ -53,7 +45,7 @@ def _forest_fire_graph(num_users: int, rng: SeedLike = None) -> SocialGraph:
 
 
 #: Social-graph regimes a loadgen scenario can grow its tree over
-#: (``rit loadgen --graph``): the twitter-like default plus the
+#: (``rit serve --graph``): the twitter-like default plus the
 #: small-world and forest-fire generators from
 #: :mod:`repro.socialnet.generators`, so attack and bench runs cover
 #: more than one solicitation-forest shape.
@@ -155,139 +147,3 @@ def build_scenario(
         distribution=UserDistribution(num_types=types),
         graph_builder=builder,
     )
-
-
-def run_service_bench(
-    *,
-    users: int = 26000,
-    types: int = 4,
-    tasks_per_type: int = 50,
-    seed: int = 0,
-    epoch_max_events: int = 8192,
-    epoch_max_ticks: Optional[int] = None,
-    queue_size: int = 4096,
-    withdraw_fraction: float = 0.02,
-    min_events: int = 0,
-    graph: str = "twitter",
-    attack: Optional[str] = None,
-    attack_epoch: int = 4,
-    attack_seed: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Drive one open-loop service run; returns the bench ``service`` doc.
-
-    With the defaults the generated stream carries >= 50k events
-    (referral + ask per non-root user, plus withdrawals).  ``min_events``
-    asserts a floor on the generated stream — the bench refuses to
-    silently measure a smaller workload than asked for.
-
-    ``attack`` rewrites the stream with a seeded adversary burst
-    (:func:`repro.sentinel.attacks.inject_attack`) at ``attack_epoch``
-    and attaches a :class:`~repro.sentinel.plane.SentinelPlane`; the
-    result then carries a ``sentinel`` fragment (detection latency,
-    alert counts, the injection schedule) that the CLI prints; it is never
-    merged over ``BENCH_RIT.json``'s ``sentinel`` section, which
-    ``rit sentinel --bench`` owns.
-    """
-    if users <= 0:
-        raise ConfigurationError(f"users must be positive, got {users}")
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(
-        users, types, tasks_per_type, scenario_rng, graph=graph
-    )
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=withdraw_fraction
-    )
-    if len(events) < min_events:
-        raise ConfigurationError(
-            f"generated stream has {len(events)} events, below the "
-            f"requested floor {min_events}; raise --users"
-        )
-    schedule: Optional[Dict[str, Any]] = None
-    sentinel = None
-    if attack is not None:
-        # Lazy import: repro.sentinel imports repro.service, so the
-        # dependency must stay one-way at module-load time.
-        from repro.sentinel.attacks import inject_attack
-        from repro.sentinel.plane import SentinelPlane
-
-        events, schedule = inject_attack(
-            events,
-            scenario.job,
-            kind=attack,
-            onset_epoch=attack_epoch,
-            epoch_max_events=epoch_max_events,
-            seed=attack_seed if attack_seed is not None else seed,
-        )
-        schedule["seed"] = attack_seed if attack_seed is not None else seed
-        sentinel = SentinelPlane()
-    # until-complete so epochs actually cover the job and exercise the
-    # payment phase — a voided epoch skips tree_payments entirely and
-    # would make the latency numbers flattering.
-    mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
-    config = ServiceConfig(
-        seed=seed,
-        queue_size=queue_size,
-        epoch_max_events=epoch_max_events,
-        epoch_max_ticks=epoch_max_ticks,
-    )
-    service = MechanismService(
-        mechanism,
-        scenario.job,
-        config,
-        sentinel=sentinel,
-        meta_extra={"attack": schedule} if schedule is not None else None,
-    )
-    t_start = time.perf_counter()
-    report = service.serve_stream(events, open_loop=True)
-    elapsed = time.perf_counter() - t_start
-
-    from repro.devtools.bench import latency_summary
-
-    latencies = [epoch.latency_seconds for epoch in report.epochs]
-    completed = sum(1 for epoch in report.epochs if epoch.outcome.completed)
-    doc: Dict[str, Any] = {
-        "config": {
-            "users": users,
-            "types": types,
-            "tasks_per_type": tasks_per_type,
-            "seed": seed,
-            "epoch_max_events": epoch_max_events,
-            "epoch_max_ticks": epoch_max_ticks,
-            "queue_size": queue_size,
-            "withdraw_fraction": withdraw_fraction,
-            "graph": graph,
-        },
-        "events": {
-            "generated": len(events),
-            "offered": report.offered,
-            "accepted": report.accepted,
-            "invalid": report.invalid,
-            "rejected": report.rejected,
-            "gated": report.gated,
-            "applied": report.applied,
-            "refused": report.refused,
-        },
-        "events_per_sec": report.offered / elapsed if elapsed > 0 else 0.0,
-        "elapsed_seconds": elapsed,
-        "epochs": {
-            "count": len(report.epochs),
-            "completed": completed,
-            "voided": len(report.epochs) - completed,
-        },
-        "epoch_latency_seconds": latency_summary(latencies),
-        "queue": {
-            "capacity": queue_size,
-            "highwater": report.queue_highwater,
-        },
-        # The telemetry plane's fixed-boundary histogram summaries; the
-        # CLI splits this off into the bench doc's ``service_slo``
-        # section (schema-validated separately).
-        "slo": service.telemetry.slo_summary(),
-    }
-    if sentinel is not None and schedule is not None:
-        from repro.sentinel.harness import sentinel_section_for_run
-
-        doc["sentinel"] = sentinel_section_for_run(
-            sentinel, schedule, graph=graph
-        )
-    return doc

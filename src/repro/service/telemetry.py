@@ -21,10 +21,11 @@ instrumented observations three ways:
   limit.
 
 The telemetry plane is deliberately independent of the tracer: it works
-on untraced runs (``rit loadgen --bench`` builds its ``service_slo``
-section from :meth:`ServiceTelemetry.slo_summary`), and when a recording
-tracer *is* attached the service mirrors every observation into
-``distribution`` events so traces stay the single replayable record.
+on untraced runs (``GET /epochs`` serves
+:meth:`ServiceTelemetry.slo_summary` live, and ``rit top`` renders it),
+and when a recording tracer *is* attached the service mirrors every
+observation into ``distribution`` events so traces stay the single
+replayable record.
 All mutation happens on the event-loop thread (single-writer).
 """
 
@@ -199,11 +200,13 @@ class ServiceTelemetry:
         }
 
     def slo_summary(self) -> Dict[str, Any]:
-        """The ``service_slo`` section of ``BENCH_RIT.json``.
+        """The SLO block of ``GET /epochs`` (rendered by ``rit top``).
 
-        Quantiles come from the fixed-boundary histograms (interpolated,
-        clamped to exact extremes — see :mod:`repro.obs.metrics`), so the
-        document is schema-stable even on degenerate runs.
+        One ``{count, sum, min, max, p50, p95, p99}`` block per service
+        histogram.  Quantiles come from the fixed-boundary histograms
+        (interpolated, clamped to exact extremes — see
+        :mod:`repro.obs.metrics`), so the shape is stable even on
+        degenerate runs.
         """
         return {
             "epochs_closed": self.epochs_closed,

@@ -30,133 +30,6 @@ class TestValidateSchema:
         assert validate_bench_schema(bare_doc()) == []
 
 
-def valid_service_section():
-    return {
-        "config": {"users": 400, "seed": 0},
-        "events": {
-            "generated": 800,
-            "offered": 800,
-            "accepted": 780,
-            "invalid": 5,
-            "rejected": 15,
-            "applied": 770,
-            "refused": 10,
-        },
-        "events_per_sec": 50_000.0,
-        "elapsed_seconds": 0.016,
-        "epochs": {"count": 3, "completed": 2, "voided": 1},
-        "epoch_latency_seconds": {
-            "mean": 0.004,
-            "min": 0.001,
-            "p50": 0.003,
-            "p95": 0.009,
-            "max": 0.01,
-        },
-        "queue": {"capacity": 512, "highwater": 200},
-    }
-
-
-class TestValidateServiceSection:
-    def base_doc(self):
-        doc = bare_doc()
-        doc["service"] = valid_service_section()
-        return doc
-
-    def test_valid_section_accepted(self):
-        assert validate_bench_schema(self.base_doc()) == []
-
-    def test_docs_without_service_section_stay_valid(self):
-        assert validate_bench_schema(bare_doc()) == []
-
-    def test_unbalanced_event_counts_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["events"]["rejected"] = 0  # silently dropped events
-        assert any("balance" in e for e in validate_bench_schema(doc))
-
-    def test_highwater_above_capacity_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["queue"]["highwater"] = 9999
-        assert any("unbounded" in e for e in validate_bench_schema(doc))
-
-    def test_missing_latency_stat_flagged(self):
-        doc = self.base_doc()
-        del doc["service"]["epoch_latency_seconds"]["p95"]
-        errors = validate_bench_schema(doc)
-        assert any("p95" in e for e in errors)
-
-    def test_non_positive_throughput_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["events_per_sec"] = 0.0
-        assert any("events_per_sec" in e for e in validate_bench_schema(doc))
-
-
-def valid_service_slo_section():
-    block = {
-        "count": 3, "sum": 0.03, "min": 0.001, "max": 0.02,
-        "p50": 0.005, "p95": 0.018, "p99": 0.02,
-    }
-    return {
-        "epochs_closed": 3,
-        "ingest": dict(block),
-        "epoch": dict(block),
-        "queue_depth": dict(block),
-        "batch_events": dict(block),
-    }
-
-
-class TestValidateServiceSloSection:
-    def base_doc(self):
-        doc = bare_doc()
-        doc["service"] = valid_service_section()
-        doc["service_slo"] = valid_service_slo_section()
-        return doc
-
-    def test_valid_section_accepted(self):
-        assert validate_bench_schema(self.base_doc()) == []
-
-    def test_real_telemetry_summary_validates(self):
-        # The validator must accept what the live plane actually emits.
-        from repro.service import ServiceTelemetry
-
-        doc = self.base_doc()
-        doc["service_slo"] = ServiceTelemetry().slo_summary()  # degenerate run
-        assert validate_bench_schema(doc) == []
-
-    def test_non_object_rejected(self):
-        doc = self.base_doc()
-        doc["service_slo"] = []
-        assert any("not an object" in e for e in validate_bench_schema(doc))
-
-    def test_negative_counter_flagged(self):
-        doc = self.base_doc()
-        doc["service_slo"]["epochs_closed"] = -1
-        assert any("epochs_closed" in e for e in validate_bench_schema(doc))
-
-    def test_missing_block_flagged(self):
-        doc = self.base_doc()
-        del doc["service_slo"]["queue_depth"]
-        assert any("queue_depth" in e for e in validate_bench_schema(doc))
-
-    def test_missing_quantile_flagged(self):
-        doc = self.base_doc()
-        del doc["service_slo"]["epoch"]["p99"]
-        assert any("epoch.p99" in e for e in validate_bench_schema(doc))
-
-    def test_unordered_quantiles_flagged(self):
-        doc = self.base_doc()
-        doc["service_slo"]["epoch"]["p95"] = 0.5  # above p99 and max
-        assert any("ordered" in e for e in validate_bench_schema(doc))
-
-    def test_empty_blocks_skip_ordering_check(self):
-        doc = self.base_doc()
-        zero = {
-            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-        doc["service_slo"]["ingest"] = zero
-        assert validate_bench_schema(doc) == []
-
-
 def valid_analysis_section():
     return {
         "files_analyzed": 115,
@@ -394,13 +267,6 @@ class TestCommittedBaseline:
         assert arena["mechanisms"]["glt"]["budget"]["consistent"] is True
 
 
-#: A tiny loadgen run (a second or so) for the ``--bench`` merge tests.
-LOADGEN_TINY = [
-    "loadgen", "--users", "400", "--types", "2", "--tasks-per-type", "6",
-    "--epoch-events", "64", "--queue", "512", "--min-events", "0",
-]
-
-
 def _invalid(command, monkeypatch):
     """Make ``command``'s ``--bench`` produce an invalid section; its argv."""
     if command == "analyze":
@@ -411,18 +277,6 @@ def _invalid(command, monkeypatch):
         monkeypatch.setattr(analyze_cli, "bench_section", lambda paths: section)
         target = str(REPO_ROOT / "src" / "repro" / "core" / "bounds.py")
         return ["analyze", "--bench", target, "--bench-out"]
-    if command == "loadgen":
-        import repro.service.loadgen as loadgen
-
-        real_run = loadgen.run_service_bench
-
-        def unbalanced(**kwargs):
-            section = real_run(**kwargs)
-            section["events"]["offered"] += 2  # two refusals counted nowhere
-            return section
-
-        monkeypatch.setattr(loadgen, "run_service_bench", unbalanced)
-        return [*LOADGEN_TINY, "--bench", "--out"]
     if command == "sentinel":
         import repro.sentinel.harness as harness
 
@@ -439,9 +293,7 @@ def _invalid(command, monkeypatch):
 
 
 class TestMergeBench:
-    @pytest.mark.parametrize(
-        "command", ["analyze", "loadgen", "sentinel", "arena"]
-    )
+    @pytest.mark.parametrize("command", ["analyze", "sentinel", "arena"])
     def test_invalid_section_is_refused_in_a_fresh_file(
         self, command, tmp_path, monkeypatch, capsys
     ):
@@ -450,22 +302,6 @@ class TestMergeBench:
         assert main([*argv, str(out)]) == 1
         assert f"refusing to write {out}" in capsys.readouterr().out
         assert not out.exists()
-
-    def test_loadgen_attack_leaves_the_sentinel_record(self, tmp_path, capsys):
-        committed = json.loads(COMMITTED_BENCH.read_text())
-        out = tmp_path / "bench.json"
-        write_bench({**bare_doc(), "sentinel": committed["sentinel"]}, str(out))
-        before = json.dumps(committed["sentinel"], indent=1, sort_keys=True)
-        argv = [*LOADGEN_TINY, "--attack", "sybil", "--attack-epoch", "3"]
-        assert main([*argv, "--bench", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "sentinel: sybil injected" in stdout
-        assert "service + service_slo sections merged" in stdout
-        doc = json.loads(out.read_text())
-        assert set(doc) == {
-            "schema_version", "sentinel", "service", "service_slo",
-        }
-        assert json.dumps(doc["sentinel"], indent=1, sort_keys=True) == before
 
 
 def test_write_bench_round_trips(tmp_path):

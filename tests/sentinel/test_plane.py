@@ -201,6 +201,9 @@ class TestAdmissionGate:
         )
         report = service.serve_stream(events)
         assert report.gated == 1
+        assert report.offered == (
+            report.accepted + report.invalid + report.rejected + report.gated
+        )
         assert [e.user_id for e in report.consumed] == [2]
         replayed = replay_outcomes(
             report.consumed, job,

@@ -1,8 +1,19 @@
-"""CLI coverage for ``rit serve``, ``rit loadgen`` and ``rit top``."""
+"""CLI coverage for ``rit serve`` and ``rit top``."""
 
 import json
+import re
 
 from repro.cli import build_parser, main
+from repro.sentinel import DEFAULT_DETECTION_BUDGET
+
+#: A collusion cartel spliced into a seeded 400-user watts-strogatz
+#: stream at epoch 5 (attack seed 202).
+COLLUSION_ARGV = [
+    "serve", "--users", "400", "--types", "3", "--tasks-per-type", "6",
+    "--seed", "5", "--epoch-events", "32", "--withdraw-fraction", "0",
+    "--graph", "watts-strogatz", "--attack", "collusion",
+    "--attack-epoch", "5", "--attack-seed", "202",
+]
 
 
 class TestParser:
@@ -15,16 +26,21 @@ class TestParser:
         assert args.metrics_port is None
         assert args.metrics_host == "127.0.0.1"
         assert args.probe_metrics is False
-        # One engine, one sharded epoch path: nothing left to select.
+        assert args.graph == "twitter"
+        assert args.attack is None
+        assert args.attack_epoch == 4
+        assert args.attack_seed is None
+        # One engine, one epoch path: nothing left to select.
         assert not hasattr(args, "engine") and not hasattr(args, "no_shard")
 
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.command == "loadgen"
-        assert args.bench is False
-        assert args.users == 26000
-        assert args.min_events is None
-        assert not hasattr(args, "engine") and not hasattr(args, "no_shard")
+    def test_loadgen_is_gone(self, capsys):
+        try:
+            build_parser().parse_args(["loadgen"])
+        except SystemExit as exit_:
+            assert exit_.code == 2
+        else:
+            raise AssertionError("rit loadgen still parses")
+        assert "invalid choice: 'loadgen'" in capsys.readouterr().err
 
     def test_top_defaults(self):
         args = build_parser().parse_args(["top"])
@@ -89,6 +105,59 @@ class TestServe:
         assert "--metrics-port" in capsys.readouterr().out
 
 
+class TestServeAttack:
+    def test_collusion_is_detected_behind_the_differential(
+        self, tmp_path, capsys
+    ):
+        assert main([*COLLUSION_ARGV, "--ledger", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "differential check OK" in out
+        detection = re.search(
+            r"sentinel: collusion injected at epoch 5, detected at epoch "
+            r"(\d+) \(\+(\d+)\)",
+            out,
+        )
+        assert detection is not None, out
+        assert int(detection.group(1)) >= 5
+        assert int(detection.group(2)) <= DEFAULT_DETECTION_BUDGET
+        (run,) = tmp_path.iterdir()
+        schedule = json.loads((run / "meta.json").read_text())["attack"]
+        assert schedule["kind"] == "collusion"
+        assert schedule["onset_epoch"] == 5
+        assert schedule["seed"] == 202
+        assert schedule["epoch_max_events"] == 32
+
+    def test_graph_and_attack_name_the_run(self, tmp_path, capsys):
+        clean = ["serve", "--smoke"]
+        argvs = [
+            clean,
+            [*clean, "--graph", "forest-fire"],
+            [*clean, "--attack", "sybil", "--attack-epoch", "3"],
+            [*clean, "--attack", "sybil", "--attack-epoch", "3",
+             "--attack-seed", "9"],
+        ]
+        for argv in argvs:
+            assert main([*argv, "--ledger", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # Four distinct run ids: no configuration reruns into another's
+        # ledger directory.
+        assert len(list(tmp_path.iterdir())) == len(argvs)
+
+    def test_bad_onset_is_a_usage_error(self, capsys):
+        argv = ["serve", "--smoke", "--attack", "churn", "--attack-epoch", "-1"]
+        assert main(argv) == 2
+        assert "rit serve: onset_epoch must be >= 0" in capsys.readouterr().out
+
+    def test_alerts_endpoint_is_enabled_with_an_attack(self, capsys):
+        code = main(["serve", "--smoke", "--attack", "sybil",
+                     "--attack-epoch", "3", "--metrics-port", "0",
+                     "--probe-metrics"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sentinel: sybil injected at epoch 3" in out
+        assert "metrics probe OK" in out
+
+
 class TestTop:
     def test_renders_service_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "service_trace.jsonl"
@@ -104,73 +173,3 @@ class TestTop:
     def test_requires_a_source(self, capsys):
         assert main(["top"]) == 2
         assert "exactly one" in capsys.readouterr().out
-
-
-class TestLoadgen:
-    def test_small_run_reports_throughput(self, capsys):
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        assert "epoch latency" in out
-
-    def test_bench_merges_service_section(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_RIT.json"
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-                "--min-events", "0",
-                "--bench",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["service"]["events"]["generated"] >= 400
-        assert (
-            doc["service"]["events"]["offered"]
-            == doc["service"]["events"]["accepted"]
-            + doc["service"]["events"]["invalid"]
-            + doc["service"]["events"]["rejected"]
-        )
-
-    def test_bench_merges_service_slo_section(self, tmp_path, capsys):
-        from repro.devtools.bench import _validate_service_slo_section
-
-        out_path = tmp_path / "BENCH_RIT.json"
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-                "--min-events", "0",
-                "--bench",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "service_slo sections merged" in out
-        assert "slo ingest" in out
-        doc = json.loads(out_path.read_text())
-        slo = doc["service_slo"]
-        assert _validate_service_slo_section(slo) == []
-        assert slo["epochs_closed"] == doc["service"]["epochs"]["count"]
-        assert slo["epoch"]["count"] == slo["epochs_closed"]

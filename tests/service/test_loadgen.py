@@ -1,25 +1,13 @@
-"""Load generator determinism and the bench ``service`` section."""
+"""Seeded §7-A stream determinism and the graph regimes."""
 
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.devtools.bench import validate_bench_schema
 from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
 from repro.service.loadgen import (
     GRAPH_REGIMES,
     build_scenario,
-    run_service_bench,
     scenario_event_stream,
-)
-
-BENCH_TINY = dict(
-    users=400,
-    types=2,
-    tasks_per_type=6,
-    seed=0,
-    epoch_max_events=256,
-    queue_size=512,
-    withdraw_fraction=0.05,
 )
 
 
@@ -75,9 +63,14 @@ class TestScenarioEventStream:
 
 class TestGraphRegimes:
     def test_cli_choices_match_the_registry(self):
-        from repro.cli import _GRAPH_REGIME_NAMES
+        from repro.cli import _GRAPH_REGIME_NAMES, build_parser
 
         assert set(_GRAPH_REGIME_NAMES) == set(GRAPH_REGIMES)
+        parser = build_parser()
+        for graph in GRAPH_REGIMES:
+            assert parser.parse_args(["serve", "--graph", graph]).graph == graph
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--graph", "bipartite"])
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -105,52 +98,3 @@ class TestGraphRegimes:
         named = build_scenario(60, 3, 5, 1, graph="twitter")
         default = build_scenario(60, 3, 5, 1)
         assert named.tree.to_parent_map() == default.tree.to_parent_map()
-
-
-class TestAttackBench:
-    def test_attack_run_emits_schema_valid_sentinel_section(self):
-        section = run_service_bench(
-            users=400, types=3, tasks_per_type=6, seed=5,
-            epoch_max_events=32, withdraw_fraction=0.0,
-            graph="watts-strogatz", attack="collusion", attack_epoch=5,
-            attack_seed=202, min_events=0,
-        )
-        from repro.devtools.bench import _validate_sentinel_section
-
-        sentinel = section["sentinel"]
-        assert _validate_sentinel_section(sentinel) == []
-        assert sentinel["detection_within_k"] is True
-        entry = sentinel["attacks"][0]
-        assert entry["kind"] == "collusion"
-        assert entry["graph"] == "watts-strogatz"
-        assert entry["schedule"]["seed"] == 202
-        assert section["events"]["gated"] == 0
-
-    def test_clean_run_has_no_sentinel_section(self):
-        section = run_service_bench(**{**BENCH_TINY, "min_events": 0})
-        assert "sentinel" not in section
-
-
-class TestRunServiceBench:
-    def test_tiny_run_emits_schema_valid_section(self):
-        section = run_service_bench(**BENCH_TINY)
-        # Validate through the real schema gate by mounting the section on
-        # a minimal document the validator recognizes as service-bearing.
-        errors = [
-            e
-            for e in validate_bench_schema(
-                {"schema_version": 1, "service": section}
-            )
-            if e.startswith("service")
-        ]
-        assert errors == []
-        assert section["events"]["generated"] >= 400
-        assert section["epochs"]["count"] >= 1
-
-    def test_min_events_floor_enforced(self):
-        with pytest.raises(ConfigurationError):
-            run_service_bench(**{**BENCH_TINY, "min_events": 10_000_000})
-
-    def test_rejects_non_positive_users(self):
-        with pytest.raises(ConfigurationError):
-            run_service_bench(**{**BENCH_TINY, "users": 0})

@@ -24,7 +24,9 @@ from repro.service import (
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 
 
-def small_run(seed=0, users=100, types=3, tasks_per_type=5, **kwargs):
+def small_run(
+    seed=0, users=100, types=3, tasks_per_type=5, open_loop=False, **kwargs
+):
     scenario_rng, stream_rng = spawn_seeds(seed, 2)
     scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
     events = scenario_event_stream(
@@ -37,7 +39,7 @@ def small_run(seed=0, users=100, types=3, tasks_per_type=5, **kwargs):
         ServiceConfig(seed=seed, epoch_max_events=32),
         **kwargs,
     )
-    report = service.serve_stream(events)
+    report = service.serve_stream(events, open_loop=open_loop)
     return service, report
 
 
@@ -169,21 +171,29 @@ class TestServiceTelemetry:
             ServiceTelemetry(ring_size=0)
 
     def test_slo_summary_shape(self):
-        service, report = small_run()
-        slo = service.telemetry.slo_summary()
-        assert slo["epochs_closed"] == len(report.epochs)
-        for key in ("ingest", "epoch", "queue_depth", "batch_events"):
-            summary = slo[key]
-            assert set(summary) == {
-                "count", "sum", "min", "max", "p50", "p95", "p99",
-            }
-            if summary["count"]:
-                assert (
-                    summary["min"] <= summary["p50"] <= summary["p95"]
-                    <= summary["p99"] <= summary["max"]
-                )
-        assert slo["epoch"]["count"] == len(report.epochs)
-        assert slo["batch_events"]["sum"] == float(report.applied)
+        # Quantiles are interpolated inside fixed buckets and clamped to
+        # the exact extremes, so a served run, closed or open loop, must
+        # keep every non-empty block ordered.
+        for open_loop in (False, True):
+            service, report = small_run(open_loop=open_loop)
+            slo = service.telemetry.slo_summary()
+            assert slo["epochs_closed"] == len(report.epochs)
+            for key in ("ingest", "epoch", "queue_depth", "batch_events"):
+                summary = slo[key]
+                assert set(summary) == {
+                    "count", "sum", "min", "max", "p50", "p95", "p99",
+                }
+                assert isinstance(summary["count"], int)
+                for stat in ("sum", "min", "max", "p50", "p95", "p99"):
+                    assert isinstance(summary[stat], float), (key, stat)
+                    assert summary[stat] >= 0.0, (key, stat)
+                if summary["count"]:
+                    assert (
+                        summary["min"] <= summary["p50"] <= summary["p95"]
+                        <= summary["p99"] <= summary["max"]
+                    ), (open_loop, key, summary)
+            assert slo["epoch"]["count"] == len(report.epochs)
+            assert slo["batch_events"]["sum"] == float(report.applied)
 
     def test_counters_snapshot_names_are_cataloged(self):
         from repro.obs.catalog import describe_counter

@@ -200,6 +200,29 @@ class TestTrace:
         assert payload["cra_rounds"]["unit"] == "count"
         assert payload["tasks_allocated"]["value"] == 24
 
+    def test_metrics_out_round_trips_openmetrics(self, tmp_path, capsys):
+        from repro.obs import metric_family_name, parse_openmetrics
+
+        argv = ["trace", "--users", "120", "--types", "3",
+                "--tasks-per-type", "8", "--out", str(tmp_path / "t.jsonl")]
+        exposition = tmp_path / "metrics.txt"
+        snapshot = tmp_path / "metrics.json"
+        assert main([*argv, "--metrics-out", str(exposition)]) == 0
+        assert main([*argv, "--metrics", "json",
+                     "--metrics-out", str(snapshot)]) == 0
+        families = parse_openmetrics(exposition.read_text())
+        counters = json.loads(snapshot.read_text())
+        assert counters
+        assert set(families) == {
+            metric_family_name(name, entry["unit"])
+            for name, entry in counters.items()
+        }
+        for name, entry in counters.items():
+            family = families[metric_family_name(name, entry["unit"])]
+            (sample,) = family.samples
+            if entry["unit"] != "seconds":  # wall time differs per run
+                assert sample.value == entry["value"]
+
 
 class TestArena:
     def test_parser_defaults(self):
