@@ -743,12 +743,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         entry = attack_result_doc(sentinel, schedule)
         detected = entry["detected_epoch"]
+        verdict = (
+            "NOT detected" if detected is None else
+            f"detected at epoch {detected} (+{entry['epochs_to_detect']})"
+        )
+        # Name the detectors: the first alert at or after the onset counts
+        # as the detection whichever detector raised it.
+        fired = ", ".join(
+            f"{name}={count}" for name, count in sorted(entry["detectors"].items())
+        )
         print(f"sentinel: {entry['kind']} injected at epoch "
-              f"{entry['onset_epoch']}, "
-              + ("NOT detected" if detected is None else
-                 f"detected at epoch {detected} "
-                 f"(+{entry['epochs_to_detect']})")
-              + f", {entry['alerts_total']} alert(s)")
+              f"{entry['onset_epoch']}, {verdict}, "
+              f"{entry['alerts_total']} alert(s)"
+              + (f" [{fired}]" if fired else ""))
     if ledger is not None:
         print(f"ledger -> {ledger.epochs_path}")
     if tracer is not None:

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.sentinel import DEFAULT_DETECTION_BUDGET
 
@@ -34,12 +36,9 @@ class TestParser:
         assert not hasattr(args, "engine") and not hasattr(args, "no_shard")
 
     def test_loadgen_is_gone(self, capsys):
-        try:
-            build_parser().parse_args(["loadgen"])
-        except SystemExit as exit_:
-            assert exit_.code == 2
-        else:
-            raise AssertionError("rit loadgen still parses")
+        with pytest.raises(SystemExit) as exit_:
+            main(["loadgen"])
+        assert exit_.value.code == 2
         assert "invalid choice: 'loadgen'" in capsys.readouterr().err
 
     def test_top_defaults(self):
@@ -114,12 +113,14 @@ class TestServeAttack:
         assert "differential check OK" in out
         detection = re.search(
             r"sentinel: collusion injected at epoch 5, detected at epoch "
-            r"(\d+) \(\+(\d+)\)",
+            r"(\d+) \(\+(\d+)\), \d+ alert\(s\) \[(.*)\]",
             out,
         )
         assert detection is not None, out
         assert int(detection.group(1)) >= 5
         assert int(detection.group(2)) <= DEFAULT_DETECTION_BUDGET
+        # The §4-A price cartel is flagged by the mean-ask drift detector.
+        assert "price_drift=" in detection.group(3)
         (run,) = tmp_path.iterdir()
         schedule = json.loads((run / "meta.json").read_text())["attack"]
         assert schedule["kind"] == "collusion"
