@@ -43,6 +43,31 @@ def small_run(
     return service, report
 
 
+SLO_BLOCKS = ("ingest", "epoch", "queue_depth", "batch_events")
+
+
+def assert_slo_summary_well_formed(slo):
+    """Every block present, typed, non-negative, and ordered when non-empty."""
+    assert set(slo) == {"epochs_closed", *SLO_BLOCKS}
+    assert isinstance(slo["epochs_closed"], int)
+    assert slo["epochs_closed"] >= 0
+    for key in SLO_BLOCKS:
+        summary = slo[key]
+        assert set(summary) == {
+            "count", "sum", "min", "max", "p50", "p95", "p99",
+        }
+        assert isinstance(summary["count"], int)
+        assert summary["count"] >= 0, key
+        for stat in ("sum", "min", "max", "p50", "p95", "p99"):
+            assert isinstance(summary[stat], float), (key, stat)
+            assert summary[stat] >= 0.0, (key, stat)
+        if summary["count"]:
+            assert (
+                summary["min"] <= summary["p50"] <= summary["p95"]
+                <= summary["p99"] <= summary["max"]
+            ), (key, summary)
+
+
 def chain_tree():
     tree = IncentiveTree()
     tree.attach(1, ROOT)
@@ -177,23 +202,19 @@ class TestServiceTelemetry:
         for open_loop in (False, True):
             service, report = small_run(open_loop=open_loop)
             slo = service.telemetry.slo_summary()
+            assert_slo_summary_well_formed(slo)
             assert slo["epochs_closed"] == len(report.epochs)
-            for key in ("ingest", "epoch", "queue_depth", "batch_events"):
-                summary = slo[key]
-                assert set(summary) == {
-                    "count", "sum", "min", "max", "p50", "p95", "p99",
-                }
-                assert isinstance(summary["count"], int)
-                for stat in ("sum", "min", "max", "p50", "p95", "p99"):
-                    assert isinstance(summary[stat], float), (key, stat)
-                    assert summary[stat] >= 0.0, (key, stat)
-                if summary["count"]:
-                    assert (
-                        summary["min"] <= summary["p50"] <= summary["p95"]
-                        <= summary["p99"] <= summary["max"]
-                    ), (open_loop, key, summary)
             assert slo["epoch"]["count"] == len(report.epochs)
             assert slo["batch_events"]["sum"] == float(report.applied)
+
+    def test_idle_slo_summary_is_well_formed(self):
+        # A plane that has seen nothing (what /epochs serves before the
+        # first epoch) still emits every block, with typed zero stats.
+        slo = ServiceTelemetry().slo_summary()
+        assert_slo_summary_well_formed(slo)
+        assert slo["epochs_closed"] == 0
+        for key in SLO_BLOCKS:
+            assert slo[key]["count"] == 0, key
 
     def test_counters_snapshot_names_are_cataloged(self):
         from repro.obs.catalog import describe_counter
