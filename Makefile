@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check perfbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check perfbench-smoke microbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -89,14 +89,20 @@ arena-smoke:
 # tier-1 tests + the trace schema smoke + the service
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
-# benchmark's self-tests.
-check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
+# benchmark's self-tests + one pass of the CRA microbenchmarks.
+check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke microbench-smoke
 
 # CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
 # pinned outcome digests of all three workloads, so a change to child
 # order, BFS order or payment summation order fails here.
 perfbench-smoke:
 	$(PY) -m pytest perfbench/test_perfbench.py -q
+
+# CI gate (~3s): every CRA microbenchmark case run once, untimed, so a
+# change to the SortedTypePool or cra_presorted API cannot break them
+# unnoticed.
+microbench-smoke:
+	PYTHONPATH=src $(PY) -m pytest benchmarks/test_ablations.py -k Microbench --benchmark-disable -q
 
 # Full pytest-benchmark sweep over benchmarks/.
 bench-pytest:

@@ -12,7 +12,8 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
 * **CRA microbenchmark** — the per-round cost on large unit-ask vectors,
   the quantity behind Fig. 8's linear scaling: the reference ``cra``
   re-sorts every unit, the production ``cra_presorted`` round reads only
-  the cheapest users' sample uniforms.
+  the cheapest users' sample uniforms, and a whole shard of rounds costs
+  about the same at every pool size.
 """
 
 import itertools
@@ -180,10 +181,9 @@ class TestCRAMicrobench:
 
         Above the jump-ahead crossover (an expected sample of 200 units;
         10k units expect 100 and draw every uniform) the sample stage
-        reads only the cheapest users' uniforms, so it costs the same at
-        every size; what still grows is the round's one cumulative sum
-        over the users (about a tenth as many as units here) for its unit
-        bounds.
+        reads only the cheapest users' uniforms, and every unit start and
+        cut is read off the pool's construction-time sums, so the round
+        costs about the same at every size.
         """
         gen = np.random.default_rng(0)
         users = units // 10  # capacities 1..19, ten units on average
@@ -201,6 +201,35 @@ class TestCRAMicrobench:
             cra_presorted, setup=fresh_round, rounds=200, iterations=1
         )
         assert 0 < result.num_winners <= 50
+
+    @pytest.mark.parametrize("units", [10_000, 100_000, 1_000_000])
+    def test_shard_cost(self, benchmark, units):
+        """One type's auction phase at ``m_i = 50``, each on a fresh fork.
+
+        ``RIT.run_type_shard`` clears rounds until the type is covered.
+        A round subtracts the units consumed so far from the pool's
+        construction-time sums instead of summing over the users again,
+        so above the jump-ahead crossover the shard costs about the same
+        at every size.
+        """
+        gen = np.random.default_rng(0)
+        users = units // 10  # capacities 1..19, ten units on average
+        pool = SortedTypePool(
+            np.arange(users),
+            gen.uniform(0.1, 10.0, size=users),
+            gen.integers(1, 20, size=users),
+        )
+        mech = RIT(round_budget="until-complete")
+        seeds = itertools.count()
+
+        def fresh_shard():
+            gen = np.random.default_rng(next(seeds))
+            return (0, 50, pool.fork(), 5, 1, gen), {}
+
+        shard = benchmark.pedantic(
+            mech.run_type_shard, setup=fresh_shard, rounds=100, iterations=1
+        )
+        assert shard.covered
 
 
 class TestSampleRateAblation:

@@ -9,11 +9,14 @@ restores the paper's ``O(N·|J|)`` shape by doing the expensive work once:
 * each :class:`SortedTypePool` sorts its participants by ask value **once**
   at construction (stable, preserving the user-id tie-break order that
   CRA's correctness depends on — see :mod:`repro.core.cra`);
-* the pool keeps the prefix sums of its remaining capacities in that
-  sorted order, recomputed once per round when winners consume capacity,
-  so the supply count ``z_s`` is a ``searchsorted`` plus one lookup, and
-  the smallest-``n_s`` selection cuts the sorted order at one more
-  ``searchsorted`` instead of a fresh ``argsort``.
+* the pool takes the prefix sums of its capacities once, at construction,
+  in that sorted order and in user order, and keeps the units consumed
+  since as two small sorted arrays; every read is a construction-time sum
+  less a ``searchsorted`` count of consumed units, so the supply count
+  ``z_s``, the smallest-``n_s`` cut of the sorted order and each user's
+  unit block cost a few ``searchsorted`` calls instead of a fresh
+  ``argsort`` or a pass over the type's users.  A round's cost then
+  follows the users it reads and the units it allocates, not the pool.
 
 :func:`pools_from_arrays` splits a flattened ask profile into one pool per
 task type.  An :class:`~repro.core.columnar.AskProfile` builds its pools
@@ -32,10 +35,11 @@ the winner subsample.  The stream is the reference's; the engine only
 evaluates fewer of its uniforms.  Lines 2–3 need just the smallest
 sampled value and whether the sample is empty, so on a ``PCG64`` stream
 and a large pool :meth:`SortedTypePool.sample_price` jumps the bit
-generator (``advance``) to the cheapest users' units and draws theirs
-alone, then leaves the generator where the per-unit draw leaves it — its
-buffered 32-bit half included.  The sample itself is drawn again from the
-saved state only when :attr:`CRAResult.sample_indices` is read.
+generator (``advance``) from user to user in value order, drawing each
+one's units, stops at the first user holding a sampled unit, then leaves
+the generator where the per-unit draw leaves it — its buffered 32-bit
+half included.  The sample itself is drawn again from the saved state
+only when :attr:`CRAResult.sample_indices` is read.
 Differential tests (``tests/core/test_engine.py``) assert that every
 :class:`CRAResult` field and the generator's full state after each round
 match the reference exactly, seed by seed, on both paths, and the test
@@ -130,13 +134,15 @@ def _prefix_sums(counts: np.ndarray) -> np.ndarray:
 
 
 class SortedTypePool:
-    """Per-type ask pool: sorted once, capacity state maintained per round.
+    """Per-type ask pool: sorted once, capacity state kept as consumed units.
 
     Equivalent to re-running :func:`repro.core.extract.extract` with the
-    current remaining capacities each round, but the only per-round
-    ``O(N)`` work is cumulative sums of the per-user remaining counts —
-    everything value-ordered is resolved against the construction-time
-    sort.
+    current remaining capacities each round, but a round's cost follows
+    the users it reads and the units it allocates, not the pool: the
+    capacity sums are taken once, at construction, in value order and in
+    user order, and every read subtracts the units consumed since, kept
+    as two small sorted arrays (their positions and their ranks in the
+    value order).
 
     The *unit pool* of a round is the virtual array
     ``np.repeat(values, remaining)`` (original user order); per-round unit
@@ -153,6 +159,10 @@ class SortedTypePool:
         "_sorted_users",
         "_sorted_values",
         "_prefix",
+        "_unit_ends",
+        "_ranks",
+        "_consumed_positions",
+        "_consumed_ranks",
         "_bounds",
     )
 
@@ -173,18 +183,27 @@ class SortedTypePool:
         order = np.argsort(self.values, kind="stable")
         self._sorted_users = order
         self._sorted_values = self.values[order]
-        #: ``_prefix[k]``: alive units held by the ``k`` cheapest users.
+        #: ``_prefix[k]``: units the ``k`` cheapest users held at construction.
         self._prefix = _prefix_sums(self.remaining[order])
-        #: This round's :meth:`round_bounds`, computed on first use.
+        #: ``_unit_ends[i]``: one past user ``i``'s last unit at construction.
+        self._unit_ends = self.remaining.cumsum()
+        #: ``_ranks[i]``: user ``i``'s index in the value order.
+        self._ranks = np.empty_like(order)
+        self._ranks[order] = np.arange(order.shape[0])
+        #: One entry per consumed unit: its owner's position, and that
+        #: owner's rank, each ascending.  Replaced, never written.
+        self._consumed_positions = np.empty(0, dtype=np.int64)
+        self._consumed_ranks = np.empty(0, dtype=np.int64)
+        #: This round's :meth:`round_bounds`, when the round computed them.
         self._bounds: Optional[np.ndarray] = None
 
     def fork(self) -> "SortedTypePool":
         """A pool over the same asks and value order, with its own capacities.
 
         The fork shares every array but ``remaining``, which it copies.
-        :meth:`consume_positions` replaces the prefix sums and round
-        bounds instead of writing into them, so consuming the fork never
-        touches this pool.
+        :meth:`consume_positions` replaces the consumed-unit arrays and
+        round bounds instead of writing into them, so consuming the fork
+        never touches this pool.
         """
         pool = copy.copy(self)
         pool.remaining = self.remaining.copy()
@@ -199,6 +218,10 @@ class SortedTypePool:
             self._sorted_users,
             self._sorted_values,
             self._prefix,
+            self._unit_ends,
+            self._ranks,
+            self._consumed_positions,
+            self._consumed_ranks,
         ):
             arr.setflags(write=False)
 
@@ -208,16 +231,16 @@ class SortedTypePool:
 
     def total_remaining(self) -> int:
         """Alive units across all participants (``O(1)``)."""
-        return int(self._prefix[-1])
+        return int(self._prefix[-1]) - self._consumed_ranks.shape[0]
 
     # Covered by the caller's per-stage timers ('consume'); a span per
     # round-level batch would swamp the event log.
     def consume_positions(self, positions: np.ndarray) -> None:  # rit: noqa[RIT013]
         """Consume one unit per entry of ``positions`` (original-order index).
 
-        One vectorized decrement, then one ``O(N)`` recomputation of the
-        value-ordered prefix sums for the next round; the next round's
-        :meth:`round_bounds` are computed when first asked for.
+        One vectorized decrement, then the batch is merged into the sorted
+        consumed-unit arrays: ``O(len(positions))`` plus the units
+        consumed so far, never ``O(N)``.
         """
         if positions.size == 0:
             return
@@ -227,8 +250,46 @@ class SortedTypePool:
             raise ModelError(
                 "consume would drive a remaining capacity negative"
             )
-        self._prefix = _prefix_sums(self.remaining[self._sorted_users])
+        self._consumed_positions = _merged(
+            self._consumed_positions, positions
+        )
+        self._consumed_ranks = _merged(
+            self._consumed_ranks, self._ranks[positions]
+        )
         self._bounds = None
+
+    # Lookups call ``ndarray.searchsorted``: on arrays this small, the
+    # dispatch of ``np.searchsorted`` costs more than the search.
+
+    def _rank_cut(self, count: int) -> Tuple[int, int]:
+        """``(k, alive)``: the fewest cheapest users ``k`` that hold at least
+        ``count`` alive units, and the ``alive`` units they hold, for
+        ``count`` up to the pool's alive units.
+
+        Each guess is a lower bound: search the construction-time sums for
+        ``count`` plus the units consumed below the guess, until the guess
+        stops moving.
+        """
+        prefix, consumed = self._prefix, self._consumed_ranks
+        k = int(prefix.searchsorted(count))
+        below = 0
+        if consumed.shape[0]:
+            while True:
+                below = int(consumed.searchsorted(k))
+                nxt = int(prefix.searchsorted(count + below))
+                if nxt == k:
+                    break
+                k = nxt
+        return k, int(prefix[k]) - below
+
+    def _unit_bounds(self, users: np.ndarray) -> np.ndarray:
+        """This round's unit bounds (one past the last unit) of ``users``."""
+        bounds = self._bounds
+        if bounds is not None:
+            return bounds[users]
+        return self._unit_ends[users] - self._consumed_positions.searchsorted(
+            users, side="right"
+        )
 
     # ------------------------------------------------------------------ #
     # Round views
@@ -244,24 +305,51 @@ class SortedTypePool:
         """Inclusive prefix sums of ``remaining`` in original user order.
 
         ``bounds[i]`` is one past the last unit index owned by user ``i``
-        in this round's unit pool.  Computed once per round: the result is
-        kept until :meth:`consume_positions` changes the capacities.
+        in this round's unit pool.  Only the per-unit draw computes them:
+        it reads every unit anyway, so one ``O(N)`` cumulative sum costs
+        less there than a lookup per sampled unit.  Before any unit is
+        consumed they are the construction-time ends.  The result is kept
+        until :meth:`consume_positions` changes the capacities, and the
+        round's other lookups read it.
         """
         bounds = self._bounds
         if bounds is None:
-            bounds = self._bounds = np.cumsum(self.remaining)
+            bounds = self._bounds = (
+                self.remaining.cumsum()
+                if self._consumed_ranks.shape[0]
+                else self._unit_ends
+            )
         return bounds
 
-    def unit_user_positions(
-        self, unit_indices: np.ndarray, bounds: np.ndarray
+    # Covered by the caller's per-stage timers ('sample', 'consume').
+    def unit_user_positions(  # rit: noqa[RIT013]
+        self, unit_indices: np.ndarray
     ) -> np.ndarray:
-        """Original user positions owning the given per-round unit indices."""
-        return np.searchsorted(bounds, unit_indices, side="right")
+        """Original user positions owning the given per-round unit indices.
+
+        From the round's bounds when it computed them; otherwise each owner
+        is the first user whose construction-time end exceeds the unit
+        index plus the units consumed up to that user, found by the same
+        fixed point as :meth:`_rank_cut`, for every index at once.
+        """
+        bounds = self._bounds
+        if bounds is not None:
+            return bounds.searchsorted(unit_indices, side="right")
+        ends, consumed = self._unit_ends, self._consumed_positions
+        owners = ends.searchsorted(unit_indices, side="right")
+        if consumed.shape[0]:
+            while True:
+                below = consumed.searchsorted(owners, side="right")
+                nxt = ends.searchsorted(unit_indices + below, side="right")
+                if (nxt == owners).all():
+                    break
+                owners = nxt
+        return owners
 
     def alive_at_most(self, value: float) -> int:
         """``z_s`` — alive units with ask value at most ``value``."""
-        k = np.searchsorted(self._sorted_values, value, side="right")
-        return int(self._prefix[k])
+        k = int(self._sorted_values.searchsorted(value, side="right"))
+        return int(self._prefix[k]) - int(self._consumed_ranks.searchsorted(k))
 
     def sample_price(
         self, gen: np.random.Generator, rate: float
@@ -287,10 +375,12 @@ class SortedTypePool:
         return self._drawn_price(_unit_sample(gen, units, rate))
 
     def _drawn_price(self, sample: np.ndarray) -> Tuple[float, SampleSource]:
-        """``(s, sample)`` of a sample drawn unit by unit."""
+        """``(s, sample)`` of a sample drawn unit by unit; the round's
+        bounds, computed here, serve its later lookups too."""
         if sample.size == 0:
             return math.nan, sample
-        owners = self.unit_user_positions(sample, self.round_bounds())
+        self.round_bounds()
+        owners = self.unit_user_positions(sample)
         return float(self.values[owners].min()), sample
 
     def _probe_price(
@@ -302,55 +392,54 @@ class SortedTypePool:
     ) -> Tuple[float, SampleSource]:
         """:meth:`sample_price` by jumping ahead to the cheapest users' units.
 
-        Users are visited in value order, in batches: the first holds
-        about ``1/rate`` alive units (one expected hit), each later batch
-        twice as many.  A batch's unit blocks are read in position order,
-        jumping the generator over the units between them.  The first
-        batch with a hit decides ``s``: every batch ends a prefix of the
-        value order, so no unvisited unit is cheaper.  Once a quarter of
-        the units has been read without a hit, every unit is drawn from
-        the saved state instead; only there can the sample be empty.
+        Users are visited one at a time in value order, jumping the
+        generator to each one's unit block (backwards too) and drawing its
+        units; the first user holding a sampled unit decides ``s``, since
+        no unvisited unit is cheaper.  The unit starts are looked up in
+        batches of users: the first holds about ``1/rate`` alive units
+        (one expected hit), each later batch twice as many.  Once a
+        quarter of the units has been read without a hit, every unit is
+        drawn from the saved state instead; only there can the sample be
+        empty.
         """
         saved = bits.state
-        bounds = self.round_bounds()
-        prefix = self._prefix
-        last = self._sorted_users.shape[0]
+        order = self._sorted_users
+        last = order.shape[0]
         visited = 0  # users read so far, a prefix of the value order
+        read = 0  # the alive units they hold
         pos = 0  # draws past ``saved`` that ``gen`` stands at
         batch = math.ceil(1.0 / rate)
-        while 4 * int(prefix[visited]) < units:
-            end = min(
-                int(np.searchsorted(prefix, int(prefix[visited]) + batch)),
-                last,
+        while 4 * read < units:
+            end = (
+                last if read + batch >= units
+                else self._rank_cut(read + batch)[0]
             )
-            users = np.sort(self._sorted_users[visited:end])
-            users = users[self.remaining[users] > 0]
+            users = order[visited:end]
             counts = self.remaining[users]
-            draws = np.empty(int(prefix[end] - prefix[visited]))
-            at = 0
-            for start, count in zip(
-                (bounds[users] - counts).tolist(), counts.tolist()
+            starts = self._unit_bounds(users) - counts
+            for user, start, count in zip(
+                users.tolist(), starts.tolist(), counts.tolist()
             ):
+                if not count:
+                    continue
                 if start != pos:
                     bits.advance(start - pos)  # negative deltas wrap back
-                gen.random(out=draws[at:at + count])
-                at += count
                 pos = start + count
-            hit = np.logical_or.reduceat(
-                draws < rate, np.cumsum(counts) - counts
-            )
-            if hit.any():
-                # Where the per-unit draw ends.  ``advance`` clears PCG64's
-                # buffered 32-bit half (``Generator.choice`` leaves one,
-                # or a spent one behind); put it back.
-                bits.advance(units - pos)
-                if saved["has_uint32"] or saved["uinteger"]:
-                    state = bits.state
-                    state["has_uint32"] = saved["has_uint32"]
-                    state["uinteger"] = saved["uinteger"]
-                    bits.state = state
-                sample = functools.partial(_redrawn_sample, saved, units, rate)
-                return float(self.values[users[hit]].min()), sample
+                if min(gen.random(count).tolist()) < rate:
+                    # Where the per-unit draw ends.  ``advance`` clears
+                    # PCG64's buffered 32-bit half (``Generator.choice``
+                    # leaves one, or a spent one behind); put it back.
+                    bits.advance(units - pos)
+                    if saved["has_uint32"] or saved["uinteger"]:
+                        state = bits.state
+                        state["has_uint32"] = saved["has_uint32"]
+                        state["uinteger"] = saved["uinteger"]
+                        bits.state = state
+                    sample = functools.partial(
+                        _redrawn_sample, saved, units, rate
+                    )
+                    return float(self.values[user]), sample
+                read += count
             visited = end
             batch *= 2
         bits.state = saved
@@ -358,7 +447,7 @@ class SortedTypePool:
 
     # Covered by the caller's per-stage timers ('select').
     def smallest_units(  # rit: noqa[RIT013]
-        self, count: int, bounds: np.ndarray
+        self, count: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The ``count`` cheapest alive units, as the reference selects them.
 
@@ -371,12 +460,19 @@ class SortedTypePool:
             return empty, np.empty(0, dtype=np.float64)
         # The first ``end`` sorted users hold the ``count`` cheapest units;
         # the last of them gives only the units up to the cutoff.
-        end = int(np.searchsorted(self._prefix, count))
+        end, alive = self._rank_cut(count)
         taken = self._sorted_users[:end]
         counts = self.remaining[taken]
-        counts[-1] -= int(self._prefix[end]) - count
-        starts = bounds[taken] - self.remaining[taken]
+        starts = self._unit_bounds(taken) - counts
+        counts[-1] -= alive - count
         return _ranges(starts, counts), np.repeat(self.values[taken], counts)
+
+
+def _merged(ascending: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """A new ascending array of ``ascending``'s entries and ``batch``'s."""
+    merged = np.concatenate((ascending, batch))
+    merged.sort()
+    return merged
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -494,7 +590,7 @@ def _cra_round(
 
     # Select stage (lines 6-19): the cheapest alive units, cut from the
     # sorted order.
-    chosen, chosen_values = pool.smallest_units(n_s, pool.round_bounds())
+    chosen, chosen_values = pool.smallest_units(n_s)
     overflow = False
     if n_s > cap:
         keep = gen.random(chosen.shape[0]) < (cap / (2.0 * n_s))

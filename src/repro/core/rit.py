@@ -40,10 +40,11 @@ retrieved with :meth:`RIT.truthful_probability_bound`.
 Auction engine
 --------------
 The multi-round CRA loop runs the incremental sorted engine of
-:mod:`repro.core.engine`: each per-type pool is sorted once, the prefix
-sums of its remaining capacities in that order are recomputed once per
-round, and every round is resolved by ``searchsorted`` lookups instead of
-a fresh sort.  Per-stage timings are surfaced on
+:mod:`repro.core.engine`: each per-type pool is sorted once and takes the
+prefix sums of its capacities once, at construction; every round is
+resolved by ``searchsorted`` lookups that subtract the units consumed
+since, instead of a fresh sort or a pass over the type's users.
+Per-stage timings are surfaced on
 :attr:`MechanismOutcome.stage_timings`.  ``engine=`` still accepts
 ``"sorted"`` and ``"columnar"``, which name this one path; the direct
 transcription of Algorithm 1 (re-materialize and re-sort the unit pool
@@ -448,11 +449,10 @@ class RIT(Mechanism):
                 )
             )
             if result.num_winners:
-                # The round's bounds, cached on the pool by the sample
-                # stage, map unit indices to users.
-                winner_positions = group.unit_user_positions(
-                    result.winners, group.round_bounds()
-                )
+                # Unit indices to users: from the round's bounds when its
+                # per-unit draw computed them, else from the pool's
+                # construction-time sums less the units consumed since.
+                winner_positions = group.unit_user_positions(result.winners)
                 for uid in group.uids[winner_positions].tolist():
                     allocation[uid] = allocation.get(uid, 0) + 1
                     auction_payments[uid] = (
@@ -467,7 +467,6 @@ class RIT(Mechanism):
                 if result.num_winners:
                     tracer.count("winners_selected", result.num_winners)
                     tracer.count("tasks_allocated", result.num_winners)
-                    tracer.count("fenwick_rebuilds")
                 else:
                     tracer.count("zero_winner_rounds")
                 if result.overflow_trimmed:

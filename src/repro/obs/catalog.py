@@ -31,8 +31,6 @@ COUNTER_CATALOG: Dict[str, Tuple[str, str]] = {
     "tasks_allocated": ("count", "tasks assigned (one per winning unit)"),
     "zero_winner_rounds": ("count", "rounds that selected no winner"),
     "overflow_trims": ("count", "rounds that hit the Algorithm 1 line 13-16 trim"),
-    # The name predates the prefix sums; the obs golden trace records it.
-    "fenwick_rebuilds": ("count", "per-round capacity prefix-sum rebuilds (sorted engine)"),
     # repro.core.cra / repro.core.engine — sample stage (Algorithm 1 lines 2-4)
     "sample_units_drawn": ("count", "unit asks drawn into CRA price samples"),
     "empty_samples": ("count", "CRA rounds whose price sample was empty"),

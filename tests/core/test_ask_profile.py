@@ -161,6 +161,8 @@ class TestCachedRuns:
                 pool._sorted_users,
                 pool._sorted_values,
                 pool._prefix,
+                pool._unit_ends,
+                pool._ranks,
             ):
                 assert not arr.flags.writeable
             caps = profile.caps[profile.types == tau]

@@ -140,6 +140,8 @@ class TestPoolKernel:
                 pool._sorted_values, fresh._sorted_values
             )
             np.testing.assert_array_equal(pool._prefix, fresh._prefix)
+            np.testing.assert_array_equal(pool._unit_ends, fresh._unit_ends)
+            np.testing.assert_array_equal(pool._ranks, fresh._ranks)
 
     def test_pool_capacity_state_is_private_per_pool(self, store_setup):
         _, _, _, store = store_setup
@@ -195,6 +197,8 @@ class TestRunWiring:
                 pool._sorted_users,
                 pool._sorted_values,
                 pool._prefix,
+                pool._unit_ends,
+                pool._ranks,
             ):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):

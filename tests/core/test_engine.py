@@ -126,16 +126,15 @@ class TestPoolViews:
             units = reference_pool(pool)
             if units.size == 0:
                 continue
-            bounds = pool.round_bounds()
             count = int(gen.integers(1, units.size + 1))
             expected = np.argsort(units, kind="stable")[:count]
-            got, got_values = pool.smallest_units(count, bounds)
+            got, got_values = pool.smallest_units(count)
             assert np.array_equal(got, expected), trial
             assert np.array_equal(got_values, units[expected]), trial
 
     def test_smallest_units_zero_count(self):
         pool = make_pool([1.0], [2])
-        indices, values = pool.smallest_units(0, pool.round_bounds())
+        indices, values = pool.smallest_units(0)
         assert indices.size == 0 and values.size == 0
 
 
@@ -177,7 +176,7 @@ class TestConsume:
             units = reference_pool(pool)
             assert pool.alive_at_most(np.inf) == units.size
             if units.size:
-                got, _ = pool.smallest_units(units.size, pool.round_bounds())
+                got, _ = pool.smallest_units(units.size)
                 assert np.array_equal(
                     got, np.argsort(units, kind="stable")
                 )
@@ -224,9 +223,39 @@ class TestRoundBounds:
         assert 0 < len(computed) <= len(shard.rounds)
         assert len(set(computed)) == len(computed)
 
+    def test_a_probing_shard_never_computes_them(self):
+        # A probed round reads its users' unit starts from the
+        # construction-time sums less the consumed units; only the
+        # per-unit draw pays for a cumulative sum over the users.
+        computed, drawn = [], []
+
+        class CountingPool(SortedTypePool):
+            __slots__ = ()
+
+            def round_bounds(self):
+                if self._bounds is None:
+                    computed.append(self.total_remaining())
+                return super().round_bounds()
+
+            def _drawn_price(self, sample):
+                drawn.append(sample.size)
+                return super()._drawn_price(sample)
+
+        values, caps = probe_sized_asks(np.random.default_rng(4), 5000)
+        pool = CountingPool(np.arange(values.size), values, caps)
+        shard = RIT(round_budget="until-complete").run_type_shard(
+            0, 20, pool, 5, 1, np.random.default_rng(9)
+        )
+        assert shard.covered and len(shard.rounds) > 1
+        assert drawn == [] and computed == []
+
 
 def check_queries(pool, values, remaining):
-    """Every query of ``pool`` against the materialized unit pool."""
+    """Every query of ``pool`` against the materialized unit pool.
+
+    The queries run twice: first from the construction-time sums less the
+    consumed units, then from the round bounds a per-unit draw computes.
+    """
     units = np.repeat(values, remaining)
     assert np.array_equal(pool.remaining, remaining)
     assert pool.total_remaining() == units.size
@@ -239,11 +268,19 @@ def check_queries(pool, values, remaining):
     for probe in probes:
         assert pool.alive_at_most(probe) == np.count_nonzero(units <= probe)
     order = np.argsort(units, kind="stable")
-    bounds = pool.round_bounds()
-    for count in range(1, units.size + 1):
-        got, got_values = pool.smallest_units(count, bounds)
-        assert np.array_equal(got, order[:count]), count
-        assert np.array_equal(got_values, units[order[:count]]), count
+    alive = np.arange(units.size)
+    owners = np.searchsorted(np.cumsum(remaining), alive, side="right")
+    for bounds in (None, np.cumsum(remaining)):
+        if bounds is not None:
+            assert np.array_equal(pool.round_bounds(), bounds)
+        assert np.array_equal(pool.unit_user_positions(alive), owners)
+        assert np.array_equal(
+            pool.unit_user_positions(alive[::-1]), owners[::-1]
+        )
+        for count in range(1, units.size + 1):
+            got, got_values = pool.smallest_units(count)
+            assert np.array_equal(got, order[:count]), count
+            assert np.array_equal(got_values, units[order[:count]]), count
 
 
 class TestPrefixSumProperties:
@@ -271,15 +308,29 @@ class TestPrefixSumProperties:
         owners = data.draw(
             st.permutations(np.repeat(np.arange(caps.size), caps).tolist())
         )
+        split = data.draw(st.integers(min_value=0, max_value=len(owners)))
+
+        def consume(pool, shadow, owners):
+            while owners:
+                size = data.draw(st.integers(min_value=1, max_value=8))
+                batch = np.array(owners[:size], dtype=np.int64)
+                owners = owners[size:]
+                pool.consume_positions(batch)
+                np.subtract.at(shadow, batch, 1)
+                check_queries(pool, values, shadow)
+
         check_queries(pool, values, shadow)
-        while owners:
-            size = data.draw(st.integers(min_value=1, max_value=8))
-            batch = np.array(owners[:size], dtype=np.int64)
-            owners = owners[size:]
-            pool.consume_positions(batch)
-            np.subtract.at(shadow, batch, 1)
-            check_queries(pool, values, shadow)
-        assert pool.total_remaining() == 0
+        consume(pool, shadow, owners[:split])
+        # A fork taken mid-consumption shares the consumed-unit arrays
+        # until either pool consumes; each then follows its own shadow.
+        fork, fork_shadow = pool.fork(), shadow.copy()
+        check_queries(fork, values, fork_shadow)
+        rest = owners[split:]
+        consume(pool, shadow, rest)
+        check_queries(fork, values, fork_shadow)
+        consume(fork, fork_shadow, rest[::-1])
+        check_queries(pool, values, shadow)
+        assert pool.total_remaining() == fork.total_remaining() == 0
 
 
 class TestCRAPresortedValidation:
@@ -474,6 +525,53 @@ class TestJumpAheadProbe:
             )
             assert probed(results[0])
         assert buffered >= 2
+
+    def test_a_backward_jump_just_before_the_hit(self):
+        # Values fall with the position, so the value order visits users
+        # last position first: every user after the first lies below the
+        # one read before it, and the generator jumps back to reach it.
+        gen = np.random.default_rng(16)
+        users = 3000
+        _, caps = probe_sized_asks(gen, users)
+        values = np.linspace(10.0, 0.05, users)
+        later_hits = 0
+        for seed in range(4):
+            results = rounds_against_reference(
+                values,
+                caps,
+                12,
+                np.random.default_rng(seed),
+                np.random.default_rng(seed),
+            )
+            assert results and all(map(probed, results))
+            # The first round's hit came after at least one user read
+            # without one: a cheaper alive user was visited first.
+            cheapest = values[caps > 0].min()
+            later_hits += results[0].price > cheapest
+        assert later_hits >= 3
+
+    def test_users_tied_at_the_hit_value(self):
+        # Half the users ask the same value, the cheapest: the hit falls
+        # among tied users, read in position order as the stable sort
+        # keeps them, and the sample holds several of them.
+        gen = np.random.default_rng(17)
+        users = 3000
+        values, caps = probe_sized_asks(gen, users)
+        values = np.where(gen.random(users) < 0.5, 1.0, values + 1.0)
+        for seed in range(4):
+            results = rounds_against_reference(
+                values,
+                caps,
+                12,
+                np.random.default_rng(seed),
+                np.random.default_rng(seed),
+            )
+            assert results and all(map(probed, results))
+            assert {r.price for r in results} == {1.0}
+            sampled = np.repeat(np.arange(users), caps)[
+                results[0].sample_indices
+            ]
+            assert np.unique(sampled[values[sampled] == 1.0]).size > 1
 
     def test_empty_sample_through_the_fallback(self, monkeypatch):
         # Above the crossover an empty sample has probability below
