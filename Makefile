@@ -22,8 +22,7 @@ lint:
 # Every RIT rule (file-local RIT001-RIT007, whole-program RIT009-RIT013)
 # over src tests benchmarks examples, gated strictly against the committed
 # analysis_baseline.json.  Warm runs re-parse only changed files
-# (.rit_analysis_cache.json, git-ignored).  `rit analyze --bench` merges
-# the measured section into BENCH_RIT.json.
+# (.rit_analysis_cache.json, git-ignored).
 analyze:
 	PYTHONPATH=src $(PY) -m repro.devtools.analysis --ci
 
@@ -63,8 +62,8 @@ metrics-smoke:
 
 # Live-adversary gate (docs/sentinel.md): three clean pinned scenarios
 # must stay alert-free, each seeded sybil/collusion/churn injection must
-# be flagged within K epochs, every run bit-matches the offline replay.
-# `rit sentinel --bench` merges the section into BENCH_RIT.json.
+# be flagged by its own detectors within K epochs, every run bit-matches
+# the offline replay.
 sentinel:
 	PYTHONPATH=src $(PY) -m repro sentinel
 
@@ -76,7 +75,6 @@ sentinel-smoke:
 # (RIT, OMG, GLT, the §4 baselines) replayed over one pinned seeded
 # stream, clean + attacked, twice — the scorecard must be bit-identical,
 # GLT's budget exact to the cent, and RIT minimal on sybil gain.
-# `rit arena --bench` merges the section into BENCH_RIT.json.
 arena:
 	PYTHONPATH=src $(PY) -m repro arena
 

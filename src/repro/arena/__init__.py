@@ -15,8 +15,8 @@ into a comparison platform:
   behind ``rit arena --mechanisms``;
 * :mod:`repro.arena.harness` — replays one seeded loadgen stream (clean
   + attacked) through every registered mechanism under identical epoch
-  cuts and emits the deterministic scorecard recorded as the ``arena``
-  section of ``BENCH_RIT.json``.
+  cuts, emits the deterministic scorecard and gates it
+  (:func:`~repro.arena.harness.arena_problems`).
 """
 
 from repro.arena.glt import LotteryTreeMechanism
@@ -24,6 +24,7 @@ from repro.arena.harness import (
     ARENA_BENCH_PRESET,
     ARENA_SMOKE_PRESET,
     ArenaConfig,
+    arena_problems,
     canonical_scorecard,
     render_arena_report,
     replay_stream,
@@ -55,6 +56,7 @@ __all__ = [
     "OMGMechanism",
     "RITEpochMechanism",
     "RewardRuleMechanism",
+    "arena_problems",
     "available_mechanisms",
     "canonical_scorecard",
     "create_mechanism",

@@ -22,7 +22,7 @@ Scorecard semantics (per mechanism, per stream):
 * ``sybil_gain`` — attacked group utility (victim + injected
   identities, at the victim's reported unit value) minus the victim's
   clean utility: the attacker's profit from running the schedule.  RIT
-  must win or tie (smallest gain) for the bench gate to pass;
+  must win or tie (smallest gain) for the gate to pass;
 * ``budget.consistent`` — for mechanisms declaring ``budget_cents``
   (GLT), every settled epoch's payments are re-summed in integer cents
   and must equal the declared budget *exactly*;
@@ -57,6 +57,7 @@ __all__ = [
     "ARENA_BENCH_PRESET",
     "ARENA_SMOKE_PRESET",
     "ArenaConfig",
+    "arena_problems",
     "build_streams",
     "canonical_scorecard",
     "render_arena_report",
@@ -99,8 +100,8 @@ class ArenaConfig:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
 
 
-#: The ``rit arena --bench`` match recorded in ``BENCH_RIT.json``: the
-#: full registry roster over the pinned seeded stream.
+#: The ``rit arena`` (and ``make arena``) match: the full registry roster
+#: over the pinned seeded stream; its scorecard is in ``docs/arena.md``.
 ARENA_BENCH_PRESET = ArenaConfig()
 
 #: The ``make arena-smoke`` match: the four-mechanism acceptance roster
@@ -381,14 +382,16 @@ def run_arena_report(
     runs: int = 2,
     tracer: NullTracer = NULL_TRACER,
 ) -> Tuple[Dict[str, Any], List[str]]:
-    """The bench gate: ``runs`` full replays, checked for bit-identity.
+    """The arena gate: ``runs`` full replays, checked for bit-identity.
 
-    Returns ``(section, problems)`` — the ``arena`` section for
-    ``BENCH_RIT.json`` plus human-readable gate violations (empty list ⇒
-    the match passes).
+    Returns ``(section, problems)`` — the scorecard plus the
+    :func:`arena_problems` it raises (empty list ⇒ the match passes).
+    ``runs`` must be at least 2: one replay leaves nothing to compare.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    if runs < 2:
+        raise ConfigurationError(
+            f"runs must be at least 2 to check bit-identity, got {runs}"
+        )
     docs = [run_arena(config, tracer=tracer) for _ in range(runs)]
     canonicals = [
         json.dumps(canonical_scorecard(doc), sort_keys=True, separators=(",", ":"))
@@ -403,10 +406,22 @@ def run_arena_report(
             canonicals[0].encode("utf-8")
         ).hexdigest(),
     }
+    return section, arena_problems(section)
 
+
+def arena_problems(section: Dict[str, Any]) -> List[str]:  # rit: noqa[RIT013] — pure checks over the scorecard, no measured work
+    """The gate's verdicts on one scorecard; empty when the match passes.
+
+    Checks the rerun's bit-identity, RIT in the roster and minimal on
+    sybil gain, every mechanism's stream fingerprints against the match
+    reference, and every checked budget's exactness.
+    """
     problems: List[str] = []
-    if not bit_identical:
-        problems.append(f"scorecard not bit-identical across {runs} runs")
+    determinism = section["determinism"]
+    if not determinism["bit_identical"]:
+        problems.append(
+            f"scorecard not bit-identical across {determinism['runs']} runs"
+        )
     if "rit" not in section["mechanisms"]:
         problems.append("the arena roster must include 'rit'")
     if not section.get("rit_sybil_gain_minimal", False):
@@ -425,7 +440,7 @@ def run_arena_report(
             problems.append(
                 f"{name}: settled epoch payments != declared budget_cents"
             )
-    return section, problems
+    return problems
 
 
 def render_arena_report(section: Dict[str, Any]) -> str:  # rit: noqa[RIT013] — pure string formatting, no measured work

@@ -1,10 +1,9 @@
 """Name → mechanism factory table behind ``rit arena --mechanisms``.
 
 The registry is the only place that knows how to build each rival with
-its arena-default parameters; everything else (harness, CLI, bench
-validator, examples) addresses mechanisms by these names.  Factories
-return a *new* instance per call so arena replays never share state
-across mechanisms or runs.
+its arena-default parameters; everything else (harness, CLI, examples)
+addresses mechanisms by these names.  Factories return a *new* instance
+per call so arena replays never share state across mechanisms or runs.
 """
 
 from __future__ import annotations

@@ -22,22 +22,20 @@ Subcommands
                           sentinel plane; ``--smoke`` is the tiny CI
                           preset).
 ``rit sentinel``          run the live-adversary gate: clean pinned scenarios
-                          must stay alert-free, seeded sybil/collusion/churn
-                          injections must be flagged within K epochs, and the
-                          served outcomes must match the offline replay
-                          (``--bench`` merges the ``sentinel`` section into
-                          ``BENCH_RIT.json``; ``--smoke`` is the CI preset).
+                          must stay alert-free, each seeded sybil/collusion/
+                          churn injection must be flagged by its own
+                          detectors within K epochs, and the served outcomes
+                          must match the offline replay (``--smoke`` is the
+                          CI preset).
 ``rit arena``             replay one pinned seeded stream (clean + attacked)
                           through rival mechanisms (RIT, OMG, GLT, the §4
-                          reward rules) under identical epoch cuts and print
-                          the head-to-head scorecard (``--bench`` merges the
-                          ``arena`` section into ``BENCH_RIT.json``;
-                          ``--smoke`` is the CI preset).
+                          reward rules) under identical epoch cuts, print
+                          the head-to-head scorecard and gate it
+                          (``--smoke`` is the CI preset).
 ``rit analyze``           run the static analyzer (file-local RIT001-RIT007,
                           whole-program RIT009-RIT013) against the committed
-                          findings baseline (``--bench`` merges the
-                          ``analysis`` section into ``BENCH_RIT.json``;
-                          also: ``python -m repro.devtools.analysis``).
+                          findings baseline (also:
+                          ``python -m repro.devtools.analysis``).
 """
 
 from __future__ import annotations
@@ -304,14 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the sentinel section as JSON instead of the table",
     )
-    p_sentinel.add_argument(
-        "--bench", action="store_true",
-        help="merge the ``sentinel`` section into the bench doc",
-    )
-    p_sentinel.add_argument(
-        "--out", default="BENCH_RIT.json",
-        help="bench document to merge into (with --bench)",
-    )
 
     p_arena = sub.add_parser(
         "arena",
@@ -344,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attack RNG seed")
     p_arena.add_argument(
         "--runs", type=int, default=2,
-        help="full replays compared for bit-identity (default 2)",
+        help="full replays compared for bit-identity (at least 2; default 2)",
     )
     p_arena.add_argument(
         "--smoke", action="store_true",
@@ -353,14 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_arena.add_argument(
         "--json", action="store_true",
         help="print the arena section as JSON instead of the table",
-    )
-    p_arena.add_argument(
-        "--bench", action="store_true",
-        help="merge the ``arena`` section into the bench doc",
-    )
-    p_arena.add_argument(
-        "--out", default="BENCH_RIT.json",
-        help="bench document to merge into (with --bench)",
     )
 
     p_analyze = sub.add_parser(
@@ -739,23 +721,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{epoch.latency_seconds * 1000:>7.1f}ms"
         )
     if sentinel is not None and schedule is not None:
-        from repro.sentinel.harness import attack_result_doc
+        from repro.sentinel.harness import attack_result_doc, render_detection
 
-        entry = attack_result_doc(sentinel, schedule)
-        detected = entry["detected_epoch"]
-        verdict = (
-            "NOT detected" if detected is None else
-            f"detected at epoch {detected} (+{entry['epochs_to_detect']})"
-        )
-        # Name the detectors: the first alert at or after the onset counts
-        # as the detection whichever detector raised it.
-        fired = ", ".join(
-            f"{name}={count}" for name, count in sorted(entry["detectors"].items())
-        )
-        print(f"sentinel: {entry['kind']} injected at epoch "
-              f"{entry['onset_epoch']}, {verdict}, "
-              f"{entry['alerts_total']} alert(s)"
-              + (f" [{fired}]" if fired else ""))
+        print(f"sentinel: {render_detection(attack_result_doc(sentinel, schedule))}")
     if ledger is not None:
         print(f"ledger -> {ledger.epochs_path}")
     if tracer is not None:
@@ -871,7 +839,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_sentinel(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import merge_bench_sections
     from repro.sentinel.harness import (
         DEFAULT_DETECTION_BUDGET,
         render_sentinel_report,
@@ -890,8 +857,6 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    if args.bench:
-        return merge_bench_sections(args.out, {"sentinel": section})
     return 0
 
 
@@ -904,7 +869,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         render_arena_report,
         run_arena_report,
     )
-    from repro.devtools.bench import merge_bench_sections
+    from repro.core.exceptions import AttackError, ConfigurationError
 
     config = ARENA_SMOKE_PRESET if args.smoke else ARENA_BENCH_PRESET
     overrides = {
@@ -922,7 +887,13 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         overrides["mechanisms"] = tuple(dict.fromkeys(args.mechanisms))
     if overrides:
         config = _replace(config, **overrides)
-    section, problems = run_arena_report(config, runs=max(1, args.runs))
+    try:
+        section, problems = run_arena_report(config, runs=args.runs)
+    except (AttackError, ConfigurationError) as err:
+        # E.g. --runs 1 (one replay leaves nothing to compare), or an
+        # --attack-epoch that no join precedes.
+        print(f"rit arena: {err}")
+        return 2
     if args.json:
         print(json.dumps(section, indent=2, sort_keys=True))
     else:
@@ -933,8 +904,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    if args.bench:
-        return merge_bench_sections(args.out, {"arena": section})
     return 0
 
 

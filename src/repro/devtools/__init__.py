@@ -7,7 +7,7 @@ the mechanism: the ``rit analyze`` static analyzer
 invariants — threaded RNG, tolerant monetary comparison, frozen outcomes,
 export hygiene, deterministic core, explicit error handling, a
 non-blocking event loop — on every source tree it is pointed at; plus
-the bench-document merge and the trace schema.
+the trace schema.
 
 Nothing in this package is imported by the mechanism code; the analyzer
 depends only on the standard library so it can check a broken tree.

@@ -28,17 +28,12 @@ from typing import List, Optional, Set
 from repro.devtools.analysis.baseline import BASELINE_FILENAME, Baseline
 from repro.devtools.analysis.cache import CACHE_FILENAME
 from repro.devtools.analysis.passes import RULES
-from repro.devtools.analysis.report import (
-    findings_by_rule,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.devtools.analysis.report import render_json, render_sarif, render_text
 from repro.devtools.analysis.runner import analyze_paths
 from repro.devtools.discovery import GitError, git_changed_files, iter_python_files
 from repro.devtools.lint.model import DIRECTIVE_ID, PARSE_ERROR_ID
 
-__all__ = ["add_arguments", "build_parser", "run", "main", "bench_section"]
+__all__ = ["add_arguments", "build_parser", "run", "main"]
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
@@ -132,18 +127,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="describe every rule and exit",
     )
-    parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="measure cold vs warm-cache analysis time and merge the "
-        "``analysis`` section into the bench doc",
-    )
-    parser.add_argument(
-        "--bench-out",
-        default="BENCH_RIT.json",
-        metavar="PATH",
-        help="bench document to merge into (with --bench)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,9 +182,6 @@ def run(args: argparse.Namespace) -> int:
     if missing:
         print(f"rit analyze: no such path: {missing[0]}", file=sys.stderr)
         return 2
-
-    if getattr(args, "bench", False):
-        return _run_bench(paths, args.bench_out)
 
     root = Path.cwd()
     changed: Optional[Set[Path]] = None
@@ -276,47 +256,6 @@ def run(args: argparse.Namespace) -> int:
     if args.ci and diff.stale:
         return 1
     return 0
-
-
-def _run_bench(paths: List[str], out: str) -> int:
-    """``--bench``: measure the analyzer and merge into the bench doc."""
-    from repro.devtools.bench import merge_bench_sections
-
-    section = bench_section(paths)
-    print(
-        f"analysis: {section['files_analyzed']} file(s), "
-        f"{section['findings_total']} finding(s)"
-    )
-    print(
-        f"cold {section['cold_seconds']:.3f}s -> warm "
-        f"{section['warm_cache_seconds']:.3f}s "
-        f"({section['warm_files_parsed']} file(s) re-parsed warm)"
-    )
-    return merge_bench_sections(out, {"analysis": section})
-
-
-def bench_section(paths: Optional[List[str]] = None) -> dict:
-    """Measure the analyzer for the bench document's ``analysis`` section.
-
-    Runs twice: the first run starts from no cache and parses every file,
-    the second measures the warm-cache wall time the section reports.
-    The cache file used is the standard one, so a developer's later
-    ``rit analyze`` stays warm too.
-    """
-    root = Path.cwd()
-    target_paths = [Path(p) for p in (paths or list(DEFAULT_PATHS))]
-    cache_path = Path(CACHE_FILENAME)
-    cache_path.unlink(missing_ok=True)
-    cold = analyze_paths(target_paths, root=root, cache_path=cache_path)
-    warm = analyze_paths(target_paths, root=root, cache_path=cache_path)
-    return {
-        "files_analyzed": warm.files_analyzed,
-        "findings_total": len(warm.findings),
-        "findings_by_rule": findings_by_rule(warm.findings),
-        "cold_seconds": cold.duration_s,
-        "warm_cache_seconds": warm.duration_s,
-        "warm_files_parsed": warm.files_parsed,
-    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,8 +1,7 @@
 """Orchestration: discover files, (re)analyze each, link, run the passes.
 
-This is the programmatic entry point the CLI, the self-gate test and the
-benchmark harness all share.  One call to :func:`analyze_paths` is one
-analysis run:
+This is the programmatic entry point the CLI and the self-gate tests
+share.  One call to :func:`analyze_paths` is one analysis run:
 
 1. discover ``*.py`` files (:mod:`repro.devtools.discovery`);
 2. analyze each file — its module summary and its file-local findings
@@ -13,12 +12,11 @@ analysis run:
 4. run passes RIT009–RIT013 and collect every finding.
 
 The result carries parse/cache accounting so callers can assert
-incrementality (tests) or report it (bench, CLI summary line).
+incrementality (tests) or report it (the CLI summary line).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional
@@ -43,7 +41,6 @@ class AnalysisResult:
     files_parsed: int = 0
     cache_hits: int = 0
     parse_errors: int = 0
-    duration_s: float = 0.0
     program: Optional[Program] = None
 
 
@@ -66,7 +63,6 @@ def analyze_paths(
     ``cache_path=None`` disables the incremental cache entirely.
     """
     anchor = (root or Path.cwd()).resolve()
-    started = time.perf_counter()
     cache = SummaryCache.load(cache_path)
     summaries: List[ModuleSummary] = []
     findings: List[Finding] = []
@@ -90,5 +86,4 @@ def analyze_paths(
     findings.extend(run_passes(program))
     result.findings = sorted(findings, key=lambda f: f.sort_key)
     result.program = program
-    result.duration_s = time.perf_counter() - started
     return result

@@ -26,7 +26,7 @@ because every live stream (``rit serve``, the harnesses, the benchmark)
 is built there.  Note what is deliberately *outside* the scope:
 ``repro.service.top`` is an interactive terminal client that
 legitimately sleeps between polls, and ``repro.sentinel.harness`` is the
-bench/CLI driver for the live-adversary gate.  The arena's
+CLI driver for the live-adversary gate.  The arena's
 mechanism and replay modules (``repro.arena.protocol`` / ``omg`` /
 ``glt`` / ``harness``) are *in* scope — scorecard latency is measured on
 the tracer clock so reruns stay comparable — while

@@ -1,4 +1,4 @@
-"""Trace JSONL schema validator (companion to the bench schema validator).
+"""Trace JSONL schema validator.
 
 Dependency-free structural validation of :mod:`repro.obs` event streams.
 ``validate_trace_events`` returns a list of human-readable problems

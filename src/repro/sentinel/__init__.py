@@ -14,9 +14,10 @@ Three layers over the online service (:mod:`repro.service`):
   gate.
 
 :mod:`repro.sentinel.harness` ties them into the ``rit sentinel``
-empirical gate: clean pinned scenarios must stay alert-free, seeded
-injections must be flagged within K epochs, and served outcomes must
-remain bit-identical to the offline replay with the plane attached.
+empirical gate: clean pinned scenarios must stay alert-free, each seeded
+injection must be flagged by its own detectors within K epochs, and
+served outcomes must remain bit-identical to the offline replay with the
+plane attached.
 """
 
 from repro.sentinel.attacks import ATTACK_KINDS, StreamPrefix, inject_attack
@@ -29,10 +30,12 @@ from repro.sentinel.detectors import (
     WithdrawalSpikeDetector,
 )
 from repro.sentinel.harness import (
+    ATTACK_DETECTORS,
     ATTACK_SCENARIOS,
     CLEAN_SCENARIOS,
     DEFAULT_DETECTION_BUDGET,
     attack_result_doc,
+    render_detection,
     render_sentinel_report,
     run_sentinel_report,
 )
@@ -40,6 +43,7 @@ from repro.sentinel.plane import SentinelPlane
 from repro.sentinel.reputation import ReputationBook
 
 __all__ = [
+    "ATTACK_DETECTORS",
     "ATTACK_KINDS",
     "ATTACK_SCENARIOS",
     "CLEAN_SCENARIOS",
@@ -55,6 +59,7 @@ __all__ = [
     "WithdrawalSpikeDetector",
     "attack_result_doc",
     "inject_attack",
+    "render_detection",
     "render_sentinel_report",
     "run_sentinel_report",
 ]

@@ -249,8 +249,8 @@ def inject_attack(
 
     Returns ``(rewritten_events, schedule)``; the schedule is a JSON-able
     replay record (kind, seed, onset, injected ids/values) that the
-    service persists in its ledger meta and ``rit sentinel --bench``
-    records in the ``sentinel`` section.
+    service persists in its ledger meta and ``rit sentinel`` reports
+    beside each injection's detection.
     """
     if kind not in ATTACK_KINDS:
         raise ConfigurationError(

@@ -9,8 +9,9 @@ properties at once:
 * **zero false positives** — the clean pinned scenarios (three graph
   regimes, no withdrawals) must raise no alerts at all;
 * **bounded detection latency** — each seeded injection (sybil chain,
-  collusion cartel, churn storm) must be flagged within
-  :data:`DEFAULT_DETECTION_BUDGET` epochs of its onset;
+  collusion cartel, churn storm) must be flagged by one of its own
+  :data:`ATTACK_DETECTORS` within :data:`DEFAULT_DETECTION_BUDGET`
+  epochs of its onset;
 * **differential safety** — with the sentinel attached, every run's
   served outcomes must stay bit-identical to the offline
   :func:`~repro.service.replay.replay_outcomes` anchor (the detectors
@@ -21,13 +22,12 @@ stock stream generator appends all withdrawals as one tail cohort, which
 *is* a churn storm by construction — a useful attack fixture, not a
 clean baseline.
 
-The result is the schema-validated ``sentinel`` section of
-``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`).
+``rit sentinel`` prints the report and exits 1 on any problem;
 ``rit serve --attack …`` prints one run's :func:`attack_result_doc` as
-its detection line.
+its detection line (:func:`render_detection`).
 
-Like :mod:`repro.service.top`, this is a bench/CLI driver and
-deliberately sits outside the RIT007 instrumented-module scopes.
+Like :mod:`repro.service.top`, this is a CLI driver and deliberately
+sits outside the RIT007 instrumented-module scopes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.rit import RIT
 from repro.core.rng import spawn_seeds
 from repro.sentinel.attacks import inject_attack
-from repro.sentinel.detectors import SentinelConfig
+from repro.sentinel.detectors import (
+    DepthAnomalyDetector,
+    PriceDriftDetector,
+    SentinelConfig,
+    WinRateDriftDetector,
+    WithdrawalSpikeDetector,
+)
 from repro.sentinel.plane import SentinelPlane
 from repro.service.loadgen import build_scenario, scenario_event_stream
 from repro.service.replay import differential_check, replay_outcomes
@@ -46,9 +52,11 @@ from repro.service.service import MechanismService, ServiceConfig
 
 __all__ = [
     "DEFAULT_DETECTION_BUDGET",
+    "ATTACK_DETECTORS",
     "CLEAN_SCENARIOS",
     "ATTACK_SCENARIOS",
     "attack_result_doc",
+    "render_detection",
     "run_sentinel_report",
     "render_sentinel_report",
 ]
@@ -56,6 +64,15 @@ __all__ = [
 #: Epoch budget an injected attack must be detected within (the ``K`` of
 #: the acceptance gate); shared by the harness and ``rit serve --attack``.
 DEFAULT_DETECTION_BUDGET = 3
+
+#: The detectors whose alerts detect each attack kind: the footprints
+#: :mod:`repro.sentinel.detectors` lists.  Any other detector's alert
+#: after the onset is reported as unrelated, never as the detection.
+ATTACK_DETECTORS: Dict[str, Tuple[str, ...]] = {
+    "sybil": (DepthAnomalyDetector.name,),
+    "collusion": (PriceDriftDetector.name, WinRateDriftDetector.name),
+    "churn": (WithdrawalSpikeDetector.name,),
+}
 
 #: The three clean pinned scenarios (one per graph regime).  No
 #: withdrawals: see the module docstring.
@@ -136,40 +153,73 @@ def _drive(
     return plane, report, schedule, problems
 
 
-def _detection(
-    plane: SentinelPlane, schedule: Dict[str, Any], k: int
-) -> Tuple[Optional[int], Optional[int]]:
-    """(first detection epoch at/after onset, epochs_to_detect) or Nones."""
-    onset = int(schedule["onset_epoch"])
-    for alert in plane.alerts:
-        epoch = int(alert["epoch"])
-        if epoch >= onset:
-            return epoch, epoch - onset
-    return None, None
-
-
 def attack_result_doc(
     plane: SentinelPlane,
     schedule: Dict[str, Any],
     *,
     k: int = DEFAULT_DETECTION_BUDGET,
 ) -> Dict[str, Any]:
-    """One attack run as a bench-doc entry (detection latency + counts)."""
+    """One attack run's detection record.
+
+    The detection is the first alert of one of the kind's
+    :data:`ATTACK_DETECTORS` within ``k`` epochs of the onset.  Alerts at
+    or after the onset are counted per detector, apart: ``attributed``
+    (the kind's own detectors, at any lag) and ``unrelated`` (the rest).
+    """
     onset = int(schedule["onset_epoch"])
-    detected_epoch, epochs_to_detect = _detection(plane, schedule, k)
-    before_onset = sum(
-        1 for alert in plane.alerts if int(alert["epoch"]) < onset
-    )
+    kind = str(schedule["kind"])
+    own = ATTACK_DETECTORS[kind]
+    detected_epoch: Optional[int] = None
+    before_onset = 0
+    attributed: Dict[str, int] = {}
+    unrelated: Dict[str, int] = {}
+    for alert in plane.alerts:
+        epoch = int(alert["epoch"])
+        name = str(alert["detector"])
+        if epoch < onset:
+            before_onset += 1
+            continue
+        counts = attributed if name in own else unrelated
+        counts[name] = counts.get(name, 0) + 1
+        if detected_epoch is None and name in own and epoch - onset <= k:
+            detected_epoch = epoch
     return {
-        "kind": str(schedule["kind"]),
+        "kind": kind,
         "onset_epoch": onset,
         "detected_epoch": detected_epoch,
-        "epochs_to_detect": epochs_to_detect,
+        "epochs_to_detect": (
+            None if detected_epoch is None else detected_epoch - onset
+        ),
         "alerts_total": plane.alerts_total,
         "alerts_before_onset": before_onset,
-        "detectors": dict(plane.alert_counts),
+        "attributed": attributed,
+        "unrelated": unrelated,
         "schedule": dict(schedule),
     }
+
+
+def _counts(counts: Dict[str, int]) -> str:
+    return ", ".join(f"{name}={count}" for name, count in sorted(counts.items()))
+
+
+def render_detection(entry: Dict[str, Any]) -> str:
+    """One :func:`attack_result_doc` as the ``rit serve --attack`` line."""
+    detected = entry["detected_epoch"]
+    verdict = (
+        "NOT detected" if detected is None else
+        f"detected at epoch {detected} (+{entry['epochs_to_detect']})"
+    )
+    line = (
+        f"{entry['kind']} injected at epoch {entry['onset_epoch']}, "
+        f"{verdict}, {entry['alerts_total']} alert(s)"
+    )
+    if entry["attributed"]:
+        line += f" [{_counts(entry['attributed'])}]"
+    if entry["unrelated"]:
+        line += f", unrelated [{_counts(entry['unrelated'])}]"
+    if entry["alerts_before_onset"]:
+        line += f", {entry['alerts_before_onset']} before the onset"
+    return line
 
 
 def run_sentinel_report(
@@ -181,8 +231,8 @@ def run_sentinel_report(
     """Run the full gate; returns ``(sentinel_section, problems)``.
 
     ``problems`` is empty when every clean scenario is alert-free, every
-    injection is detected within ``k`` epochs, and every run passes the
-    online-vs-offline differential.  ``smoke`` trims to one clean
+    injection is detected by its own detectors within ``k`` epochs, and
+    every run passes the online-vs-offline differential.  ``smoke`` trims to one clean
     scenario and one sybil injection for CI.
     """
     cleans = CLEAN_SCENARIOS[:1] if smoke else CLEAN_SCENARIOS
@@ -223,11 +273,12 @@ def run_sentinel_report(
         entry = attack_result_doc(plane, schedule, k=k)
         entry["graph"] = str(base["graph"])
         attack_docs.append(entry)
-        if entry["epochs_to_detect"] is None or entry["epochs_to_detect"] > k:
+        if entry["detected_epoch"] is None:
             problems.append(
                 f"{spec['kind']} injection at epoch {spec['onset_epoch']} "
-                f"not detected within {k} epochs "
-                f"(detected_epoch={entry['detected_epoch']})"
+                f"not detected within {k} epochs by "
+                f"{'/'.join(ATTACK_DETECTORS[spec['kind']])} "
+                f"(unrelated alerts: {_counts(entry['unrelated']) or 'none'})"
             )
         if entry["alerts_before_onset"]:
             problems.append(
@@ -243,9 +294,7 @@ def run_sentinel_report(
         "clean": clean_docs,
         "attacks": attack_docs,
         "detection_within_k": all(
-            doc["epochs_to_detect"] is not None
-            and doc["epochs_to_detect"] <= k
-            for doc in attack_docs
+            doc["detected_epoch"] is not None for doc in attack_docs
         ),
         "zero_false_positives": all(
             doc["alerts_total"] == 0 for doc in clean_docs
@@ -267,19 +316,16 @@ def render_sentinel_report(section: Dict[str, Any]) -> str:
     lines.append("")
     lines.append(
         f"{'attack':<12}  {'onset':>5}  {'detected':>8}  {'Δepochs':>7}  "
-        f"{'detectors'}"
+        f"{'attributed':<18}  {'unrelated'}"
     )
     for doc in section["attacks"]:
-        detectors = ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(doc["detectors"].items())
-        )
         detected = doc["detected_epoch"]
         lines.append(
             f"{doc['kind']:<12}  {doc['onset_epoch']:>5}  "
             f"{('-' if detected is None else detected):>8}  "
             f"{('-' if doc['epochs_to_detect'] is None else doc['epochs_to_detect']):>7}  "
-            f"{detectors or '-'}"
+            f"{_counts(doc['attributed']) or '-':<18}  "
+            f"{_counts(doc['unrelated']) or '-'}"
         )
     lines.append("")
     lines.append(

@@ -8,6 +8,7 @@ from repro.arena.harness import (
     ARENA_BENCH_PRESET,
     ARENA_SMOKE_PRESET,
     ArenaConfig,
+    arena_problems,
     build_streams,
     canonical_scorecard,
     render_arena_report,
@@ -15,7 +16,6 @@ from repro.arena.harness import (
     stream_fingerprint,
 )
 from repro.core.exceptions import ConfigurationError
-from repro.devtools.bench import _validate_arena_section
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +25,17 @@ def smoke_report():
 
 class TestConfig:
     def test_presets_pin_the_acceptance_roster(self):
-        assert "rit" in ARENA_BENCH_PRESET.mechanisms
-        assert len(ARENA_SMOKE_PRESET.mechanisms) >= 4
+        # Each pinned match fields at least four mechanisms, RIT among them.
+        for preset in (ARENA_BENCH_PRESET, ARENA_SMOKE_PRESET):
+            assert "rit" in preset.mechanisms
+            assert len(preset.mechanisms) >= 4
         assert {"rit", "omg", "glt"} <= set(ARENA_SMOKE_PRESET.mechanisms)
+
+    def test_a_single_run_is_refused(self):
+        # One replay leaves the bit-identity check nothing to compare.
+        for runs in (0, 1):
+            with pytest.raises(ConfigurationError, match="at least 2"):
+                run_arena_report(ARENA_SMOKE_PRESET, runs=runs)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -55,6 +63,7 @@ class TestReport:
     def test_smoke_match_passes_every_gate(self, smoke_report):
         section, problems = smoke_report
         assert problems == []
+        assert arena_problems(section) == []
         assert section["determinism"]["bit_identical"] is True
         assert section["determinism"]["runs"] == 2
         assert section["rit_sybil_gain_minimal"] is True
@@ -76,12 +85,6 @@ class TestReport:
         assert budget["checked"] is True
         assert budget["consistent"] is True
         assert budget["budget_cents"] == 100_000
-
-    def test_section_passes_the_bench_validator(self, smoke_report):
-        section, _ = smoke_report
-        assert _validate_arena_section(section) == []
-        # And as part of a full document with other sections absent.
-        assert "arena is not an object" in _validate_arena_section([])
 
     def test_canonical_scorecard_strips_latency_only(self, smoke_report):
         section, _ = smoke_report
@@ -110,45 +113,67 @@ class TestReport:
 
 
 class TestValidatorRejections:
+    """:func:`arena_problems` names each broken verdict, and only it."""
+
+    @staticmethod
+    def problems_of(section, breakage):
+        broken = json.loads(json.dumps(section))
+        breakage(broken)
+        return arena_problems(broken)
+
     def test_rejects_missing_mechanisms(self, smoke_report):
         section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        del broken["mechanisms"]["rit"]
-        errors = _validate_arena_section(broken)
-        assert any("must include 'rit'" in e for e in errors)
-        assert any("at least 4" in e for e in errors)
+        problems = self.problems_of(
+            section, lambda doc: doc["mechanisms"].pop("rit")
+        )
+        assert problems == ["the arena roster must include 'rit'"]
 
     def test_rejects_non_deterministic_rerun(self, smoke_report):
         section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        broken["determinism"]["bit_identical"] = False
-        errors = _validate_arena_section(broken)
-        assert any("bit_identical" in e for e in errors)
+        problems = self.problems_of(
+            section,
+            lambda doc: doc["determinism"].update(bit_identical=False),
+        )
+        assert problems == ["scorecard not bit-identical across 2 runs"]
 
     def test_rejects_budget_violation(self, smoke_report):
         section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        broken["mechanisms"]["glt"]["budget"]["consistent"] = False
-        errors = _validate_arena_section(broken)
-        assert any("budget.consistent" in e for e in errors)
+        problems = self.problems_of(
+            section,
+            lambda doc: doc["mechanisms"]["glt"]["budget"].update(
+                consistent=False
+            ),
+        )
+        assert problems == [
+            "glt: settled epoch payments != declared budget_cents"
+        ]
+
+    def test_unchecked_budget_is_exempt(self, smoke_report):
+        section, _ = smoke_report
+        problems = self.problems_of(
+            section,
+            lambda doc: doc["mechanisms"]["rit"]["budget"].update(
+                consistent=False
+            ),
+        )
+        assert problems == []
 
     def test_rejects_diverged_stream_fingerprint(self, smoke_report):
         section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        broken["mechanisms"]["omg"]["attacked"]["stream_sha256"] = "0" * 64
-        errors = _validate_arena_section(broken)
-        assert any("diverges from the match reference" in e for e in errors)
+        problems = self.problems_of(
+            section,
+            lambda doc: doc["mechanisms"]["omg"]["attacked"].update(
+                stream_sha256="0" * 64
+            ),
+        )
+        assert problems == ["omg: attacked stream fingerprint diverged"]
 
     def test_rejects_rit_losing_on_sybil_gain(self, smoke_report):
         section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        broken["rit_sybil_gain_minimal"] = False
-        errors = _validate_arena_section(broken)
-        assert any("rit_sybil_gain_minimal" in e for e in errors)
-
-    def test_rejects_unknown_mechanism(self, smoke_report):
-        section, _ = smoke_report
-        broken = json.loads(json.dumps(section))
-        broken["mechanisms"]["vcg"] = broken["mechanisms"]["omg"]
-        errors = _validate_arena_section(broken)
-        assert any("unknown mechanism" in e for e in errors)
+        problems = self.problems_of(
+            section, lambda doc: doc.update(rit_sybil_gain_minimal=False)
+        )
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "rit sybil gain is not minimal across the roster"
+        )

@@ -53,11 +53,6 @@ class TestRegistry:
 
         assert tuple(_MECHANISM_NAMES) == MECHANISM_NAMES
 
-    def test_bench_mirror_matches_registry(self):
-        from repro.devtools.bench import _ARENA_MECHANISMS
-
-        assert tuple(_ARENA_MECHANISMS) == MECHANISM_NAMES
-
 
 class TestRITAdapter:
     def test_arena_replay_matches_offline_anchor(self):

@@ -131,28 +131,6 @@ class TestCliExitCodes:
         assert doc["files_analyzed"] == 2
 
 
-class TestBenchMerge:
-    def test_bench_flag_writes_analysis_section(self, project, capsys):
-        out = project / "bench.json"
-        assert analyze_main(["--bench", "--bench-out", str(out), "."]) == 0
-        stdout = capsys.readouterr().out
-        assert "analysis section merged" in stdout
-        section = json.loads(out.read_text())["analysis"]
-        assert section["files_analyzed"] == 2
-        assert section["findings_by_rule"] == {"RIT009": 1}
-        # The bench probe's second pass ran fully warm.
-        assert section["warm_files_parsed"] == 0
-
-    def test_bench_merge_preserves_existing_doc(self, project, capsys):
-        out = project / "bench.json"
-        out.write_text('{"benchmark": "full_rit_run"}\n')
-        assert analyze_main(["--bench", "--bench-out", str(out), "."]) == 0
-        capsys.readouterr()
-        doc = json.loads(out.read_text())
-        assert doc["benchmark"] == "full_rit_run"
-        assert "analysis" in doc
-
-
 class TestSarif:
     def test_sarif_report_structure(self, project, capsys):
         sarif_path = project / "out.sarif"

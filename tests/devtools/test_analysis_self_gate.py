@@ -25,8 +25,14 @@ TREE = [REPO / part for part in DEFAULT_PATHS]
 
 
 @pytest.fixture(scope="module")
-def live_result():
-    return analyze_paths(TREE, root=REPO, cache_path=None)
+def cache_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("analysis") / "cache.json"
+
+
+@pytest.fixture(scope="module")
+def live_result(cache_path):
+    """A cold pass over the live tree, filling a fresh cache."""
+    return analyze_paths(TREE, root=REPO, cache_path=cache_path)
 
 
 def test_live_tree_matches_committed_baseline_exactly(live_result):
@@ -43,9 +49,23 @@ def test_live_tree_matches_committed_baseline_exactly(live_result):
     )
 
 
-def test_analyze_cli_exits_zero_on_live_tree(monkeypatch, capsys):
+def test_warm_rerun_parses_nothing(live_result, cache_path):
+    """The incremental cache: a warm rerun over the unchanged tree parses
+    no file, answers every file from the cache and finds the same."""
+    assert live_result.files_parsed == live_result.files_analyzed
+    warm = analyze_paths(TREE, root=REPO, cache_path=cache_path)
+    assert warm.files_parsed == 0
+    assert warm.cache_hits == warm.files_analyzed == live_result.files_analyzed
+    assert warm.findings == live_result.findings
+
+
+def test_analyze_cli_exits_zero_on_live_tree(
+    live_result, cache_path, monkeypatch, capsys
+):
+    # Warm from the cold pass: the same findings (see the test above).
     monkeypatch.chdir(REPO)
-    assert analyze_main(["--ci", "--no-cache", *map(str, TREE)]) == 0
+    argv = ["--ci", "--cache", str(cache_path), *map(str, TREE)]
+    assert analyze_main(argv) == 0
     capsys.readouterr()
 
 

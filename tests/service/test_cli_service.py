@@ -113,13 +113,15 @@ class TestServeAttack:
         assert "differential check OK" in out
         detection = re.search(
             r"sentinel: collusion injected at epoch 5, detected at epoch "
-            r"(\d+) \(\+(\d+)\), \d+ alert\(s\) \[(.*)\]",
+            r"(\d+) \(\+(\d+)\), \d+ alert\(s\) \[([^\]]*)\]$",
             out,
+            re.MULTILINE,
         )
         assert detection is not None, out
         assert int(detection.group(1)) >= 5
         assert int(detection.group(2)) <= DEFAULT_DETECTION_BUDGET
-        # The §4-A price cartel is flagged by the mean-ask drift detector.
+        # The §4-A price cartel is flagged by the mean-ask drift detector,
+        # and no other detector fired after the onset.
         assert "price_drift=" in detection.group(3)
         (run,) = tmp_path.iterdir()
         schedule = json.loads((run / "meta.json").read_text())["attack"]
@@ -127,6 +129,18 @@ class TestServeAttack:
         assert schedule["onset_epoch"] == 5
         assert schedule["seed"] == 202
         assert schedule["epoch_max_events"] == 32
+
+    def test_unrelated_alerts_do_not_count_as_a_detection(self, capsys):
+        # The stream's tail withdrawals fire withdrawal_spike at epoch 12;
+        # the sybil chain injected at epoch 3 (before warm-up) is unseen.
+        argv = ["serve", "--graph", "forest-fire", "--attack", "sybil",
+                "--attack-epoch", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (
+            "sentinel: sybil injected at epoch 3, NOT detected, 2 alert(s), "
+            "unrelated [withdrawal_spike=2]\n"
+        ) in out
 
     def test_graph_and_attack_name_the_run(self, tmp_path, capsys):
         clean = ["serve", "--smoke"]

@@ -230,8 +230,7 @@ class TestArena:
         assert args.command == "arena"
         assert args.mechanisms is None
         assert args.runs == 2
-        assert args.out == "BENCH_RIT.json"
-        assert not args.smoke and not args.json and not args.bench
+        assert not args.smoke and not args.json
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(SystemExit):
@@ -241,18 +240,55 @@ class TestArena:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["arena", "--attack", "ddos"])
 
-    def test_smoke_json_and_bench_merge(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(
-            ["arena", "--smoke", "--json", "--bench", "--out", str(out)]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        section = json.loads(stdout[: stdout.rindex("}") + 1])
+    def test_smoke_json_passes_the_gate(self, capsys):
+        from repro.arena.harness import arena_problems
+
+        assert main(["arena", "--smoke", "--json"]) == 0
+        section = json.loads(capsys.readouterr().out)
+        assert section["config"]["users"] == 220
         assert section["determinism"]["bit_identical"] is True
         assert section["rit_sybil_gain_minimal"] is True
-        merged = json.loads(out.read_text())
-        assert merged["arena"]["config"]["users"] == 220
-        from repro.devtools.bench import _validate_arena_section
+        assert arena_problems(section) == []
 
-        assert _validate_arena_section(merged["arena"]) == []
+    def test_roster_without_rit_exits_one(self, capsys):
+        argv = ["arena", "--smoke", "--mechanisms", "glt",
+                "--mechanisms", "omg"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "PROBLEMS:" in out
+        assert "the arena roster must include 'rit'" in out
+
+    @pytest.mark.parametrize("runs", ["0", "1"])
+    def test_runs_below_two_are_refused(self, runs, capsys):
+        assert main(["arena", "--smoke", "--runs", runs]) == 2
+        assert capsys.readouterr().out == (
+            f"rit arena: runs must be at least 2 to check bit-identity, "
+            f"got {runs}\n"
+        )
+
+    def test_an_onset_before_any_join_is_a_usage_error(self, capsys):
+        argv = ["arena", "--smoke", "--attack", "collusion",
+                "--attack-epoch", "0"]
+        assert main(argv) == 2
+        assert "rit arena: no users joined before epoch 0" in (
+            capsys.readouterr().out
+        )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sentinel", "--bench"),
+        ("sentinel", "--out"),
+        ("arena", "--bench"),
+        ("arena", "--out"),
+        ("analyze", "--bench"),
+        ("analyze", "--bench-out"),
+    ],
+)
+def test_bench_document_flags_are_gone(command, flag, capsys):
+    # No command writes a bench document: perfbench is the benchmark.
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
