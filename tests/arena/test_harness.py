@@ -1,5 +1,6 @@
 """Arena harness: determinism, scorecard schema, and the acceptance gates."""
 
+import dataclasses
 import json
 
 import pytest
@@ -63,7 +64,6 @@ class TestReport:
     def test_smoke_match_passes_every_gate(self, smoke_report):
         section, problems = smoke_report
         assert problems == []
-        assert arena_problems(section) == []
         assert section["determinism"]["bit_identical"] is True
         assert section["determinism"]["runs"] == 2
         assert section["rit_sybil_gain_minimal"] is True
@@ -85,6 +85,14 @@ class TestReport:
         assert budget["checked"] is True
         assert budget["consistent"] is True
         assert budget["budget_cents"] == 100_000
+
+    def test_section_passes_the_bench_validator(self, smoke_report):
+        # arena_problems is the validator `make arena` applies to the
+        # bench match. It reads the section alone, so the scorecard as
+        # `rit arena --json` prints it passes as well.
+        section, _ = smoke_report
+        printed = json.loads(json.dumps(section, sort_keys=True))
+        assert arena_problems(printed) == []
 
     def test_canonical_scorecard_strips_latency_only(self, smoke_report):
         section, _ = smoke_report
@@ -113,7 +121,8 @@ class TestReport:
 
 
 class TestValidatorRejections:
-    """:func:`arena_problems` names each broken verdict, and only it."""
+    """:func:`arena_problems` names each broken verdict, and only it; a
+    roster with an unregistered mechanism is refused before any replay."""
 
     @staticmethod
     def problems_of(section, breakage):
@@ -177,3 +186,9 @@ class TestValidatorRejections:
         assert problems[0].startswith(
             "rit sybil gain is not minimal across the roster"
         )
+
+    def test_rejects_unknown_mechanism(self):
+        roster = ("vcg", *ARENA_SMOKE_PRESET.mechanisms)
+        config = dataclasses.replace(ARENA_SMOKE_PRESET, mechanisms=roster)
+        with pytest.raises(ConfigurationError, match="unknown mechanism 'vcg'"):
+            run_arena_report(config)
