@@ -25,26 +25,30 @@ Package map
 ``repro.analysis``    property audits and theoretical bound tables
 """
 
-from repro.core import (
-    RIT,
-    AllocationError,
-    Ask,
-    ConfigurationError,
-    Job,
-    Mechanism,
-    MechanismOutcome,
-    ModelError,
-    Population,
-    ReproError,
-    User,
-)
-from repro.tree import ROOT, IncentiveTree, build_spanning_forest, grow_tree
-from repro.workloads import (
-    Scenario,
-    environmental_monitoring,
-    paper_scenario,
-    spectrum_sensing,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # resolved lazily by __getattr__ below
+    from repro.core import (
+        RIT,
+        AllocationError,
+        Ask,
+        ConfigurationError,
+        Job,
+        Mechanism,
+        MechanismOutcome,
+        ModelError,
+        Population,
+        ReproError,
+        User,
+    )
+    from repro.tree import ROOT, IncentiveTree, build_spanning_forest, grow_tree
+    from repro.workloads import (
+        Scenario,
+        environmental_monitoring,
+        paper_scenario,
+        spectrum_sensing,
+    )
 
 __version__ = "1.0.0"
 
@@ -70,3 +74,19 @@ __all__ = [
     "ModelError",
     "AllocationError",
 ]
+
+# Each top-level name imports its subpackage (and numpy) on first use, so
+# importing a leaf module, such as the standard-library-only static
+# analyzer, does not load the mechanism it may be checking.
+_HOMES = ("repro.core", "repro.tree", "repro.workloads")
+
+
+def __getattr__(name: str) -> Any:
+    if name in __all__:
+        for home in _HOMES:
+            module = import_module(home)
+            if name in module.__all__:
+                value = getattr(module, name)
+                globals()[name] = value
+                return value
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

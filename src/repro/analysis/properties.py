@@ -14,11 +14,16 @@ compared against ``1 − H`` rather than hard booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.evaluator import compare_misreport, compare_sybil_attack
+from repro.attacks.evaluator import (
+    AttackComparison,
+    compare_misreport,
+    compare_profiles,
+    compare_sybil_attack,
+)
 from repro.attacks.sybil import SybilAttack
 from repro.core.exceptions import ConfigurationError
 from repro.core.mechanism import Mechanism
@@ -97,27 +102,30 @@ def check_solicitation_incentive(
         if newcomer_id is not None
         else max(max(asks), max(tree.nodes(), default=0)) + 1
     )
-    cost = _infer_cost(asks, solicitor)
+    # Property checks run on truthful profiles, where ask value == cost.
+    cost = asks[solicitor].value
+    variant_asks = dict(asks)
+    variant_asks[newcomer] = newcomer_ask
 
-    def expected_utility(parent: int) -> float:
+    def placed_under(parent: int) -> Tuple[Mapping[int, Ask], IncentiveTree]:
         variant_tree = tree.copy()
         variant_tree.attach(newcomer, parent)
-        variant_asks = dict(asks)
-        variant_asks[newcomer] = newcomer_ask
-        seeds = spawn(rng, reps)
-        return float(
-            np.mean(
-                [
-                    mechanism.run(job, variant_asks, variant_tree, s).utility_of(
-                        solicitor, cost
-                    )
-                    for s in seeds
-                ]
-            )
-        )
+        return variant_asks, variant_tree
 
-    mine = expected_utility(solicitor)
-    theirs = expected_utility(other_parent if other_parent is not None else ROOT)
+    def score(out: MechanismOutcome) -> float:
+        return out.utility_of(solicitor, cost)
+
+    comparison = compare_profiles(
+        mechanism,
+        job,
+        placed_under(solicitor),
+        placed_under(other_parent if other_parent is not None else ROOT),
+        score,
+        score,
+        reps=reps,
+        rng=rng,
+    )
+    mine, theirs = comparison.honest_utility, comparison.deviant_utility
     holds = mine >= theirs - 1e-9
     return PropertyReport(
         "solicitation incentive",
@@ -126,9 +134,26 @@ def check_solicitation_incentive(
     )
 
 
-def _infer_cost(asks: Mapping[int, Ask], user_id: int) -> float:
-    # Property checks run on truthful profiles, where ask value == cost.
-    return asks[user_id].value
+def _violation_rate(
+    trials: int,
+    rng: SeedLike,
+    comparisons: Callable[[np.random.Generator], Iterator[AttackComparison]],
+) -> float:
+    """Fraction of ``trials`` in which some deviation beat honesty.
+
+    Each trial spawns one generator from ``rng`` and hands it to
+    ``comparisons``, which yields the trial's paired comparisons lazily:
+    the first one whose gain clears the noise margin ends the trial.
+    """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    gen = as_generator(rng)
+    violations = 0
+    for _ in range(trials):
+        trial_gen = spawn(gen, 1)[0]
+        if any(c.gain > 1e-9 for c in comparisons(trial_gen)):
+            violations += 1
+    return violations / trials
 
 
 def misreport_violation_rate(
@@ -148,17 +173,12 @@ def misreport_violation_rate(
     violation when any deviation wins by more than a noise margin derived
     from the paired samples.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     asks = scenario.truthful_asks()
     cost = scenario.population[user_id].cost
-    gen = as_generator(rng)
-    violations = 0
-    for _ in range(trials):
-        trial_gen = spawn(gen, 1)[0]
-        beaten = False
+
+    def comparisons(trial_gen: np.random.Generator) -> Iterator[AttackComparison]:
         for value in deviations:
-            comparison = compare_misreport(
+            yield compare_misreport(
                 mechanism,
                 scenario.job,
                 asks,
@@ -169,12 +189,8 @@ def misreport_violation_rate(
                 reps=reps,
                 rng=trial_gen,
             )
-            if comparison.gain > 1e-9:
-                beaten = True
-                break
-        if beaten:
-            violations += 1
-    return violations / trials
+
+    return _violation_rate(trials, rng, comparisons)
 
 
 def sybil_violation_rate(
@@ -189,16 +205,11 @@ def sybil_violation_rate(
     rng: SeedLike = None,
 ) -> float:
     """Fraction of trials where some random sybil attack beat honesty."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     asks = scenario.truthful_asks()
     user = scenario.population[victim]
     value = user.cost if ask_value is None else ask_value
-    gen = as_generator(rng)
-    violations = 0
-    for _ in range(trials):
-        trial_gen = spawn(gen, 1)[0]
-        beaten = False
+
+    def comparisons(trial_gen: np.random.Generator) -> Iterator[AttackComparison]:
         for delta in identity_counts:
             if delta > user.capacity:
                 continue
@@ -210,7 +221,7 @@ def sybil_violation_rate(
                 len(scenario.tree.children(victim)),
                 trial_gen,
             )
-            comparison = compare_sybil_attack(
+            yield compare_sybil_attack(
                 mechanism,
                 scenario.job,
                 asks,
@@ -221,9 +232,5 @@ def sybil_violation_rate(
                 rng=trial_gen,
                 true_capacity=user.capacity,
             )
-            if comparison.gain > 1e-9:
-                beaten = True
-                break
-        if beaten:
-            violations += 1
-    return violations / trials
+
+    return _violation_rate(trials, rng, comparisons)

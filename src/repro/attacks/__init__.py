@@ -2,7 +2,6 @@
 
 from repro.attacks.collusion import (
     Coalition,
-    CoalitionComparison,
     apply_coalition,
     compare_coalition,
     random_price_cartel,
@@ -10,6 +9,7 @@ from repro.attacks.collusion import (
 from repro.attacks.evaluator import (
     AttackComparison,
     compare_misreport,
+    compare_profiles,
     compare_sybil_attack,
 )
 from repro.attacks.misreport import deviation_grid, misreport, misreport_value
@@ -18,7 +18,6 @@ from repro.attacks.sybil import IdentitySpec, SybilAttack, apply_attack
 
 __all__ = [
     "Coalition",
-    "CoalitionComparison",
     "apply_coalition",
     "compare_coalition",
     "random_price_cartel",
@@ -29,6 +28,7 @@ __all__ = [
     "misreport_value",
     "deviation_grid",
     "AttackComparison",
+    "compare_profiles",
     "compare_sybil_attack",
     "compare_misreport",
     "DeviationCandidate",

@@ -20,20 +20,19 @@ This module makes coalitions first-class:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
+from repro.attacks.evaluator import AttackComparison, compare_profiles
 from repro.core.exceptions import AttackError
 from repro.core.mechanism import Mechanism
-from repro.core.rng import SeedLike, as_generator, spawn_seeds
+from repro.core.outcome import MechanismOutcome
+from repro.core.rng import SeedLike, as_generator
 from repro.core.types import Ask, Job
 from repro.tree.incentive_tree import IncentiveTree
 
 __all__ = [
     "Coalition",
     "apply_coalition",
-    "CoalitionComparison",
     "compare_coalition",
     "random_price_cartel",
 ]
@@ -92,30 +91,6 @@ def apply_coalition(
     return out
 
 
-@dataclass(frozen=True)
-class CoalitionComparison:
-    """Honest-vs-colluding totals for a coalition."""
-
-    honest_total: float
-    deviant_total: float
-    honest_samples: Tuple[float, ...]
-    deviant_samples: Tuple[float, ...]
-
-    @property
-    def gain(self) -> float:
-        return self.deviant_total - self.honest_total
-
-    @property
-    def profitable(self) -> bool:
-        return self.gain > 0
-
-    def gain_summary(self, rng: SeedLike = None):
-        """Bootstrap/permutation summary (see repro.analysis.stats)."""
-        from repro.analysis.stats import summarize_gain
-
-        return summarize_gain(self.honest_samples, self.deviant_samples, rng=rng)
-
-
 def compare_coalition(
     mechanism: Mechanism,
     job: Job,
@@ -126,34 +101,24 @@ def compare_coalition(
     *,
     reps: int = 10,
     rng: SeedLike = None,
-) -> CoalitionComparison:
+) -> AttackComparison:
     """Paired-coin comparison of the coalition's total utility.
 
     The honest profile must already be truthful for the members; the
     deviant profile applies the coalition's overrides.  Both scenarios
-    replay the same coin streams (value-only deviations keep the unit-ask
-    vector length, so CRA draws align exactly).
+    replay the same coin streams (:func:`~repro.attacks.evaluator
+    .compare_profiles`; value-only deviations keep the unit-ask vector
+    length, so CRA draws align exactly).  The comparison's utilities are
+    the members' totals.
     """
-    if reps < 1:
-        raise AttackError(f"reps must be >= 1, got {reps}")
     deviant_asks = apply_coalition(coalition, asks)
-    seeds = spawn_seeds(rng, reps)
-    honest: List[float] = []
-    deviant: List[float] = []
-    for r in range(reps):
-        h = mechanism.run(job, asks, tree, np.random.default_rng(seeds[r]))
-        honest.append(
-            sum(h.utility_of(uid, costs[uid]) for uid in coalition.members)
-        )
-        d = mechanism.run(job, deviant_asks, tree, np.random.default_rng(seeds[r]))
-        deviant.append(
-            sum(d.utility_of(uid, costs[uid]) for uid in coalition.members)
-        )
-    return CoalitionComparison(
-        honest_total=float(np.mean(honest)),
-        deviant_total=float(np.mean(deviant)),
-        honest_samples=tuple(honest),
-        deviant_samples=tuple(deviant),
+
+    def total(out: MechanismOutcome) -> float:
+        return sum(out.utility_of(uid, costs[uid]) for uid in coalition.members)
+
+    return compare_profiles(
+        mechanism, job, (asks, tree), (deviant_asks, tree), total, total,
+        reps=reps, rng=rng,
     )
 
 

@@ -1,15 +1,17 @@
 """Attack evaluation harness.
 
 Compares a participant's *honest* utility against its utility under a
-deviation (sybil attack or misreport), averaged over repeated mechanism
-runs with paired random seeds.  This is the machinery behind Fig. 9 and
-the truthfulness/sybil-proofness property tests.
+deviation (sybil attack, misreport, coalition, tree placement), averaged
+over repeated mechanism runs with paired random seeds.  One loop,
+:func:`compare_profiles`, runs every such pair; it is the machinery behind
+:func:`repro.attacks.search.best_deviation`, the coalition sweep and the
+property checks of :mod:`repro.analysis.properties`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -17,12 +19,18 @@ from repro.attacks.misreport import misreport_value
 from repro.attacks.sybil import SybilAttack, apply_attack
 from repro.core.exceptions import AttackError
 from repro.core.mechanism import Mechanism
+from repro.core.outcome import MechanismOutcome
 from repro.core.rng import SeedLike, spawn_seeds
 from repro.core.types import Ask, Job
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.tree.incentive_tree import IncentiveTree
 
-__all__ = ["AttackComparison", "compare_sybil_attack", "compare_misreport"]
+__all__ = [
+    "AttackComparison",
+    "compare_profiles",
+    "compare_sybil_attack",
+    "compare_misreport",
+]
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,42 @@ class AttackComparison:
         return summarize_gain(self.honest_samples, self.deviant_samples, rng=rng)
 
 
-def _mean(xs: Sequence[float]) -> float:
-    return float(np.mean(xs)) if xs else 0.0
+def compare_profiles(
+    mechanism: Mechanism,
+    job: Job,
+    honest: Tuple[Mapping[int, Ask], IncentiveTree],
+    deviant: Tuple[Mapping[int, Ask], IncentiveTree],
+    honest_score: Callable[[MechanismOutcome], float],
+    deviant_score: Callable[[MechanismOutcome], float],
+    *,
+    reps: int,
+    rng: SeedLike,
+) -> AttackComparison:
+    """Paired honest-vs-deviant runs under common random numbers.
+
+    ``honest`` and ``deviant`` are ``(asks, tree)`` scenarios of one job.
+    Repetition ``r`` runs both on generators seeded by the same child
+    ``r`` of ``spawn_seeds(rng, reps)``, so the two runs replay one coin
+    stream and the comparison isolates the deviation's effect (when both
+    profiles claim the same unit total, CRA draws line up one-to-one).
+    Each outcome is reduced by its scenario's score.  Every honest-vs-
+    deviation evaluation in the library runs through this loop.
+    """
+    if reps < 1:
+        raise AttackError(f"reps must be >= 1, got {reps}")
+    honest_samples: List[float] = []
+    deviant_samples: List[float] = []
+    for seed in spawn_seeds(rng, reps):
+        honest_out = mechanism.run(job, *honest, np.random.default_rng(seed))
+        honest_samples.append(honest_score(honest_out))
+        deviant_out = mechanism.run(job, *deviant, np.random.default_rng(seed))
+        deviant_samples.append(deviant_score(deviant_out))
+    return AttackComparison(
+        honest_utility=float(np.mean(honest_samples)),
+        deviant_utility=float(np.mean(deviant_samples)),
+        honest_samples=tuple(honest_samples),
+        deviant_samples=tuple(deviant_samples),
+    )
 
 
 def compare_sybil_attack(
@@ -86,47 +128,35 @@ def compare_sybil_attack(
     """Evaluate a sybil attack against honest play.
 
     Runs the mechanism ``reps`` times on the honest scenario and ``reps``
-    times on the attacked scenario, with paired seeds spawned from ``rng``,
-    and compares the victim's honest utility ``U_j(t_j, K_j, c_j)`` with
-    the identities' total utility ``Σ_l U_{j_l}``.
+    times on the attacked scenario (:func:`compare_profiles`), and
+    compares the victim's honest utility ``U_j(t_j, K_j, c_j)`` with the
+    identities' total utility ``Σ_l U_{j_l}``.
 
     ``tracer`` (see :mod:`repro.obs`) wraps the comparison in an
     ``attack`` span and routes it into the paired mechanism runs.
     """
-    if reps < 1:
-        raise AttackError(f"reps must be >= 1, got {reps}")
     tracer = tracer if tracer is not None else NULL_TRACER
     tracing = tracer.enabled
     mech = mechanism.with_tracer(tracer) if tracing else mechanism
     attacked_asks, attacked_tree, identity_ids = apply_attack(
         attack, asks, tree, true_capacity=true_capacity
     )
-    seeds = spawn_seeds(rng, reps)
-    honest: List[float] = []
-    deviant: List[float] = []
     with tracer.run_span(), tracer.span(
         "attack", kind="sybil", victim=int(attack.victim), reps=reps
     ):
         if tracing:
             tracer.count("attack_comparisons")
             tracer.count("sybil_identities_spawned", len(identity_ids))
-        for r in range(reps):
-            # Common random numbers: both runs replay the same coin stream,
-            # so the comparison isolates the attack's effect (when the
-            # identities claim the same total capacity, the unit-ask vectors
-            # have equal length and CRA draws line up one-to-one).
-            honest_out = mech.run(job, asks, tree, np.random.default_rng(seeds[r]))
-            honest.append(honest_out.utility_of(attack.victim, cost))
-            attacked_out = mech.run(
-                job, attacked_asks, attacked_tree, np.random.default_rng(seeds[r])
-            )
-            deviant.append(attacked_out.group_utility(identity_ids, cost))
-    return AttackComparison(
-        honest_utility=_mean(honest),
-        deviant_utility=_mean(deviant),
-        honest_samples=tuple(honest),
-        deviant_samples=tuple(deviant),
-    )
+        return compare_profiles(
+            mech,
+            job,
+            (asks, tree),
+            (attacked_asks, attacked_tree),
+            lambda out: out.utility_of(attack.victim, cost),
+            lambda out: out.group_utility(identity_ids, cost),
+            reps=reps,
+            rng=rng,
+        )
 
 
 def compare_misreport(
@@ -146,18 +176,18 @@ def compare_misreport(
 
     The honest profile must already contain the user's truthful ask
     (``a_j = c_j``); the deviant profile replaces it with
-    ``reported_value``.  ``tracer`` behaves as in
-    :func:`compare_sybil_attack`.
+    ``reported_value``.  A value-only misreport keeps the unit-ask vector
+    length, so the paired runs are nearly noise-free.  ``tracer`` behaves
+    as in :func:`compare_sybil_attack`.
     """
-    if reps < 1:
-        raise AttackError(f"reps must be >= 1, got {reps}")
     tracer = tracer if tracer is not None else NULL_TRACER
     tracing = tracer.enabled
     mech = mechanism.with_tracer(tracer) if tracing else mechanism
     deviant_asks = misreport_value(asks, user_id, reported_value)
-    seeds = spawn_seeds(rng, reps)
-    honest: List[float] = []
-    deviant: List[float] = []
+
+    def score(out: MechanismOutcome) -> float:
+        return out.utility_of(user_id, cost)
+
     with tracer.run_span(), tracer.span(
         "attack",
         kind="misreport",
@@ -168,19 +198,7 @@ def compare_misreport(
         if tracing:
             tracer.count("attack_comparisons")
             tracer.count("misreports_evaluated", reps)
-        for r in range(reps):
-            # Common random numbers (see compare_sybil_attack): a value-only
-            # misreport keeps the unit-ask vector length, so paired streams
-            # make the comparison nearly noise-free.
-            honest_out = mech.run(job, asks, tree, np.random.default_rng(seeds[r]))
-            honest.append(honest_out.utility_of(user_id, cost))
-            deviant_out = mech.run(
-                job, deviant_asks, tree, np.random.default_rng(seeds[r])
-            )
-            deviant.append(deviant_out.utility_of(user_id, cost))
-    return AttackComparison(
-        honest_utility=_mean(honest),
-        deviant_utility=_mean(deviant),
-        honest_samples=tuple(honest),
-        deviant_samples=tuple(deviant),
-    )
+        return compare_profiles(
+            mech, job, (asks, tree), (deviant_asks, tree), score, score,
+            reps=reps, rng=rng,
+        )

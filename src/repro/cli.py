@@ -626,21 +626,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         users, types = args.users, args.types
         tasks_per_type = args.tasks_per_type
         epoch_events, epoch_ticks = args.epoch_events, args.epoch_ticks
+    if args.probe_metrics and args.metrics_port is None:
+        print("rit serve: --probe-metrics requires --metrics-port")
+        return 2
     seed = int(args.seed)
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(
-        users, types, tasks_per_type, scenario_rng, graph=args.graph
-    )
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=args.withdraw_fraction
-    )
-    schedule: Optional[Dict[str, Any]] = None
-    sentinel = None
-    if args.attack is not None:
-        from repro.sentinel import SentinelPlane, inject_attack
+    mechanism_params = {
+        "rng_policy": "per-type",
+        "round_budget": "until-complete",
+    }
+    probe_problems: List[str] = []
+    try:
+        # Out-of-range options (--users 0, --queue 0, --withdraw-fraction 1,
+        # --epoch-ticks 0, a negative --attack-epoch, a --ledger directory
+        # that already holds this run's epochs ...) surface here.
+        scenario_rng, stream_rng = spawn_seeds(seed, 2)
+        scenario = build_scenario(
+            users, types, tasks_per_type, scenario_rng, graph=args.graph
+        )
+        events = scenario_event_stream(
+            scenario, stream_rng, withdraw_fraction=args.withdraw_fraction
+        )
+        schedule: Optional[Dict[str, Any]] = None
+        sentinel = None
+        if args.attack is not None:
+            from repro.sentinel import SentinelPlane, inject_attack
 
-        attack_seed = seed if args.attack_seed is None else args.attack_seed
-        try:
+            attack_seed = seed if args.attack_seed is None else args.attack_seed
             events, schedule = inject_attack(
                 events,
                 scenario.job,
@@ -649,59 +660,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 epoch_max_events=epoch_events,
                 seed=attack_seed,
             )
-        except (AttackError, ConfigurationError) as err:
-            # E.g. a negative --attack-epoch, or no join before the onset.
-            print(f"rit serve: {err}")
-            return 2
-        schedule["seed"] = attack_seed
-        sentinel = SentinelPlane()
-    config = ServiceConfig(
-        seed=seed,
-        queue_size=args.queue,
-        epoch_max_events=epoch_events,
-        epoch_max_ticks=epoch_ticks,
-    )
-    mechanism_params = {
-        "rng_policy": "per-type",
-        "round_budget": "until-complete",
-    }
-    run_config = {
-        "users": users,
-        "types": types,
-        "tasks_per_type": tasks_per_type,
-        "epoch_max_events": epoch_events,
-        "epoch_max_ticks": epoch_ticks,
-        "graph": args.graph,
-        "attack": schedule,
-        **mechanism_params,
-    }
-    run_id = f"rit-serve-{seed}-{config_hash(run_config)}"
-    tracer = (
-        Tracer(run_id, seed=seed, config=run_config)
-        if args.trace_out
-        else None
-    )
-    ledger = OutcomeLedger(args.ledger, run_id) if args.ledger else None
-    service = MechanismService(
-        RIT(**mechanism_params),
-        scenario.job,
-        config,
-        tracer=tracer,
-        ledger=ledger,
-        sentinel=sentinel,
-        meta_extra={"attack": schedule} if schedule is not None else None,
-    )
-    if args.probe_metrics and args.metrics_port is None:
-        print("rit serve: --probe-metrics requires --metrics-port")
-        return 2
-    probe_problems: List[str] = []
-    try:
+            schedule["seed"] = attack_seed
+            sentinel = SentinelPlane()
+        config = ServiceConfig(
+            seed=seed,
+            queue_size=args.queue,
+            epoch_max_events=epoch_events,
+            epoch_max_ticks=epoch_ticks,
+        )
+        run_config = {
+            "users": users,
+            "types": types,
+            "tasks_per_type": tasks_per_type,
+            "epoch_max_events": epoch_events,
+            "epoch_max_ticks": epoch_ticks,
+            "graph": args.graph,
+            "attack": schedule,
+            **mechanism_params,
+        }
+        run_id = f"rit-serve-{seed}-{config_hash(run_config)}"
+        tracer = (
+            Tracer(run_id, seed=seed, config=run_config)
+            if args.trace_out
+            else None
+        )
+        ledger = OutcomeLedger(args.ledger, run_id) if args.ledger else None
+        service = MechanismService(
+            RIT(**mechanism_params),
+            scenario.job,
+            config,
+            tracer=tracer,
+            ledger=ledger,
+            sentinel=sentinel,
+            meta_extra={"attack": schedule} if schedule is not None else None,
+        )
         if args.metrics_port is None:
             report = service.serve_stream(events)
         else:
             report, probe_problems = _serve_with_metrics(service, events, args)
-    except ConfigurationError as err:
-        # E.g. a --ledger directory that already holds this run's epochs.
+    except (AttackError, ConfigurationError) as err:
         print(f"rit serve: {err}")
         return 2
 

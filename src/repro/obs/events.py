@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any, Dict, Iterable, List, Mapping
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "SPAN_LEVELS",
     "COUNTER_UNITS",
     "DISTRIBUTION_UNITS",
+    "RUN_ID_RE",
     "config_hash",
     "canonical_events",
     "write_jsonl",
@@ -84,6 +86,12 @@ COUNTER_UNITS = ("count", "seconds", "bytes")
 #: metric catalog (:mod:`repro.obs.metrics`) decides per-name whether
 #: observed values are volatile (measured) or canonical.
 DISTRIBUTION_UNITS = ("count", "seconds", "bytes", "ratio")
+
+
+#: The grammar of a run id: one path component, so an outcome ledger or a
+#: stored experiment result (whose ids and tags share it) never escapes
+#: its root directory.
+RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def config_hash(config: Mapping[str, Any]) -> str:

@@ -1,8 +1,9 @@
 """Outcome ledger: persistent, replayable epoch results.
 
 Layout mirrors :class:`repro.simulation.store.ResultStore`
-(``<root>/<id>/<file>``), with the run id validated by the same tag
-grammar::
+(``<root>/<id>/<file>``), with the run id validated by the same grammar
+(:data:`repro.obs.events.RUN_ID_RE`), so ledgers and experiment results
+can live under one results root::
 
     <root>/<run_id>/meta.json      # config, seed, policy — written once
     <root>/<run_id>/epochs.jsonl   # one canonical outcome per line, append
@@ -33,6 +34,7 @@ from typing import Any, Dict, List, Union
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.outcome import MechanismOutcome
+from repro.obs.events import RUN_ID_RE
 from repro.service.epochs import EpochBatch
 
 __all__ = ["canonical_outcome", "OutcomeLedger"]
@@ -71,13 +73,9 @@ class OutcomeLedger:
     """Append-only JSONL ledger of epoch outcomes for one service run."""
 
     def __init__(self, root: Union[str, Path], run_id: str) -> None:
-        # Reuse the store's tag grammar so ledgers and experiment results
-        # can live under one results root without escaping it.
-        from repro.simulation.store import _TAG_RE
-
-        if not _TAG_RE.match(run_id):
+        if not RUN_ID_RE.match(run_id):
             raise ConfigurationError(
-                f"run_id {run_id!r} must match {_TAG_RE.pattern}"
+                f"run_id {run_id!r} must match {RUN_ID_RE.pattern}"
             )
         self.root = Path(root)
         self.run_id = run_id

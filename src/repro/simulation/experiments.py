@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.evaluator import compare_sybil_attack
-from repro.attacks.sybil import SybilAttack
+from repro.attacks.sybil import SybilAttack, apply_attack
 from repro.core.exceptions import ConfigurationError
 from repro.core.mechanism import Mechanism
 from repro.core.rit import RIT
-from repro.core.rng import SeedLike, as_generator, spawn
+from repro.core.rng import SeedLike, as_generator, spawn, spawn_seeds
 from repro.core.types import Job, Population, User
 from repro.simulation.results import ExperimentResult
 from repro.simulation.runner import RunMeasurement, run_repetitions
@@ -182,249 +182,8 @@ def _default_mechanism() -> RIT:
 # --------------------------------------------------------------------- #
 
 
-def _sweep(
-    x_values: Sequence[int],
-    make_factory: Callable[[int], Callable[[np.random.Generator], Scenario]],
-    *,
-    reps: int,
-    rng: SeedLike,
-    mechanism: Optional[Mechanism],
-) -> Dict[int, List[RunMeasurement]]:
-    mech = mechanism if mechanism is not None else _default_mechanism()
-    seeds = spawn(rng, len(x_values))
-    out: Dict[int, List[RunMeasurement]] = {}
-    for x, seed in zip(x_values, seeds):
-        out[x] = run_repetitions(mech, make_factory(x), reps=reps, rng=seed)
-    return out
-
-
-def _distribution(scale: ExperimentScale) -> "UserDistribution":
-    from repro.workloads.users import UserDistribution
-
-    return UserDistribution(num_types=scale.num_types)
-
-
-def _users_sweep(
-    scale: ExperimentScale, rng: SeedLike, mechanism: Optional[Mechanism]
-) -> Dict[int, List[RunMeasurement]]:
-    job = uniform_job(scale.num_types, scale.tasks_per_type_a)
-    dist = _distribution(scale)
-
-    def make_factory(n: int):
-        def factory(gen: np.random.Generator) -> Scenario:
-            return paper_scenario(n, job, gen, distribution=dist)
-
-        return factory
-
-    return _sweep(
-        scale.users_sweep, make_factory, reps=scale.reps, rng=rng, mechanism=mechanism
-    )
-
-
-def _tasks_sweep(
-    scale: ExperimentScale, rng: SeedLike, mechanism: Optional[Mechanism]
-) -> Dict[int, List[RunMeasurement]]:
-    dist = _distribution(scale)
-
-    def make_factory(m_i: int):
-        job = uniform_job(scale.num_types, m_i)
-
-        def factory(gen: np.random.Generator) -> Scenario:
-            return paper_scenario(scale.users_b, job, gen, distribution=dist)
-
-        return factory
-
-    return _sweep(
-        scale.tasks_sweep, make_factory, reps=scale.reps, rng=rng, mechanism=mechanism
-    )
-
-
-def _figure_from_sweep(
-    data: Dict[int, List[RunMeasurement]],
-    *,
-    experiment_id: str,
-    title: str,
-    x_label: str,
-    y_label: str,
-    rit_metric: Callable[[RunMeasurement], float],
-    auction_metric: Callable[[RunMeasurement], float],
-    config: Dict,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        config=config,
-    )
-    rit_series = result.new_series("RIT")
-    auction_series = result.new_series("auction phase")
-    completion = result.new_series("completion rate")
-    for x in sorted(data):
-        ms = data[x]
-        rit_series.add(x, [rit_metric(m) for m in ms])
-        auction_series.add(x, [auction_metric(m) for m in ms])
-        completion.add(x, [1.0 if m.completed else 0.0 for m in ms])
-    return result
-
-
-def _make_ab_figure(
-    which: str,
-    scale: Optional[ExperimentScale],
-    rng: SeedLike,
-    mechanism: Optional[Mechanism],
-    *,
-    experiment_id: str,
-    title: str,
-    y_label: str,
-    rit_metric: Callable[[RunMeasurement], float],
-    auction_metric: Callable[[RunMeasurement], float],
-) -> ExperimentResult:
-    scale = active_scale(scale)
-    if which == "users":
-        data = _users_sweep(scale, rng, mechanism)
-        x_label = "number of users"
-        config = {
-            "scale": scale.name,
-            "tasks_per_type": scale.tasks_per_type_a,
-            "reps": scale.reps,
-            "num_types": scale.num_types,
-        }
-    else:
-        data = _tasks_sweep(scale, rng, mechanism)
-        x_label = "tasks per type (m_i)"
-        config = {
-            "scale": scale.name,
-            "users": scale.users_b,
-            "reps": scale.reps,
-            "num_types": scale.num_types,
-        }
-    return _figure_from_sweep(
-        data,
-        experiment_id=experiment_id,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        rit_metric=rit_metric,
-        auction_metric=auction_metric,
-        config=config,
-    )
-
-
-def fig6a(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 6(a): average user utility vs number of users."""
-    return _make_ab_figure(
-        "users",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig6a",
-        title="Average user utility vs number of users",
-        y_label="average user utility",
-        rit_metric=lambda m: m.avg_utility,
-        auction_metric=lambda m: m.avg_auction_utility,
-    )
-
-
-def fig6b(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 6(b): average user utility vs per-type job size."""
-    return _make_ab_figure(
-        "tasks",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig6b",
-        title="Average user utility vs tasks per type",
-        y_label="average user utility",
-        rit_metric=lambda m: m.avg_utility,
-        auction_metric=lambda m: m.avg_auction_utility,
-    )
-
-
-def fig7a(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 7(a): total platform payment vs number of users."""
-    return _make_ab_figure(
-        "users",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig7a",
-        title="Total payment vs number of users",
-        y_label="total payment",
-        rit_metric=lambda m: m.total_payment,
-        auction_metric=lambda m: m.total_auction_payment,
-    )
-
-
-def fig7b(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 7(b): total platform payment vs per-type job size."""
-    return _make_ab_figure(
-        "tasks",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig7b",
-        title="Total payment vs tasks per type",
-        y_label="total payment",
-        rit_metric=lambda m: m.total_payment,
-        auction_metric=lambda m: m.total_auction_payment,
-    )
-
-
-def fig8a(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 8(a): running time vs number of users."""
-    return _make_ab_figure(
-        "users",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig8a",
-        title="Running time vs number of users",
-        y_label="running time (s)",
-        rit_metric=lambda m: m.running_time,
-        auction_metric=lambda m: m.auction_running_time,
-    )
-
-
-def fig8b(
-    scale: Optional[ExperimentScale] = None,
-    rng: SeedLike = None,
-    mechanism: Optional[Mechanism] = None,
-) -> ExperimentResult:
-    """Fig. 8(b): running time vs per-type job size."""
-    return _make_ab_figure(
-        "tasks",
-        scale,
-        rng,
-        mechanism,
-        experiment_id="fig8b",
-        title="Running time vs tasks per type",
-        y_label="running time (s)",
-        rit_metric=lambda m: m.running_time,
-        auction_metric=lambda m: m.auction_running_time,
-    )
-
-
+#: Figs. 6-8 by number: title stem, y-axis label, and the RIT and
+#: auction-phase metrics of one run.
 _AB_METRICS = {
     "fig6": (
         "Average user utility",
@@ -447,26 +206,55 @@ _AB_METRICS = {
 }
 
 
-def _figures_from_one_sweep(
-    data: Dict[int, List[RunMeasurement]],
+def _sweep_figures(
+    x_values: Sequence[int],
+    instance: Callable[[int], Tuple[int, Job]],
+    scale: ExperimentScale,
+    rng: SeedLike,
+    mechanism: Optional[Mechanism],
+    *,
     suffix: str,
     x_label: str,
     config: Dict,
 ) -> Dict[str, ExperimentResult]:
+    """Run one sweep and read Figs. 6-8 (``suffix`` "a" or "b") off it.
+
+    ``instance(x)`` is the ``(number of users, job)`` of sweep point
+    ``x``; each point gets its own seed spawned from ``rng`` and
+    ``scale.reps`` repetitions on fresh scenarios.
+    """
+    mech = mechanism if mechanism is not None else _default_mechanism()
+    dist = _distribution(scale)
+    data: Dict[int, List[RunMeasurement]] = {}
+    for x, seed in zip(x_values, spawn(rng, len(x_values))):
+        factory = partial(paper_scenario, *instance(x), distribution=dist)
+        data[x] = run_repetitions(mech, factory, reps=scale.reps, rng=seed)
+
     out: Dict[str, ExperimentResult] = {}
     for prefix, (title, y_label, rit_metric, auction_metric) in _AB_METRICS.items():
-        exp_id = f"{prefix}{suffix}"
-        out[exp_id] = _figure_from_sweep(
-            data,
-            experiment_id=exp_id,
+        result = ExperimentResult(
+            experiment_id=prefix + suffix,
             title=f"{title} vs {x_label}",
             x_label=x_label,
             y_label=y_label,
-            rit_metric=rit_metric,
-            auction_metric=auction_metric,
             config=config,
         )
+        rit_series = result.new_series("RIT")
+        auction_series = result.new_series("auction phase")
+        completion = result.new_series("completion rate")
+        for x in sorted(data):
+            ms = data[x]
+            rit_series.add(x, [rit_metric(m) for m in ms])
+            auction_series.add(x, [auction_metric(m) for m in ms])
+            completion.add(x, [1.0 if m.completed else 0.0 for m in ms])
+        out[result.experiment_id] = result
     return out
+
+
+def _distribution(scale: ExperimentScale) -> "UserDistribution":
+    from repro.workloads.users import UserDistribution
+
+    return UserDistribution(num_types=scale.num_types)
 
 
 def users_sweep_figures(
@@ -478,18 +266,21 @@ def users_sweep_figures(
 
     The three (a)-figures share the same runs — only the extracted metric
     differs — so regenerating them together costs a third of three
-    separate calls.  This is the recommended entry point at
+    separate figure calls.  This is the recommended entry point at
     ``RIT_SCALE=paper``, where a single sweep is 41 points × 1000 reps.
     """
     scale = active_scale(scale)
-    data = _users_sweep(scale, rng, mechanism)
+    job = uniform_job(scale.num_types, scale.tasks_per_type_a)
     config = {
         "scale": scale.name,
         "tasks_per_type": scale.tasks_per_type_a,
         "reps": scale.reps,
         "num_types": scale.num_types,
     }
-    return _figures_from_one_sweep(data, "a", "number of users", config)
+    return _sweep_figures(
+        scale.users_sweep, lambda n: (n, job), scale, rng, mechanism,
+        suffix="a", x_label="number of users", config=config,
+    )
 
 
 def tasks_sweep_figures(
@@ -499,14 +290,72 @@ def tasks_sweep_figures(
 ) -> Dict[str, ExperimentResult]:
     """Figs. 6(b), 7(b) and 8(b) from ONE per-type task sweep."""
     scale = active_scale(scale)
-    data = _tasks_sweep(scale, rng, mechanism)
     config = {
         "scale": scale.name,
         "users": scale.users_b,
         "reps": scale.reps,
         "num_types": scale.num_types,
     }
-    return _figures_from_one_sweep(data, "b", "tasks per type (m_i)", config)
+    return _sweep_figures(
+        scale.tasks_sweep,
+        lambda m_i: (scale.users_b, uniform_job(scale.num_types, m_i)),
+        scale, rng, mechanism,
+        suffix="b", x_label="tasks per type (m_i)", config=config,
+    )
+
+
+def fig6a(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 6(a): average user utility vs number of users."""
+    return users_sweep_figures(scale, rng, mechanism)["fig6a"]
+
+
+def fig6b(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 6(b): average user utility vs per-type job size."""
+    return tasks_sweep_figures(scale, rng, mechanism)["fig6b"]
+
+
+def fig7a(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 7(a): total platform payment vs number of users."""
+    return users_sweep_figures(scale, rng, mechanism)["fig7a"]
+
+
+def fig7b(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 7(b): total platform payment vs per-type job size."""
+    return tasks_sweep_figures(scale, rng, mechanism)["fig7b"]
+
+
+def fig8a(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 8(a): running time vs number of users."""
+    return users_sweep_figures(scale, rng, mechanism)["fig8a"]
+
+
+def fig8b(
+    scale: Optional[ExperimentScale] = None,
+    rng: SeedLike = None,
+    mechanism: Optional[Mechanism] = None,
+) -> ExperimentResult:
+    """Fig. 8(b): running time vs per-type job size."""
+    return tasks_sweep_figures(scale, rng, mechanism)["fig8b"]
 
 
 # --------------------------------------------------------------------- #
@@ -593,8 +442,10 @@ def fig9(
     For each repetition, a fresh instance with a planted victim is drawn;
     for every identity count δ and every ask value, a random admissible
     attack is generated (:meth:`SybilAttack.random`) and the identities'
-    total utility is measured.  The honest utility of the victim (no
-    identities, truthful ask) is reported as the reference series.
+    total utility is measured in one run of the attacked scenario, seeded
+    by a child spawned from the repetition's attack stream.  The honest
+    utility of the victim (no identities, truthful ask) is reported as the
+    reference series.
     """
     scale = active_scale(scale)
     mech = mechanism if mechanism is not None else _default_mechanism()
@@ -644,18 +495,18 @@ def fig9(
                     num_children,
                     attack_gen,
                 )
-                comparison = compare_sybil_attack(
-                    mech,
-                    scenario.job,
-                    asks,
-                    scenario.tree,
-                    attack,
-                    cost,
-                    reps=1,
-                    rng=attack_gen,
+                attacked_asks, attacked_tree, identity_ids = apply_attack(
+                    attack, asks, scenario.tree,
                     true_capacity=scale.fig9_victim_capacity,
                 )
-                samples[(value, delta)].append(comparison.deviant_utility)
+                (seed,) = spawn_seeds(attack_gen, 1)
+                attacked_out = mech.run(
+                    scenario.job, attacked_asks, attacked_tree,
+                    np.random.default_rng(seed),
+                )
+                samples[(value, delta)].append(
+                    attacked_out.group_utility(identity_ids, cost)
+                )
 
     for value in scale.fig9_ask_values:
         for delta in scale.fig9_identity_counts:

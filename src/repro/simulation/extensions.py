@@ -170,7 +170,7 @@ def coalition_sweep(
                 reps=reps, rng=trial_gen,
             )
             gains.append(comparison.gain)
-            denom = max(abs(comparison.honest_total), 1e-9)
+            denom = max(abs(comparison.honest_utility), 1e-9)
             relative.append(comparison.gain / denom)
             weights.append(cartel.unit_weight(asks))
         gain_series.add(size, gains)

@@ -40,7 +40,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.mechanism import Mechanism
 from repro.core.rng import SeedLike, spawn_seeds
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.simulation.runner import RunMeasurement, ScenarioFactory
+from repro.simulation.runner import RunMeasurement, ScenarioFactory, measure_repetition
 
 __all__ = ["run_repetitions_parallel"]
 
@@ -65,13 +65,11 @@ def _measure_one(args):
         )
         mechanism = mechanism.with_tracer(sink)
         rep_sid = sink.begin("rep", rep=int(index))
-    scenario = factory(np.random.default_rng(seed_scenario))
-    asks = scenario.truthful_asks()
-    outcome = mechanism.run(
-        scenario.job, asks, scenario.tree, np.random.default_rng(seed_mechanism)
-    )
-    measurement = RunMeasurement.from_outcome(
-        outcome, scenario.costs(), scenario.num_users
+    measurement = measure_repetition(
+        mechanism,
+        factory,
+        np.random.default_rng(seed_scenario),
+        np.random.default_rng(seed_mechanism),
     )
     if sink is None:
         return index, measurement, None

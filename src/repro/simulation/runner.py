@@ -22,7 +22,7 @@ from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.simulation import metrics as metrics_mod
 from repro.workloads.scenarios import Scenario
 
-__all__ = ["RunMeasurement", "run_repetitions"]
+__all__ = ["RunMeasurement", "measure_repetition", "run_repetitions"]
 
 ScenarioFactory = Callable[[np.random.Generator], Scenario]
 
@@ -56,6 +56,20 @@ class RunMeasurement:
         )
 
 
+def measure_repetition(
+    mechanism: Mechanism,
+    scenario_factory: ScenarioFactory,
+    scenario_rng: np.random.Generator,
+    run_rng: np.random.Generator,
+) -> RunMeasurement:
+    """One repetition: a fresh scenario, one truthful run, its measurements."""
+    scenario = scenario_factory(scenario_rng)
+    outcome = mechanism.run(
+        scenario.job, scenario.truthful_asks(), scenario.tree, run_rng
+    )
+    return RunMeasurement.from_outcome(outcome, scenario.costs(), scenario.num_users)
+
+
 def run_repetitions(
     mechanism: Mechanism,
     scenario_factory: ScenarioFactory,
@@ -83,12 +97,9 @@ def run_repetitions(
     measurements: List[RunMeasurement] = []
     with tracer.run_span(kind="repetitions", reps=reps):
         for r in range(reps):
-            scenario = scenario_factory(seeds[2 * r])
-            asks = scenario.truthful_asks()
-            outcome = mech.run(scenario.job, asks, scenario.tree, seeds[2 * r + 1])
             measurements.append(
-                RunMeasurement.from_outcome(
-                    outcome, scenario.costs(), scenario.num_users
+                measure_repetition(
+                    mech, scenario_factory, seeds[2 * r], seeds[2 * r + 1]
                 )
             )
             if tracing:

@@ -9,17 +9,15 @@ drifts between two runs of the same figure — the tool behind
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Union
 
 from repro.core.exceptions import ConfigurationError
+from repro.obs.events import RUN_ID_RE
 from repro.simulation.results import ExperimentResult, Series
 
 __all__ = ["ResultStore", "SeriesDrift", "compare_results"]
-
-_TAG_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,9 @@ class ResultStore:
 
     def _path(self, experiment_id: str, tag: str) -> Path:
         for label, value in (("experiment_id", experiment_id), ("tag", tag)):
-            if not _TAG_RE.match(value):
+            if not RUN_ID_RE.match(value):
                 raise ConfigurationError(
-                    f"{label} {value!r} must match {_TAG_RE.pattern}"
+                    f"{label} {value!r} must match {RUN_ID_RE.pattern}"
                 )
         return self.root / experiment_id / f"{tag}.json"
 

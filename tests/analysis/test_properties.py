@@ -1,5 +1,6 @@
 """Tests for the empirical property checkers."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.properties import (
@@ -79,6 +80,33 @@ class TestSolicitationIncentive:
             rng=5, reps=20,
         )
         assert report.holds, report.detail
+
+    def test_placements_share_coins_for_every_seed_kind(self):
+        """Both placements replay the same paired seeds, so an int seed, a
+        Generator and a SeedSequence built from it give one report."""
+        scenario = paper_scenario(
+            150,
+            Job.uniform(3, 10),
+            8,
+            distribution=UserDistribution(num_types=3),
+        )
+        mech = RIT(round_budget="until-complete")
+        solicitor = next(iter(scenario.tree.nodes()))
+
+        def detail(rng):
+            return check_solicitation_incentive(
+                mech, scenario.job, scenario.truthful_asks(), scenario.tree,
+                solicitor=solicitor,
+                newcomer_ask=Ask(1, 2, 0.5),
+                rng=rng, reps=6,
+            ).detail
+
+        details = {
+            detail(3),
+            detail(np.random.default_rng(3)),
+            detail(np.random.SeedSequence(3)),
+        }
+        assert details == {"as own child: 1.785346; elsewhere: 1.645703"}
 
     def test_unknown_solicitor_rejected(self):
         job, asks, tree = self._setting()

@@ -5,11 +5,11 @@ import pytest
 
 from repro.attacks.collusion import (
     Coalition,
-    CoalitionComparison,
     apply_coalition,
     compare_coalition,
     random_price_cartel,
 )
+from repro.attacks.evaluator import AttackComparison
 from repro.baselines.kth_price import KthPriceAuction
 from repro.core.exceptions import AttackError
 from repro.core.rit import RIT
@@ -81,6 +81,10 @@ class TestCompareCoalition:
         comparison = compare_coalition(
             KthPriceAuction(), Job([1]), asks, tree, cartel, costs,
             reps=2, rng=0,
+        )
+        assert isinstance(comparison, AttackComparison)
+        assert comparison.deviant_utility - comparison.honest_utility == (
+            comparison.gain
         )
         assert comparison.gain == pytest.approx(1.9)
         assert comparison.profitable

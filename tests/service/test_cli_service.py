@@ -103,6 +103,21 @@ class TestServe:
         assert main(["serve", "--smoke", "--probe-metrics"]) == 2
         assert "--metrics-port" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--smoke", "--withdraw-fraction", "1.0"], "withdraw_fraction"),
+            (["--smoke", "--queue", "0"], "queue maxsize must be positive"),
+            (["--users", "0"], "num_users must be positive"),
+            (["--smoke", "--epoch-ticks", "0"], "max_ticks must be positive"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, options, message, capsys):
+        assert main(["serve", *options]) == 2
+        out = capsys.readouterr().out
+        (line,) = out.splitlines()
+        assert line.startswith("rit serve: ") and message in line
+
 
 class TestServeAttack:
     def test_collusion_is_detected_behind_the_differential(

@@ -196,7 +196,51 @@ class TestCustomMechanismHook:
         assert result.get("honest (no sybil)").points
 
 
+#: The standalone figure functions, by the id of their sweep entry.
+FIGURES = {
+    "fig6a": fig6a,
+    "fig6b": fig6b,
+    "fig7a": fig7a,
+    "fig7b": fig7b,
+    "fig8a": fig8a,
+    "fig8b": fig8b,
+}
+
+
+def _non_timing_series(result):
+    # Fig. 8's RIT and auction-phase lines are wall-clock running times.
+    return [
+        (s.name, s.points)
+        for s in result.series
+        if not result.experiment_id.startswith("fig8") or s.name == "completion rate"
+    ]
+
+
 class TestCombinedSweeps:
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        from repro.simulation.experiments import (
+            tasks_sweep_figures,
+            users_sweep_figures,
+        )
+
+        return {
+            **users_sweep_figures(SMOKE_SCALE, rng=42),
+            **tasks_sweep_figures(SMOKE_SCALE, rng=42),
+        }
+
+    @pytest.mark.parametrize("experiment_id", sorted(FIGURES))
+    def test_figure_equals_its_sweep_entry(self, sweeps, experiment_id):
+        """Each figure function returns exactly its entry of the shared
+        sweep: the same points, labels and config under the same seed."""
+        standalone = FIGURES[experiment_id](SMOKE_SCALE, rng=42)
+        combined = sweeps[experiment_id]
+        assert standalone.experiment_id == combined.experiment_id
+        assert standalone.x_label == combined.x_label
+        assert standalone.y_label == combined.y_label
+        assert standalone.config == combined.config
+        assert _non_timing_series(standalone) == _non_timing_series(combined)
+
     def test_users_sweep_figures_match_individual_runs(self):
         """One shared sweep yields the same results as the standalone
         figure functions under the same seed."""
