@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check perfbench-smoke microbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check perfbench-smoke microbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke experiment-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -83,12 +83,18 @@ arena:
 arena-smoke:
 	PYTHONPATH=src $(PY) -m repro arena --smoke
 
+# CI gate (~1s): every paper figure (Figs. 6-9) at smoke scale; each
+# shared sweep of Figs. 6-8 runs once.
+experiment-smoke:
+	PYTHONPATH=src $(PY) -m repro experiment all --scale smoke --seed 1
+
 # The full gate new PRs must pass: ruff + every RIT rule + types +
 # tier-1 tests + the trace schema smoke + the service
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
-# benchmark's self-tests + one pass of the CRA microbenchmarks.
-check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke microbench-smoke
+# paper-figure smoke + the benchmark's self-tests + one pass of the CRA
+# microbenchmarks.
+check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke experiment-smoke perfbench-smoke microbench-smoke
 
 # CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
 # pinned outcome digests of all three workloads, so a change to child

@@ -44,14 +44,13 @@ from repro.arena.protocol import EpochMechanism
 from repro.arena.registry import MECHANISM_NAMES, create_mechanism
 from repro.core.exceptions import ConfigurationError
 from repro.core.outcome import MechanismOutcome
-from repro.core.rng import spawn_seeds
 from repro.core.types import Job
 from repro.obs.metrics import Histogram, new_histogram
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.sentinel.attacks import ATTACK_KINDS, inject_attack
 from repro.service.epochs import EpochPipeline, EpochPolicy, epoch_seed
 from repro.service.events import ServiceEvent, event_to_dict
-from repro.service.loadgen import build_scenario, scenario_event_stream
+from repro.service.loadgen import seeded_stream
 
 __all__ = [
     "ARENA_BENCH_PRESET",
@@ -134,31 +133,30 @@ def build_streams(
 ) -> Tuple[Job, List[ServiceEvent], List[ServiceEvent], Dict[str, Any]]:
     """``(job, clean stream, attacked stream, attack schedule)``.
 
-    Pure function of the config: the scenario and stream RNGs are
-    spawned from ``config.seed`` exactly as ``rit serve`` does, and
-    the attack splice is seeded by ``config.attack_seed``, so every
-    caller — every mechanism's replay, every rerun — reconstructs
-    byte-identical streams.
+    Pure function of the config: the clean stream is
+    :func:`~repro.service.loadgen.seeded_stream` at ``config.seed`` with
+    no withdrawals, the same bytes ``rit serve --withdraw-fraction 0``
+    and the sentinel gate serve at those parameters, and the attack
+    splice is seeded by ``config.attack_seed``, so every caller (every
+    mechanism's replay, every rerun) reconstructs byte-identical streams.
     """
-    scenario_rng, stream_rng = spawn_seeds(config.seed, 2)
-    scenario = build_scenario(
+    job, clean = seeded_stream(
+        config.seed,
         config.users,
         config.types,
         config.tasks_per_type,
-        scenario_rng,
         graph=config.graph,
+        withdraw_fraction=0.0,
     )
-    clean = scenario_event_stream(scenario, stream_rng)
     attacked, schedule = inject_attack(
         clean,
-        scenario.job,
+        job,
         kind=config.attack,
         onset_epoch=config.attack_epoch,
         epoch_max_events=config.epoch_max_events,
         seed=config.attack_seed,
     )
-    schedule["seed"] = config.attack_seed
-    return scenario.job, clean, attacked, schedule
+    return job, clean, attacked, schedule
 
 
 def replay_stream(

@@ -45,6 +45,7 @@ from repro.core.rit import RIT
 from repro.core.rng import SeedLike
 from repro.core.types import Ask, Job
 from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.service.service import SERVING_RIT
 from repro.tree.incentive_tree import IncentiveTree
 
 __all__ = [
@@ -117,24 +118,17 @@ class RITEpochMechanism(EpochMechanism):
     """RIT behind the arena contract — the incumbent.
 
     Wraps :class:`repro.core.rit.RIT` exactly as the epoch service runs
-    it (``rng_policy="per-type"``, ``round_budget="until-complete"``,
-    voiding instead of raising on incomplete epochs), so an arena replay
-    of RIT is bit-identical to
-    :func:`repro.service.replay.replay_outcomes` — pinned by
-    ``tests/arena/test_protocol.py``.
+    it (:data:`repro.service.service.SERVING_RIT`, voiding instead of
+    raising on incomplete epochs), so an arena replay of RIT is
+    bit-identical to :func:`repro.service.replay.replay_outcomes` —
+    pinned by ``tests/arena/test_protocol.py``.
     """
 
     mechanism_id = "rit"
     accounting = "cumulative"
 
-    def __init__(self, **overrides: object) -> None:
-        params: Dict[str, object] = {
-            "rng_policy": "per-type",
-            "round_budget": "until-complete",
-            "raise_on_failure": False,
-        }
-        params.update(overrides)
-        self._mechanism = RIT(**params)  # type: ignore[arg-type]
+    def __init__(self) -> None:
+        self._mechanism = RIT(**SERVING_RIT)
 
     def with_tracer(self, tracer: NullTracer) -> "RITEpochMechanism":
         clone = copy.copy(self)

@@ -46,6 +46,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simulation import experiments as exp
+from repro.simulation.report import FIGURE_SHAPES
 from repro.simulation.reporting import format_comparison_row, format_result
 
 __all__ = ["main", "build_parser"]
@@ -60,22 +61,6 @@ _MECHANISM_NAMES = (
     "rit", "omg", "glt", "mit-referral", "lv-moscibroda", "pachira",
 )
 
-_EXPERIMENTS = {
-    "fig6a": exp.fig6a,
-    "fig6b": exp.fig6b,
-    "fig7a": exp.fig7a,
-    "fig7b": exp.fig7b,
-    "fig8a": exp.fig8a,
-    "fig8b": exp.fig8b,
-    "fig9": exp.fig9,
-}
-
-_SCALES = {
-    "paper": exp.PAPER_SCALE,
-    "default": exp.DEFAULT_SCALE,
-    "smoke": exp.SMOKE_SCALE,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure")
-    p_exp.add_argument("id", choices=sorted(_EXPERIMENTS) + ["all"])
+    p_exp.add_argument("id", choices=sorted(FIGURE_SHAPES) + ["all"])
     p_exp.add_argument(
-        "--scale", choices=sorted(_SCALES), default=None, help="scale preset"
+        "--scale", choices=sorted(exp.SCALES), default=None, help="scale preset"
     )
     p_exp.add_argument("--seed", type=int, default=None, help="root RNG seed")
     p_exp.add_argument("--save", default=None, help="write result JSON here")
@@ -131,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="rerun the full reproduction and emit a markdown report"
     )
     p_rep.add_argument(
-        "--scale", choices=sorted(_SCALES), default=None, help="scale preset"
+        "--scale", choices=sorted(exp.SCALES), default=None, help="scale preset"
     )
     p_rep.add_argument("--seed", type=int, default=None, help="root RNG seed")
     p_rep.add_argument("--out", default=None, help="write the report here")
@@ -367,16 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale] if args.scale else None
-    ids = sorted(_EXPERIMENTS) if args.id == "all" else [args.id]
+    scale = exp.SCALES[args.scale] if args.scale else None
+    ids = sorted(FIGURE_SHAPES) if args.id == "all" else [args.id]
     store = None
     if args.store:
         from repro.simulation.store import ResultStore
 
         store = ResultStore(args.store)
+    # Each shared sweep runs once, however many of its figures are asked.
+    results: Dict[str, Any] = {}
+    for sweep, figures in exp.SWEEPS:
+        if any(fig in ids for fig in figures):
+            results.update(sweep(scale, rng=args.seed))
     drifted = False
     for exp_id in ids:
-        result = _EXPERIMENTS[exp_id](scale, rng=args.seed)
+        result = results.get(exp_id)
+        if result is None:
+            result = FIGURE_SHAPES[exp_id][0](scale, rng=args.seed)
         print(format_result(result))
         if getattr(args, "chart", False):
             from repro.simulation.plotting import render_result
@@ -468,7 +460,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.simulation.report import generate_report
 
-    scale = _SCALES[args.scale] if args.scale else None
+    scale = exp.SCALES[args.scale] if args.scale else None
     text = generate_report(
         scale=scale,
         figures=args.figures,
@@ -607,16 +599,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.exceptions import AttackError, ConfigurationError
     from repro.core.rit import RIT
-    from repro.core.rng import spawn_seeds
     from repro.obs import Tracer, config_hash
     from repro.service import (
+        SERVING_RIT,
         MechanismService,
         OutcomeLedger,
         ServiceConfig,
-        build_scenario,
-        differential_check,
-        replay_outcomes,
-        scenario_event_stream,
+        seeded_stream,
     )
 
     if args.smoke:
@@ -630,37 +619,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("rit serve: --probe-metrics requires --metrics-port")
         return 2
     seed = int(args.seed)
-    mechanism_params = {
-        "rng_policy": "per-type",
-        "round_budget": "until-complete",
-    }
     probe_problems: List[str] = []
     try:
         # Out-of-range options (--users 0, --queue 0, --withdraw-fraction 1,
         # --epoch-ticks 0, a negative --attack-epoch, a --ledger directory
         # that already holds this run's epochs ...) surface here.
-        scenario_rng, stream_rng = spawn_seeds(seed, 2)
-        scenario = build_scenario(
-            users, types, tasks_per_type, scenario_rng, graph=args.graph
-        )
-        events = scenario_event_stream(
-            scenario, stream_rng, withdraw_fraction=args.withdraw_fraction
+        job, events = seeded_stream(
+            seed,
+            users,
+            types,
+            tasks_per_type,
+            graph=args.graph,
+            withdraw_fraction=args.withdraw_fraction,
         )
         schedule: Optional[Dict[str, Any]] = None
         sentinel = None
         if args.attack is not None:
             from repro.sentinel import SentinelPlane, inject_attack
 
-            attack_seed = seed if args.attack_seed is None else args.attack_seed
             events, schedule = inject_attack(
                 events,
-                scenario.job,
+                job,
                 kind=args.attack,
                 onset_epoch=args.attack_epoch,
                 epoch_max_events=epoch_events,
-                seed=attack_seed,
+                seed=seed if args.attack_seed is None else args.attack_seed,
             )
-            schedule["seed"] = attack_seed
             sentinel = SentinelPlane()
         config = ServiceConfig(
             seed=seed,
@@ -676,7 +660,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "epoch_max_ticks": epoch_ticks,
             "graph": args.graph,
             "attack": schedule,
-            **mechanism_params,
+            **SERVING_RIT,
         }
         run_id = f"rit-serve-{seed}-{config_hash(run_config)}"
         tracer = (
@@ -686,8 +670,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         ledger = OutcomeLedger(args.ledger, run_id) if args.ledger else None
         service = MechanismService(
-            RIT(**mechanism_params),
-            scenario.job,
+            RIT(**SERVING_RIT),
+            job,
             config,
             tracer=tracer,
             ledger=ledger,
@@ -702,7 +686,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"rit serve: {err}")
         return 2
 
-    print(f"run {run_id}: users={users}  |J|={scenario.job.size}  "
+    print(f"run {run_id}: users={users}  |J|={job.size}  "
           f"stream={len(events)} events")
     print(f"ingest: offered={report.offered}  accepted={report.accepted}  "
           f"invalid={report.invalid}  rejected={report.rejected}  "
@@ -727,16 +711,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer.write_jsonl(args.trace_out)
         print(f"trace ({len(tracer.events)} events) -> {args.trace_out}")
 
-    replayed = replay_outcomes(
-        report.consumed,
-        scenario.job,
-        RIT(**mechanism_params),
-        seed=seed,
-        policy=config.policy(),
-    )
-    problems = differential_check(
-        report.outcomes(), [outcome for _, outcome in replayed]
-    )
+    problems = service.replay_check(report)
     if problems:
         print(f"\ndifferential check FAILED ({len(problems)} problems):")
         for problem in problems:
@@ -777,16 +752,7 @@ def _serve_with_metrics(service, events, args) -> Tuple[Any, List[str]]:
         print(f"metrics endpoint: {server.url('/metrics')}")
         problems: List[str] = []
         try:
-            producer = asyncio.ensure_future(service.produce(events))
-            try:
-                report = await service.serve()
-            finally:
-                if not producer.done():
-                    producer.cancel()
-                try:
-                    await producer
-                except asyncio.CancelledError:
-                    pass
+            report = await service.serve_events(events)
             if args.probe_metrics:
                 status, text = await http_get(server.host, server.port, "/metrics")
                 if status != 200:

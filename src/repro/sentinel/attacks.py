@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.core.exceptions import AttackError, ConfigurationError
-from repro.core.rng import SeedLike, as_generator
+from repro.core.rng import as_generator
 from repro.core.types import Job
 from repro.attacks.collusion import Coalition
 from repro.attacks.sybil import SybilAttack
@@ -49,6 +49,16 @@ __all__ = ["ATTACK_KINDS", "StreamPrefix", "inject_attack"]
 
 #: The attack kinds ``rit serve --attack`` understands.
 ATTACK_KINDS = ("sybil", "collusion", "churn")
+
+#: Fake identities in a sybil chain.
+_SYBIL_IDENTITIES = 12
+#: Fresh users in a collusion cohort, and their markup over the dominant
+#: type's mean honest ask.
+_COLLUSION_COHORT = 24
+_COLLUSION_MARKUP = 3.0
+#: Share of the joined users a churn storm withdraws, and its floor.
+_CHURN_FRACTION = 0.25
+_CHURN_MIN = 12
 
 
 @dataclass(frozen=True)
@@ -122,17 +132,14 @@ def _dominant_type(prefix: StreamPrefix, job: Job) -> Tuple[int, float]:
 
 
 def _inject_sybil(
-    prefix: StreamPrefix,
-    gen,
-    *,
-    identities: int,
+    prefix: StreamPrefix, gen
 ) -> Tuple[List[ServiceEvent], Dict[str, Any]]:
     victim = int(prefix.joined[int(gen.integers(len(prefix.joined)))])
     victim_ask = prefix.asks[victim]
     attack = SybilAttack.chain(
         victim,
-        [1] * identities,
-        [victim_ask.value] * identities,
+        [1] * _SYBIL_IDENTITIES,
+        [victim_ask.value] * _SYBIL_IDENTITIES,
     )
     identity_ids = [prefix.next_id + l for l in range(attack.num_identities)]
     burst: List[ServiceEvent] = []
@@ -163,17 +170,12 @@ def _inject_sybil(
 
 
 def _inject_collusion(
-    prefix: StreamPrefix,
-    gen,
-    job: Job,
-    *,
-    cohort: int,
-    markup: float,
+    prefix: StreamPrefix, gen, job: Job
 ) -> Tuple[List[ServiceEvent], Dict[str, Any]]:
     recruiter = int(prefix.joined[int(gen.integers(len(prefix.joined)))])
     task_type, honest_value = _dominant_type(prefix, job)
-    cartel_value = round(honest_value * markup, 6)
-    members = tuple(prefix.next_id + i for i in range(cohort))
+    cartel_value = round(honest_value * _COLLUSION_MARKUP, 6)
+    members = tuple(prefix.next_id + i for i in range(_COLLUSION_COHORT))
     # The shared declarative record: the same Coalition shape
     # compare_coalition consumes offline (validates member distinctness
     # and positive override values).
@@ -200,19 +202,15 @@ def _inject_collusion(
         "task_type": task_type,
         "honest_value": honest_value,
         "cartel_value": cartel_value,
-        "markup": markup,
+        "markup": _COLLUSION_MARKUP,
     }
     return burst, schedule
 
 
 def _inject_churn(
-    prefix: StreamPrefix,
-    gen,
-    *,
-    fraction: float,
-    minimum: int,
+    prefix: StreamPrefix, gen
 ) -> Tuple[List[ServiceEvent], Dict[str, Any]]:
-    storm = max(minimum, int(fraction * len(prefix.joined)))
+    storm = max(_CHURN_MIN, int(_CHURN_FRACTION * len(prefix.joined)))
     storm = min(storm, len(prefix.joined))
     positions = gen.choice(len(prefix.joined), size=storm, replace=False)
     leavers = [int(prefix.joined[p]) for p in positions.tolist()]
@@ -220,7 +218,7 @@ def _inject_churn(
     burst: List[ServiceEvent] = [
         Withdrawal(tick=tick, user_id=uid) for uid in leavers
     ]
-    schedule = {"withdrawn": leavers, "fraction": fraction}
+    schedule = {"withdrawn": leavers, "fraction": _CHURN_FRACTION}
     return burst, schedule
 
 
@@ -231,12 +229,7 @@ def inject_attack(
     kind: str,
     onset_epoch: int,
     epoch_max_events: int,
-    seed: SeedLike = None,
-    sybil_identities: int = 12,
-    collusion_cohort: int = 24,
-    collusion_markup: float = 3.0,
-    churn_fraction: float = 0.25,
-    churn_min: int = 12,
+    seed: int,
 ) -> Tuple[List[ServiceEvent], Dict[str, Any]]:
     """Rewrite ``events`` with a seeded attack burst at ``onset_epoch``.
 
@@ -273,19 +266,14 @@ def inject_attack(
         )
     gen = as_generator(seed)
     if kind == "sybil":
-        burst, detail = _inject_sybil(
-            prefix, gen, identities=sybil_identities
-        )
+        burst, detail = _inject_sybil(prefix, gen)
     elif kind == "collusion":
-        burst, detail = _inject_collusion(
-            prefix, gen, job, cohort=collusion_cohort, markup=collusion_markup
-        )
+        burst, detail = _inject_collusion(prefix, gen, job)
     else:
-        burst, detail = _inject_churn(
-            prefix, gen, fraction=churn_fraction, minimum=churn_min
-        )
+        burst, detail = _inject_churn(prefix, gen)
     schedule: Dict[str, Any] = {
         "kind": kind,
+        "seed": seed,
         "onset_epoch": onset_epoch,
         "injection_index": position,
         "epoch_max_events": epoch_max_events,

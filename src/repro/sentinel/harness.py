@@ -36,7 +36,6 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.sentinel.attacks import inject_attack
 from repro.sentinel.detectors import (
     DepthAnomalyDetector,
@@ -46,9 +45,8 @@ from repro.sentinel.detectors import (
     WithdrawalSpikeDetector,
 )
 from repro.sentinel.plane import SentinelPlane
-from repro.service.loadgen import build_scenario, scenario_event_stream
-from repro.service.replay import differential_check, replay_outcomes
-from repro.service.service import MechanismService, ServiceConfig
+from repro.service.loadgen import seeded_stream
+from repro.service.service import SERVING_RIT, MechanismService, ServiceConfig
 
 __all__ = [
     "DEFAULT_DETECTION_BUDGET",
@@ -102,55 +100,39 @@ def _drive(
 ) -> Tuple[SentinelPlane, Any, Optional[Dict[str, Any]], List[str]]:
     """One pinned service run with the sentinel attached.
 
-    Returns ``(plane, report, schedule, differential_problems)``.  The
-    differential always runs: the consumed stream is replayed offline
-    through a plain ``RIT.run`` anchor and compared canonically.
+    Returns ``(plane, report, schedule, differential_problems)``; the
+    differential is :meth:`MechanismService.replay_check`.
     """
     seed = int(base["seed"])
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(
+    epoch_max_events = int(base["epoch_max_events"])
+    job, events = seeded_stream(
+        seed,
         int(base["users"]),
         int(base["types"]),
         int(base["tasks_per_type"]),
-        scenario_rng,
         graph=str(base["graph"]),
+        withdraw_fraction=0.0,
     )
-    events = scenario_event_stream(scenario, stream_rng)
     schedule: Optional[Dict[str, Any]] = None
     if attack is not None:
         events, schedule = inject_attack(
             events,
-            scenario.job,
+            job,
             kind=str(attack["kind"]),
             onset_epoch=int(attack["onset_epoch"]),
-            epoch_max_events=int(base["epoch_max_events"]),
+            epoch_max_events=epoch_max_events,
             seed=int(attack["attack_seed"]),
         )
-        schedule["seed"] = int(attack["attack_seed"])
-    mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
-    service_config = ServiceConfig(
-        seed=seed, epoch_max_events=int(base["epoch_max_events"])
-    )
     plane = SentinelPlane(config)
     service = MechanismService(
-        mechanism,
-        scenario.job,
-        service_config,
+        RIT(**SERVING_RIT),
+        job,
+        ServiceConfig(seed=seed, epoch_max_events=epoch_max_events),
         sentinel=plane,
         meta_extra={"attack": schedule} if schedule is not None else None,
     )
     report = service.serve_stream(events)
-    replayed = replay_outcomes(
-        report.consumed,
-        scenario.job,
-        RIT(rng_policy="per-type", round_budget="until-complete"),
-        seed=seed,
-        policy=service_config.policy(),
-    )
-    problems = differential_check(
-        report.outcomes(), [outcome for _, outcome in replayed]
-    )
-    return plane, report, schedule, problems
+    return plane, report, schedule, service.replay_check(report)
 
 
 def attack_result_doc(

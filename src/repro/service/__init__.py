@@ -33,9 +33,10 @@ from repro.service.events import (
 )
 from repro.service.frontend import IngestFrontend
 from repro.service.ledger import OutcomeLedger, canonical_outcome
-from repro.service.loadgen import build_scenario, scenario_event_stream
+from repro.service.loadgen import build_scenario, scenario_event_stream, seeded_stream
 from repro.service.replay import differential_check, replay_outcomes
 from repro.service.service import (
+    SERVING_RIT,
     EpochResult,
     MechanismService,
     ServiceConfig,
@@ -75,6 +76,7 @@ __all__ = [
     "render_frames",
     "run_top",
     "run_epoch",
+    "SERVING_RIT",
     "ServiceConfig",
     "EpochResult",
     "ServiceReport",
@@ -83,4 +85,5 @@ __all__ = [
     "differential_check",
     "scenario_event_stream",
     "build_scenario",
+    "seeded_stream",
 ]

@@ -7,20 +7,23 @@ the incentive tree grows in §4 — followed by an optional seeded cohort of
 withdrawals.  Virtual-time ticks advance by seeded integer gaps, so the
 epoch scheduler's Δ-tick trigger is exercised deterministically.
 
-``rit serve``, the sentinel and arena harnesses and perfbench's live
-workloads all build their streams here.
+:func:`seeded_stream` is one seeded live run's ``(job, events)``;
+``rit serve``, the sentinel gate and the arena all call it, so one seed
+gives every driver the same bytes.  Perfbench's live workloads split
+their seed three ways and interleave their own withdrawals, so they call
+:func:`build_scenario` and :func:`scenario_event_stream` themselves.
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import List, Tuple
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.rng import SeedLike, as_generator
+from repro.core.rng import SeedLike, as_generator, spawn_seeds
 from repro.core.types import Job
 from repro.service.events import AskSubmitted, ReferralEdge, ServiceEvent, Withdrawal
 from repro.socialnet.generators import forest_fire, twitter_like, watts_strogatz
-from repro.socialnet.graph import SocialGraph
 from repro.tree.incentive_tree import ROOT
 from repro.workloads.scenarios import Scenario, paper_scenario
 from repro.workloads.users import UserDistribution
@@ -29,19 +32,8 @@ __all__ = [
     "GRAPH_REGIMES",
     "scenario_event_stream",
     "build_scenario",
+    "seeded_stream",
 ]
-
-
-def _twitter_graph(num_users: int, rng: SeedLike = None) -> SocialGraph:
-    return twitter_like(num_users, rng=rng, mean_out_degree=12.0)
-
-
-def _watts_strogatz_graph(num_users: int, rng: SeedLike = None) -> SocialGraph:
-    return watts_strogatz(num_users, rng=rng)
-
-
-def _forest_fire_graph(num_users: int, rng: SeedLike = None) -> SocialGraph:
-    return forest_fire(num_users, rng=rng)
 
 
 #: Social-graph regimes a loadgen scenario can grow its tree over
@@ -50,9 +42,9 @@ def _forest_fire_graph(num_users: int, rng: SeedLike = None) -> SocialGraph:
 #: :mod:`repro.socialnet.generators`, so attack and bench runs cover
 #: more than one solicitation-forest shape.
 GRAPH_REGIMES = {
-    "twitter": _twitter_graph,
-    "watts-strogatz": _watts_strogatz_graph,
-    "forest-fire": _forest_fire_graph,
+    "twitter": partial(twitter_like, mean_out_degree=12.0),
+    "watts-strogatz": watts_strogatz,
+    "forest-fire": forest_fire,
 }
 
 
@@ -147,3 +139,28 @@ def build_scenario(
         distribution=UserDistribution(num_types=types),
         graph_builder=builder,
     )
+
+
+def seeded_stream(
+    seed: int,
+    users: int,
+    types: int,
+    tasks_per_type: int,
+    *,
+    graph: str,
+    withdraw_fraction: float,
+) -> Tuple[Job, List[ServiceEvent]]:
+    """The job and event stream of one seeded live run.
+
+    ``seed`` spawns two seed sequences: the first grows the
+    :func:`build_scenario` scenario, the second draws its
+    :func:`scenario_event_stream` ticks and withdrawal cohort.
+    """
+    scenario_seed, stream_seed = spawn_seeds(seed, 2)
+    scenario = build_scenario(
+        users, types, tasks_per_type, scenario_seed, graph=graph
+    )
+    events = scenario_event_stream(
+        scenario, stream_seed, withdraw_fraction=withdraw_fraction
+    )
+    return scenario.job, events

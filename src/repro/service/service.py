@@ -15,7 +15,8 @@ executes each closed epoch as one ``RIT.run`` on the worker pool.  Epoch
 two integers — so a fixed admitted stream yields a fixed sequence of
 outcomes no matter how producers, the event loop, or the thread pool
 interleave.  Online equals the offline replay (:mod:`repro.service.replay`)
-under either RNG policy.  The mechanism must not raise on a voided epoch
+under either RNG policy; :meth:`MechanismService.replay_check` checks
+it.  The mechanism must not raise on a voided epoch
 (``raise_on_failure=False``): epochs before supply builds up void
 legitimately.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
 
 if TYPE_CHECKING:  # runtime decoupled: repro.sentinel imports repro.service
     from repro.sentinel.plane import SentinelPlane
@@ -44,10 +45,23 @@ from repro.service.epochs import (
 from repro.service.events import ServiceEvent
 from repro.service.frontend import IngestFrontend
 from repro.service.ledger import OutcomeLedger
+from repro.service.replay import differential_check, replay_outcomes
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.workers import run_epoch
 
-__all__ = ["ServiceConfig", "EpochResult", "ServiceReport", "MechanismService"]
+__all__ = ["SERVING_RIT", "ServiceConfig", "EpochResult", "ServiceReport", "MechanismService"]
+
+#: The RIT configuration of a seeded live run: ``rit serve`` (which hashes
+#: it into the run id), the sentinel gate and the arena's ``rit`` entry
+#: all serve ``RIT(**SERVING_RIT)``.
+SERVING_RIT: Dict[str, Any] = {
+    "rng_policy": "per-type",
+    "round_budget": "until-complete",
+}
+
+#: An open-loop producer yields to the event loop after every this many
+#: offers, so the consumer actually runs.
+_OPEN_LOOP_YIELD_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -305,46 +319,61 @@ class MechanismService:
     # Producers and one-shot drivers
     # ------------------------------------------------------------------ #
 
-    async def produce(
-        self,
-        events: Iterable[ServiceEvent],
-        *,
-        open_loop: bool = False,
-        yield_every: int = 64,
-    ) -> None:
-        """Feed a finite stream into the frontend, then close it.
+    async def serve_events(
+        self, events: Iterable[ServiceEvent], *, open_loop: bool = False
+    ) -> ServiceReport:
+        """Feed a finite stream into the frontend beside :meth:`serve`.
 
         Closed-loop (default) awaits queue space — nothing is dropped.
         Open-loop offers at full speed and lets the frontend reject on
-        backpressure, yielding to the event loop every ``yield_every``
-        events so the consumer actually runs.
+        backpressure, yielding to the event loop every
+        :data:`_OPEN_LOOP_YIELD_EVERY` events so the consumer actually
+        runs.  The producer closes the frontend after the last event and
+        is cancelled if :meth:`serve` ends first.
         """
-        for position, event in enumerate(events):
-            if open_loop:
-                self.frontend.offer(event)
-                if position % yield_every == 0:
-                    await asyncio.sleep(0)
-            else:
-                await self.frontend.put(event)
-        await self.frontend.close()
+        frontend = self.frontend
+
+        async def produce() -> None:
+            for position, event in enumerate(events):
+                if open_loop:
+                    frontend.offer(event)
+                    if position % _OPEN_LOOP_YIELD_EVERY == 0:
+                        await asyncio.sleep(0)
+                else:
+                    await frontend.put(event)
+            await frontend.close()
+
+        producer = asyncio.ensure_future(produce())
+        try:
+            return await self.serve()
+        finally:
+            if not producer.done():
+                producer.cancel()
+            try:
+                await producer
+            except asyncio.CancelledError:
+                pass
 
     def serve_stream(
         self, events: Iterable[ServiceEvent], *, open_loop: bool = False
     ) -> ServiceReport:
-        """Synchronous convenience: produce + serve one finite stream."""
+        """Synchronous convenience: :meth:`serve_events` on a fresh loop."""
+        return asyncio.run(self.serve_events(events, open_loop=open_loop))
 
-        async def _main() -> ServiceReport:
-            producer = asyncio.ensure_future(
-                self.produce(events, open_loop=open_loop)
-            )
-            try:
-                return await self.serve()
-            finally:
-                if not producer.done():
-                    producer.cancel()
-                try:
-                    await producer
-                except asyncio.CancelledError:
-                    pass
+    def replay_check(self, report: ServiceReport) -> List[str]:
+        """The online-vs-offline differential of one served run.
 
-        return asyncio.run(_main())
+        Replays ``report.consumed`` through this service's mechanism (untraced,
+        so nothing reaches :attr:`tracer`), seed and epoch policy, and returns
+        :func:`~repro.service.replay.differential_check`'s problems.
+        """
+        replayed = replay_outcomes(
+            report.consumed,
+            self.job,
+            self.mechanism.with_tracer(NULL_TRACER),
+            seed=self.config.seed,
+            policy=self.config.policy(),
+        )
+        return differential_check(
+            report.outcomes(), [outcome for _, outcome in replayed]
+        )

@@ -3,7 +3,9 @@
 from repro.simulation.experiments import (
     DEFAULT_SCALE,
     PAPER_SCALE,
+    SCALES,
     SMOKE_SCALE,
+    SWEEPS,
     ExperimentScale,
     active_scale,
     design_challenge_fig2,
@@ -48,6 +50,7 @@ __all__ = [
     "PAPER_SCALE",
     "DEFAULT_SCALE",
     "SMOKE_SCALE",
+    "SCALES",
     "active_scale",
     "fig6a",
     "fig6b",
@@ -58,6 +61,7 @@ __all__ = [
     "fig9",
     "users_sweep_figures",
     "tasks_sweep_figures",
+    "SWEEPS",
     "design_challenge_fig2",
     "design_challenge_fig3",
     "ExperimentResult",

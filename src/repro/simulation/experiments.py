@@ -52,6 +52,7 @@ __all__ = [
     "PAPER_SCALE",
     "DEFAULT_SCALE",
     "SMOKE_SCALE",
+    "SCALES",
     "active_scale",
     "fig6a",
     "fig6b",
@@ -62,6 +63,7 @@ __all__ = [
     "fig9",
     "users_sweep_figures",
     "tasks_sweep_figures",
+    "SWEEPS",
     "design_challenge_fig2",
     "design_challenge_fig3",
 ]
@@ -152,7 +154,8 @@ SMOKE_SCALE = ExperimentScale(
     num_types=5,
 )
 
-_PRESETS = {"paper": PAPER_SCALE, "default": DEFAULT_SCALE, "smoke": SMOKE_SCALE}
+#: The scale presets by name (``RIT_SCALE`` and ``--scale``).
+SCALES = {"paper": PAPER_SCALE, "default": DEFAULT_SCALE, "smoke": SMOKE_SCALE}
 
 
 def active_scale(override: Optional[ExperimentScale] = None) -> ExperimentScale:
@@ -162,10 +165,10 @@ def active_scale(override: Optional[ExperimentScale] = None) -> ExperimentScale:
     env = os.environ.get("RIT_SCALE", "").strip().lower()
     if env:
         try:
-            return _PRESETS[env]
+            return SCALES[env]
         except KeyError:
             raise ConfigurationError(
-                f"RIT_SCALE={env!r}; expected one of {sorted(_PRESETS)}"
+                f"RIT_SCALE={env!r}; expected one of {sorted(SCALES)}"
             ) from None
     return DEFAULT_SCALE
 
@@ -302,6 +305,15 @@ def tasks_sweep_figures(
         scale, rng, mechanism,
         suffix="b", x_label="tasks per type (m_i)", config=config,
     )
+
+
+#: The shared sweeps of Figs. 6-8 and the figures each one yields, in the
+#: order ``rit report`` spawns their seeds.  A caller that wants several
+#: figures of one sweep runs the sweep once.
+SWEEPS = (
+    (users_sweep_figures, ("fig6a", "fig7a", "fig8a")),
+    (tasks_sweep_figures, ("fig6b", "fig7b", "fig8b")),
+)
 
 
 def fig6a(

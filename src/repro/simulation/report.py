@@ -156,10 +156,7 @@ def generate_report(
     # timings and check tallies live in the tracer's counters, not in
     # hand-rolled dicts.
     precomputed: Dict[str, ExperimentResult] = {}
-    for group_fn, members in (
-        (exp.users_sweep_figures, ("fig6a", "fig7a", "fig8a")),
-        (exp.tasks_sweep_figures, ("fig6b", "fig7b", "fig8b")),
-    ):
+    for group_fn, members in exp.SWEEPS:
         wanted = [fig for fig in members if fig in chosen]
         if len(wanted) > 1:
             group_rng = spawn(gen, 1)[0]

@@ -17,8 +17,9 @@ from repro.arena.harness import (
     run_arena,
     stream_fingerprint,
 )
-from repro.sentinel.attacks import ATTACK_KINDS
+from repro.sentinel.attacks import ATTACK_KINDS, inject_attack
 from repro.service.events import event_to_dict
+from repro.service.loadgen import seeded_stream
 
 
 class TestRebuildIdentity:
@@ -47,6 +48,25 @@ class TestRebuildIdentity:
         assert a[3]["victim"] != b[3]["victim"] or (
             a[3]["identities"] != b[3]["identities"]
         )
+
+    def test_streams_are_the_seeded_run_streams(self):
+        """The arena replays the bytes every seeded live run builds:
+        ``seeded_stream`` without withdrawals, then ``inject_attack``."""
+        config = ARENA_SMOKE_PRESET
+        job, clean, attacked, schedule = build_streams(config)
+        run_job, events = seeded_stream(
+            config.seed, config.users, config.types, config.tasks_per_type,
+            graph=config.graph, withdraw_fraction=0.0,
+        )
+        run_attacked, run_schedule = inject_attack(
+            events, run_job, kind=config.attack,
+            onset_epoch=config.attack_epoch,
+            epoch_max_events=config.epoch_max_events, seed=config.attack_seed,
+        )
+        assert job.counts == run_job.counts
+        assert stream_fingerprint(clean) == stream_fingerprint(events)
+        assert stream_fingerprint(attacked) == stream_fingerprint(run_attacked)
+        assert schedule == run_schedule
 
     def test_schedule_carries_its_seed(self):
         _, _, _, schedule = build_streams(ARENA_SMOKE_PRESET)

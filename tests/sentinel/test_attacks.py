@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core.exceptions import AttackError, ConfigurationError
-from repro.core.rng import spawn_seeds
 from repro.sentinel.attacks import ATTACK_KINDS, inject_attack
 from repro.service.events import (
     AskSubmitted,
@@ -13,45 +12,45 @@ from repro.service.events import (
     Withdrawal,
     validate_event,
 )
-from repro.service.loadgen import build_scenario, scenario_event_stream
+from repro.service.loadgen import seeded_stream
 
 
 def clean_stream(seed=3, users=120, types=3, tasks_per_type=5):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    return scenario, scenario_event_stream(scenario, stream_rng)
+    return seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=0.0
+    )
 
 
 class TestInjectAttack:
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_injected_events_are_valid(self, kind):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         rewritten, schedule = inject_attack(
-            events, scenario.job, kind=kind, onset_epoch=2,
+            events, job, kind=kind, onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         assert len(rewritten) == len(events) + schedule["injected_events"]
         for event in rewritten:
-            assert validate_event(event, scenario.job) is None
+            assert validate_event(event, job) is None
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_same_seed_same_injection(self, kind):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         a = inject_attack(
-            events, scenario.job, kind=kind, onset_epoch=2,
+            events, job, kind=kind, onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         b = inject_attack(
-            events, scenario.job, kind=kind, onset_epoch=2,
+            events, job, kind=kind, onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         assert a == b
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_schedule_is_json_able(self, kind):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         _, schedule = inject_attack(
-            events, scenario.job, kind=kind, onset_epoch=2,
+            events, job, kind=kind, onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         assert json.loads(json.dumps(schedule)) == schedule
@@ -59,19 +58,28 @@ class TestInjectAttack:
         assert schedule["injection_index"] == 2 * 32
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_schedule_carries_its_seed(self, kind):
+        job, events = clean_stream()
+        _, schedule = inject_attack(
+            events, job, kind=kind, onset_epoch=2,
+            epoch_max_events=32, seed=7,
+        )
+        assert schedule["seed"] == 7
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_ticks_stay_non_decreasing(self, kind):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         rewritten, _ = inject_attack(
-            events, scenario.job, kind=kind, onset_epoch=2,
+            events, job, kind=kind, onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         ticks = [e.tick for e in rewritten]
         assert ticks == sorted(ticks)
 
     def test_sybil_identities_never_collide_with_honest_ids(self):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         _, schedule = inject_attack(
-            events, scenario.job, kind="sybil", onset_epoch=2,
+            events, job, kind="sybil", onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         honest = {
@@ -82,9 +90,9 @@ class TestInjectAttack:
         assert schedule["victim"] in honest
 
     def test_collusion_cohort_is_fresh_users_under_one_recruiter(self):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         rewritten, schedule = inject_attack(
-            events, scenario.job, kind="collusion", onset_epoch=2,
+            events, job, kind="collusion", onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         honest = {
@@ -105,9 +113,9 @@ class TestInjectAttack:
         assert schedule["cartel_value"] > schedule["honest_value"]
 
     def test_churn_withdraws_only_joined_users(self):
-        scenario, events = clean_stream()
+        job, events = clean_stream()
         rewritten, schedule = inject_attack(
-            events, scenario.job, kind="churn", onset_epoch=2,
+            events, job, kind="churn", onset_epoch=2,
             epoch_max_events=32, seed=7,
         )
         joined_before = {
@@ -123,25 +131,25 @@ class TestInjectAttack:
         assert all(isinstance(e, Withdrawal) for e in burst)
 
     def test_unknown_kind_rejected(self):
-        scenario, events = clean_stream(users=30)
+        job, events = clean_stream(users=30)
         with pytest.raises(ConfigurationError):
             inject_attack(
-                events, scenario.job, kind="ddos", onset_epoch=1,
-                epoch_max_events=8,
+                events, job, kind="ddos", onset_epoch=1,
+                epoch_max_events=8, seed=7,
             )
 
     def test_empty_prefix_rejected(self):
-        scenario, events = clean_stream(users=30)
+        job, events = clean_stream(users=30)
         with pytest.raises(AttackError):
             inject_attack(
-                events, scenario.job, kind="sybil", onset_epoch=0,
-                epoch_max_events=8,
+                events, job, kind="sybil", onset_epoch=0,
+                epoch_max_events=8, seed=7,
             )
 
     def test_onset_past_stream_end_clamps(self):
-        scenario, events = clean_stream(users=30)
+        job, events = clean_stream(users=30)
         rewritten, schedule = inject_attack(
-            events, scenario.job, kind="churn", onset_epoch=10_000,
+            events, job, kind="churn", onset_epoch=10_000,
             epoch_max_events=8, seed=1,
         )
         assert schedule["injection_index"] == len(events)

@@ -4,7 +4,6 @@ import asyncio
 import json
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.core.types import Job
 from repro.obs import Tracer, canonical_events
 from repro.sentinel.attacks import inject_attack
@@ -14,34 +13,32 @@ from repro.service import (
     MechanismService,
     MetricsServer,
     ServiceConfig,
-    build_scenario,
     canonical_outcome,
     http_get,
-    scenario_event_stream,
+    seeded_stream,
 )
 from repro.service.events import AskSubmitted, ReferralEdge
-from repro.service.replay import differential_check, replay_outcomes
 
 
 def small_events(seed=0, users=100, types=3, tasks_per_type=5, attack=None):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(scenario, stream_rng)
+    job, events = seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=0.0
+    )
     if attack is not None:
         # Onset after the detectors' warmup window (like the pinned
         # harness scenarios) so the burst is judged against a baseline.
         events, _ = inject_attack(
-            events, scenario.job, kind=attack, onset_epoch=5,
+            events, job, kind=attack, onset_epoch=5,
             epoch_max_events=32, seed=seed,
         )
-    return scenario, events
+    return job, events
 
 
-def serve(scenario, events, *, sentinel=None, tracer=None, seed=0):
+def serve(job, events, *, sentinel=None, tracer=None, seed=0):
     mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     service = MechanismService(
         mechanism,
-        scenario.job,
+        job,
         ServiceConfig(seed=seed, epoch_max_events=32),
         sentinel=sentinel,
         tracer=tracer,
@@ -52,57 +49,48 @@ def serve(scenario, events, *, sentinel=None, tracer=None, seed=0):
 
 class TestReadOnlyObserver:
     def test_sentinel_leaves_served_outcomes_bit_identical(self):
-        scenario, events = small_events()
-        _, plain = serve(scenario, events)
-        _, watched = serve(scenario, events, sentinel=SentinelPlane())
+        job, events = small_events()
+        _, plain = serve(job, events)
+        _, watched = serve(job, events, sentinel=SentinelPlane())
         assert [canonical_outcome(o) for o in plain.outcomes()] == [
             canonical_outcome(o) for o in watched.outcomes()
         ]
 
     def test_differential_holds_with_sentinel_attached(self):
-        scenario, events = small_events(attack="sybil")
+        job, events = small_events(attack="sybil")
         service, report = serve(
-            scenario, events, sentinel=SentinelPlane(), seed=0
+            job, events, sentinel=SentinelPlane(), seed=0
         )
-        replayed = replay_outcomes(
-            report.consumed,
-            scenario.job,
-            RIT(rng_policy="per-type", round_budget="until-complete"),
-            seed=0,
-            policy=service.config.policy(),
-        )
-        assert differential_check(
-            report.outcomes(), [outcome for _, outcome in replayed]
-        ) == []
+        assert service.replay_check(report) == []
 
 
 class TestDetection:
     def test_clean_run_raises_no_alerts(self):
-        scenario, events = small_events()
+        job, events = small_events()
         plane = SentinelPlane()
-        serve(scenario, events, sentinel=plane)
+        serve(job, events, sentinel=plane)
         assert plane.alerts_total == 0
         assert plane.status()["last_alert"] is None
 
     def test_sybil_burst_is_flagged(self):
-        scenario, events = small_events(attack="sybil")
+        job, events = small_events(attack="sybil")
         plane = SentinelPlane()
-        serve(scenario, events, sentinel=plane)
+        serve(job, events, sentinel=plane)
         assert plane.alerts_total > 0
         assert "depth_anomaly" in plane.alert_counts
         assert all(a["epoch"] >= 5 for a in plane.alerts)
 
     def test_epoch_frames_carry_sentinel_status(self):
-        scenario, events = small_events()
-        service, _ = serve(scenario, events, sentinel=SentinelPlane())
+        job, events = small_events()
+        service, _ = serve(job, events, sentinel=SentinelPlane())
         frame = service.telemetry.recent_frames()[-1]
         assert frame["sentinel"]["status"]["alerts_total"] == 0
         assert "alerts" in frame["sentinel"]
 
     def test_reputation_gauges_are_published(self):
-        scenario, events = small_events()
+        job, events = small_events()
         plane = SentinelPlane()
-        serve(scenario, events, sentinel=plane)
+        serve(job, events, sentinel=plane)
         assert set(plane.gauges) == {
             "sentinel/reputation_mean",
             "sentinel/reputation_min",
@@ -115,10 +103,10 @@ class TestCanonicalTrace:
     def test_identical_runs_emit_identical_alert_traces(self):
         streams = []
         for _ in range(2):
-            scenario, events = small_events(attack="sybil")
+            job, events = small_events(attack="sybil")
             tracer = Tracer("sentinel-test", seed=0)
             plane = SentinelPlane(tracer=tracer)
-            serve(scenario, events, sentinel=plane, tracer=tracer)
+            serve(job, events, sentinel=plane, tracer=tracer)
             streams.append(canonical_events(tracer.events))
         assert streams[0] == streams[1]
         names = {e.get("name") for e in streams[0]}
@@ -140,9 +128,9 @@ class TestAlertsEndpoint:
             await server.stop()
 
     def test_alerts_payload_with_sentinel(self):
-        scenario, events = small_events(attack="sybil")
+        job, events = small_events(attack="sybil")
         plane = SentinelPlane()
-        service, _ = serve(scenario, events, sentinel=plane)
+        service, _ = serve(job, events, sentinel=plane)
         status, body = asyncio.run(self.probe(service, "/alerts"))
         assert status == 200
         doc = json.loads(body)
@@ -152,16 +140,16 @@ class TestAlertsEndpoint:
         assert doc["reputation"]["users"] > 0
 
     def test_alerts_disabled_without_sentinel(self):
-        scenario, events = small_events()
-        service, _ = serve(scenario, events)
+        job, events = small_events()
+        service, _ = serve(job, events)
         status, body = asyncio.run(self.probe(service, "/alerts"))
         assert status == 200
         doc = json.loads(body)
         assert doc == {"enabled": False, "alerts": [], "alerts_total": 0}
 
     def test_metrics_exposition_carries_sentinel_surface(self):
-        scenario, events = small_events(attack="sybil")
-        service, _ = serve(scenario, events, sentinel=SentinelPlane())
+        job, events = small_events(attack="sybil")
+        service, _ = serve(job, events, sentinel=SentinelPlane())
         status, body = asyncio.run(self.probe(service, "/metrics"))
         assert status == 200
         assert "rit_sentinel_alerts" in body
@@ -205,11 +193,4 @@ class TestAdmissionGate:
             report.accepted + report.invalid + report.rejected + report.gated
         )
         assert [e.user_id for e in report.consumed] == [2]
-        replayed = replay_outcomes(
-            report.consumed, job,
-            RIT(rng_policy="per-type", round_budget="until-complete"),
-            seed=0, policy=service.config.policy(),
-        )
-        assert differential_check(
-            report.outcomes(), [outcome for _, outcome in replayed]
-        ) == []
+        assert service.replay_check(report) == []

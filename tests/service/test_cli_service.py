@@ -6,7 +6,13 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sentinel import DEFAULT_DETECTION_BUDGET
+from repro.sentinel import (
+    ATTACK_SCENARIOS,
+    CLEAN_SCENARIOS,
+    DEFAULT_DETECTION_BUDGET,
+    render_detection,
+    run_sentinel_report,
+)
 
 #: A collusion cartel spliced into a seeded 400-user watts-strogatz
 #: stream at epoch 5 (attack seed 202).
@@ -144,6 +150,26 @@ class TestServeAttack:
         assert schedule["onset_epoch"] == 5
         assert schedule["seed"] == 202
         assert schedule["epoch_max_events"] == 32
+
+    def test_serve_prints_the_sentinel_gate_detection(self, capsys):
+        # The gate's first injection, served by ``rit serve`` at the same
+        # seeds: both drivers build one stream and report one detection.
+        section, _ = run_sentinel_report(smoke=True)
+        base, spec = CLEAN_SCENARIOS[0], ATTACK_SCENARIOS[0]
+        argv = [
+            "serve", "--users", str(base["users"]),
+            "--types", str(base["types"]),
+            "--tasks-per-type", str(base["tasks_per_type"]),
+            "--seed", str(base["seed"]),
+            "--epoch-events", str(base["epoch_max_events"]),
+            "--withdraw-fraction", "0", "--graph", base["graph"],
+            "--attack", spec["kind"],
+            "--attack-epoch", str(spec["onset_epoch"]),
+            "--attack-seed", str(spec["attack_seed"]),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "sentinel: " + render_detection(section["attacks"][0]) in lines
 
     def test_unrelated_alerts_do_not_count_as_a_detection(self, capsys):
         # The stream's tail withdrawals fire withdrawal_spike at epoch 12;

@@ -15,14 +15,14 @@ service is additionally anchored against a default-engine offline replay.
 import pytest
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
+from repro.obs import Tracer
 from repro.service import (
+    SERVING_RIT,
     MechanismService,
     ServiceConfig,
-    build_scenario,
     differential_check,
     replay_outcomes,
-    scenario_event_stream,
+    seeded_stream,
 )
 from tests.core.reference_rit import MECHANISMS
 
@@ -47,10 +47,8 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
     seed, users, types, tasks_per_type, epoch_events, epoch_ticks,
     withdraw_fraction, engine, rng_policy,
 ):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=withdraw_fraction
+    job, events = seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=withdraw_fraction
     )
     config = ServiceConfig(
         seed=seed,
@@ -60,7 +58,7 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
     build = MECHANISMS[engine]
     service = MechanismService(
         build(rng_policy=rng_policy, round_budget="until-complete"),
-        scenario.job,
+        job,
         config,
     )
     report = service.serve_stream(events)
@@ -69,7 +67,7 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
 
     replayed = replay_outcomes(
         report.consumed,
-        scenario.job,
+        job,
         build(rng_policy=rng_policy, round_budget="until-complete"),
         seed=seed,
         policy=config.policy(),
@@ -92,10 +90,8 @@ def test_columnar_service_matches_sorted_offline_replay():
     the one epoch path, so a default-engine offline replay reproduces it
     bit for bit."""
     seed = 21
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(160, 3, 6, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=0.1
+    job, events = seeded_stream(
+        seed, 160, 3, 6, graph="twitter", withdraw_fraction=0.1
     )
     config = ServiceConfig(seed=seed, epoch_max_events=36)
     service = MechanismService(
@@ -104,14 +100,14 @@ def test_columnar_service_matches_sorted_offline_replay():
             rng_policy="per-type",
             round_budget="until-complete",
         ),
-        scenario.job,
+        job,
         config,
     )
     report = service.serve_stream(events)
     assert len(report.epochs) >= 3
     replayed = replay_outcomes(
         report.consumed,
-        scenario.job,
+        job,
         RIT(
             engine="sorted",
             rng_policy="per-type",
@@ -127,17 +123,15 @@ def test_columnar_service_matches_sorted_offline_replay():
 
 
 def test_differential_check_reports_mismatches():
-    scenario_rng, stream_rng = spawn_seeds(5, 2)
-    scenario = build_scenario(80, 2, 5, scenario_rng)
-    events = scenario_event_stream(scenario, stream_rng)
+    job, events = seeded_stream(5, 80, 2, 5, graph="twitter", withdraw_fraction=0.0)
     mech = RIT(rng_policy="per-type", round_budget="until-complete")
     service = MechanismService(
-        mech, scenario.job, ServiceConfig(seed=5, epoch_max_events=40)
+        mech, job, ServiceConfig(seed=5, epoch_max_events=40)
     )
     report = service.serve_stream(events)
     replayed = replay_outcomes(
         report.consumed,
-        scenario.job,
+        job,
         RIT(rng_policy="per-type", round_budget="until-complete"),
         seed=6,  # wrong root seed: outcomes must differ
         policy=service.config.policy(),
@@ -146,3 +140,21 @@ def test_differential_check_reports_mismatches():
         report.outcomes(), [outcome for _, outcome in replayed]
     )
     assert problems != []
+
+
+def test_replay_check_replays_untraced_under_the_service_seed():
+    job, events = seeded_stream(5, 80, 2, 5, graph="twitter", withdraw_fraction=0.0)
+    tracer = Tracer("replay-check", seed=5)
+    service = MechanismService(
+        RIT(**SERVING_RIT), job, ServiceConfig(seed=5, epoch_max_events=40),
+        tracer=tracer,
+    )
+    report = service.serve_stream(events)
+    recorded = len(tracer.events)
+    assert service.replay_check(report) == []
+    assert len(tracer.events) == recorded
+    # Another root seed replays other coins: the check sees the mismatch.
+    other = MechanismService(
+        RIT(**SERVING_RIT), job, ServiceConfig(seed=6, epoch_max_events=40)
+    )
+    assert other.replay_check(report) != []

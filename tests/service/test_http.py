@@ -4,25 +4,23 @@ import asyncio
 import json
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.obs.openmetrics import parse_openmetrics
 from repro.service import (
     MechanismService,
     MetricsServer,
     ServiceConfig,
-    build_scenario,
     http_get,
-    scenario_event_stream,
+    seeded_stream,
 )
 
 
 def drained_service(seed=0, users=100, types=3, tasks_per_type=5):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(scenario, stream_rng)
+    job, events = seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=0.0
+    )
     mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     service = MechanismService(
-        mechanism, scenario.job, ServiceConfig(seed=seed, epoch_max_events=32)
+        mechanism, job, ServiceConfig(seed=seed, epoch_max_events=32)
     )
     report = service.serve_stream(events)
     return service, report

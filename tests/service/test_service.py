@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.core.types import Ask
 from repro.devtools.trace_schema import check_coverage
 from repro.obs import Tracer
@@ -13,9 +12,8 @@ from repro.service import (
     MechanismService,
     OutcomeLedger,
     ServiceConfig,
-    build_scenario,
     canonical_outcome,
-    scenario_event_stream,
+    seeded_stream,
 )
 
 
@@ -26,28 +24,25 @@ def mechanism(**overrides):
 
 
 def small_stream(seed=0, users=120, types=3, tasks_per_type=6, withdraw=0.05):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=withdraw
+    return seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=withdraw
     )
-    return scenario, events
 
 
 class TestConstruction:
     def test_raise_on_failure_rejected(self):
         # Early epochs void while supply builds up; a mechanism that
         # raises on a voided outcome would end the service there.
-        scenario, _ = small_stream()
+        job, _ = small_stream()
         with pytest.raises(ConfigurationError, match="raise_on_failure"):
-            MechanismService(mechanism(raise_on_failure=True), scenario.job)
+            MechanismService(mechanism(raise_on_failure=True), job)
 
 
 class TestServeStream:
     def test_counters_and_epoch_coverage(self):
-        scenario, events = small_stream()
+        job, events = small_stream()
         service = MechanismService(
-            mechanism(), scenario.job, ServiceConfig(seed=0, epoch_max_events=32)
+            mechanism(), job, ServiceConfig(seed=0, epoch_max_events=32)
         )
         report = service.serve_stream(events)
         assert report.offered == len(events)
@@ -64,9 +59,9 @@ class TestServeStream:
         # shutdown, so the repr must not print every event and outcome.
         lengths = []
         for users in (40, 160):
-            scenario, events = small_stream(users=users)
+            job, events = small_stream(users=users)
             report = MechanismService(
-                mechanism(), scenario.job, ServiceConfig(epoch_max_events=16)
+                mechanism(), job, ServiceConfig(epoch_max_events=16)
             ).serve_stream(events)
             assert len(report.consumed) == len(events)
             lengths.append(len(repr(report)))
@@ -74,11 +69,11 @@ class TestServeStream:
         assert lengths[1] - lengths[0] < 40  # only the counters' digits
 
     def test_ledger_records_every_epoch(self, tmp_path):
-        scenario, events = small_stream()
+        job, events = small_stream()
         ledger = OutcomeLedger(tmp_path, "svc-test")
         service = MechanismService(
             mechanism(),
-            scenario.job,
+            job,
             ServiceConfig(seed=0, epoch_max_events=32),
             ledger=ledger,
         )
@@ -93,11 +88,11 @@ class TestServeStream:
             assert record["batch_events"] == epoch.batch_events
 
     def test_trace_is_schema_valid_with_service_counters(self):
-        scenario, events = small_stream(users=80, tasks_per_type=4)
+        job, events = small_stream(users=80, tasks_per_type=4)
         tracer = Tracer("svc-trace", seed=0)
         service = MechanismService(
             mechanism(),
-            scenario.job,
+            job,
             ServiceConfig(seed=0, epoch_max_events=32),
             tracer=tracer,
         )
@@ -121,10 +116,10 @@ class TestServeStream:
         } <= counters
 
     def test_open_loop_counts_rejections_instead_of_growing(self):
-        scenario, events = small_stream(users=200, tasks_per_type=8)
+        job, events = small_stream(users=200, tasks_per_type=8)
         service = MechanismService(
             mechanism(),
-            scenario.job,
+            job,
             ServiceConfig(seed=0, epoch_max_events=64, queue_size=16),
         )
         report = service.serve_stream(events, open_loop=True)
@@ -134,10 +129,10 @@ class TestServeStream:
     def test_serving_builds_no_ask(self, monkeypatch):
         # Asks are checked by validate_ask and stored as columns; no layer
         # of the live path (frontend, state, epochs, sentinel) builds one.
-        scenario, events = small_stream()
+        job, events = small_stream()
         service = MechanismService(
             mechanism(),
-            scenario.job,
+            job,
             ServiceConfig(seed=0, epoch_max_events=32),
             sentinel=SentinelPlane(),
         )
@@ -162,10 +157,10 @@ class TestServeStream:
         # backpressure.
         import repro.service.service as service_module
 
-        scenario, events = small_stream(users=200, tasks_per_type=8)
+        job, events = small_stream(users=200, tasks_per_type=8)
         service = MechanismService(
             mechanism(),
-            scenario.job,
+            job,
             ServiceConfig(seed=0, epoch_max_events=8, queue_size=32),
         )
         backlog = []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.outcome import MechanismOutcome
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.obs import Tracer, canonical_events
 from repro.obs.metrics import new_histogram
 from repro.service import (
@@ -16,10 +15,9 @@ from repro.service import (
     MechanismService,
     ServiceConfig,
     ServiceTelemetry,
-    build_scenario,
     canonical_outcome,
     epoch_gauges,
-    scenario_event_stream,
+    seeded_stream,
 )
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 
@@ -27,15 +25,13 @@ from repro.tree.incentive_tree import ROOT, IncentiveTree
 def small_run(
     seed=0, users=100, types=3, tasks_per_type=5, open_loop=False, **kwargs
 ):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=0.05
+    job, events = seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=0.05
     )
     mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     service = MechanismService(
         mechanism,
-        scenario.job,
+        job,
         ServiceConfig(seed=seed, epoch_max_events=32),
         **kwargs,
     )
@@ -283,12 +279,12 @@ class TestIngestSamplesFoldedInBulk:
                 )
                 return frame
 
-        scenario_rng, stream_rng = spawn_seeds(5, 2)
-        scenario = build_scenario(150, 3, 5, scenario_rng)
-        events = scenario_event_stream(scenario, stream_rng, withdraw_fraction=0.1)
+        job, events = seeded_stream(
+            5, 150, 3, 5, graph="twitter", withdraw_fraction=0.1
+        )
         service = MechanismService(
             RIT(rng_policy="per-type", round_budget="until-complete"),
-            scenario.job,
+            job,
             ServiceConfig(seed=5, epoch_max_events=16, queue_size=48),
             telemetry=CheckedTelemetry(),
         )
@@ -303,12 +299,13 @@ class TestIngestSamplesFoldedInBulk:
         assert slo["ingest"]["count"] == service.frontend.accepted == report.accepted
 
     def test_samples_are_folded_when_the_queue_runs_dry(self):
-        scenario_rng, stream_rng = spawn_seeds(6, 2)
-        scenario = build_scenario(60, 3, 5, scenario_rng)
-        events = scenario_event_stream(scenario, stream_rng)[:10]
+        job, events = seeded_stream(
+            6, 60, 3, 5, graph="twitter", withdraw_fraction=0.0
+        )
+        events = events[:10]
         service = MechanismService(
             RIT(rng_policy="per-type", round_budget="until-complete"),
-            scenario.job,
+            job,
             ServiceConfig(seed=6, epoch_max_events=1000),
         )
 
@@ -332,15 +329,16 @@ class TestIngestSamplesFoldedInBulk:
             raise RuntimeError("epoch failed")
 
         monkeypatch.setattr("repro.service.service.run_epoch", failing_epoch)
-        scenario_rng, stream_rng = spawn_seeds(6, 2)
-        scenario = build_scenario(60, 3, 5, scenario_rng)
+        job, events = seeded_stream(
+            6, 60, 3, 5, graph="twitter", withdraw_fraction=0.0
+        )
         service = MechanismService(
             RIT(rng_policy="per-type", round_budget="until-complete"),
-            scenario.job,
+            job,
             ServiceConfig(seed=6, epoch_max_events=16, queue_size=64),
         )
         with pytest.raises(RuntimeError, match="epoch failed"):
-            service.serve_stream(scenario_event_stream(scenario, stream_rng))
+            service.serve_stream(events)
         telemetry = service.telemetry
         assert telemetry.phase == "drained"
         assert telemetry.admit_seconds == [] and telemetry.queue_depths == []

@@ -1,28 +1,26 @@
 """`rit top` frame reconstruction and rendering (`repro.service.top`)."""
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
 from repro.obs import Tracer
 from repro.service import (
     MechanismService,
     ServiceConfig,
-    build_scenario,
     frames_from_trace,
     render_frames,
     run_top,
-    scenario_event_stream,
+    seeded_stream,
 )
 
 
 def traced_run(seed=0, users=100, types=3, tasks_per_type=5):
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(scenario, stream_rng)
+    job, events = seeded_stream(
+        seed, users, types, tasks_per_type, graph="twitter", withdraw_fraction=0.0
+    )
     tracer = Tracer("top-test", seed=seed)
     mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     service = MechanismService(
         mechanism,
-        scenario.job,
+        job,
         ServiceConfig(seed=seed, epoch_max_events=32),
         tracer=tracer,
     )

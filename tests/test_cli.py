@@ -115,6 +115,24 @@ class TestCommands:
         assert out_path.exists()
         assert "shape checks passed" in out_path.read_text()
 
+    def test_experiment_all_runs_each_sweep_once(self, monkeypatch, capsys):
+        from repro.simulation import experiments as exp
+
+        sweeps = []
+        run_sweep = exp._sweep_figures
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(kwargs["suffix"])
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "_sweep_figures", counting_sweep)
+        assert main(["experiment", "all", "--scale", "smoke", "--seed", "1"]) == 0
+        assert sorted(sweeps) == ["a", "b"]
+        out = capsys.readouterr().out
+        figures = ("fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "fig9")
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("== ")] == [f"== {fig}" for fig in figures]
+
     def test_experiment_scale_flag_overrides_env(self, monkeypatch, capsys):
         monkeypatch.setenv("RIT_SCALE", "paper")  # would be hours if honored
         assert main(["experiment", "fig8b", "--scale", "smoke", "--seed", "4"]) == 0
