@@ -14,8 +14,13 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
   re-sorts every unit, the production ``cra_presorted`` round reads only
   the cheapest users' sample uniforms, and a whole shard of rounds costs
   about the same at every pool size.
+* **ingest microbenchmark** — the live per-event path in three pieces:
+  the frontend's enqueue and take, the pipeline step that applies and
+  batches each event, and the bulk fold of one queue of admission
+  samples into their histogram.
 """
 
+import asyncio
 import itertools
 
 import numpy as np
@@ -27,6 +32,11 @@ from repro.core.engine import SortedTypePool, cra_presorted
 from repro.core.payments import tree_payments
 from repro.core.rit import RIT
 from repro.core.types import Job
+from repro.obs.metrics import new_histogram
+from repro.service.epochs import EpochPipeline, EpochPolicy
+from repro.service.frontend import IngestFrontend
+from repro.service.loadgen import seeded_stream
+from repro.service.telemetry import ServiceTelemetry
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
@@ -230,6 +240,73 @@ class TestCRAMicrobench:
             mech.run_type_shard, setup=fresh_shard, rounds=100, iterations=1
         )
         assert shard.covered
+
+
+@pytest.fixture(scope="class")
+def churn_head():
+    """The job and first 4,096 events of a seeded 2,000-user churn stream.
+
+    The stream's withdrawals follow its joins, so the head ends in the
+    first of them.
+    """
+    job, events = seeded_stream(
+        3, 2_000, 4, 50, graph="twitter", withdraw_fraction=0.25
+    )
+    return job, events[:4_096]
+
+
+class TestIngestMicrobench:
+    """One admitted event's per-event costs, stage by stage."""
+
+    def test_frontend_put_and_take(self, benchmark, churn_head):
+        """1,024 ``put`` calls into a queue with room, then 1,024 takes."""
+        job, events = churn_head
+        events = events[:1_024]
+        telemetry = ServiceTelemetry()
+        frontend = IngestFrontend(job, maxsize=len(events), telemetry=telemetry)
+        loop = asyncio.new_event_loop()
+
+        async def put_all():
+            for event in events:
+                await frontend.put(event)
+
+        def admit_and_take():
+            loop.run_until_complete(put_all())
+            taken = 0
+            while frontend.get_nowait() is not None:
+                taken += 1
+            telemetry.admit_seconds.clear()
+            telemetry.queue_depths.clear()
+            return taken
+
+        try:
+            assert benchmark(admit_and_take) == len(events)
+        finally:
+            loop.close()
+        assert frontend.highwater == len(events)
+
+    def test_pipeline_step(self, benchmark, churn_head):
+        """``EpochPipeline.step`` over the head at ``live-churn``'s policy."""
+        job, events = churn_head
+
+        def step_all():
+            pipeline = EpochPipeline(job, EpochPolicy(max_events=4_096))
+            step = pipeline.step
+            closed = 0
+            for event in events:
+                refused, snapshots = step(event)
+                assert refused is None
+                closed += len(snapshots)
+            return closed
+
+        assert benchmark(step_all) == 1
+
+    def test_histogram_fold(self, benchmark):
+        """``Histogram.observe_many`` over one queue of admission samples."""
+        samples = np.random.default_rng(0).exponential(1e-5, size=1_024).tolist()
+        hist = new_histogram("ingest_admit_seconds")
+        benchmark(hist.observe_many, samples)
+        assert hist.count > 0 and hist.count % len(samples) == 0
 
 
 class TestSampleRateAblation:

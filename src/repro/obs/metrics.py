@@ -33,8 +33,9 @@ the canonical trace stream exactly like ``"seconds"``-unit counters.
 Non-volatile metrics (win rates, referral depths) are pure functions of
 the seeded run and stay in the canonical stream.
 
-This module is imported by :mod:`repro.obs.tracer` and therefore depends
-only on the standard library.
+This module is imported by :mod:`repro.obs.tracer` and therefore imports
+only the standard library; :meth:`Histogram.observe_many` loads numpy on
+its first long batch.
 """
 
 from __future__ import annotations
@@ -199,6 +200,39 @@ def bucket_index(boundaries: Sequence[float], value: float) -> int:
     return bisect_left(boundaries, value)
 
 
+#: Batches at least this long count their buckets in numpy
+#: (:func:`_bucket_counts`); shorter ones bisect value by value, which is
+#: cheaper than building the arrays.
+_BULK_MIN_VALUES = 128
+
+
+def _bucket_counts(
+    boundaries: Sequence[float], values: Sequence[float]
+) -> Optional[List[int]]:
+    """How many ``values`` land in each bucket, or None for a batch that is
+    not all ints and floats.
+
+    One ``searchsorted`` and one ``bincount`` give the counts
+    :func:`bucket_index` gives value by value.  Two cases need care.  An
+    int past ``2**53`` that numpy stores as a float may round, but every
+    registered boundary is smaller than ``2**53`` in magnitude, so the
+    rounded value stays beyond every boundary on its side.
+    ``bisect_left`` puts NaN in bucket 0 (NaN compares false with every
+    boundary), while ``searchsorted`` sorts it last, so NaN is moved back.
+    """
+    import numpy as np
+
+    samples = np.array(values)
+    kind = samples.dtype.kind
+    if kind != "f" and kind != "i":
+        return None
+    index = np.searchsorted(boundaries, samples)
+    if kind == "f":
+        index[np.isnan(samples)] = 0
+    added: List[int] = np.bincount(index, minlength=len(boundaries) + 1).tolist()
+    return added
+
+
 class Histogram:
     """Fixed-boundary histogram with exact streaming count/sum/min/max.
 
@@ -247,8 +281,17 @@ class Histogram:
         if not values:
             return
         counts, boundaries = self.counts, self.boundaries
-        for value in values:
-            counts[bisect_left(boundaries, value)] += 1
+        added = (
+            _bucket_counts(boundaries, values)
+            if len(values) >= _BULK_MIN_VALUES
+            else None
+        )
+        if added is None:
+            for value in values:
+                counts[bisect_left(boundaries, value)] += 1
+        else:
+            for index, number in enumerate(added):
+                counts[index] += number
         self.count += len(values)
         self.total = reduce(add, values, self.total)
         if self.vmin is None:

@@ -257,6 +257,8 @@ def inject_attack(
         raise ConfigurationError(
             f"epoch_max_events must be positive, got {epoch_max_events}"
         )
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     position = min(len(events), onset_epoch * epoch_max_events)
     prefix = _scan_prefix(events, position)
     if not prefix.joined:

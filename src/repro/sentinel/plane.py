@@ -43,7 +43,13 @@ from repro.sentinel.detectors import (
     WithdrawalSpikeDetector,
 )
 from repro.sentinel.reputation import ReputationBook
-from repro.service.events import AskSubmitted, ServiceEvent, Withdrawal
+from repro.service.events import (
+    EVENT_CLASSES,
+    AskSubmitted,
+    ServiceEvent,
+    Withdrawal,
+    event_class,
+)
 
 __all__ = ["SentinelPlane"]
 
@@ -84,12 +90,20 @@ class SentinelPlane:
     # Observation points
     # ------------------------------------------------------------------ #
 
-    def observe_applied(self, event: ServiceEvent) -> None:
+    # Instrumented by its sole caller: MechanismService.serve runs it per
+    # applied event inside the 'service' span; a span per event here
+    # would dwarf the two additions it makes.
+    def observe_applied(  # rit: noqa[RIT013]
+        self, event: ServiceEvent
+    ) -> None:
         """Fold one event the state machine applied into the open epoch."""
-        if isinstance(event, AskSubmitted):
+        kind = type(event)
+        if kind not in EVENT_CLASSES:
+            kind = event_class(event)
+        if kind is AskSubmitted:
             self._epoch_asks += 1
             self._epoch_ask_value_sum += event.value
-        elif isinstance(event, Withdrawal):
+        elif kind is Withdrawal:
             self._epoch_withdrawals += 1
             self.reputation.observe_withdrawal(event.user_id)
 

@@ -85,6 +85,7 @@ class BatchAccumulator:
 
     def __init__(self, policy: EpochPolicy) -> None:
         self.policy = policy
+        self._max_events = policy.max_events
         self._pending: List[ServiceEvent] = []
         self._next_index = 0
 
@@ -113,8 +114,9 @@ class BatchAccumulator:
 
     def append(self, event: ServiceEvent) -> Optional[EpochBatch]:
         """Add an admitted event; returns a batch if the count trigger hit."""
-        self._pending.append(event)
-        if len(self._pending) >= self.policy.max_events:
+        pending = self._pending
+        pending.append(event)
+        if len(pending) >= self._max_events:
             return self._close()
         return None
 
@@ -195,30 +197,41 @@ class EpochPipeline:
     tick-closed epoch never sees the event that closed it; the count
     trigger fires after admission, so a count-closed epoch always
     includes its final event.  Refused events never join batches but
-    their ticks still advance the virtual clock.
+    their ticks still advance the virtual clock.  One event closes at most
+    one epoch: a tick close leaves the batch empty, and under
+    ``max_events=1``, the only policy whose count trigger could then close
+    it again, no batch is ever pending when the tick trigger runs.
     """
 
     def __init__(self, job: Job, policy: EpochPolicy) -> None:
         self.job = job
         self.state = ServiceState(job)
         self.accumulator = BatchAccumulator(policy)
+        self._by_ticks = policy.max_ticks is not None
 
     # Instrumented by its sole caller: MechanismService.serve wraps the
     # consumer loop in the 'service' span and counts applied/refused per
     # event; a span per event here would dwarf the payload it measures.
     def step(  # rit: noqa[RIT013]
         self, event: ServiceEvent
-    ) -> Tuple[Optional[str], List[EpochSnapshot]]:
-        """Process one event; returns (refusal reason or None, snapshots)."""
-        snapshots: List[EpochSnapshot] = []
-        closed = self.accumulator.maybe_close_on_tick(event.tick)
-        if closed is not None:
-            snapshots.append(self._snapshot(closed))
+    ) -> Tuple[Optional[str], Tuple[EpochSnapshot, ...]]:
+        """Process one event; returns (refusal reason or None, snapshots).
+
+        ``snapshots`` holds the epochs the event closed: the empty tuple
+        (falsy, and no container is built) for every event that closes
+        none.
+        """
+        snapshots: Tuple[EpochSnapshot, ...] = ()
+        accumulator = self.accumulator
+        if self._by_ticks:
+            closed = accumulator.maybe_close_on_tick(event.tick)
+            if closed is not None:
+                snapshots = (self._snapshot(closed),)
         refused = self.state.apply(event)
         if refused is None:
-            closed = self.accumulator.append(event)
+            closed = accumulator.append(event)
             if closed is not None:
-                snapshots.append(self._snapshot(closed))
+                snapshots += (self._snapshot(closed),)
         return refused, snapshots
 
     def snapshots(

@@ -30,6 +30,8 @@ __all__ = [
     "ReferralEdge",
     "Withdrawal",
     "ServiceEvent",
+    "EVENT_CLASSES",
+    "event_class",
     "validate_event",
     "event_to_dict",
     "event_from_dict",
@@ -73,6 +75,22 @@ _KINDS = {
 }
 _BY_KIND = {kind: cls for cls, kind in _KINDS.items()}
 
+#: The three event classes.  Per-event code tests ``type(event)`` against
+#: them first and calls :func:`event_class` only for any other class.
+EVENT_CLASSES = frozenset(_KINDS)
+
+
+def event_class(event: object) -> Optional[type]:
+    """The event class ``event`` is an instance of, or None.
+
+    The ``isinstance`` fallback of the per-event dispatch: a subclass of
+    an event class is handled as that class.
+    """
+    for cls in _KINDS:
+        if isinstance(event, cls):
+            return cls
+    return None
+
 
 def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
     """Structural-validity reason string, or None when the event is valid.
@@ -86,7 +104,10 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
     """
     if event.tick < 0:
         return f"tick must be >= 0, got {event.tick}"
-    if isinstance(event, AskSubmitted):
+    kind = type(event)
+    if kind not in EVENT_CLASSES:
+        kind = event_class(event)
+    if kind is AskSubmitted:
         if event.user_id < 0 or event.user_id > INT64_MAX:  # inline: per ask
             return _id_out_of_range("user_id", event.user_id)
         if event.task_type >= job.num_types:
@@ -95,7 +116,7 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
                 f"{job.num_types} types"
             )
         return validate_ask(event.task_type, event.capacity, event.value)
-    if isinstance(event, ReferralEdge):
+    if kind is ReferralEdge:
         reason = _id_out_of_range("child_id", event.child_id)
         if reason is not None:
             return reason
@@ -106,7 +127,7 @@ def validate_event(event: ServiceEvent, job: Job) -> Optional[str]:
         if event.parent_id == event.child_id:
             return f"self-referral: {event.child_id}"
         return None
-    if isinstance(event, Withdrawal):
+    if kind is Withdrawal:
         return _id_out_of_range("user_id", event.user_id)
     return f"unknown event type {type(event).__name__}"
 

@@ -16,13 +16,26 @@ Structural validation (:func:`repro.service.events.validate_event`) runs
 at the frontend, before an event can occupy queue space; stateful
 admission happens downstream in :class:`repro.service.state.ServiceState`.
 
-When a :class:`~repro.service.telemetry.ServiceTelemetry` plane is
-attached, every successful admission appends its latency (the
-``ingest_admit_seconds`` sample, measured on the tracer's clock) and the
-queue occupancy (the ``ingest_queue_depth`` sample) to the plane's two
-buffers, which :meth:`~repro.service.telemetry.ServiceTelemetry.
-fold_ingest` folds into the histograms in bulk; a recording tracer
-mirrors both samples as volatile ``distribution`` events at admission.
+The one backpressure wait.  :meth:`IngestFrontend.put` enqueues with
+``asyncio.Queue.put_nowait`` while the queue has room and awaits
+``asyncio.Queue.put`` only when it is full, so a wait on
+``asyncio.Queue.put`` is the only time a producer waits for space
+(:meth:`IngestFrontend.close` makes the same call for the close marker).
+perfbench times that call as ``frontend.backpressure``.  A ``put``
+cancelled while it waits enqueues nothing and counts its event as
+rejected, so ``offered == accepted + invalid + rejected + gated`` holds.
+
+Per admitted event, untraced, :meth:`IngestFrontend.put` reads the
+clock, validates, enqueues, then counts the admission, moves the
+queue's ``highwater`` mark, appends the two telemetry samples and reads
+the clock once more.  With a
+:class:`~repro.service.telemetry.ServiceTelemetry` plane attached, those
+samples are the admission latency (``ingest_admit_seconds``, on the
+tracer's clock) and the queue occupancy (``ingest_queue_depth``), kept
+in the plane's two buffers until
+:meth:`~repro.service.telemetry.ServiceTelemetry.fold_ingest` folds them
+into the histograms in bulk; a recording tracer also mirrors both as
+volatile ``distribution`` events at admission.
 
 The consumer takes events with :meth:`IngestFrontend.get`, which waits
 for one, and :meth:`IngestFrontend.get_nowait`, which does not; both
@@ -70,6 +83,7 @@ class IngestFrontend:
         #: stream and replay differentials stay valid by construction.
         self.gatekeeper = gatekeeper
         self._queue: "asyncio.Queue[Optional[ServiceEvent]]" = asyncio.Queue(maxsize)
+        self._clock = self.tracer.clock
         self.offered = 0
         self.accepted = 0
         self.invalid = 0
@@ -113,41 +127,46 @@ class IngestFrontend:
         """Count one admission and record its queue depth and latency.
 
         ``t_start`` is the tracer-clock reading taken when the admission
-        began.
+        began.  Untraced, this is all an admitted event pays here: the two
+        counters, the two telemetry appends and one clock read.
         """
         self.accepted += 1
         depth = self._queue.qsize()
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if depth > self.highwater:
-            if tracing:
-                tracer.count("service_queue_highwater", depth - self.highwater)
-            self.highwater = depth
-        if tracing:
-            tracer.count("service_events_accepted")
-            tracer.observe("ingest_queue_depth", depth)
-        telemetry = self.telemetry
-        if telemetry is None and not tracing:
+        if self.tracer.enabled:
+            self._note_traced(depth, t_start)
             return
+        if depth > self.highwater:
+            self.highwater = depth
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.queue_depths.append(depth)
+            telemetry.admit_seconds.append(self._clock() - t_start)
+
+    def _note_traced(self, depth: int, t_start: float) -> None:
+        """:meth:`_note_enqueued` under a recording tracer."""
+        tracer = self.tracer
+        if depth > self.highwater:
+            tracer.count("service_queue_highwater", depth - self.highwater)
+            self.highwater = depth
+        tracer.count("service_events_accepted")
+        tracer.observe("ingest_queue_depth", depth)
         seconds = tracer.clock() - t_start
+        telemetry = self.telemetry
         if telemetry is not None:
             telemetry.queue_depths.append(depth)
             telemetry.admit_seconds.append(seconds)
-        if tracing:
-            tracer.observe("ingest_admit_seconds", seconds)
+        tracer.observe("ingest_admit_seconds", seconds)
 
     def offer(self, event: ServiceEvent) -> Optional[str]:
         """Non-blocking admission; returns None or a refusal reason."""
-        t_start = self.tracer.clock()
+        t_start = self._clock()
         reason = self._admit(event)
         if reason is not None:
             return reason
         try:
             self._queue.put_nowait(event)
         except asyncio.QueueFull:
-            self.rejected += 1
-            if self.tracer.enabled:
-                self.tracer.count("service_events_rejected")
+            self._note_rejected()
             return "backpressure"
         self._note_enqueued(t_start)
         return None
@@ -158,15 +177,31 @@ class IngestFrontend:
         Still refuses structurally invalid events immediately (waiting
         would not make them valid).  The admission latency observed here
         includes the backpressure wait — that *is* the closed-loop
-        producer's experienced latency.
+        producer's experienced latency.  The wait is one
+        ``asyncio.Queue.put``, made only when the queue is full; a put
+        cancelled there counts its event as rejected.
         """
-        t_start = self.tracer.clock()
+        t_start = self._clock()
         reason = self._admit(event)
         if reason is not None:
             return reason
-        await self._queue.put(event)
+        queue = self._queue
+        try:
+            queue.put_nowait(event)
+        except asyncio.QueueFull:
+            try:
+                await queue.put(event)
+            except asyncio.CancelledError:
+                self._note_rejected()
+                raise
         self._note_enqueued(t_start)
         return None
+
+    def _note_rejected(self) -> None:
+        """Count one admitted event that never joined the full queue."""
+        self.rejected += 1
+        if self.tracer.enabled:
+            self.tracer.count("service_events_rejected")
 
     async def close(self) -> None:
         """Signal end-of-stream; the consumer drains then stops."""

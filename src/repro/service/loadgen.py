@@ -154,8 +154,12 @@ def seeded_stream(
 
     ``seed`` spawns two seed sequences: the first grows the
     :func:`build_scenario` scenario, the second draws its
-    :func:`scenario_event_stream` ticks and withdrawal cohort.
+    :func:`scenario_event_stream` ticks and withdrawal cohort.  A negative
+    ``seed`` raises :class:`~repro.core.exceptions.ConfigurationError`
+    (numpy's ``SeedSequence`` takes only non-negative entropy).
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     scenario_seed, stream_seed = spawn_seeds(seed, 2)
     scenario = build_scenario(
         users, types, tasks_per_type, scenario_seed, graph=graph

@@ -193,22 +193,25 @@ class MechanismService:
                 await asyncio.get_running_loop().run_in_executor(
                     executor, self.ledger.write_meta, self._meta()
                 )
-            frontend = self.frontend
-            consumed = report.consumed
-            sentinel = self.sentinel
+            # The per-event methods, bound once.
+            get, get_nowait = self.frontend.get, self.frontend.get_nowait
+            consume = report.consumed.append
+            step = pipeline.step
+            observe = (
+                self.sentinel.observe_applied if self.sentinel is not None else None
+            )
             # Wait for one event, then take events without waiting until
             # the queue runs dry; each is applied as it is taken, so an
             # epoch that runs mid-drain leaves the rest queued.
-            event = await frontend.get()
+            event = await get()
             while event is not None:
                 while event is not None:
-                    consumed.append(event)
-                    refused, snapshots = pipeline.step(event)
+                    consume(event)
+                    refused, snapshots = step(event)
                     if refused is None:
-                        report.applied += 1
                         telemetry.events_applied += 1
-                        if sentinel is not None:
-                            sentinel.observe_applied(event)
+                        if observe is not None:
+                            observe(event)
                         if tracing:
                             tracer.count("service_events_applied")
                     else:
@@ -221,9 +224,9 @@ class MechanismService:
                             tracer.count("service_events_refused")
                     for snapshot in snapshots:
                         await self._execute(snapshot, report, executor, clock)
-                    event = frontend.get_nowait()
+                    event = get_nowait()
                 telemetry.fold_ingest()
-                event = await frontend.get()
+                event = await get()
             tail = pipeline.finish()
             if tail is not None:
                 await self._execute(tail, report, executor, clock)
@@ -233,6 +236,8 @@ class MechanismService:
             telemetry.phase = "drained"
             if tracing:
                 tracer.end(service_sid)
+        # Every consumed event was applied or refused.
+        report.applied = len(report.consumed) - report.refused
         report.offered = self.frontend.offered
         report.accepted = self.frontend.accepted
         report.invalid = self.frontend.invalid

@@ -66,10 +66,12 @@ from repro.core.columnar import AskProfile
 from repro.core.exceptions import ModelError
 from repro.core.types import INT64_MAX, Job, validate_ask
 from repro.service.events import (
+    EVENT_CLASSES,
     AskSubmitted,
     ReferralEdge,
     ServiceEvent,
     Withdrawal,
+    event_class,
     validate_event,
 )
 from repro.tree.incentive_tree import ROOT, BFSView, IncentiveTree
@@ -161,17 +163,21 @@ class ServiceState:
 
     def apply(self, event: ServiceEvent) -> Optional[str]:
         """Apply one event; returns a refusal reason, or None on success."""
-        if isinstance(event, AskSubmitted):
+        kind = type(event)
+        if kind not in EVENT_CLASSES:
+            kind = event_class(event)
+        if kind is AskSubmitted:
             return self._apply_ask(event)
-        if isinstance(event, ReferralEdge):
+        if kind is ReferralEdge:
             return self._apply_referral(event)
-        if isinstance(event, Withdrawal):
+        if kind is Withdrawal:
             return self._apply_withdrawal(event)
         return f"unknown event type {type(event).__name__}"
 
     def _apply_ask(self, event: AskSubmitted) -> Optional[str]:
         uid = event.user_id
-        if uid in self._rows:
+        rows = self._rows
+        if uid in rows:
             return f"user {uid} already submitted an ask"
         # The frontend admitted this ask under the same rule; a replay of
         # a stream that was never admitted must still fail loudly, before
@@ -188,14 +194,24 @@ class ServiceState:
         parent = self._pending.pop(uid, ROOT)
         parent_row = ROOT
         if parent != ROOT:
-            _unlink(self._referred, parent, uid)
+            # Drop the pending referral and link the child row, inline:
+            # every referred ask runs this.
+            referred = self._referred
+            siblings = referred[parent]
+            siblings.discard(uid)
+            if not siblings:
+                del referred[parent]
             # The referrer may have withdrawn since the referral was
             # recorded; withdrawal grafting rewrites pending entries, so a
             # stale parent here means corruption, not a race — guard anyway.
-            parent_row = self._rows.get(parent, ROOT)
+            parent_row = rows.get(parent, ROOT)
             if parent_row != ROOT:
-                _link(self._children, parent_row, row)
-        self._rows[uid] = row
+                children = self._children.get(parent_row)
+                if children is None:
+                    self._children[parent_row] = {row}
+                else:
+                    children.add(row)
+        rows[uid] = row
         self._uid.append(uid)
         self._type.append(event.task_type)
         self._cap.append(int(event.capacity))
@@ -214,7 +230,11 @@ class ServiceState:
             return f"referrer {parent} has not joined"
         self._pending[child] = parent
         if parent != ROOT:
-            _link(self._referred, parent, child)
+            siblings = self._referred.get(parent)
+            if siblings is None:
+                self._referred[parent] = {child}
+            else:
+                siblings.add(child)
         return None
 
     def _apply_withdrawal(self, event: Withdrawal) -> Optional[str]:
@@ -277,15 +297,6 @@ class ServiceState:
     @property
     def num_pending_referrals(self) -> int:
         return len(self._pending)
-
-
-def _link(index: Dict[int, Set[int]], parent: int, child: int) -> None:
-    """Add ``child`` to ``index[parent]``."""
-    siblings = index.get(parent)
-    if siblings is None:
-        index[parent] = {child}
-    else:
-        siblings.add(child)
 
 
 def _unlink(index: Dict[int, Set[int]], parent: int, child: int) -> None:

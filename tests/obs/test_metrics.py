@@ -1,7 +1,10 @@
 """The deterministic histogram/gauge layer (`repro.obs.metrics`)."""
 
+import math
+
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (
     BUCKET_FAMILIES,
     METRIC_CATALOG,
@@ -204,6 +207,30 @@ def histogram_state(hist):
     )
 
 
+#: Longer than any cutoff below which observe_many bisects per value.
+LONG = 5_000
+
+
+def long_batch(edges, seed):
+    """``edges`` scattered through a seeded batch of ``LONG`` samples."""
+    import random
+
+    rng = random.Random(seed)
+    batch = [rng.choice(edges) for _ in range(LONG)]
+    for position, value in zip(rng.sample(range(LONG), len(edges)), edges):
+        batch[position] = value
+    return batch
+
+
+def neighbours(boundaries):
+    """Every boundary and the floats on either side of it."""
+    return [
+        near
+        for b in boundaries
+        for near in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+    ]
+
+
 class TestObserveMany:
     """The bulk fold equals one ``observe`` per value, bit for bit."""
 
@@ -268,3 +295,66 @@ class TestObserveMany:
         assert histogram_state(hist) == histogram_state(
             new_histogram("ingest_queue_depth")
         )
+
+    # Long batches, which count their buckets in bulk.
+
+    @staticmethod
+    def folded_family(family, batches):
+        per_sample = Histogram("probe", "count", family)
+        bulk = Histogram("probe", "count", family)
+        for batch in batches:
+            for value in batch:
+                per_sample.observe(value)
+            bulk.observe_many(batch)
+        assert histogram_state(bulk) == histogram_state(per_sample)
+        return bulk
+
+    def test_batches_are_longer_than_the_bulk_cutoff(self):
+        assert LONG > metrics._BULK_MIN_VALUES
+
+    def test_every_registered_boundary_is_below_two_to_the_53(self):
+        # The bulk fold counts ints past 2**53 as rounded floats, which
+        # only lands them in the right bucket while this holds.
+        for boundaries in BUCKET_FAMILIES.values():
+            assert all(abs(b) < 2.0**53 for b in boundaries)
+
+    @pytest.mark.parametrize("family", sorted(BUCKET_FAMILIES))
+    def test_boundaries_and_their_neighbours(self, family):
+        edges = neighbours(bucket_boundaries(family))
+        self.folded_family(family, [long_batch(edges, 1), long_batch(edges, 2)])
+
+    def test_nan_first_and_mid_batch(self):
+        nan = float("nan")
+        edges = [0.25, 1e-7, 3.0, 100.0]
+        first = [nan] + long_batch(edges, 3)
+        middle = long_batch(edges + [nan], 4)
+        hist = self.folded_family("latency_seconds", [first, middle])
+        assert math.isnan(hist.vmin) and math.isnan(hist.vmax)
+        assert hist.counts[0] >= 1 + middle.count(nan)
+        # NaN after a batch without it leaves the extremes alone.
+        self.folded_family("latency_seconds", [long_batch(edges, 5), middle])
+
+    @pytest.mark.parametrize("family", sorted(BUCKET_FAMILIES))
+    def test_infinities_and_signed_zeros(self, family):
+        edges = [math.inf, -math.inf, -0.0, 0.0, 1e-6, 64.0]
+        self.folded_family(family, [long_batch(edges, 6), long_batch(edges, 7)])
+
+    def test_ints_past_two_to_the_53(self):
+        edges = [
+            2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1,
+            -(2**53) - 1, -(2**63), 0, 1, 2**20, 2**20 + 1,
+        ]
+        hist = self.folded_family("depth", [long_batch(edges, 8)])
+        assert type(hist.vmax) is int and hist.vmax == 2**63 - 1
+        assert type(hist.vmin) is int and hist.vmin == -(2**63)
+        # Beside floats the batch is held as floats; past int64 numpy
+        # keeps objects, which the fold bisects value by value.
+        self.folded_family("depth", [long_batch(edges + [0.5, 2.0**60], 9)])
+        self.folded_family("depth", [long_batch(edges + [2**64, 2**70], 10)])
+
+    def test_ties_between_an_int_and_an_equal_float(self):
+        # observe keeps the first of two equal extremes, int or float.
+        edges = [2, 2.0, 5, 5.0, 1024, 1024.0, 0, 0.0, -0.0]
+        self.folded_family("depth", [long_batch(edges, 11), long_batch(edges, 12)])
+        self.folded_family("depth", [[0.0] + long_batch(edges, 13) + [1024]])
+        self.folded_family("depth", [[0] + long_batch(edges, 14) + [1024.0]])

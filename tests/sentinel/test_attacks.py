@@ -138,6 +138,14 @@ class TestInjectAttack:
                 epoch_max_events=8, seed=7,
             )
 
+    def test_negative_seed_rejected(self):
+        job, events = clean_stream(users=30)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            inject_attack(
+                events, job, kind="sybil", onset_epoch=1,
+                epoch_max_events=8, seed=-1,
+            )
+
     def test_empty_prefix_rejected(self):
         job, events = clean_stream(users=30)
         with pytest.raises(AttackError):

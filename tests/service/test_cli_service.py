@@ -116,6 +116,12 @@ class TestServe:
             (["--smoke", "--queue", "0"], "queue maxsize must be positive"),
             (["--users", "0"], "num_users must be positive"),
             (["--smoke", "--epoch-ticks", "0"], "max_ticks must be positive"),
+            (["--smoke", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (
+                ["--smoke", "--attack", "sybil", "--attack-epoch", "2",
+                 "--attack-seed", "-1"],
+                "seed must be >= 0, got -1",
+            ),
         ],
     )
     def test_out_of_range_option_is_a_usage_error(self, options, message, capsys):

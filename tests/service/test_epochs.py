@@ -1,10 +1,19 @@
 """Epoch batching triggers and the pure epoch-seed derivation."""
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.rit import RIT
 from repro.core.types import Job
+from repro.service import (
+    SERVING_RIT,
+    MechanismService,
+    ServiceConfig,
+    seeded_stream,
+)
 from repro.service.epochs import (
     BatchAccumulator,
     EpochPipeline,
@@ -175,3 +184,55 @@ class TestEpochPipeline:
                 assert snapshot.tree is snapshot.state.tree
         assert [list(s.state.uids) for s in seen] == [[0, 4], [4, 2, 0]]
         assert seen[1].tree.to_parent_map() == {4: ROOT, 2: ROOT, 0: ROOT}
+
+
+class TestStepContract:
+    """What :meth:`EpochPipeline.step` returns: the epochs one event closed."""
+
+    def test_no_closed_epoch_is_an_empty_sequence(self):
+        pipeline = EpochPipeline(JOB, EpochPolicy(max_events=4, max_ticks=10))
+        for event in (ask(0, 0), ask(0, 1), Withdrawal(tick=2, user_id=9)):
+            _, snapshots = pipeline.step(event)
+            assert isinstance(snapshots, Sequence)
+            assert len(snapshots) == 0
+            assert not snapshots
+        assert pipeline.accumulator.pending_count == 1
+
+    @pytest.mark.parametrize("max_ticks", [1, 3])
+    def test_one_event_closes_at_most_one_epoch(self, max_ticks):
+        # With max_events=1 the count trigger closes each applied event's
+        # batch at once, so the tick trigger never finds a pending batch:
+        # however far an event's tick jumps, it closes exactly its own
+        # epoch, and a refused event closes none.
+        pipeline = EpochPipeline(
+            JOB, EpochPolicy(max_events=1, max_ticks=max_ticks)
+        )
+        events = [
+            ask(0, 0),
+            ask(1, 5),
+            ask(1, 6),  # refused: a second ask
+            ReferralEdge(tick=20, parent_id=0, child_id=7),
+            ask(7, 40),
+            Withdrawal(tick=41, user_id=1),
+            Withdrawal(tick=90, user_id=1),  # refused: already gone
+        ]
+        closed = []
+        for event in events:
+            refused, snapshots = pipeline.step(event)
+            assert len(snapshots) == (refused is None)
+            closed.extend(snapshots)
+        applied = [e for i, e in enumerate(events) if i not in (2, 6)]
+        assert [s.batch.events for s in closed] == [(e,) for e in applied]
+        assert [s.batch.index for s in closed] == list(range(len(applied)))
+        assert pipeline.finish() is None
+
+    def test_service_differential_at_one_event_per_epoch(self):
+        job, events = seeded_stream(
+            5, 40, 2, 4, graph="twitter", withdraw_fraction=0.1
+        )
+        config = ServiceConfig(seed=5, epoch_max_events=1, epoch_max_ticks=2)
+        service = MechanismService(RIT(**SERVING_RIT), job, config)
+        report = service.serve_stream(events)
+        assert report.refused == 0
+        assert len(report.epochs) == report.applied == len(events)
+        assert service.replay_check(report) == []

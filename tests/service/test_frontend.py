@@ -151,3 +151,79 @@ class TestPutAndDrain:
             assert await frontend.get() is None
 
         run(main())
+
+
+@pytest.fixture
+def queue_puts(monkeypatch):
+    """Every item handed to ``asyncio.Queue.put``, in call order."""
+    calls = []
+    original = asyncio.Queue.put
+
+    async def counted(self, item):
+        calls.append(item)
+        return await original(self, item)
+
+    monkeypatch.setattr(asyncio.Queue, "put", counted)
+    return calls
+
+
+def balanced(frontend):
+    return frontend.offered == (
+        frontend.accepted + frontend.invalid + frontend.rejected + frontend.gated
+    )
+
+
+class TestOneBackpressureWait:
+    """``put`` waits for space only by awaiting ``asyncio.Queue.put``.
+
+    perfbench times that call as the ``frontend.backpressure`` layer, so a
+    put into a queue with room must not make it.
+    """
+
+    def test_a_put_with_room_never_calls_queue_put(self, queue_puts):
+        async def main():
+            frontend = IngestFrontend(JOB, maxsize=3)
+            for uid in range(3):
+                assert await frontend.put(ask(uid)) is None
+            assert (frontend.depth, frontend.accepted, frontend.highwater) == (3, 3, 3)
+
+        run(main())
+        assert queue_puts == []
+
+    def test_a_put_into_a_full_queue_waits_once(self, queue_puts):
+        async def main():
+            frontend = IngestFrontend(JOB, maxsize=1)
+            assert await frontend.put(ask(0)) is None
+            waiting = asyncio.ensure_future(frontend.put(ask(1)))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert not waiting.done()
+            assert [event.user_id for event in queue_puts] == [1]
+            assert frontend.get_nowait().user_id == 0
+            assert await waiting is None
+            assert frontend.get_nowait().user_id == 1
+            assert frontend.accepted == 2 and balanced(frontend)
+
+        run(main())
+        assert [event.user_id for event in queue_puts] == [1]
+
+    def test_a_cancelled_wait_enqueues_nothing(self, queue_puts):
+        async def main():
+            frontend = IngestFrontend(JOB, maxsize=1)
+            assert await frontend.put(ask(0)) is None
+            waiting = asyncio.ensure_future(frontend.put(ask(1)))
+            await asyncio.sleep(0)
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            assert (frontend.depth, frontend.accepted) == (1, 1)
+            assert frontend.rejected == 1 and balanced(frontend)
+            # The queue still holds only the first event and takes new ones.
+            assert frontend.get_nowait().user_id == 0
+            assert frontend.get_nowait() is None
+            assert await frontend.put(ask(2)) is None
+            assert frontend.get_nowait().user_id == 2
+            assert frontend.accepted == 2 and balanced(frontend)
+
+        run(main())
+        assert [event.user_id for event in queue_puts] == [1]

@@ -8,6 +8,7 @@ from repro.service.loadgen import (
     GRAPH_REGIMES,
     build_scenario,
     scenario_event_stream,
+    seeded_stream,
 )
 
 
@@ -59,6 +60,10 @@ class TestScenarioEventStream:
         scenario = build_scenario(20, 2, 3, 1)
         with pytest.raises(ConfigurationError):
             scenario_event_stream(scenario, 7, max_gap_ticks=-1)
+
+    def test_negative_run_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            seeded_stream(-1, 20, 2, 3, graph="twitter", withdraw_fraction=0.0)
 
 
 class TestGraphRegimes:

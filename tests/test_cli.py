@@ -284,6 +284,19 @@ class TestArena:
             f"got {runs}\n"
         )
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--smoke", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--smoke", "--attack-seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, options, message, capsys):
+        assert main(["arena", *options]) == 2
+        out = capsys.readouterr().out
+        (line,) = out.splitlines()
+        assert line.startswith("rit arena: ") and message in line
+
     def test_an_onset_before_any_join_is_a_usage_error(self, capsys):
         argv = ["arena", "--smoke", "--attack", "collusion",
                 "--attack-epoch", "0"]
