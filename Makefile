@@ -92,8 +92,8 @@ experiment-smoke:
 # tier-1 tests + the trace schema smoke + the service
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
-# paper-figure smoke + the benchmark's self-tests + one pass of the CRA
-# and ingest microbenchmarks.
+# paper-figure smoke + the benchmark's self-tests + one pass of the CRA,
+# ingest and epoch-build microbenchmarks.
 check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke experiment-smoke perfbench-smoke microbench-smoke
 
 # CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
@@ -102,9 +102,10 @@ check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentine
 perfbench-smoke:
 	$(PY) -m pytest perfbench/test_perfbench.py -q
 
-# CI gate (~3s): every CRA and ingest microbenchmark case run once,
-# untimed, so a change to the SortedTypePool, cra_presorted, frontend,
-# pipeline or histogram API cannot break them unnoticed.
+# CI gate (~3s): every CRA, ingest and epoch-build microbenchmark case
+# run once, untimed, so a change to the SortedTypePool, cra_presorted,
+# frontend, pipeline, histogram or snapshot API cannot break them
+# unnoticed.
 microbench-smoke:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/test_ablations.py -k Microbench --benchmark-disable -q
 

@@ -18,6 +18,10 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
   the frontend's enqueue and take, the pipeline step that applies and
   batches each event, and the bulk fold of one queue of admission
   samples into their histogram.
+* **epoch-build microbenchmark** — one live epoch's snapshot at the last
+  epoch of a ``live-paced``-sized stream, whose pools take the value
+  order carried from the epoch before, beside ``pools_from_arrays``
+  sorting the same columns from scratch.
 """
 
 import asyncio
@@ -28,7 +32,7 @@ import pytest
 
 from repro.analysis.theory import budget_table
 from repro.core.cra import cra
-from repro.core.engine import SortedTypePool, cra_presorted
+from repro.core.engine import SortedTypePool, cra_presorted, pools_from_arrays
 from repro.core.payments import tree_payments
 from repro.core.rit import RIT
 from repro.core.types import Job
@@ -36,6 +40,7 @@ from repro.obs.metrics import new_histogram
 from repro.service.epochs import EpochPipeline, EpochPolicy
 from repro.service.frontend import IngestFrontend
 from repro.service.loadgen import seeded_stream
+from repro.service.state import ServiceState
 from repro.service.telemetry import ServiceTelemetry
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
@@ -307,6 +312,62 @@ class TestIngestMicrobench:
         hist = new_histogram("ingest_admit_seconds")
         benchmark(hist.observe_many, samples)
         assert hist.count > 0 and hist.count % len(samples) == 0
+
+
+@pytest.fixture(scope="class")
+def paced_stream():
+    """The job and events of a seeded stream of ``live-paced``'s shape:
+    6,000 users, 4 types of 50 tasks, no withdrawals."""
+    return seeded_stream(3, 6_000, 4, 50, graph="twitter", withdraw_fraction=0.0)
+
+
+def _applied(job, events):
+    state = ServiceState(job)
+    for event in events:
+        state.apply(event)
+    return state
+
+
+class TestEpochBuildMicrobench:
+    """The snapshot that closes ``live-paced``'s last 192-event epoch."""
+
+    def test_snapshot_with_carried_pools(self, benchmark, paced_stream):
+        """Columns, view and pools; the pools merge the epoch's arrivals
+        into the order the previous snapshot kept."""
+        job, events = paced_stream
+        head, last = events[:-192], events[-192:]
+
+        def at_the_last_epoch():
+            state = _applied(job, head)
+            state.snapshot()  # the order carried into the last epoch
+            for event in last:
+                state.apply(event)
+            return (state,), {}
+
+        snapshot = benchmark.pedantic(
+            ServiceState.snapshot, setup=at_the_last_epoch, rounds=20, iterations=1
+        )
+        fresh = pools_from_arrays(
+            snapshot.uids, snapshot.types, snapshot.values, snapshot.caps
+        )
+        carried = snapshot.asks.pools()
+        assert list(carried) == list(fresh) == [0, 1, 2, 3]
+        for tau, pool in fresh.items():
+            assert np.array_equal(carried[tau]._sorted_users, pool._sorted_users)
+
+    def test_pools_from_scratch(self, benchmark, paced_stream):
+        """``pools_from_arrays`` over the same snapshot's columns: a stable
+        value sort per type."""
+        job, events = paced_stream
+        snapshot = _applied(job, events).snapshot()
+        pools = benchmark(
+            pools_from_arrays,
+            snapshot.uids,
+            snapshot.types,
+            snapshot.values,
+            snapshot.caps,
+        )
+        assert sum(len(pool.uids) for pool in pools.values()) == len(snapshot)
 
 
 class TestSampleRateAblation:

@@ -45,11 +45,14 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.simulation import experiments as exp
-from repro.simulation.report import FIGURE_SHAPES
-from repro.simulation.reporting import format_comparison_row, format_result
-
 __all__ = ["main", "build_parser"]
+
+# Mirror repro.simulation.report.FIGURE_SHAPES and
+# repro.simulation.SCALES without importing numpy and the simulation
+# stack at parser-build time (handlers import lazily; pinned by
+# tests/test_cli.py).
+_FIGURE_IDS = ("fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "fig9")
+_SCALE_NAMES = ("default", "paper", "smoke")
 
 # Mirrors repro.service.loadgen.GRAPH_REGIMES without importing the
 # service stack at parser-build time (handlers import lazily).
@@ -71,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure")
-    p_exp.add_argument("id", choices=sorted(FIGURE_SHAPES) + ["all"])
+    p_exp.add_argument("id", choices=list(_FIGURE_IDS) + ["all"])
     p_exp.add_argument(
-        "--scale", choices=sorted(exp.SCALES), default=None, help="scale preset"
+        "--scale", choices=_SCALE_NAMES, default=None, help="scale preset"
     )
     p_exp.add_argument("--seed", type=int, default=None, help="root RNG seed")
     p_exp.add_argument("--save", default=None, help="write result JSON here")
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="rerun the full reproduction and emit a markdown report"
     )
     p_rep.add_argument(
-        "--scale", choices=sorted(exp.SCALES), default=None, help="scale preset"
+        "--scale", choices=_SCALE_NAMES, default=None, help="scale preset"
     )
     p_rep.add_argument("--seed", type=int, default=None, help="root RNG seed")
     p_rep.add_argument("--out", default=None, help="write the report here")
@@ -352,8 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.simulation import experiments as exp
+    from repro.simulation.report import FIGURE_SHAPES
+    from repro.simulation.reporting import format_result
+
     scale = exp.SCALES[args.scale] if args.scale else None
-    ids = sorted(FIGURE_SHAPES) if args.id == "all" else [args.id]
+    ids = list(_FIGURE_IDS) if args.id == "all" else [args.id]
     store = None
     if args.store:
         from repro.simulation.store import ResultStore
@@ -399,6 +406,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_challenges(_: argparse.Namespace) -> int:
+    from repro.simulation import experiments as exp
+    from repro.simulation.reporting import format_comparison_row
+
     for report in (exp.design_challenge_fig2(), exp.design_challenge_fig3()):
         print(report.description)
         print(
@@ -458,6 +468,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.simulation import experiments as exp
     from repro.simulation.report import generate_report
 
     scale = exp.SCALES[args.scale] if args.scale else None

@@ -19,6 +19,11 @@ and keeps
   — one capacity copy, no argsort;
 * ``k_max`` and ``type_width`` (the payment kernel's row width).
 
+:meth:`AskProfile.presorted` builds a profile whose lookup and pools its
+owner already has: an epoch snapshot, whose service state keeps each
+type's value order between epochs and the ask rules at admission, so
+the profile neither checks its columns nor sorts them again.
+
 An ``Ask`` is built only when a caller reads one, at most once per user;
 validation, pools, the auction and payments never build one.
 :meth:`AskProfile.of` is the one conversion point: a profile passes as
@@ -179,7 +184,6 @@ class AskProfile(Mapping[int, Ask]):
         ask_values: "np.ndarray | List[float]",
         caps: "np.ndarray | List[int]",
     ) -> None:
-        set_ = object.__setattr__
         uid_col = _column("uids", uids, np.int64)
         type_col = _column("types", types, np.int64)
         val_col = _column("ask_values", ask_values, np.float64)
@@ -210,14 +214,45 @@ class AskProfile(Mapping[int, Ask]):
         dup = np.flatnonzero(sorted_uids[1:] == sorted_uids[:-1])
         if dup.size:
             raise ModelError(f"duplicate user id {int(sorted_uids[dup[0]])}")
-        set_(self, "uids", uid_col)
-        set_(self, "types", type_col)
-        set_(self, "ask_values", val_col)
-        set_(self, "caps", cap_col)
-        set_(self, "_sorted_uids", _frozen(sorted_uids))
-        set_(self, "_sorted_rows", _frozen(order))
+        self._fill(
+            (uid_col, type_col, val_col, cap_col),
+            (_frozen(sorted_uids), _frozen(order)),
+            None,
+        )
+
+    @classmethod
+    def presorted(
+        cls,
+        columns: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
+        lookup: "tuple[np.ndarray, np.ndarray]",
+        pools: Dict[int, SortedTypePool],
+    ) -> "AskProfile":
+        """A profile over columns whose owner keeps construction's rules.
+
+        ``columns`` are read-only ``(uids, types, ask_values, caps)`` of
+        dtypes int64, int64, float64 and int64 that already hold what
+        construction checks (distinct ids, valid asks); ``lookup`` is
+        ``(uids[by_uid], by_uid)`` with ``by_uid = np.argsort(uids)``; and
+        ``pools`` are the frozen pools :func:`pools_from_arrays` builds
+        from the columns.  Nothing is checked, copied or sorted again.
+        """
+        profile = cls.__new__(cls)
+        profile._fill(columns, lookup, pools)
+        return profile
+
+    def _fill(
+        self,
+        columns: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
+        lookup: "tuple[np.ndarray, np.ndarray]",
+        pools: Optional[Dict[int, SortedTypePool]],
+    ) -> None:
+        set_ = object.__setattr__
+        for name, col in zip(("uids", "types", "ask_values", "caps"), columns):
+            set_(self, name, col)
+        set_(self, "_sorted_uids", lookup[0])
+        set_(self, "_sorted_rows", lookup[1])
         set_(self, "_asks", None)
-        set_(self, "_pools", None)
+        set_(self, "_pools", pools)
         set_(self, "_k_max", None)
         set_(self, "_type_width", None)
         #: Guards the ask and pool caches, which runs on several threads

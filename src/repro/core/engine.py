@@ -21,8 +21,10 @@ restores the paper's ``O(N·|J|)`` shape by doing the expensive work once:
 :func:`pools_from_arrays` splits a flattened ask profile into one pool per
 task type.  An :class:`~repro.core.columnar.AskProfile` builds its pools
 with it once, keeps them read-only and hands each run a
-:meth:`~SortedTypePool.fork`; the epoch workers build theirs from the
-snapshot's columns.
+:meth:`~SortedTypePool.fork`; an epoch snapshot builds its pools in the
+value order the service state carries from epoch to epoch
+(:meth:`repro.service.state.ServiceState.snapshot`), so no epoch sorts a
+type's values afresh.
 
 RNG-compatibility contract
 --------------------------
@@ -150,6 +152,9 @@ class SortedTypePool:
     with :meth:`unit_user_positions`).  Consuming a unit shrinks the pool,
     so unit indices are only meaningful within the round that produced
     them.
+
+    ``order``, when given, must be that stable value order: the positions
+    sorted by value, ties by position.  The pool takes it as is.
     """
 
     __slots__ = (
@@ -167,7 +172,11 @@ class SortedTypePool:
     )
 
     def __init__(
-        self, uids: np.ndarray, values: np.ndarray, capacities: np.ndarray
+        self,
+        uids: np.ndarray,
+        values: np.ndarray,
+        capacities: np.ndarray,
+        order: Optional[np.ndarray] = None,
     ) -> None:
         self.uids = np.asarray(uids, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -179,8 +188,10 @@ class SortedTypePool:
         if self.remaining.size and self.remaining.min() < 0:
             raise ConfigurationError("capacities must be non-negative")
         # Stable sort by ask value; ties stay in original (user-id) order,
-        # matching the stable unit-level argsort of the reference CRA.
-        order = np.argsort(self.values, kind="stable")
+        # matching the stable unit-level argsort of the reference CRA.  A
+        # caller that kept that order (an epoch snapshot) passes it.
+        if order is None:
+            order = np.argsort(self.values, kind="stable")
         self._sorted_users = order
         self._sorted_values = self.values[order]
         #: ``_prefix[k]``: units the ``k`` cheapest users held at construction.

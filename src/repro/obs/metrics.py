@@ -115,7 +115,8 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     ),
     "epoch_close_to_outcome_seconds": MetricSpec(
         "histogram", "seconds", "latency_seconds", True,
-        "epoch close to MechanismOutcome latency (pool build + RIT.run)",
+        "epoch close to its appended ledger record (snapshot and pool "
+        "build + RIT.run + ledger append)",
     ),
     "arena_epoch_seconds": MetricSpec(
         "histogram", "seconds", "latency_seconds", True,

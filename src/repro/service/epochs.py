@@ -23,7 +23,7 @@ seed they draw (see ``docs/service.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,15 +163,18 @@ class EpochSnapshot:
     The auction for an epoch may run arbitrarily later (or concurrently
     with further ingestion); correctness requires the inputs to be frozen
     at close time, which is exactly what this snapshot is: ``state`` holds
-    read-only copies of the live columns and their BFS view.  :attr:`asks`
-    (an :class:`~repro.core.columnar.AskProfile` over those columns, which
-    every run reads) and :attr:`tree` (an
+    read-only copies of the live columns, their BFS view and :attr:`asks`
+    (an :class:`~repro.core.columnar.AskProfile` over those columns with
+    its per-type pools, which every run reads).  :attr:`tree` (an
     :class:`~repro.tree.incentive_tree.IncentiveTree`, which offline
-    callers walk) are built on first use.
+    callers walk) is built on first use.
     """
 
     batch: EpochBatch
     state: StateSnapshot
+    #: When the batch closed, before the state was frozen, on the
+    #: pipeline's clock (0.0 for a pipeline without one).
+    closed_at: float = 0.0
 
     @property
     def asks(self) -> AskProfile:
@@ -203,11 +206,19 @@ class EpochPipeline:
     it again, no batch is ever pending when the tick trigger runs.
     """
 
-    def __init__(self, job: Job, policy: EpochPolicy) -> None:
+    def __init__(
+        self,
+        job: Job,
+        policy: EpochPolicy,
+        clock: Optional[Callable[[], float]] = None,
+    ) -> None:
         self.job = job
         self.state = ServiceState(job)
         self.accumulator = BatchAccumulator(policy)
         self._by_ticks = policy.max_ticks is not None
+        #: Stamps each snapshot's ``closed_at``; the service passes its
+        #: tracer's clock, the offline callers none.
+        self._clock = clock
 
     # Instrumented by its sole caller: MechanismService.serve wraps the
     # consumer loop in the 'service' span and counts applied/refused per
@@ -266,4 +277,7 @@ class EpochPipeline:
         }
 
     def _snapshot(self, batch: EpochBatch) -> EpochSnapshot:
-        return EpochSnapshot(batch=batch, state=self.state.snapshot())
+        closed_at = self._clock() if self._clock is not None else 0.0
+        return EpochSnapshot(
+            batch=batch, state=self.state.snapshot(), closed_at=closed_at
+        )

@@ -11,6 +11,13 @@ can live under one results root::
 A run never writes into a ledger that already holds epochs
 (:meth:`OutcomeLedger.write_meta` refuses), so one file is one run.
 
+``epochs.jsonl`` is opened once, at the first append, and each record is
+flushed as it is written, so a reader sees every appended line: the
+durability of closing the file after each append, without the reopen.
+Neither fsyncs.  :meth:`OutcomeLedger.close` releases the handle; the
+service closes its ledger when :meth:`~repro.service.service
+.MechanismService.serve` ends.
+
 The per-epoch record stores :func:`canonical_outcome` — the
 *reproducible* projection of a :class:`~repro.core.outcome
 .MechanismOutcome`: allocation, auction payments, final payments,
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import IO, Any, Dict, List, Optional, Union
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.outcome import MechanismOutcome
@@ -85,6 +92,9 @@ class OutcomeLedger:
         self._meta_path = self.directory / "meta.json"
         #: Set by :meth:`read_epochs` when it dropped a torn last line.
         self.torn_tail = False
+        #: ``epochs.jsonl``, open for appending from the first append
+        #: until :meth:`close`.
+        self._handle: Optional[IO[str]] = None
 
     @property
     def epochs_path(self) -> Path:
@@ -113,7 +123,7 @@ class OutcomeLedger:
             handle.write("\n")
 
     def append(self, batch: EpochBatch, outcome: MechanismOutcome) -> None:
-        """Append one epoch's canonical record."""
+        """Append one epoch's canonical record and flush it."""
         record = {
             "epoch": batch.index,
             "batch_events": batch.num_events,
@@ -121,9 +131,21 @@ class OutcomeLedger:
             "last_tick": batch.last_tick,
             "outcome": canonical_outcome(outcome),
         }
-        with open(self._epochs_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self._epochs_path, "a", encoding="utf-8")
+        handle.write(json.dumps(record, sort_keys=True))
+        handle.write("\n")
+        handle.flush()
+
+    def close(self) -> None:
+        """Close ``epochs.jsonl``; a later append opens it again.
+
+        Closing a closed ledger does nothing.
+        """
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def read_meta(self) -> Dict[str, Any]:
         if not self._meta_path.exists():

@@ -7,10 +7,13 @@ snapshot with the same ``epoch_seed`` — no queues, no thread pool, no
 event loop.  The service runs each epoch as the same ``RIT.run``, so the
 online outcomes must equal the offline ones **bit for bit** under either
 RNG policy: payments, winners, round diagnostics, and the underlying RNG
-draws.  The replay runs over each snapshot's profile and tree forms,
-whose tree walks itself (:meth:`~repro.tree.incentive_tree.BFSView.walk`),
-while the service runs over the snapshot's vectorized view — so every
-replayed epoch also checks that view against the walk.
+draws.  The replay runs over a profile built afresh from each snapshot's
+columns, which sorts every pool from scratch, and over its tree form,
+whose tree walks itself (:meth:`~repro.tree.incentive_tree.BFSView.walk`);
+the service runs over the snapshot's profile, whose pools take the value
+order the state carries between epochs, and its vectorized view — so
+every replayed epoch also checks that carried order against a fresh sort
+and that view against the walk.
 
 :func:`differential_check` is that assertion as a tool: it compares two
 epoch-outcome sequences via :func:`repro.service.ledger
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.core.columnar import AskProfile
 from repro.core.exceptions import ConfigurationError
 from repro.core.outcome import MechanismOutcome
 from repro.core.rit import RIT
@@ -58,12 +62,13 @@ def replay_outcomes(
             snapshot.batch,
             mechanism.run(
                 job,
-                snapshot.asks,
+                AskProfile(state.uids, state.types, state.values, state.caps),
                 snapshot.tree,
                 epoch_seed(seed, snapshot.batch.index),
             ),
         )
         for snapshot in EpochPipeline(job, policy).snapshots(events)
+        for state in (snapshot.state,)
     ]
 
 

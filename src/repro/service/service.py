@@ -24,9 +24,18 @@ legitimately.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+)
 
 if TYPE_CHECKING:  # runtime decoupled: repro.sentinel imports repro.service
     from repro.sentinel.plane import SentinelPlane
@@ -62,6 +71,26 @@ SERVING_RIT: Dict[str, Any] = {
 #: An open-loop producer yields to the event loop after every this many
 #: offers, so the consumer actually runs.
 _OPEN_LOOP_YIELD_EVERY = 64
+
+
+class _EpochPool(ThreadPoolExecutor):
+    """The worker pool, remembering its last job: a cancelled ``serve``
+    closes the ledger only after an epoch still running there."""
+
+    last_job: "Optional[Future[Any]]" = None
+
+    def submit(  # type: ignore[override]
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> "Future[Any]":
+        job = self.last_job = super().submit(fn, *args, **kwargs)
+        return job
+
+
+def _close_after(job: "Optional[Future[Any]]", ledger: OutcomeLedger) -> None:
+    """Wait for ``job``, then close ``ledger`` (on a worker thread)."""
+    if job is not None:
+        wait((job,))
+    ledger.close()
 
 
 @dataclass(frozen=True)
@@ -170,7 +199,7 @@ class MechanismService:
         clock = tracer.clock
         config = self.config
         report = ServiceReport()
-        pipeline = EpochPipeline(self.job, config.policy())
+        pipeline = EpochPipeline(self.job, config.policy(), clock)
         self.pipeline = pipeline
         telemetry = self.telemetry
         telemetry.phase = "serving"
@@ -183,7 +212,7 @@ class MechanismService:
                 epoch_max_ticks=config.epoch_max_ticks,
                 queue_size=config.queue_size,
             )
-        executor = ThreadPoolExecutor(
+        executor = _EpochPool(
             max_workers=config.max_workers or 1, thread_name_prefix="rit-epoch"
         )
         try:
@@ -231,7 +260,16 @@ class MechanismService:
             if tail is not None:
                 await self._execute(tail, report, executor, clock)
         finally:
+            closing = None
+            if self.ledger is not None:
+                # Off the loop, after any epoch still running there: a
+                # cancelled await does not stop the call it awaited.
+                closing = executor.submit(
+                    _close_after, executor.last_job, self.ledger
+                )
             executor.shutdown(wait=True)
+            if closing is not None:
+                closing.result()
             telemetry.fold_ingest()
             telemetry.phase = "drained"
             if tracing:
@@ -253,19 +291,17 @@ class MechanismService:
         executor: ThreadPoolExecutor,
         clock,
     ) -> None:
-        t_start = clock()
         outcome = await run_epoch(
             self.mechanism,
             self.job,
             snapshot,
             epoch_seed(self.config.seed, snapshot.batch.index),
             executor=executor,
+            ledger=self.ledger,
         )
-        latency = clock() - t_start
-        if self.ledger is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                executor, self.ledger.append, snapshot.batch, outcome
-            )
+        # From the close, before the snapshot and its pools, to the
+        # appended record (to the outcome when there is no ledger).
+        latency = clock() - snapshot.closed_at
         index = snapshot.batch.index
         state = snapshot.state
         frame = self.telemetry.close_epoch(

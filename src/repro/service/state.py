@@ -45,12 +45,19 @@ from_parent_map`).
 Snapshots.  :meth:`ServiceState.snapshot` copies the live rows' columns
 into read-only numpy arrays and builds their
 :class:`~repro.tree.incentive_tree.BFSView` with
-:meth:`~repro.tree.incentive_tree.BFSView.from_parents` — O(rows) array
-work, no pass over users in Python.  The
-:class:`~repro.core.columnar.AskProfile` that every epoch's run reads and
+:meth:`~repro.tree.incentive_tree.BFSView.from_parents` and the
+:class:`~repro.core.columnar.AskProfile` that every epoch's run reads,
+with its per-type auction pools — O(rows) array work, no pass over users
+in Python.  The profile shares the snapshot's columns without a copy;
 the :class:`~repro.tree.incentive_tree.IncentiveTree` that offline
-callers take are built from a snapshot's own columns on first use; the
-profile shares those columns without a copy.
+callers take is built from them on first use.
+
+Carried order.  Each pool sorts its type's asks stably by value.  The
+state keeps that order between snapshots: per type, the rows live at the
+last snapshot in (value, row) order.  A snapshot sorts only the rows
+admitted since, merges them in after the kept rows of equal value (every
+kept row is older) and drops dead rows by mask, so no epoch sorts a
+type's values afresh.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from typing import Dict, Optional, Set, Union
 import numpy as np
 
 from repro.core.columnar import AskProfile
+from repro.core.engine import SortedTypePool, sorted_unique
 from repro.core.exceptions import ModelError
 from repro.core.types import INT64_MAX, Job, validate_ask
 from repro.service.events import (
@@ -90,8 +98,8 @@ class StateSnapshot:
 
     The five columns hold one entry per participant, in admission order;
     they are copies, never views of the state's growing columns, so an
-    epoch's worker thread may read them while the state keeps admitting
-    events.
+    epoch's worker thread may read them (and the view and profile built
+    over them) while the state keeps admitting events.
     """
 
     uids: np.ndarray
@@ -102,19 +110,15 @@ class StateSnapshot:
     parents: np.ndarray
     #: The tree's breadth-first form, built from ``parents``.
     view: BFSView
+    #: The ask profile in admission order: an
+    #: :class:`~repro.core.columnar.AskProfile` over the snapshot's own
+    #: columns, shared without a copy, with its id lookup and frozen
+    #: per-type pools already built; it builds an ``Ask`` only for a
+    #: caller that reads one.
+    asks: AskProfile
 
     def __len__(self) -> int:
         return int(self.uids.shape[0])
-
-    @cached_property
-    def asks(self) -> AskProfile:
-        """The ask profile in admission order, built on first use.
-
-        An :class:`~repro.core.columnar.AskProfile` over the snapshot's own
-        read-only columns, shared without a copy; it builds an ``Ask`` only
-        for a caller that reads one.
-        """
-        return AskProfile(self.uids, self.types, self.values, self.caps)
 
     @cached_property
     def tree(self) -> IncentiveTree:
@@ -135,7 +139,8 @@ class ServiceState:
     """Mutable cumulative state in append-only columns (see module docs).
 
     :meth:`snapshot` freezes the live rows for one epoch: read-only copies
-    of their columns plus their BFS view, O(rows) array work.
+    of their columns plus their BFS view and ask profile, O(rows) array
+    work.
     """
 
     def __init__(self, job: Job) -> None:
@@ -156,6 +161,10 @@ class ServiceState:
         #: withdraws); entries exist only while non-empty.
         self._children: Dict[int, Set[int]] = {}
         self._referred: Dict[int, Set[int]] = {}
+        #: type → its rows, live at the last snapshot, in (value, row)
+        #: order; rows from ``_merged`` on are not merged in yet.
+        self._order: Dict[int, np.ndarray] = {}
+        self._merged = 0
 
     # ------------------------------------------------------------------ #
     # Event application
@@ -257,7 +266,8 @@ class ServiceState:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> StateSnapshot:
-        """The live rows, copied read-only, and their BFS view — O(rows).
+        """The live rows, copied read-only, their BFS view and their ask
+        profile with its pools — O(rows) array work, no value sort.
 
         The ``np.frombuffer`` views of the columns live only inside this
         call: an ``array`` refuses to grow while a view of it is alive.
@@ -265,22 +275,74 @@ class ServiceState:
         live = np.frombuffer(self._live, dtype=np.bool_)
         uids = _frozen(np.frombuffer(self._uid, dtype=np.int64)[live])
         types = _frozen(np.frombuffer(self._type, dtype=np.int64)[live])
+        values = _frozen(np.frombuffer(self._value, dtype=np.float64)[live])
+        caps = _frozen(np.frombuffer(self._cap, dtype=np.int64)[live])
         parent_rows = np.frombuffer(self._parent, dtype=np.int64)[live]
         if uids.shape[0] == live.shape[0]:
             parents = parent_rows
+            live_rows = None
         else:
             # Renumber parent rows into positions among the live rows.
             position = np.cumsum(live, dtype=np.int64) - 1
             parents = np.where(parent_rows >= 0, position[parent_rows], ROOT)
-        view = BFSView.from_parents(uids, parents)
+            live_rows = np.flatnonzero(live)
+        # One id sort serves the profile's lookup and the view's.
+        by_uid = np.argsort(uids)
+        lookup = (_frozen(uids[by_uid]), _frozen(by_uid))
+        pools: Dict[int, SortedTypePool] = {}
+        slot = np.empty(live.shape[0], dtype=np.int64)
+        carried = self._carry(live)
+        for tau in sorted(carried):
+            rows = carried[tau]
+            # The type's pool holds its live rows in row order, as
+            # ``pools_from_arrays`` selects them; ``slot`` maps each of
+            # those rows to its pool position.
+            sel = np.flatnonzero(types == tau)
+            slot[sel if live_rows is None else live_rows[sel]] = np.arange(
+                sel.shape[0], dtype=np.int64
+            )
+            pool = SortedTypePool(uids[sel], values[sel], caps[sel], slot[rows])
+            pool.freeze()
+            pools[tau] = pool
         return StateSnapshot(
             uids=uids,
             types=types,
-            values=_frozen(np.frombuffer(self._value, dtype=np.float64)[live]),
-            caps=_frozen(np.frombuffer(self._cap, dtype=np.int64)[live]),
+            values=values,
+            caps=caps,
             parents=_frozen(parents),
-            view=view,
+            view=BFSView.from_parents(uids, parents, lookup),
+            asks=AskProfile.presorted((uids, types, values, caps), lookup, pools),
         )
+
+    def _carry(self, live: np.ndarray) -> Dict[int, np.ndarray]:
+        """Each type's live rows in (value, row) order, carried forward.
+
+        Rows admitted since the last snapshot are sorted among themselves
+        (stably, so ties keep row order) and merged into the kept order
+        after its equal values, since every kept row is older; rows that
+        died since are dropped by mask.  The result equals a stable value
+        sort of the type's live rows, and is kept for the next snapshot.
+        """
+        values = np.frombuffer(self._value, dtype=np.float64)
+        start = self._merged
+        fresh = start + np.flatnonzero(live[start:])
+        fresh = fresh[np.argsort(values[fresh], kind="stable")]
+        fresh_types = np.frombuffer(self._type, dtype=np.int64)[fresh]
+        self._merged = live.shape[0]
+        carried = self._order
+        for tau in set(carried).union(sorted_unique(fresh_types).tolist()):
+            kept = carried.get(tau)
+            arrivals = fresh[fresh_types == tau]
+            if kept is None:
+                merged = arrivals
+            else:
+                kept = kept[live[kept]]
+                merged = _merge(kept, arrivals, values)
+            if merged.shape[0]:
+                carried[tau] = merged
+            else:
+                del carried[tau]
+        return carried
 
     def snapshot_asks(self) -> AskProfile:
         """The admitted ask profile, in admission order."""
@@ -297,6 +359,26 @@ class ServiceState:
     @property
     def num_pending_referrals(self) -> int:
         return len(self._pending)
+
+
+def _merge(kept: np.ndarray, arrivals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``kept`` and ``arrivals``, both rows in (value, row) order and every
+    arrival newer than every kept row, merged into that order.
+
+    Each arrival goes after the kept rows of equal value
+    (``side="right"``); the positions are index arithmetic, no sort.
+    """
+    if not arrivals.shape[0]:
+        return kept
+    total = kept.shape[0] + arrivals.shape[0]
+    at = values[kept].searchsorted(values[arrivals], side="right")
+    at += np.arange(arrivals.shape[0])
+    merged = np.empty(total, dtype=np.int64)
+    merged[at] = arrivals
+    old = np.ones(total, dtype=np.bool_)
+    old[at] = False
+    merged[old] = kept
+    return merged
 
 
 def _unlink(index: Dict[int, Set[int]], parent: int, child: int) -> None:

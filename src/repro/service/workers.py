@@ -8,11 +8,13 @@ vectorized :class:`~repro.tree.incentive_tree.BFSView`, with the epoch's
 seed, so the served outcome equals the offline run by construction,
 under either RNG policy.
 
-The profile and its per-type pools are built on the event loop; the run
-itself goes to the executor, so the loop keeps admitting events while it
-executes.  With tracing on, the run emits into a private tracer whose
-events the loop absorbs under the ``epoch`` span once the run returns —
-no tracer is shared across threads mid-epoch.
+The snapshot's profile and per-type pools were built on the event loop
+when the epoch closed.  The run and then the epoch's ledger append go to
+the executor as one call, so the loop keeps admitting events while they
+execute and wakes once per epoch, after the record is written.  With
+tracing on, the run emits into a private tracer whose events the loop
+absorbs under the ``epoch`` span once the call returns — no tracer is
+shared across threads mid-epoch.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import functools
 from concurrent.futures import Executor
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from repro.core.rit import RIT, profile_arrays  # noqa: F401
 from repro.core.types import Job
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.service.epochs import EpochSnapshot
+from repro.service.ledger import OutcomeLedger
 
 __all__ = ["run_epoch"]
 
@@ -43,8 +47,10 @@ async def run_epoch(
     seed: np.random.SeedSequence,
     *,
     executor: Executor,
+    ledger: Optional[OutcomeLedger] = None,
 ) -> MechanismOutcome:
-    """Execute one epoch: ``RIT.run`` over the snapshot, on ``executor``.
+    """Execute one epoch: ``RIT.run`` over the snapshot, then the append of
+    its record to ``ledger`` (when given), in one call on ``executor``.
 
     The result equals ``mechanism.run(job, snapshot.asks, snapshot.tree,
     seed)`` bit for bit; the run reads the snapshot's view in place of a
@@ -66,22 +72,18 @@ async def run_epoch(
         )
         tracer.count("service_epochs_closed")
     try:
-        # Built here on the loop thread: built on the worker, the pools
-        # raised peak RSS by 1.6% on perfbench's live-paced and 3.8% on
-        # live-churn (5 of 5 pairs each, 2-vCPU VM).
-        profile = snapshot.asks
-        profile.pools()
         run_tracer: NullTracer = NULL_TRACER
         if tracing:
             run_tracer = Tracer(f"epoch{batch.index}", clock=tracer.clock)
         outcome = await asyncio.get_running_loop().run_in_executor(
             executor,
             functools.partial(
-                mechanism.with_tracer(run_tracer).run,
+                _run_and_append,
+                mechanism.with_tracer(run_tracer),
                 job,
-                profile,
-                snapshot.state.view,
+                snapshot,
                 seed,
+                ledger,
             ),
         )
         if tracing:
@@ -90,3 +92,17 @@ async def run_epoch(
     finally:
         if tracing:
             tracer.end(epoch_sid)
+
+
+def _run_and_append(
+    mechanism: RIT,
+    job: Job,
+    snapshot: EpochSnapshot,
+    seed: np.random.SeedSequence,
+    ledger: Optional[OutcomeLedger],
+) -> MechanismOutcome:
+    """The worker's share of an epoch: the run, then its ledger record."""
+    outcome = mechanism.run(job, snapshot.asks, snapshot.state.view, seed)
+    if ledger is not None:
+        ledger.append(snapshot.batch, outcome)
+    return outcome

@@ -87,7 +87,12 @@ class BFSView:
         return cls._assemble(np.array(order, dtype=np.int64), counts, bounds)
 
     @classmethod
-    def from_parents(cls, uids: np.ndarray, parent: np.ndarray) -> "BFSView":
+    def from_parents(
+        cls,
+        uids: np.ndarray,
+        parent: np.ndarray,
+        lookup: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> "BFSView":
         """The same BFS over a parent column, in array operations only.
 
         ``parent[i]`` is the index of node ``uids[i]``'s parent in these
@@ -95,6 +100,10 @@ class BFSView:
         in index order, as :meth:`walk` takes them in list order.  Raises
         :class:`~repro.core.exceptions.TreeError` when a node cannot be
         reached from the root (the column has a cycle).
+
+        ``lookup``, when given, is ``(uids[by_uid], by_uid)`` with
+        ``by_uid = np.argsort(uids)``, read-only: the view's id lookup is
+        taken from it instead of sorting the ids again.
         """
         n = int(parent.shape[0])
         # Children grouped by parent, each group in index order; the root's
@@ -119,13 +128,24 @@ class BFSView:
         order = np.concatenate(levels)
         if order.shape[0] != n:
             raise TreeError("parent column has nodes unreachable from the root")
-        return cls._assemble(uids[order], kids[order + 1], bounds)
+        if lookup is not None:
+            sorted_uids, by_uid = lookup
+            # BFS position of each index: the inverse of ``order``.
+            position = np.empty(n, dtype=np.int64)
+            position[order] = np.arange(n, dtype=np.int64)
+            lookup = (sorted_uids, _frozen(position[by_uid]))
+        return cls._assemble(uids[order], kids[order + 1], bounds, lookup)
 
     @classmethod
     def _assemble(
-        cls, uids: np.ndarray, counts: Sequence[int], bounds: List[int]
+        cls,
+        uids: np.ndarray,
+        counts: Sequence[int],
+        bounds: List[int],
+        lookup: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "BFSView":
-        """The view of node ids in BFS order, given each one's child count."""
+        """The view of node ids in BFS order, given each one's child count
+        and, optionally, its ``(sorted ids, their BFS positions)`` lookup."""
         n = int(uids.shape[0])
         # Level d+1 lists the children of level d node by node, so the
         # parent of each non-root-child position is a run-length expansion.
@@ -135,7 +155,9 @@ class BFSView:
             np.arange(n, dtype=np.int64), counts
         )
         uids = _frozen(uids)
-        by_uid = np.argsort(uids)
+        if lookup is None:
+            by_uid = np.argsort(uids)
+            lookup = (_frozen(uids[by_uid]), _frozen(by_uid))
         return cls(
             uids=uids,
             parent=_frozen(parent),
@@ -143,8 +165,8 @@ class BFSView:
                 np.repeat(np.arange(1, len(bounds), dtype=np.int64), np.diff(bounds))
             ),
             level_bounds=tuple(bounds),
-            _sorted_uids=_frozen(uids[by_uid]),
-            _sorted_positions=_frozen(by_uid),
+            _sorted_uids=lookup[0],
+            _sorted_positions=lookup[1],
         )
 
     def __len__(self) -> int:
@@ -160,10 +182,12 @@ class BFSView:
 
         ``sorted_uids`` must hold distinct ids in ascending order (a
         profile caches them so).  One element-wise compare against the
-        sorted lookup column.
+        sorted lookup column, or none when it is that column (an epoch
+        snapshot's profile and view share it).
         """
-        return sorted_uids.shape[0] == len(self) and bool(
-            np.array_equal(sorted_uids, self._sorted_uids)
+        return sorted_uids is self._sorted_uids or (
+            sorted_uids.shape[0] == len(self)
+            and bool(np.array_equal(sorted_uids, self._sorted_uids))
         )
 
     def positions(self, uids: np.ndarray) -> np.ndarray:

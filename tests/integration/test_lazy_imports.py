@@ -9,6 +9,8 @@
   run-id grammar that lives in :mod:`repro.obs.events`.
 * The static analyzer imports neither numpy nor ``repro.core``, so it can
   report a broken mechanism module as a parse finding.
+* ``import repro.cli`` and building its parser import no numpy: every
+  ``rit`` subcommand loads only what its handler uses.
 """
 
 import json
@@ -71,6 +73,21 @@ ANALYZER_SCRIPT = textwrap.dedent(
 )
 
 
+CLI_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import repro.cli
+
+    repro.cli.build_parser()
+    print(sorted(
+        name for name in sys.modules
+        if name == "numpy" or name.startswith(("numpy.", "repro.simulation"))
+    ))
+    """
+)
+
+
 def _run(argv, *, src=SRC, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -106,6 +123,12 @@ def test_served_ledger_leaves_simulation_unimported(served_imports):
 
 def test_analyzer_leaves_numpy_and_core_unimported():
     result = _run(["-c", ANALYZER_SCRIPT])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_parser_leaves_numpy_unimported():
+    result = _run(["-c", CLI_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

@@ -14,6 +14,23 @@ from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 
 
+@pytest.fixture(autouse=True)
+def close_ledgers(monkeypatch):
+    """Close every ledger a test made once it ends, as ``serve`` closes its
+    own; during the test an appended ledger keeps its file open."""
+    made = []
+    init = OutcomeLedger.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(OutcomeLedger, "__init__", tracking_init)
+    yield
+    for ledger in made:
+        ledger.close()
+
+
 def small_outcome(seed=0):
     job = Job.uniform(2, 4)
     scenario = paper_scenario(
@@ -95,12 +112,62 @@ class TestOutcomeLedger:
         assert [r["epoch"] for r in reopened.read_epochs()] == [0]
 
 
+class TestOpenHandle:
+    def test_each_record_is_readable_while_the_file_is_open(self, tmp_path):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        outcome = small_outcome()
+        for index in range(3):
+            ledger.append(batch(index), outcome)
+            # Flushed at once: a reader sees it before any close.
+            assert [r["epoch"] for r in ledger.read_epochs()] == list(
+                range(index + 1)
+            )
+            assert ledger.epochs_path.read_text().endswith("\n")
+        ledger.close()
+
+    def test_close_twice_is_harmless(self, tmp_path):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        ledger.close()  # never opened
+        ledger.append(batch(0), small_outcome())
+        ledger.close()
+        ledger.close()
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0]
+
+    def test_an_append_after_close_reopens_the_file(self, tmp_path):
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        outcome = small_outcome()
+        ledger.append(batch(0), outcome)
+        ledger.close()
+        ledger.append(batch(1), outcome)
+        ledger.close()
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0, 1]
+
+    def test_bytes_equal_one_open_per_append(self, tmp_path):
+        # The kept handle writes what opening the file for each append did.
+        ledger = OutcomeLedger(tmp_path, "run-a")
+        outcome = small_outcome()
+        lines = []
+        for index in range(2):
+            ledger.append(batch(index), outcome)
+            record = {
+                "epoch": index,
+                "batch_events": 1,
+                "first_tick": 0,
+                "last_tick": 0,
+                "outcome": canonical_outcome(outcome),
+            }
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        ledger.close()
+        assert ledger.epochs_path.read_text(encoding="utf-8") == "".join(lines)
+
+
 class TestTornTail:
     def ledger_with_tail(self, tmp_path, tail):
         ledger = OutcomeLedger(tmp_path, "run-a")
         outcome = small_outcome()
         ledger.append(batch(0), outcome)
         ledger.append(batch(1), outcome)
+        # The ledger's own handle stays open while the tail is written.
         with open(ledger.epochs_path, "a", encoding="utf-8") as handle:
             handle.write(tail)
         return ledger

@@ -1,5 +1,9 @@
 """End-to-end MechanismService runs: counters, ledger, tracing."""
 
+import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
@@ -180,3 +184,112 @@ class TestServeStream:
         report = service.serve_stream(events)
         assert len(backlog) == len(report.epochs)
         assert max(backlog) > 8  # epochs did run with events queued behind
+
+
+class RecordingLedger(OutcomeLedger):
+    """The production ledger, noting each append and close, in order, as
+    ``(call, epoch or None, thread name)``."""
+
+    def __init__(self, root, run_id):
+        super().__init__(root, run_id)
+        self.calls = []
+
+    def append(self, batch, outcome):
+        super().append(batch, outcome)
+        self.calls.append(("append", batch.index, threading.current_thread().name))
+
+    def close(self):
+        super().close()
+        self.calls.append(("close", None, threading.current_thread().name))
+
+
+def on_workers(calls):
+    """The calls without their thread names, once each was on a worker."""
+    assert all(thread.startswith("rit-epoch") for _, _, thread in calls)
+    return [(call, epoch) for call, epoch, _ in calls]
+
+
+class TestOneWorkerTrip:
+    """Each epoch's run and ledger append are one call on the worker."""
+
+    def test_each_epoch_appends_once_on_a_worker_in_epoch_order(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        job, events = small_stream()
+        ledger = RecordingLedger(tmp_path, "svc-trip")
+        service = MechanismService(
+            mechanism(),
+            job,
+            ServiceConfig(seed=0, epoch_max_events=32, max_workers=2),
+            ledger=ledger,
+        )
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counting_submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        seen = []
+        run_epoch = service_module.run_epoch
+
+        async def reading_run_epoch(mechanism, job, snapshot, *args, **kwargs):
+            outcome = await run_epoch(mechanism, job, snapshot, *args, **kwargs)
+            # The loop wakes after the record is written and flushed.
+            seen.append([r["epoch"] for r in ledger.read_epochs()])
+            assert seen[-1][-1] == snapshot.batch.index
+            return outcome
+
+        monkeypatch.setattr(service_module, "run_epoch", reading_run_epoch)
+        report = service.serve_stream(events)
+        epochs = [epoch.index for epoch in report.epochs]
+        assert len(epochs) > 2
+        assert on_workers(ledger.calls) == [
+            ("append", index) for index in epochs
+        ] + [("close", None)]
+        assert seen == [epochs[: k + 1] for k in range(len(epochs))]
+        # The meta write, one call per epoch, the close.
+        assert len(submitted) == 1 + len(epochs) + 1
+        assert [r["epoch"] for r in ledger.read_epochs()] == epochs
+
+    def test_a_cancelled_serve_closes_the_ledger_after_its_epoch(
+        self, tmp_path, monkeypatch
+    ):
+        job, events = small_stream()
+        ledger = RecordingLedger(tmp_path, "svc-cancel")
+        service = MechanismService(
+            mechanism(),
+            job,
+            ServiceConfig(seed=0, epoch_max_events=32, max_workers=2),
+            ledger=ledger,
+        )
+        running, release = threading.Event(), threading.Event()
+        run = RIT.run
+
+        def held_run(self, *args, **kwargs):
+            running.set()
+            release.wait(30)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(RIT, "run", held_run)
+
+        async def cancel_mid_epoch():
+            task = asyncio.ensure_future(service.serve_events(events))
+            while not running.is_set():
+                await asyncio.sleep(0.001)
+            task.cancel()
+            # Let the epoch go on only once serve's cleanup has begun.
+            timer = threading.Timer(0.2, release.set)
+            timer.start()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            timer.join()
+
+        asyncio.run(cancel_mid_epoch())
+        # The epoch the loop stopped awaiting still ran and appended; the
+        # ledger closed after it, on a worker thread.
+        assert on_workers(ledger.calls) == [("append", 0), ("close", None)]
+        assert [r["epoch"] for r in ledger.read_epochs()] == [0]

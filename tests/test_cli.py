@@ -39,6 +39,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_figure_and_scale_choices_mirror_the_simulation(self):
+        # The parser lists them without importing the simulation stack.
+        from repro.cli import _FIGURE_IDS, _SCALE_NAMES
+        from repro.simulation import SCALES
+        from repro.simulation.report import FIGURE_SHAPES
+
+        assert _FIGURE_IDS == tuple(sorted(FIGURE_SHAPES))
+        assert _SCALE_NAMES == tuple(sorted(SCALES))
+
 
 class TestCommands:
     def test_challenges(self, capsys):
