@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check perfbench-smoke microbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke experiment-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check service-dev perfbench-smoke microbench-smoke trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke experiment-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -89,12 +89,23 @@ experiment-smoke:
 	PYTHONPATH=src $(PY) -m repro experiment all --scale smoke --seed 1
 
 # The full gate new PRs must pass: ruff + every RIT rule + types +
-# tier-1 tests + the trace schema smoke + the service
+# tier-1 tests + the frontend and service tests in asyncio debug mode +
+# the trace schema smoke + the service
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
 # paper-figure smoke + the benchmark's self-tests + one pass of the CRA,
 # ingest and epoch-build microbenchmarks.
-check: lint analyze typecheck test trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke experiment-smoke perfbench-smoke microbench-smoke
+check: lint analyze typecheck test service-dev trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke experiment-smoke perfbench-smoke microbench-smoke
+
+# CI gate (~3s): the frontend, service and HTTP tests under -X dev, which
+# turns on asyncio's debug mode (never-awaited coroutines, unclosed loops
+# and transports), with resource and runtime warnings raised as errors.
+# A leak found only when the collector runs surfaces inside pytest as an
+# unraisable-exception warning, which is raised as an error too.
+service-dev:
+	PYTHONPATH=src $(PY) -X dev -W error::ResourceWarning -W error::RuntimeWarning -m pytest \
+		-W error::pytest.PytestUnraisableExceptionWarning -q \
+		tests/service/test_frontend.py tests/service/test_service.py tests/service/test_http.py
 
 # CI gate (~20s): the benchmark's self-tests.  Their toy presets check the
 # pinned outcome digests of all three workloads, so a change to child
@@ -105,7 +116,9 @@ perfbench-smoke:
 # CI gate (~3s): every CRA, ingest and epoch-build microbenchmark case
 # run once, untimed, so a change to the SortedTypePool, cra_presorted,
 # frontend, pipeline, histogram or snapshot API cannot break them
-# unnoticed.
+# unnoticed.  TestIngestMicrobench::test_frontend_full_queue_handoff puts
+# 4,096 events through a 1,024-event queue that a consumer drains, so the
+# frontend's two waits and its hand-written wake-ups run here too.
 microbench-smoke:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/test_ablations.py -k Microbench --benchmark-disable -q
 

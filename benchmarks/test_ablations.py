@@ -14,10 +14,11 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
   re-sorts every unit, the production ``cra_presorted`` round reads only
   the cheapest users' sample uniforms, and a whole shard of rounds costs
   about the same at every pool size.
-* **ingest microbenchmark** — the live per-event path in three pieces:
-  the frontend's enqueue and take, the pipeline step that applies and
-  batches each event, and the bulk fold of one queue of admission
-  samples into their histogram.
+* **ingest microbenchmark** — the live per-event path in pieces: the
+  frontend's enqueue and take, the same through a full queue whose
+  producer and consumer wait for and wake each other, the pipeline step
+  that applies and batches each event, and the bulk fold of one queue of
+  admission samples into their histogram.
 * **epoch-build microbenchmark** — one live epoch's snapshot at the last
   epoch of a ``live-paced``-sized stream, whose pools take the value
   order carried from the epoch before, beside ``pools_from_arrays``
@@ -289,6 +290,45 @@ class TestIngestMicrobench:
         finally:
             loop.close()
         assert frontend.highwater == len(events)
+
+    def test_frontend_full_queue_handoff(self, benchmark, churn_head):
+        """4,096 ``put`` calls through a 1,024-event queue that a consumer
+        drains with ``get`` and ``get_nowait``, as in ``live-churn``'s
+        closed loop: the producer waits whenever the queue fills, the
+        consumer whenever it empties, and each wakes the other."""
+        job, events = churn_head
+        telemetry = ServiceTelemetry()
+        loop = asyncio.new_event_loop()
+
+        async def handoff():
+            frontend = IngestFrontend(job, maxsize=1_024, telemetry=telemetry)
+
+            async def produce():
+                for event in events:
+                    await frontend.put(event)
+                await frontend.close()
+
+            producer = asyncio.ensure_future(produce())
+            taken = 0
+            event = await frontend.get()
+            while event is not None:
+                while event is not None:
+                    taken += 1
+                    event = frontend.get_nowait()
+                event = await frontend.get()
+            await producer
+            telemetry.admit_seconds.clear()
+            telemetry.queue_depths.clear()
+            return taken, frontend.highwater
+
+        def one_handoff():
+            return loop.run_until_complete(handoff())
+
+        try:
+            result = benchmark(one_handoff)
+        finally:
+            loop.close()
+        assert result == (len(events), 1_024)
 
     def test_pipeline_step(self, benchmark, churn_head):
         """``EpochPipeline.step`` over the head at ``live-churn``'s policy."""

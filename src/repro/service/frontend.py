@@ -16,19 +16,26 @@ Structural validation (:func:`repro.service.events.validate_event`) runs
 at the frontend, before an event can occupy queue space; stateful
 admission happens downstream in :class:`repro.service.state.ServiceState`.
 
-The one backpressure wait.  :meth:`IngestFrontend.put` enqueues with
-``asyncio.Queue.put_nowait`` while the queue has room and awaits
-``asyncio.Queue.put`` only when it is full, so a wait on
-``asyncio.Queue.put`` is the only time a producer waits for space
-(:meth:`IngestFrontend.close` makes the same call for the close marker).
-perfbench times that call as ``frontend.backpressure``.  A ``put``
+Deque operations, and the two waits.  The bounded queue is an
+``asyncio.Queue`` subclass whose deque the frontend reads and writes
+directly.  An admission into a queue with room is one ``append``, and a
+take from a queue with items one ``popleft``; either wakes the next
+parked consumer or producer (the queue's ``_wakeup_next``) only when
+one is parked, so an event that does not wait calls no queue method.
+Only two calls wait: ``asyncio.Queue.put``, awaited by :meth:`put` when
+the queue is full (and by :meth:`close` for the close marker), and
+``asyncio.Queue.get``, awaited by :meth:`get` when it is empty.  The
+queue stays an ``asyncio.Queue`` so that those waits, their FIFO order
+of parked producers and their cancellation handling are asyncio's own,
+and so that perfbench times the backpressure wait by wrapping
+``asyncio.Queue.put`` (its ``frontend.backpressure`` layer).  A ``put``
 cancelled while it waits enqueues nothing and counts its event as
 rejected, so ``offered == accepted + invalid + rejected + gated`` holds.
 
 Per admitted event, untraced, :meth:`IngestFrontend.put` reads the
-clock, validates, enqueues, then counts the admission, moves the
-queue's ``highwater`` mark, appends the two telemetry samples and reads
-the clock once more.  With a
+clock, validates, appends the event, then counts the admission, moves
+the queue's ``highwater`` mark, appends the two telemetry samples and
+reads the clock once more.  With a
 :class:`~repro.service.telemetry.ServiceTelemetry` plane attached, those
 samples are the admission latency (``ingest_admit_seconds``, on the
 tracer's clock) and the queue occupancy (``ingest_queue_depth``), kept
@@ -45,7 +52,8 @@ return None once the close sentinel has been taken.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.types import Job
@@ -59,8 +67,45 @@ __all__ = ["IngestFrontend"]
 _CLOSE = None
 
 
+class _EventQueue(asyncio.Queue):
+    """The frontend's bounded queue, with its deque exposed as :attr:`items`.
+
+    ``_init`` binds the deque ``asyncio.Queue`` keeps its items in, so the
+    frontend appends to it and pops from it without a method call, and
+    wakes a parked waiter itself.  The inherited ``put`` and ``get`` are
+    the only waits.  The frontend never calls ``task_done``, ``join`` or
+    ``shutdown``, so the queue keeps none of their bookkeeping: the
+    :meth:`put_nowait` that ends a ``put`` counts no unfinished task (as
+    the frontend's own appends count none), ``join`` returns at once and
+    ``task_done`` raises ``ValueError``.
+    """
+
+    items: Deque[Optional[ServiceEvent]]
+
+    def _init(self, maxsize: int) -> None:
+        self._queue = self.items = deque()
+
+    def put_nowait(self, item: Optional[ServiceEvent]) -> None:
+        items = self.items
+        if len(items) >= self._maxsize:
+            raise asyncio.QueueFull
+        items.append(item)
+        if self._getters:
+            self._wakeup_next(self._getters)
+
+
 class IngestFrontend:
-    """Validated, bounded, observable entry point of the service."""
+    """Validated, bounded, observable entry point of the service.
+
+    :meth:`offer` and :meth:`put` into a queue with room, and :meth:`get`
+    and :meth:`get_nowait` from a queue with items, are deque operations
+    on the queue's own deque, plus a hand-written wake-up when a consumer
+    or producer is parked.  Only :meth:`put` into a full queue (and
+    :meth:`close`) awaits ``asyncio.Queue.put``, and only :meth:`get` from
+    an empty one awaits ``asyncio.Queue.get``: the queue stays an
+    ``asyncio.Queue`` so that its waits, and perfbench's timing of the
+    backpressure wait, are unchanged.
+    """
 
     def __init__(
         self,
@@ -82,7 +127,12 @@ class IngestFrontend:
         #: *before* the queue, so gated events never join the consumed
         #: stream and replay differentials stay valid by construction.
         self.gatekeeper = gatekeeper
-        self._queue: "asyncio.Queue[Optional[ServiceEvent]]" = asyncio.Queue(maxsize)
+        queue = _EventQueue(maxsize)
+        self._queue = queue
+        #: The queue's deque and its parked consumers and producers.
+        self._items = queue.items
+        self._getters = queue._getters
+        self._putters = queue._putters
         self._clock = self.tracer.clock
         self.offered = 0
         self.accepted = 0
@@ -123,27 +173,8 @@ class IngestFrontend:
                 return f"gated: {reason}"
         return None
 
-    def _note_enqueued(self, t_start: float) -> None:
-        """Count one admission and record its queue depth and latency.
-
-        ``t_start`` is the tracer-clock reading taken when the admission
-        began.  Untraced, this is all an admitted event pays here: the two
-        counters, the two telemetry appends and one clock read.
-        """
-        self.accepted += 1
-        depth = self._queue.qsize()
-        if self.tracer.enabled:
-            self._note_traced(depth, t_start)
-            return
-        if depth > self.highwater:
-            self.highwater = depth
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.queue_depths.append(depth)
-            telemetry.admit_seconds.append(self._clock() - t_start)
-
     def _note_traced(self, depth: int, t_start: float) -> None:
-        """:meth:`_note_enqueued` under a recording tracer."""
+        """An admission's counts and samples under a recording tracer."""
         tracer = self.tracer
         if depth > self.highwater:
             tracer.count("service_queue_highwater", depth - self.highwater)
@@ -163,12 +194,25 @@ class IngestFrontend:
         reason = self._admit(event)
         if reason is not None:
             return reason
-        try:
-            self._queue.put_nowait(event)
-        except asyncio.QueueFull:
+        items = self._items
+        if len(items) >= self.maxsize:
             self._note_rejected()
             return "backpressure"
-        self._note_enqueued(t_start)
+        items.append(event)
+        if self._getters:
+            self._queue._wakeup_next(self._getters)
+        # Count the admission, as put does.
+        self.accepted += 1
+        depth = len(items)
+        if self.tracer.enabled:
+            self._note_traced(depth, t_start)
+            return None
+        if depth > self.highwater:
+            self.highwater = depth
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.queue_depths.append(depth)
+            telemetry.admit_seconds.append(self._clock() - t_start)
         return None
 
     async def put(self, event: ServiceEvent) -> Optional[str]:
@@ -185,16 +229,30 @@ class IngestFrontend:
         reason = self._admit(event)
         if reason is not None:
             return reason
-        queue = self._queue
-        try:
-            queue.put_nowait(event)
-        except asyncio.QueueFull:
+        items = self._items
+        if len(items) < self.maxsize:
+            items.append(event)
+            if self._getters:
+                self._queue._wakeup_next(self._getters)
+        else:
             try:
-                await queue.put(event)
+                await self._queue.put(event)
             except asyncio.CancelledError:
                 self._note_rejected()
                 raise
-        self._note_enqueued(t_start)
+        # Untraced, this is all an admitted event pays after the append:
+        # two counters, two telemetry appends and one clock read.
+        self.accepted += 1
+        depth = len(items)
+        if self.tracer.enabled:
+            self._note_traced(depth, t_start)
+            return None
+        if depth > self.highwater:
+            self.highwater = depth
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.queue_depths.append(depth)
+            telemetry.admit_seconds.append(self._clock() - t_start)
         return None
 
     def _note_rejected(self) -> None:
@@ -215,12 +273,18 @@ class IngestFrontend:
     @property
     def depth(self) -> int:
         """Current queue occupancy (events awaiting the scheduler)."""
-        return self._queue.qsize()
+        return len(self._items)
 
     async def get(self) -> Optional[ServiceEvent]:
-        """The next event, waiting for one; None at end of stream."""
+        """The next event, waiting for one; None at end of stream.
+
+        The wait is one ``asyncio.Queue.get``, made only when the queue
+        is empty.
+        """
         if self._ended:
             return None
+        if self._items:
+            return self.get_nowait()
         event = await self._queue.get()
         if event is _CLOSE:
             self._ended = True
@@ -229,10 +293,12 @@ class IngestFrontend:
     def get_nowait(self) -> Optional[ServiceEvent]:
         """The next queued event, or None when the queue is empty or the
         stream has ended (:meth:`get` tells the two apart)."""
-        try:
-            event = self._queue.get_nowait()
-        except asyncio.QueueEmpty:
+        items = self._items
+        if not items:
             return None
+        event = items.popleft()
+        if self._putters:
+            self._queue._wakeup_next(self._putters)
         if event is _CLOSE:
             self._ended = True
         return event
