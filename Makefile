@@ -94,7 +94,7 @@ experiment-smoke:
 # differential smoke + the live telemetry endpoint smoke + the
 # live-adversary sentinel smoke + the head-to-head arena smoke + the
 # paper-figure smoke + the benchmark's self-tests + one pass of the CRA,
-# ingest and epoch-build microbenchmarks.
+# ingest, epoch-build and generation microbenchmarks.
 check: lint analyze typecheck test service-dev trace-smoke serve-smoke metrics-smoke sentinel-smoke arena-smoke experiment-smoke perfbench-smoke microbench-smoke
 
 # CI gate (~3s): the frontend, service and HTTP tests under -X dev, which
@@ -113,10 +113,12 @@ service-dev:
 perfbench-smoke:
 	$(PY) -m pytest perfbench/test_perfbench.py -q
 
-# CI gate (~3s): every CRA, ingest and epoch-build microbenchmark case
-# run once, untimed, so a change to the SortedTypePool, cra_presorted,
-# frontend, pipeline, histogram or snapshot API cannot break them
-# unnoticed.  TestIngestMicrobench::test_frontend_full_queue_handoff puts
+# CI gate (~5s): every CRA, ingest, epoch-build and generation
+# microbenchmark case run once, untimed, so a change to the SortedTypePool,
+# cra_presorted, frontend, pipeline, histogram, snapshot, social-graph or
+# spanning-forest API cannot break them unnoticed.
+# TestGenerationMicrobench builds a 20k-user twitter-like graph and its
+# spanning forest.  TestIngestMicrobench::test_frontend_full_queue_handoff puts
 # 4,096 events through a 1,024-event queue that a consumer drains, so the
 # frontend's two waits and its hand-written wake-ups run here too.
 microbench-smoke:

@@ -23,6 +23,10 @@ DESIGN.md calls out four load-bearing choices; each gets a benchmark:
   epoch of a ``live-paced``-sized stream, whose pools take the value
   order carried from the epoch before, beside ``pools_from_arrays``
   sorting the same columns from scratch.
+* **generation microbenchmark** — the input generation every workload
+  runs before its timed phase: a ``twitter_like`` graph of ``live-churn``'s
+  size (20k users, mean out-degree 12), built once into CSR, and the
+  spanning forest grown over it.
 """
 
 import asyncio
@@ -43,6 +47,8 @@ from repro.service.frontend import IngestFrontend
 from repro.service.loadgen import seeded_stream
 from repro.service.state import ServiceState
 from repro.service.telemetry import ServiceTelemetry
+from repro.socialnet.generators import twitter_like
+from repro.tree.builder import build_spanning_forest
 from repro.tree.incentive_tree import ROOT, IncentiveTree
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
@@ -408,6 +414,33 @@ class TestEpochBuildMicrobench:
             snapshot.caps,
         )
         assert sum(len(pool.uids) for pool in pools.values()) == len(snapshot)
+
+
+def _churn_graph():
+    return twitter_like(20_000, rng=3, mean_out_degree=12.0)
+
+
+@pytest.fixture(scope="class")
+def churn_graph():
+    """A twitter-like graph of ``live-churn``'s size, built once per class."""
+    return _churn_graph()
+
+
+class TestGenerationMicrobench:
+    """A 20k-user twitter-like graph and its spanning forest."""
+
+    def test_twitter_like_graph(self, benchmark):
+        """Preferential attachment into two edge columns, then one CSR build."""
+        graph = benchmark.pedantic(_churn_graph, rounds=3, iterations=1)
+        assert graph.num_nodes == 20_000
+        assert graph.stats().mean_out_degree == pytest.approx(12.0, rel=0.1)
+
+    def test_spanning_forest(self, benchmark, churn_graph):
+        """The level-synchronous BFS over the graph's successor rows."""
+        tree = benchmark.pedantic(
+            build_spanning_forest, args=(churn_graph,), rounds=5, iterations=1
+        )
+        assert len(tree) == churn_graph.num_nodes
 
 
 class TestSampleRateAblation:

@@ -103,7 +103,7 @@ class CalibrationReport:
 
 def calibration_report(graph: SocialGraph) -> CalibrationReport:
     """Summarize a graph for comparison against the ego-Twitter profile."""
-    degrees = [graph.out_degree(u) for u in graph.nodes()]
+    degrees = graph.out_degrees().tolist()
     stats = graph.stats()
     return CalibrationReport(
         num_nodes=stats.num_nodes,

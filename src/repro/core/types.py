@@ -275,6 +275,11 @@ class Population:
     _by_id: Mapping[int, User] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
     #: :meth:`truthful_asks`, built on first use.
     _asks: Optional["AskProfile"] = field(repr=False, compare=False, default=None)
+    #: Type, capacity and cost columns of :meth:`from_columns`, until
+    #: :meth:`truthful_asks` builds its profile from them.
+    _columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        repr=False, compare=False, default=None
+    )
 
     def __init__(self, users: Iterable[User]):
         users = tuple(users)
@@ -286,6 +291,26 @@ class Population:
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_asks", None)
+        object.__setattr__(self, "_columns", None)
+
+    @classmethod
+    def from_columns(
+        cls, task_types: np.ndarray, capacities: np.ndarray, costs: np.ndarray
+    ) -> "Population":
+        """Users ``0 … n-1`` from aligned type, capacity and cost columns.
+
+        The population keeps copies of the columns, so :meth:`truthful_asks`
+        builds its profile from them instead of reading every ``User`` back.
+        """
+        columns = (np.array(task_types), np.array(capacities), np.array(costs))
+        if not len(columns[0]) == len(columns[1]) == len(columns[2]):
+            raise ModelError("population columns must have equal lengths")
+        population = cls(
+            User(user_id=i, task_type=t, capacity=k, cost=c)
+            for i, (t, k, c) in enumerate(zip(*(col.tolist() for col in columns)))
+        )
+        object.__setattr__(population, "_columns", columns)
+        return population
 
     def __len__(self) -> int:
         return len(self.users)
@@ -328,22 +353,26 @@ class Population:
     def truthful_asks(self) -> "AskProfile":
         """The honest ask profile ``A = {(t_j, K_j, c_j)}_j``, in user order.
 
-        An immutable :class:`~repro.core.columnar.AskProfile` read from the
-        users' fields in one pass on first use, then kept; no ``Ask`` is
-        built.  Copy it with ``dict(...)`` to edit.
+        An immutable :class:`~repro.core.columnar.AskProfile` built on first
+        use, then kept; no ``Ask`` is built.  A population made by
+        :meth:`from_columns` builds it from those columns, any other reads
+        the users' fields.  Copy it with ``dict(...)`` to edit.
         """
         if self._asks is None:
             from repro.core.columnar import AskProfile
 
-            users = self.users
-            n = len(users)
-            profile = AskProfile(
-                np.fromiter((u.user_id for u in users), np.int64, count=n),
-                np.fromiter((u.task_type for u in users), np.int64, count=n),
-                np.fromiter((u.cost for u in users), np.float64, count=n),
-                np.fromiter((u.capacity for u in users), np.int64, count=n),
-            )
-            object.__setattr__(self, "_asks", profile)
+            if self._columns is not None:
+                types, caps, costs = self._columns
+                uids = np.arange(len(types), dtype=np.int64)
+            else:
+                users = self.users
+                n = len(users)
+                uids = np.fromiter((u.user_id for u in users), np.int64, count=n)
+                types = np.fromiter((u.task_type for u in users), np.int64, count=n)
+                costs = np.fromiter((u.cost for u in users), np.float64, count=n)
+                caps = np.fromiter((u.capacity for u in users), np.int64, count=n)
+            object.__setattr__(self, "_asks", AskProfile(uids, types, costs, caps))
+            object.__setattr__(self, "_columns", None)
         return self._asks
 
     def subset(self, user_ids: Iterable[int]) -> "Population":

@@ -21,10 +21,15 @@ space:
 
 All generators return a directed :class:`~repro.socialnet.graph.SocialGraph`
 where edge ``u → v`` means "u can recruit v", and take an explicit RNG.
+The graph is read-only and built once: each generator appends its edges to
+two ``array('q')`` columns, and one whose draws read the graph it is growing
+keeps the state those reads need (a set of the current node's targets, a set
+of edge keys, per-node neighbour lists) to itself.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,7 +73,9 @@ def preferential_attachment(
         raise ConfigurationError(
             f"edges_per_node must be positive, got {edges_per_node}"
         )
-    graph = SocialGraph(num_nodes)
+    # Every edge touches the arriving node and its picks are distinct, so no
+    # edge repeats and the columns need no membership test.
+    influencers, followers = array("q"), array("q")
     # Repeated-node list trick: sampling uniformly from `targets` is
     # equivalent to degree-proportional sampling.
     targets: list[int] = [0]
@@ -82,12 +89,16 @@ def preferential_attachment(
             if len(picks) < m and gen.random() < 0.05:
                 picks.add(int(gen.integers(new)))
         for old in picks:
-            graph.add_edge(old, new)  # the established node can recruit the newcomer
+            # The established node can recruit the newcomer.
+            influencers.append(old)
+            followers.append(new)
             if gen.random() < 0.5:
-                graph.add_edge(new, old)
+                influencers.append(new)
+                followers.append(old)
             targets.append(old)
             targets.append(new)
-    return graph
+    del targets  # as large as the columns: free it before the build
+    return SocialGraph(num_nodes, influencers, followers)
 
 
 def random_graph(num_nodes: int, num_edges: int, rng: SeedLike = None) -> SocialGraph:
@@ -102,18 +113,23 @@ def random_graph(num_nodes: int, num_edges: int, rng: SeedLike = None) -> Social
         raise ConfigurationError(
             f"num_edges={num_edges} exceeds the maximum {max_edges}"
         )
-    graph = SocialGraph(num_nodes)
+    influencers, followers = array("q"), array("q")
+    seen: set[int] = set()  # u * num_nodes + v of every edge drawn so far
     added = 0
     while added < num_edges:
         batch = max(64, num_edges - added)
         us = gen.integers(0, num_nodes, size=batch)
         vs = gen.integers(0, num_nodes, size=batch)
-        for u, v in zip(us, vs):
-            if u != v and graph.add_edge(int(u), int(v)):
+        for u, v in zip(us.tolist(), vs.tolist()):
+            key = u * num_nodes + v
+            if u != v and key not in seen:
+                seen.add(key)
+                influencers.append(u)
+                followers.append(v)
                 added += 1
                 if added == num_edges:
                     break
-    return graph
+    return SocialGraph(num_nodes, influencers, followers)
 
 
 def watts_strogatz(
@@ -134,21 +150,24 @@ def watts_strogatz(
         )
     if not 0.0 <= rewire_prob <= 1.0:
         raise ConfigurationError(f"rewire_prob must be in [0,1], got {rewire_prob}")
-    graph = SocialGraph(num_nodes)
+    influencers, followers = array("q"), array("q")
     for u in range(num_nodes):
+        linked: set[int] = set()  # u's targets so far: only u adds edges from u
         for off in range(1, neighbors + 1):
             v = (u + off) % num_nodes
             if gen.random() < rewire_prob:
                 v = int(gen.integers(num_nodes))
                 attempts = 0
-                while (v == u or graph.has_edge(u, v)) and attempts < 16:
+                while (v == u or v in linked) and attempts < 16:
                     v = int(gen.integers(num_nodes))
                     attempts += 1
-                if v == u or graph.has_edge(u, v):
+                if v == u or v in linked:
                     continue
-            if v != u:
-                graph.add_edge(u, v)
-    return graph
+            if v != u and v not in linked:
+                linked.add(v)
+                influencers.append(u)
+                followers.append(v)
+    return SocialGraph(num_nodes, influencers, followers)
 
 
 def forest_fire(
@@ -170,20 +189,27 @@ def forest_fire(
     for name, p in (("forward_prob", forward_prob), ("backward_prob", backward_prob)):
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"{name} must be in [0,1), got {p}")
-    graph = SocialGraph(num_nodes)
+    # Every edge points at the arriving node, so appending it keeps each
+    # successor list sorted, and a node's predecessors are final (and
+    # sorted once) when its arrival ends.  The burn never reads the arriving
+    # node's own lists, and its picks are distinct: out-neighbours are newer
+    # than the burning node, in-neighbours older.
+    succ: list[list[int]] = [[] for _ in range(num_nodes)]
+    pred: list[list[int]] = [[] for _ in range(num_nodes)]
     burn_cap = 64  # hard bound on burned nodes per arrival
     for new in range(1, num_nodes):
         ambassador = int(gen.integers(new))
         visited = {ambassador}
         frontier = [ambassador]
-        graph.add_edge(ambassador, new)
+        succ[ambassador].append(new)
+        pred[new].append(ambassador)
         burned = 1
         while frontier and burned < burn_cap:
             node = frontier.pop()
             fwd = int(gen.geometric(1.0 - forward_prob)) - 1
             bwd = int(gen.geometric(1.0 - backward_prob)) - 1
-            out_nb = [v for v in graph.successors(node) if v not in visited and v != new]
-            in_nb = [v for v in graph.predecessors(node) if v not in visited and v != new]
+            out_nb = [v for v in succ[node] if v not in visited and v != new]
+            in_nb = [v for v in pred[node] if v not in visited and v != new]
             picks: list[int] = []
             if out_nb and fwd > 0:
                 idx = gen.choice(len(out_nb), size=min(fwd, len(out_nb)), replace=False)
@@ -196,9 +222,13 @@ def forest_fire(
                     break
                 visited.add(target)
                 frontier.append(target)
-                graph.add_edge(target, new)
+                succ[target].append(new)
+                pred[new].append(target)
                 burned += 1
-    return graph
+        pred[new].sort()
+    return SocialGraph.from_edges(
+        num_nodes, ((u, v) for u, row in enumerate(succ) for v in row)
+    )
 
 
 def configuration_model(
@@ -219,16 +249,18 @@ def configuration_model(
         raise ConfigurationError("out-degrees must be non-negative")
     if any(d > n - 1 for d in out_degrees):
         raise ConfigurationError("an out-degree exceeds n-1 (simple digraph)")
-    graph = SocialGraph(n)
+    influencers, followers = array("q"), array("q")
     for u, d in enumerate(out_degrees):
-        placed = 0
+        linked: set[int] = set()  # u's targets so far: only u adds edges from u
         attempts = 0
-        while placed < d and attempts < 8 * d + 16:
+        while len(linked) < d and attempts < 8 * d + 16:
             v = int(gen.integers(n))
             attempts += 1
-            if v != u and graph.add_edge(u, v):
-                placed += 1
-    return graph
+            if v != u and v not in linked:
+                linked.add(v)
+                influencers.append(u)
+                followers.append(v)
+    return SocialGraph(n, influencers, followers)
 
 
 def twitter_like(

@@ -19,8 +19,9 @@ directly.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.exceptions import GraphError
 from repro.socialnet.graph import SocialGraph
@@ -70,7 +71,7 @@ def load_snap_edges(
     if limit_nodes is not None and limit_nodes <= 0:
         raise GraphError(f"limit_nodes must be positive, got {limit_nodes}")
     id_map: Dict[int, int] = {}
-    edges: List[Tuple[int, int]] = []
+    influencers, followers = array("q"), array("q")
 
     def dense(original: int) -> Optional[int]:
         if original in id_map:
@@ -86,10 +87,9 @@ def load_snap_edges(
             dv = dense(v)
             if du is None or dv is None or du == dv:
                 continue
-            edges.append((dv, du))  # follower edge -> recruiting edge
-    graph = SocialGraph(len(id_map))
-    graph.add_edges(edges)
-    return graph, id_map
+            influencers.append(dv)  # follower edge -> recruiting edge
+            followers.append(du)
+    return SocialGraph(len(id_map), influencers, followers), id_map
 
 
 def save_edges(graph: SocialGraph, path: Union[str, Path]) -> None:
@@ -108,14 +108,13 @@ def load_edges(path: Union[str, Path]) -> SocialGraph:
     non-negative integers.
     """
     path = Path(path)
-    edges: List[Tuple[int, int]] = []
+    influencers, followers = array("q"), array("q")
     max_node = -1
     with path.open() as handle:
         for u, v in _parse_lines(handle, str(path)):
             if u < 0 or v < 0:
                 raise GraphError(f"{path}: negative node id in edge ({u}, {v})")
-            edges.append((u, v))
+            influencers.append(u)
+            followers.append(v)
             max_node = max(max_node, u, v)
-    graph = SocialGraph(max_node + 1)
-    graph.add_edges(edges)
-    return graph
+    return SocialGraph(max_node + 1, influencers, followers)

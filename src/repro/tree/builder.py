@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.core.exceptions import TreeError
 from repro.socialnet.graph import SocialGraph
 from repro.tree.incentive_tree import ROOT, IncentiveTree
@@ -75,7 +77,7 @@ def build_spanning_forest(
         return tree
 
     if seeds is None:
-        seeds = [v for v in graph.nodes() if graph.in_degree(v) == 0]
+        seeds = np.flatnonzero(graph.in_degrees() == 0).tolist()
         if not seeds:
             seeds = [0]
     else:

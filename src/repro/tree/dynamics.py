@@ -30,6 +30,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import SeedLike, as_generator
 from repro.socialnet.graph import SocialGraph
@@ -139,7 +141,7 @@ def simulate_solicitation(
         return SolicitationResult(tree, join_times, 0.0, "threshold")
 
     if seeds is None:
-        seeds = [v for v in graph.nodes() if graph.in_degree(v) == 0] or [0]
+        seeds = np.flatnonzero(graph.in_degrees() == 0).tolist() or [0]
     else:
         seeds = list(dict.fromkeys(seeds))
         for s in seeds:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import SeedLike, as_generator
-from repro.core.types import Population, User
+from repro.core.types import Population
 
 __all__ = ["UserDistribution", "PAPER_USERS", "generate_population"]
 
@@ -59,15 +59,7 @@ class UserDistribution:
         # U(0, max]: draw U[0, max) and reflect the open/closed ends; zero
         # cost is excluded by the model, so resample exact zeros.
         costs = self.max_cost * (1.0 - gen.random(num_users))
-        return Population(
-            User(
-                user_id=i,
-                task_type=int(types[i]),
-                capacity=int(caps[i]),
-                cost=float(costs[i]),
-            )
-            for i in range(num_users)
-        )
+        return Population.from_columns(types, caps, costs)
 
 
 #: The exact §7-A profile.

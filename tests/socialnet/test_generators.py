@@ -1,5 +1,9 @@
 """Tests for the synthetic social-graph generators."""
 
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,8 @@ from repro.socialnet.generators import (
     twitter_like,
     watts_strogatz,
 )
+from repro.socialnet.io import load_edges, save_edges
+from repro.tree.builder import build_spanning_forest
 
 
 class TestPreferentialAttachment:
@@ -127,3 +133,91 @@ class TestTwitterLike:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             twitter_like(100, mean_out_degree=0.0)
+
+
+def _digest(value) -> str:
+    """First 16 hex digits of the sha256 of ``repr(value)``."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+#: ``_digest(list(graph.edges()))`` per generator at seeds 0, 7 and 2024,
+#: computed with per-node edge sets; any change to a draw, an edge or the
+#: edge order fails here.
+EDGE_DIGESTS = {
+    "preferential_attachment": (
+        lambda seed: preferential_attachment(300, 4, rng=seed),
+        ("c2860f15ce4f9a9a", "8a2be2e6b392d6d6", "abe8eee8f97afac7"),
+    ),
+    "twitter_like": (
+        lambda seed: twitter_like(400, rng=seed),
+        ("5c749617a5911ba0", "b3d63220422ab2e2", "be4ec8db77e2cdda"),
+    ),
+    "twitter_like_mean_12": (
+        lambda seed: twitter_like(400, rng=seed, mean_out_degree=12.0),
+        ("90d64099cf714cd8", "b0ea4a66567b643c", "990c227ea76a22a5"),
+    ),
+    "random_graph": (
+        lambda seed: random_graph(200, 1500, rng=seed),
+        ("b1de44625b152120", "4ceb0d40b03671ba", "0ef4dc54bd62a8ee"),
+    ),
+    "watts_strogatz_ring": (
+        lambda seed: watts_strogatz(150, 6, 0.0, rng=seed),
+        ("0483cd9cee93bf9a",) * 3,
+    ),
+    "watts_strogatz_rewired": (
+        lambda seed: watts_strogatz(150, 6, 0.3, rng=seed),
+        ("11ae53ab8bde7cd1", "c461301661022727", "e58d705a1ffdebdd"),
+    ),
+    "forest_fire": (
+        lambda seed: forest_fire(400, rng=seed),
+        ("3b5897bc1c181590", "8c32f46c6d934234", "fe487e4c16c91eb5"),
+    ),
+    "configuration_model": (
+        lambda seed: configuration_model([1 + (7 * i) % 9 for i in range(120)], rng=seed),
+        ("a6c6ccec9d10fd44", "122a41ec7a797ee5", "7683736e1925868b"),
+    ),
+}
+
+
+class TestEdgeDigests:
+    """Every generator's edge list, and the forests and files built from them, are pinned."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_DIGESTS))
+    def test_edge_list(self, name):
+        build, pinned = EDGE_DIGESTS[name]
+        assert tuple(_digest(list(build(seed).edges())) for seed in (0, 7, 2024)) == pinned
+
+    @pytest.mark.parametrize(
+        "seed, mean, pinned",
+        [(3, None, "be156d4cbcdf9123"), (4, 12.0, "149cb515e70829b6")],
+    )
+    def test_spanning_forest_parent_map(self, seed, mean, pinned):
+        """The ``{child: parent}`` map in attach order, so child order counts too."""
+        tree = build_spanning_forest(twitter_like(2000, rng=seed, mean_out_degree=mean))
+        assert _digest(list(tree.to_parent_map().items())) == pinned
+
+    def test_save_load_round_trip(self, tmp_path):
+        graph = preferential_attachment(250, 3, rng=5)
+        path = tmp_path / "graph.txt"
+        save_edges(graph, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "b50aae7b40cb61ac"
+        assert _digest(list(load_edges(path).edges())) == "bcc801d1a2107843"
+
+
+class TestGenerationMemory:
+    """The graph costs a few int64s per edge, with no Python object per node or edge."""
+
+    def test_bytes_per_edge(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph = twitter_like(5_000, rng=0, mean_out_degree=12.0)
+            held = tracemalloc.get_traced_memory()[0] - base
+            build_spanning_forest(graph)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # A graph of per-node edge sets held 155 bytes per edge here and peaked at 171.
+        assert held / graph.num_edges <= 50
+        assert peak / graph.num_edges <= 110

@@ -16,12 +16,7 @@ from repro.tree.incentive_tree import ROOT
 
 def diamond_graph():
     """0 -> {1, 2}; 1 -> 3; 2 -> 3 (two invitations arrive at 3)."""
-    g = SocialGraph(4)
-    g.add_edge(0, 1)
-    g.add_edge(0, 2)
-    g.add_edge(1, 3)
-    g.add_edge(2, 3)
-    return g
+    return SocialGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 class TestSpanningForest:
@@ -71,18 +66,14 @@ class TestSpanningForest:
         assert len(tree) == 3
 
     def test_disconnected_components_join_spontaneously(self):
-        g = SocialGraph(5)
-        g.add_edge(0, 1)
-        g.add_edge(3, 4)
+        g = SocialGraph.from_edges(5, [(0, 1), (3, 4)])
         tree = build_spanning_forest(g)
         assert len(tree) == 5
         # 2 has no edges at all; it joins as a root child.
         assert tree.parent(2) == ROOT
 
     def test_cycle_graph_is_fully_covered(self):
-        g = SocialGraph(4)
-        for i in range(4):
-            g.add_edge(i, (i + 1) % 4)
+        g = SocialGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
         tree = build_spanning_forest(g)  # no in-degree-0 node: seed = 0
         assert len(tree) == 4
         assert tree.parent(0) == ROOT
@@ -94,11 +85,8 @@ class TestSpanningForest:
     def test_is_spanning_tree_of_graph_edges(self):
         """Every non-root tree edge must be a graph edge."""
         gen = np.random.default_rng(5)
-        g = SocialGraph(50)
-        for _ in range(200):
-            u, v = gen.integers(0, 50, size=2)
-            if u != v:
-                g.add_edge(int(u), int(v))
+        pairs = [gen.integers(0, 50, size=2) for _ in range(200)]
+        g = SocialGraph.from_edges(50, [(int(u), int(v)) for u, v in pairs if u != v])
         tree = build_spanning_forest(g)
         assert len(tree) == 50
         for node in tree.nodes():
@@ -108,13 +96,11 @@ class TestSpanningForest:
 
     def test_level_synchronous_depths(self):
         """A node's depth equals 1 + BFS distance from the seed set."""
-        g = SocialGraph(6)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        g.add_edge(0, 4)
-        g.add_edge(4, 3)  # 3 reachable at distance 2 via 4, 3 via chain
-        g.add_edge(3, 5)
+        g = SocialGraph.from_edges(
+            6,
+            # 3 is reachable at distance 2 via 4, and at 3 via the chain.
+            [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (3, 5)],
+        )
         tree = build_spanning_forest(g, seeds=[0])
         assert tree.depth(3) == 3  # joined in round 2 (via 4, smaller depth)
         assert tree.parent(3) in (2, 4)

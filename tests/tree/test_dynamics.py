@@ -13,10 +13,7 @@ from repro.tree.incentive_tree import ROOT
 
 
 def line_graph(n):
-    g = SocialGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return SocialGraph(n, range(n - 1), range(1, n))
 
 
 class TestBasicCascade:

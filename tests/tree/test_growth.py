@@ -10,10 +10,7 @@ from repro.tree.builder import build_spanning_forest
 
 
 def line_graph(n):
-    g = SocialGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return SocialGraph(n, range(n - 1), range(1, n))
 
 
 def uniform_population(n, capacity=2, task_type=0):

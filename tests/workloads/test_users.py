@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, ModelError
+from repro.core.types import Population
 from repro.workloads.users import PAPER_USERS, UserDistribution, generate_population
 
 
@@ -65,3 +66,19 @@ class TestUserDistribution:
     def test_generate_population_wrapper(self):
         pop = generate_population(10, rng=0)
         assert len(pop) == 10
+
+    @pytest.mark.parametrize("num_users", [0, 1, 700])
+    def test_profile_from_drawn_columns_equals_the_object_pass(self, num_users):
+        """The sampled columns give the profile a pass over the ``User`` objects gives."""
+        pop = UserDistribution(num_types=4).sample(num_users, rng=9)
+        from_columns = pop.truthful_asks()
+        from_users = Population(list(pop)).truthful_asks()
+        for name in ("uids", "types", "ask_values", "caps"):
+            got, want = getattr(from_columns, name), getattr(from_users, name)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert dict(from_columns) == dict(from_users)
+
+    def test_from_columns_rejects_unequal_lengths(self):
+        with pytest.raises(ModelError):
+            Population.from_columns(np.array([0, 1]), np.array([1]), np.array([1.0, 2.0]))
